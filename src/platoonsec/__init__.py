@@ -52,8 +52,6 @@ from .metrics import (
 )
 from .mpc_controller import (
     ControlOutcome,
-    DualState,
-    IterationState,
     NumericalError,
     check_constraints,
     cost,
@@ -77,11 +75,7 @@ from .v2v_channel import (
     ChannelId,
     Direction,
     DropRule,
-    IterationMessage,
-    PlatoonIterates,
     V2VChannel,
-    apply_bias,
-    exchange,
 )
 
 __version__ = "0.1.0"

@@ -457,8 +457,6 @@ def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[Anoma
                 gap_front=float(r["gap_front"]),
                 spacing_error=0.0,
                 rear_spacing_error=None,
-                own_x_pred=0.0,
-                own_v_pred=0.0,
             )
             for r in records
         ]

@@ -4,15 +4,16 @@ Each follower holds a scalar decision, the acceleration for the next control
 step.  One iteration round consists of: all vehicles broadcast predicted
 position/velocity forward, every follower computes its spacing terms from
 what it received and sends them backward, then every follower takes one
-damped Newton step on its local Lagrangian
+box-clipped Newton step on its local Lagrangian
 
     0.5*Q_alpha*z^2 + Q_beta*z'^2 + (tau^2/2)*u^2      (own spacing terms)
   + 0.5*Q_alpha*zx^2 + Q_beta*zv^2                      (successor's terms)
   + lam_front*g_front(u) + lam_rear*g_rear(u)           (safety multipliers)
 
 where the successor's terms are the backward-received values shifted by the
-vehicle's own candidate motion.  Everything is quadratic in u, so the Newton
-step is exact and damping only guards degenerate input.
+vehicle's own candidate motion.  The Lagrangian is a convex quadratic in the
+scalar u, so the full Newton step clipped to the admissible box is its exact
+minimiser over that box; no damping or line search is needed.
 
 The primal phase stops once every follower's successive candidates differ by
 at most ``primal_tol``; the dual phase then checks that all perceived gaps
@@ -34,36 +35,11 @@ from typing import Optional, Sequence
 
 from .attack_engine import BiasMatrices
 from .platoon_model import PlatoonState, SimConfig, VehicleState
-from .v2v_channel import (
-    PlatoonIterates,
-    V2VChannel,
-    backward_messages,
-    forward_messages,
-)
+from .v2v_channel import Direction, V2VChannel
 
 
 class NumericalError(RuntimeError):
     """Raised when the optimizer encounters non-finite quantities."""
-
-
-@dataclass(frozen=True)
-class IterationState:
-    """One follower's iterate inside a control step."""
-
-    u_ite: float
-    v_ite: float
-    x_ite: float
-    zx_ite: float
-    zv_ite: float
-    iteration_index: int
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Non-negative multipliers, one per adjacent pair (pair i fronts follower i)."""
-
-    multipliers: tuple[float, ...]
-    dual_iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -83,8 +59,6 @@ class PerceptionRecord:
     gap_front: float
     spacing_error: float
     rear_spacing_error: Optional[float]
-    own_x_pred: float
-    own_v_pred: float
 
 
 @dataclass(frozen=True)
@@ -166,76 +140,9 @@ def accel_box(v: float, config: SimConfig) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class _LocalProblem:
-    """Coefficients of one follower's scalar Lagrangian for a single round."""
-
-    measured: VehicleState
-    front_x: float
-    front_v: float
-    rear_zx: Optional[float]
-    rear_zv: Optional[float]
-    broadcast_x: float
-    broadcast_v: float
-    lam_front: float
-    lam_rear: float
-    config: SimConfig
-
-    def lagrangian(self, u: float) -> float:
-        cfg = self.config
-        tau = cfg.tau
-        px = self.measured.x + self.measured.v * tau + u * tau * tau / 2.0
-        pv = self.measured.v + u * tau
-        z = self.front_x - px - (cfg.L_veh + cfg.p * tau * pv + cfg.delta)
-        zp = self.front_v - pv
-        value = (
-            0.5 * cfg.Q_alpha * z * z
-            + cfg.Q_beta * zp * zp
-            + 0.5 * tau * tau * u * u
-        )
-        g_front = (cfg.L_veh + cfg.p * tau * pv + cfg.dual_margin) - (self.front_x - px)
-        value += self.lam_front * g_front
-        if self.rear_zx is not None:
-            rzx = self.rear_zx + (px - self.broadcast_x)
-            rzv = self.rear_zv + (pv - self.broadcast_v)
-            value += 0.5 * cfg.Q_alpha * rzx * rzx + cfg.Q_beta * rzv * rzv
-            g_rear = -(rzx + cfg.delta) + cfg.dual_margin
-            value += self.lam_rear * g_rear
-        return value
-
-    def gradient_hessian(self, u: float) -> tuple[float, float]:
-        cfg = self.config
-        tau = cfg.tau
-        dpx = tau * tau / 2.0
-        dpv = tau
-        dz = -dpx - cfg.p * tau * dpv
-        dzp = -dpv
-        px = self.measured.x + self.measured.v * tau + u * dpx
-        pv = self.measured.v + u * dpv
-        z = self.front_x - px - (cfg.L_veh + cfg.p * tau * pv + cfg.delta)
-        zp = self.front_v - pv
-        grad = (
-            cfg.Q_alpha * z * dz
-            + 2.0 * cfg.Q_beta * zp * dzp
-            + tau * tau * u
-            + self.lam_front * (-dz)
-        )
-        hess = cfg.Q_alpha * dz * dz + 2.0 * cfg.Q_beta * dzp * dzp + tau * tau
-        if self.rear_zx is not None:
-            rzx = self.rear_zx + (px - self.broadcast_x)
-            rzv = self.rear_zv + (pv - self.broadcast_v)
-            grad += (
-                cfg.Q_alpha * rzx * dpx
-                + 2.0 * cfg.Q_beta * rzv * dpv
-                + self.lam_rear * (-dpx)
-            )
-            hess += cfg.Q_alpha * dpx * dpx + 2.0 * cfg.Q_beta * dpv * dpv
-        return grad, hess
-
-
 def primal_step(
     measured: VehicleState,
-    iter_state: IterationState,
+    u: float,
     front_x: float,
     front_v: float,
     rear_zx: Optional[float],
@@ -243,75 +150,76 @@ def primal_step(
     lam_front: float,
     lam_rear: float,
     config: SimConfig,
-) -> IterationState:
-    """One damped, box-clipped Newton update of a follower's candidate.
+) -> float:
+    """One follower's new candidate acceleration: the full Newton step on its
+    local Lagrangian, clipped to the admissible box.
 
-    The backtracking halving (at most 20) keeps the local Lagrangian
-    non-increasing; for the exact quadratic the full step is always accepted.
-    Raises NumericalError on non-finite gradient or Hessian.
+    The Lagrangian is a convex quadratic in u and the current candidate lies
+    inside the box, so the clipped full step is the exact minimiser over the
+    box.  ``rear_zx``/``rear_zv`` are the successor's last backward report,
+    None for the last follower.  Raises NumericalError on a non-finite
+    gradient or Hessian.
     """
-    problem = _LocalProblem(
-        measured=measured,
-        front_x=front_x,
-        front_v=front_v,
-        rear_zx=rear_zx,
-        rear_zv=rear_zv,
-        broadcast_x=iter_state.x_ite,
-        broadcast_v=iter_state.v_ite,
-        lam_front=lam_front,
-        lam_rear=lam_rear,
-        config=config,
+    cfg = config
+    tau = cfg.tau
+    dpx = tau * tau / 2.0
+    dpv = tau
+    dz = -dpx - cfg.p * tau * dpv
+    dzp = -dpv
+    px = measured.x + measured.v * tau + u * dpx
+    pv = measured.v + u * dpv
+    z = front_x - px - (cfg.L_veh + cfg.p * tau * pv + cfg.delta)
+    zp = front_v - pv
+    grad = (
+        cfg.Q_alpha * z * dz
+        + 2.0 * cfg.Q_beta * zp * dzp
+        + tau * tau * u
+        + lam_front * (-dz)
     )
-    u_cur = iter_state.u_ite
-    grad, hess = problem.gradient_hessian(u_cur)
+    hess = cfg.Q_alpha * dz * dz + 2.0 * cfg.Q_beta * dzp * dzp + tau * tau
+    if rear_zx is not None:
+        # The report was computed against the broadcast prediction; shift it
+        # by this candidate's motion relative to that broadcast.
+        broadcast_x, broadcast_v = predict(measured, u, tau)
+        rzx = rear_zx + (px - broadcast_x)
+        rzv = rear_zv + (pv - broadcast_v)
+        grad += (
+            cfg.Q_alpha * rzx * dpx
+            + 2.0 * cfg.Q_beta * rzv * dpv
+            + lam_rear * (-dpx)
+        )
+        hess += cfg.Q_alpha * dpx * dpx + 2.0 * cfg.Q_beta * dpv * dpv
     if not (math.isfinite(grad) and math.isfinite(hess)) or hess <= 0.0:
         raise NumericalError(
-            f"degenerate Newton data at iteration {iter_state.iteration_index}: "
-            f"grad={grad} hess={hess} u={u_cur} front=({front_x}, {front_v})"
+            f"degenerate Newton data: grad={grad} hess={hess} u={u} "
+            f"front=({front_x}, {front_v})"
         )
-    full_step = -grad / hess
-    lo, hi = accel_box(measured.v, config)
-    phi0 = problem.lagrangian(u_cur)
-    u_new = u_cur
-    alpha = 1.0
-    for _ in range(21):
-        candidate = min(max(u_cur + alpha * full_step, lo), hi)
-        if problem.lagrangian(candidate) <= phi0 + 1e-12 * (1.0 + abs(phi0)):
-            u_new = candidate
-            break
-        alpha /= 2.0
-    px, pv = predict(measured, u_new, config.tau)
-    return IterationState(
-        u_ite=u_new,
-        v_ite=pv,
-        x_ite=px,
-        zx_ite=spacing_error(front_x, px, pv, config),
-        zv_ite=relative_speed(front_v, pv),
-        iteration_index=iter_state.iteration_index + 1,
-    )
+    lo, hi = accel_box(measured.v, cfg)
+    return min(max(u + -grad / hess, lo), hi)
 
 
 def dual_update(
-    dual: DualState,
+    multipliers: Sequence[float],
     predicted_gaps: Sequence[float],
     safety_gaps: Sequence[float],
     config: SimConfig,
-) -> DualState:
-    """Projected gradient ascent on the safety-gap multipliers.
+) -> list[float]:
+    """Projected gradient ascent on the safety-gap multipliers, one per
+    adjacent pair (pair i fronts follower i+1).
 
     Violated pairs (gap below the tightened safety gap) get their multiplier
     raised proportionally to the violation; slack pairs decay toward zero.
     Multipliers never go negative.
     """
     updated = []
-    for lam, gap, safety in zip(dual.multipliers, predicted_gaps, safety_gaps):
+    for lam, gap, safety in zip(multipliers, predicted_gaps, safety_gaps):
         violation = safety - gap
         if violation > 0.0:
             lam = lam + config.dual_step * violation
         else:
             lam = lam * config.dual_decay
         updated.append(max(lam, 0.0))
-    return DualState(multipliers=tuple(updated), dual_iteration=dual.dual_iteration + 1)
+    return updated
 
 
 def run_control_step(
@@ -323,8 +231,8 @@ def run_control_step(
 ) -> ControlOutcome:
     """Execute the full double loop for one control step.
 
-    Every iteration round exchanges messages through ``channel`` (where the
-    attack bias is injected), then updates all followers in a synchronized
+    Every iteration round passes both directions through ``channel`` (where
+    the attack bias is injected), then updates all followers in a synchronized
     Jacobi sweep.  The returned accelerations are for the next control step;
     the platoon's currently applied accelerations are untouched during the
     loop.  Deterministic: identical inputs produce bit-identical outcomes.
@@ -335,6 +243,7 @@ def run_control_step(
     n = platoon.n
     tau = cfg.tau
     k = platoon.control_step
+    followers = platoon.followers
 
     leader_x, leader_v = predict(platoon.leader, leader_u, tau)
     if warm_start is None:
@@ -344,97 +253,59 @@ def run_control_step(
             raise ValueError(f"warm_start needs {n} entries, got {len(warm_start)}")
         u = list(warm_start)
     for i in range(n):
-        lo, hi = accel_box(platoon.followers[i].v, cfg)
+        lo, hi = accel_box(followers[i].v, cfg)
         u[i] = min(max(u[i], lo), hi)
 
     px = [0.0] * n
     pv = [0.0] * n
     for i in range(n):
-        px[i], pv[i] = predict(platoon.followers[i], u[i], tau)
+        px[i], pv[i] = predict(followers[i], u[i], tau)
 
-    # Last received channel values per follower (index 0 = fv1).  Fallbacks
-    # cover a message dropped before anything was ever received: the benign
-    # expectation for forward values, a zero spacing report for backward.
-    last_fx: list[Optional[float]] = [None] * n
-    last_fv: list[Optional[float]] = [None] * n
-    last_rzx: list[Optional[float]] = [None] * n
-    last_rzv: list[Optional[float]] = [None] * n
+    # Last received channel values per follower (index 0 = fv1).  A drop
+    # before anything was received falls back to the benign expectation for
+    # forward values and a zero spacing report backward.  The last follower
+    # has no successor, so its backward entries stay None.
+    fx: list = [None] * n
+    fv: list = [None] * n
+    rzx: list = [None] * n
+    rzv: list = [None] * n
 
-    dual = DualState(multipliers=(0.0,) * n)
+    lam = [0.0] * n
     iterations_used = 0
     converged = False
 
     for t in range(cfg.max_iterations):
-        iterates = PlatoonIterates(
-            x_ite=(leader_x, *px),
-            v_ite=(leader_v, *pv),
-            zx_ite=(0.0, *(0.0,) * n),  # placeholders; backward built below
-            zv_ite=(0.0, *(0.0,) * n),
-        )
-        for msg in forward_messages(iterates, t):
-            i = msg.receiver - 1
-            sent = channel.corrupt(msg, k)
-            if sent is None:
-                if last_fx[i] is None:
-                    last_fx[i] = px[i] + cfg.nominal_gap(pv[i])
-                    last_fv[i] = pv[i]
-            else:
-                last_fx[i] = sent.x_ite
-                last_fv[i] = sent.v_ite
-        fx = [v for v in last_fx]
-        fv = [v for v in last_fv]
+        forward = channel.corrupt(Direction.FORWARD, [leader_x, *px], [leader_v, *pv], t, k)
+        for i, got in enumerate(forward):
+            if got is not None:
+                fx[i], fv[i] = got
+            elif fx[i] is None:
+                fx[i], fv[i] = px[i] + cfg.nominal_gap(pv[i]), pv[i]
 
-        z_own = [spacing_error(fx[i], px[i], pv[i], cfg) for i in range(n)]
-        zp_own = [relative_speed(fv[i], pv[i]) for i in range(n)]
-        iterates = PlatoonIterates(
-            x_ite=(leader_x, *px),
-            v_ite=(leader_v, *pv),
-            zx_ite=(0.0, *z_own),
-            zv_ite=(0.0, *zp_own),
-        )
-        for msg in backward_messages(iterates, t):
-            i = msg.receiver - 1
-            sent = channel.corrupt(msg, k)
-            if sent is None:
-                if last_rzx[i] is None:
-                    last_rzx[i] = 0.0
-                    last_rzv[i] = 0.0
-            else:
-                last_rzx[i] = sent.zx_ite
-                last_rzv[i] = sent.zv_ite
+        z = [spacing_error(fx[i], px[i], pv[i], cfg) for i in range(n)]
+        zp = [relative_speed(fv[i], pv[i]) for i in range(n)]
+        backward = channel.corrupt(Direction.BACKWARD, [0.0, *z], [0.0, *zp], t, k)
+        for i, got in enumerate(backward):
+            if got is not None:
+                rzx[i], rzv[i] = got
+            elif rzx[i] is None:
+                rzx[i], rzv[i] = 0.0, 0.0
 
-        deltas = [0.0] * n
-        new_states = []
+        new_u = [0.0] * n
         for i in range(n):
-            state = IterationState(
-                u_ite=u[i],
-                v_ite=pv[i],
-                x_ite=px[i],
-                zx_ite=z_own[i],
-                zv_ite=zp_own[i],
-                iteration_index=t,
-            )
-            has_rear = i < n - 1
+            lam_rear = lam[i + 1] if i < n - 1 else 0.0
             try:
-                updated = primal_step(
-                    platoon.followers[i],
-                    state,
-                    fx[i],
-                    fv[i],
-                    last_rzx[i] if has_rear else None,
-                    last_rzv[i] if has_rear else None,
-                    dual.multipliers[i],
-                    dual.multipliers[i + 1] if has_rear else 0.0,
-                    cfg,
+                new_u[i] = primal_step(
+                    followers[i], u[i], fx[i], fv[i], rzx[i], rzv[i], lam[i], lam_rear, cfg
                 )
             except NumericalError as exc:
-                raise NumericalError(f"follower {i + 1}, control step {k}: {exc}") from exc
-            deltas[i] = updated.u_ite - u[i]
-            new_states.append(updated)
-        for i, updated in enumerate(new_states):
-            u[i] = updated.u_ite
-            px[i] = updated.x_ite
-            pv[i] = updated.v_ite
+                raise NumericalError(
+                    f"follower {i + 1}, control step {k}, iteration {t}: {exc}"
+                ) from exc
+        deltas = [new_u[i] - u[i] for i in range(n)]
+        u = new_u
+        for i in range(n):
+            px[i], pv[i] = predict(followers[i], u[i], tau)
         iterations_used = t + 1
 
         if primal_exit(deltas, cfg.primal_tol):
@@ -443,7 +314,7 @@ def run_control_step(
             if all(gap >= safety for gap, safety in zip(gaps, safeties)):
                 converged = True
                 break
-            dual = dual_update(dual, gaps, safeties, cfg)
+            lam = dual_update(lam, gaps, safeties, cfg)
 
     perception = tuple(
         PerceptionRecord(
@@ -452,9 +323,7 @@ def run_control_step(
             front_v=fv[i],
             gap_front=fx[i] - px[i],
             spacing_error=spacing_error(fx[i], px[i], pv[i], cfg),
-            rear_spacing_error=last_rzx[i] if i < n - 1 else None,
-            own_x_pred=px[i],
-            own_v_pred=pv[i],
+            rear_spacing_error=rzx[i],
         )
         for i in range(n)
     )

@@ -1,21 +1,22 @@
-"""Iterative V2V message exchange and the bias injection point.
+"""The V2V channel: where the attack bias and jamming enter an iteration round.
 
-During every iteration of a control step, each vehicle (leader included)
-broadcasts its predicted position and velocity forward to its immediate
-follower, then every follower except the first sends its computed relative
-position/velocity terms backward to its predecessor.  The leader never
-receives backward traffic, and the leader-to-first-follower link is trusted:
-leader-sent messages are never corrupted.
+During every iteration round of a control step, each vehicle (leader
+included) broadcasts its predicted position and velocity forward to its
+immediate follower, then every follower except the first sends its spacing
+terms backward to its predecessor.  The leader never receives backward
+traffic, and the leader-to-first-follower link is trusted: it is never
+biased, though a drop rule can still jam it.
 
-All functions here are stateless transformations; the exchange schedule is
-owned by the control loop.
+``V2VChannel.corrupt`` delivers one whole direction of a round at a time;
+the exchange schedule and the hold-last-value bookkeeping belong to the
+control loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attack_engine import BiasMatrices
@@ -36,109 +37,8 @@ class Direction(str, Enum):
 
 
 @dataclass(frozen=True)
-class IterationMessage:
-    """One V2V payload inside an iteration round.
-
-    Vehicle index 0 is the leader; followers are 1..n.  Forward messages
-    carry only x_ite/v_ite, backward messages only zx_ite/zv_ite; the unused
-    fields are None.
-    """
-
-    sender: int
-    receiver: int
-    iteration_index: int
-    direction: Direction
-    x_ite: Optional[float] = None
-    v_ite: Optional[float] = None
-    zx_ite: Optional[float] = None
-    zv_ite: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class PlatoonIterates:
-    """Per-vehicle iterate snapshot used to assemble one exchange round.
-
-    Indexing: position/velocity tuples cover vehicles 0..n (0 = leader);
-    the relative-term tuples cover followers 1..n at indices 1..n with
-    index 0 unused.
-    """
-
-    x_ite: tuple[float, ...]
-    v_ite: tuple[float, ...]
-    zx_ite: tuple[float, ...]
-    zv_ite: tuple[float, ...]
-
-
-def forward_messages(iterates: PlatoonIterates, iteration_index: int) -> list[IterationMessage]:
-    """Forward broadcasts, leader first: 0->1, 1->2, ..., n-1->n."""
-    n = len(iterates.x_ite) - 1
-    return [
-        IterationMessage(
-            sender=s,
-            receiver=s + 1,
-            iteration_index=iteration_index,
-            direction=Direction.FORWARD,
-            x_ite=iterates.x_ite[s],
-            v_ite=iterates.v_ite[s],
-        )
-        for s in range(n)
-    ]
-
-
-def backward_messages(iterates: PlatoonIterates, iteration_index: int) -> list[IterationMessage]:
-    """Backward sends 2->1, ..., n->n-1.  fv1 sends nothing to the leader."""
-    n = len(iterates.x_ite) - 1
-    return [
-        IterationMessage(
-            sender=s,
-            receiver=s - 1,
-            iteration_index=iteration_index,
-            direction=Direction.BACKWARD,
-            zx_ite=iterates.zx_ite[s],
-            zv_ite=iterates.zv_ite[s],
-        )
-        for s in range(2, n + 1)
-    ]
-
-
-def exchange(iterates: PlatoonIterates, iteration_index: int) -> list[IterationMessage]:
-    """All messages of one iteration round in deterministic order.
-
-    For n followers this is n forward messages followed by n-1 backward
-    messages (n=6 gives 11 per round).
-    """
-    return forward_messages(iterates, iteration_index) + backward_messages(
-        iterates, iteration_index
-    )
-
-
-def apply_bias(msg: IterationMessage, bias: "BiasMatrices") -> IterationMessage:
-    """Add the sender's per-channel bias for this iteration row.
-
-    Leader-sent messages pass through untouched (the leader link is trusted).
-    Bias matrix column j holds the corruption of follower j+1's outgoing
-    channels.  Additive and composable: applying B1 then B2 equals B1+B2.
-    """
-    if msg.sender == 0:
-        return msg
-    col = msg.sender - 1
-    row = msg.iteration_index
-    if msg.direction is Direction.FORWARD:
-        return replace(
-            msg,
-            x_ite=msg.x_ite + float(bias.x_ite_bias[row, col]),
-            v_ite=msg.v_ite + float(bias.v_ite_bias[row, col]),
-        )
-    return replace(
-        msg,
-        zx_ite=msg.zx_ite + float(bias.zx_ite_bias[row, col]),
-        zv_ite=msg.zv_ite + float(bias.zv_ite_bias[row, col]),
-    )
-
-
-@dataclass(frozen=True)
 class DropRule:
-    """Suppress delivery of matching messages (jamming-style corruption).
+    """Suppress delivery of ``sender``'s messages (jamming-style corruption).
 
     A dropped message makes the receiver reuse its last received value.
     ``control_steps`` and ``iterations`` are closed [start, end] intervals;
@@ -150,33 +50,61 @@ class DropRule:
     control_steps: Optional[tuple[int, int]] = None
     iterations: Optional[tuple[int, int]] = None
 
-    def matches(self, msg: IterationMessage, control_step: int) -> bool:
-        if msg.direction is not self.direction or msg.sender != self.sender:
+    def matches(self, direction: Direction, t: int, k: int) -> bool:
+        """Whether the rule jams its sender in ``direction`` during iteration
+        round ``t`` of control step ``k``."""
+        if direction is not self.direction:
             return False
         if self.control_steps is not None:
             lo, hi = self.control_steps
-            if not lo <= control_step <= hi:
+            if not lo <= k <= hi:
                 return False
         if self.iterations is not None:
             lo, hi = self.iterations
-            if not lo <= msg.iteration_index <= hi:
+            if not lo <= t <= hi:
                 return False
         return True
 
 
 @dataclass(frozen=True)
 class V2VChannel:
-    """The corruption point every message passes through.
-
-    ``corrupt`` returns the (possibly biased) message, or None when a drop
-    rule suppresses it.
-    """
+    """The corruption point every message passes through."""
 
     bias: "BiasMatrices"
     drops: tuple[DropRule, ...] = ()
 
-    def corrupt(self, msg: IterationMessage, control_step: int) -> Optional[IterationMessage]:
+    def corrupt(
+        self,
+        direction: Direction,
+        a: Sequence[float],
+        b: Sequence[float],
+        t: int,
+        k: int,
+    ) -> list[Optional[tuple[float, float]]]:
+        """Deliver one direction of iteration round ``t`` at control step ``k``.
+
+        ``a`` and ``b`` are the senders' payloads indexed by vehicle (0 = the
+        leader, followers 1..n): x_ite/v_ite forward, zx_ite/zv_ite backward.
+        Entry i of the result is what follower i+1 receives, from vehicle i
+        forward (n entries) or from vehicle i+2 backward (n-1 entries).  It is
+        the sender's pair plus its bias (bias column j corrupts follower j+1's
+        outgoing channels; the leader's pair passes untouched), or None where
+        a drop rule matches.
+        """
+        n = len(a) - 1
+        if direction is Direction.FORWARD:
+            senders = range(n)
+            bias_a, bias_b = self.bias.x_ite_bias, self.bias.v_ite_bias
+        else:
+            senders = range(2, n + 1)
+            bias_a, bias_b = self.bias.zx_ite_bias, self.bias.zv_ite_bias
+        row_a = bias_a[t].tolist()
+        row_b = bias_b[t].tolist()
+        delivered: list[Optional[tuple[float, float]]] = [
+            (a[s], b[s]) if s == 0 else (a[s] + row_a[s - 1], b[s] + row_b[s - 1])
+            for s in senders
+        ]
         for rule in self.drops:
-            if rule.matches(msg, control_step):
-                return None
-        return apply_bias(msg, self.bias)
+            if rule.sender in senders and rule.matches(direction, t, k):
+                delivered[senders.index(rule.sender)] = None
+        return delivered

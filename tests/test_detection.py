@@ -303,8 +303,6 @@ def _benign_obs(vehicle, k):
         gap_front=20.0,
         spacing_error=0.0,
         rear_spacing_error=0.0 if vehicle < 6 else None,
-        own_x_pred=x - 20.0,
-        own_v_pred=30.0,
     )
 
 

@@ -17,8 +17,7 @@ from platoonsec import (
 )
 from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal
 from platoonsec.mpc_controller import (
-    DualState,
-    IterationState,
+    NumericalError,
     accel_box,
     primal_exit,
     primal_step,
@@ -139,28 +138,13 @@ def _local_objective(measured, u, fx, fv, rear, lam_front, lam_rear, cfg):
     return phi
 
 
-def _iter_state(measured, u, fx, fv, cfg, index=0):
-    px, pv = predict(measured, u, cfg.tau)
-    return IterationState(
-        u_ite=u,
-        v_ite=pv,
-        x_ite=px,
-        zx_ite=spacing_error(fx, px, pv, cfg),
-        zv_ite=relative_speed(fv, pv),
-        iteration_index=index,
-    )
-
-
 class TestPrimalStep:
     def test_equilibrium_is_stationary(self, config):
         platoon = initial_platoon(config, 30.0)
         follower = platoon.followers[0]
         fx, fv = predict(platoon.leader, 0.0, config.tau)
-        state = _iter_state(follower, 0.0, fx, fv, config)
-        updated = primal_step(
-            follower, state, fx, fv, None, None, 0.0, 0.0, config
-        )
-        assert abs(updated.u_ite) < 1e-9
+        u = primal_step(follower, 0.0, fx, fv, None, None, 0.0, 0.0, config)
+        assert abs(u) < 1e-9
 
     def test_matches_grid_search_argmin(self, config):
         # Brute-force oracle: 1e-3 grid over the admissible box.
@@ -170,8 +154,7 @@ class TestPrimalStep:
             fx = measured.x + rng.uniform(10, 30)
             fv = measured.v + rng.uniform(-3, 3)
             lam = rng.uniform(0, 2)
-            state = _iter_state(measured, 0.0, fx, fv, config)
-            updated = primal_step(measured, state, fx, fv, None, None, lam, 0.0, config)
+            u = primal_step(measured, 0.0, fx, fv, None, None, lam, 0.0, config)
             lo, hi = accel_box(measured.v, config)
             grid = [lo + i * 1e-3 for i in range(int((hi - lo) / 1e-3) + 1)]
             best = min(
@@ -180,7 +163,7 @@ class TestPrimalStep:
                     measured, u, fx, fv, None, lam, 0.0, config
                 ),
             )
-            assert updated.u_ite == pytest.approx(best, abs=1e-2)
+            assert u == pytest.approx(best, abs=1e-2)
 
     def test_lagrangian_never_increases(self, config):
         rng = random.Random(9)
@@ -188,39 +171,67 @@ class TestPrimalStep:
             measured = VehicleState(x=rng.uniform(0, 100), v=rng.uniform(5, 39))
             fx = measured.x + rng.uniform(5, 40)
             fv = measured.v + rng.uniform(-5, 5)
-            u0 = rng.uniform(config.a_min, config.a_max)
+            lo, hi = accel_box(measured.v, config)
+            u0 = rng.uniform(lo, hi)
             rear = (rng.uniform(-5, 5), rng.uniform(-3, 3))
             lam_f, lam_r = rng.uniform(0, 3), rng.uniform(0, 3)
-            state = _iter_state(measured, u0, fx, fv, config)
-            updated = primal_step(
-                measured, state, fx, fv, rear[0], rear[1], lam_f, lam_r, config
-            )
-            rear_ctx = (rear[0], rear[1], state.x_ite, state.v_ite)
+            u = primal_step(measured, u0, fx, fv, rear[0], rear[1], lam_f, lam_r, config)
+            rear_ctx = (rear[0], rear[1], *predict(measured, u0, config.tau))
             before = _local_objective(measured, u0, fx, fv, rear_ctx, lam_f, lam_r, config)
-            after = _local_objective(
-                measured, updated.u_ite, fx, fv, rear_ctx, lam_f, lam_r, config
-            )
+            after = _local_objective(measured, u, fx, fv, rear_ctx, lam_f, lam_r, config)
             assert after <= before + 1e-9 * (1 + abs(before))
 
+    def test_clipped_full_step_is_exact(self, config):
+        # The local Lagrangian is a convex quadratic, so one clipped Newton
+        # step lands on its minimiser over the box: no admissible neighbour
+        # is lower.
+        rng = random.Random(21)
+        for _ in range(100):
+            measured = VehicleState(x=rng.uniform(0, 100), v=rng.uniform(5, 39))
+            fx = measured.x + rng.uniform(5, 40)
+            fv = measured.v + rng.uniform(-5, 5)
+            lo, hi = accel_box(measured.v, config)
+            u0 = rng.uniform(lo, hi)
+            rear = (rng.uniform(-5, 5), rng.uniform(-3, 3))
+            lam_f, lam_r = rng.uniform(0, 3), rng.uniform(0, 3)
+            u = primal_step(measured, u0, fx, fv, *rear, lam_f, lam_r, config)
+            rear_ctx = (*rear, *predict(measured, u0, config.tau))
+
+            def phi(w):
+                return _local_objective(measured, w, fx, fv, rear_ctx, lam_f, lam_r, config)
+
+            for w in (max(u - 1e-4, lo), min(u + 1e-4, hi)):
+                assert phi(u) <= phi(w) + 1e-9 * (1 + abs(phi(w)))
+
     def test_updated_iterates_consistent_with_prediction(self, config):
-        measured = VehicleState(x=50.0, v=30.0)
-        fx, fv = 80.0, 31.0
-        state = _iter_state(measured, 1.0, fx, fv, config)
-        updated = primal_step(measured, state, fx, fv, None, None, 0.0, 0.0, config)
-        px, pv = predict(measured, updated.u_ite, config.tau)
-        assert updated.x_ite == px
-        assert updated.v_ite == pv
-        assert updated.iteration_index == state.iteration_index + 1
+        # The controller's final spacing terms are taken against the
+        # prediction of the accelerations it returns.
+        platoon = initial_platoon(config, 30.0)
+        case = single_channel_case(
+            config.n, victim=2, window=(0, 5), channel="x_ite", bias_params=[4.0]
+        )
+        bias = iter_attack_value_cal(config.n, 0, config.max_iterations, case)
+        outcome = run_control_step(platoon, bias, config)
+        assert any(abs(u) > 1e-3 for u in outcome.u_next)
+        for record, u, follower in zip(outcome.perception, outcome.u_next, platoon.followers):
+            px, pv = predict(follower, u, config.tau)
+            assert record.gap_front == record.front_x - px
+            assert record.spacing_error == spacing_error(record.front_x, px, pv, config)
 
     def test_result_stays_in_admissible_box(self, config):
         # A huge perceived gap must still produce a clipped command.
         measured = VehicleState(x=0.0, v=30.0)
-        state = _iter_state(measured, 0.0, 1000.0, 30.0, config)
-        updated = primal_step(measured, state, 1000.0, 30.0, None, None, 0.0, 0.0, config)
-        assert updated.u_ite == config.a_max
-        state = _iter_state(measured, 0.0, -1000.0, 30.0, config)
-        updated = primal_step(measured, state, -1000.0, 30.0, None, None, 0.0, 0.0, config)
-        assert updated.u_ite == config.a_min
+        u = primal_step(measured, 0.0, 1000.0, 30.0, None, None, 0.0, 0.0, config)
+        assert u == config.a_max
+        u = primal_step(measured, 0.0, -1000.0, 30.0, None, None, 0.0, 0.0, config)
+        assert u == config.a_min
+
+    def test_non_finite_input_raises(self, config):
+        measured = VehicleState(x=0.0, v=30.0)
+        with pytest.raises(NumericalError):
+            primal_step(measured, 0.0, float("inf"), 30.0, None, None, 0.0, 0.0, config)
+        with pytest.raises(NumericalError):
+            primal_step(measured, 0.0, 20.0, 30.0, float("nan"), 0.0, 0.0, 0.0, config)
 
 
 class TestPrimalExit:
@@ -233,22 +244,19 @@ class TestPrimalExit:
 
 class TestDualUpdate:
     def test_slack_pairs_decay_toward_zero(self, config):
-        dual = DualState(multipliers=(1.0, 0.5))
-        updated = dual_update(dual, [25.0, 25.0], [20.0, 20.0], config)
-        assert updated.multipliers == (1.0 * config.dual_decay, 0.5 * config.dual_decay)
-        assert updated.dual_iteration == 1
+        updated = dual_update([1.0, 0.5], [25.0, 25.0], [20.0, 20.0], config)
+        assert updated == [1.0 * config.dual_decay, 0.5 * config.dual_decay]
 
     def test_violated_pair_strictly_increases(self, config):
-        dual = DualState(multipliers=(0.0, 0.2))
-        updated = dual_update(dual, [18.0, 25.0], [20.0, 20.0], config)
-        assert updated.multipliers[0] > 0.0
-        assert updated.multipliers[1] < 0.2
+        updated = dual_update([0.0, 0.2], [18.0, 25.0], [20.0, 20.0], config)
+        assert updated[0] > 0.0
+        assert updated[1] < 0.2
 
     def test_never_negative(self, config):
-        dual = DualState(multipliers=(1e-12,))
+        lam = [1e-12]
         for _ in range(100):
-            dual = dual_update(dual, [30.0], [20.0], config)
-            assert dual.multipliers[0] >= 0.0
+            lam = dual_update(lam, [30.0], [20.0], config)
+            assert lam[0] >= 0.0
 
     def test_repeated_updates_drive_primal_toward_feasibility(self, config):
         # Two-vehicle instance with a violated safety gap: alternating primal
@@ -256,24 +264,21 @@ class TestDualUpdate:
         measured = VehicleState(x=100.0, v=30.0)
         fx = measured.x + config.safety_gap(30.0) - 2.0  # perceived gap 2 m short
         fv = 30.0
-        dual = DualState(multipliers=(0.0,))
+        lam = [0.0]
         u = 0.0
         violations = []
         for _ in range(25):
-            state = _iter_state(measured, u, fx, fv, config)
             for _ in range(50):
-                new_state = primal_step(
-                    measured, state, fx, fv, None, None, dual.multipliers[0], 0.0, config
-                )
-                if abs(new_state.u_ite - state.u_ite) <= config.primal_tol:
-                    state = new_state
+                new_u = primal_step(measured, u, fx, fv, None, None, lam[0], 0.0, config)
+                converged = abs(new_u - u) <= config.primal_tol
+                u = new_u
+                if converged:
                     break
-                state = new_state
-            u = state.u_ite
-            gap = fx - state.x_ite
-            safety = config.safety_gap(state.v_ite) + config.dual_margin
+            x_next, v_next = predict(measured, u, config.tau)
+            gap = fx - x_next
+            safety = config.safety_gap(v_next) + config.dual_margin
             violations.append(safety - gap)
-            dual = dual_update(dual, [gap], [safety], config)
+            lam = dual_update(lam, [gap], [safety], config)
         assert violations[-1] <= violations[0] + 1e-9
         assert max(violations[10:]) <= violations[0] + 1e-9
 

@@ -2,129 +2,139 @@ import numpy as np
 import pytest
 
 from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal
-from platoonsec.v2v_channel import (
-    ChannelId,
-    Direction,
-    DropRule,
-    IterationMessage,
-    PlatoonIterates,
-    V2VChannel,
-    apply_bias,
-    backward_messages,
-    exchange,
-    forward_messages,
-)
+from platoonsec.v2v_channel import ChannelId, Direction, DropRule, V2VChannel
 
 from conftest import single_channel_case
 
+FORWARD, BACKWARD = Direction.FORWARD, Direction.BACKWARD
 
-def _iterates(n: int) -> PlatoonIterates:
-    return PlatoonIterates(
-        x_ite=tuple(float(100 - 20 * i) for i in range(n + 1)),
-        v_ite=tuple(30.0 + i for i in range(n + 1)),
-        zx_ite=(0.0,) + tuple(0.1 * i for i in range(1, n + 1)),
-        zv_ite=(0.0,) + tuple(-0.1 * i for i in range(1, n + 1)),
-    )
+
+def _payloads(n: int):
+    """Vehicle-indexed payloads (0 = leader): positions/velocities forward,
+    spacing terms backward."""
+    x = [float(100 - 20 * i) for i in range(n + 1)]
+    v = [30.0 + i for i in range(n + 1)]
+    zx = [0.0] + [0.1 * i for i in range(1, n + 1)]
+    zv = [0.0] + [-0.1 * i for i in range(1, n + 1)]
+    return x, v, zx, zv
+
+
+def _round(channel: V2VChannel, n: int, t: int, k: int = 0):
+    x, v, zx, zv = _payloads(n)
+    return channel.corrupt(FORWARD, x, v, t, k), channel.corrupt(BACKWARD, zx, zv, t, k)
+
+
+def _clean(n: int) -> V2VChannel:
+    return V2VChannel(bias=BiasMatrices.zeros(10, n))
 
 
 class TestExchange:
     def test_six_followers_gives_eleven_messages(self):
-        msgs = exchange(_iterates(6), 0)
-        assert len(msgs) == 11
-        forward = [m for m in msgs if m.direction is Direction.FORWARD]
-        backward = [m for m in msgs if m.direction is Direction.BACKWARD]
-        assert [(m.sender, m.receiver) for m in forward] == [
-            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
-        ]
-        assert [(m.sender, m.receiver) for m in backward] == [
-            (2, 1), (3, 2), (4, 3), (5, 4), (6, 5),
-        ]
+        x, v, zx, zv = _payloads(6)
+        forward, backward = _round(_clean(6), 6, 0)
+        assert len(forward) + len(backward) == 11
+        # Forward entry i reaches follower i+1 from vehicle i (0 = leader).
+        assert forward == [(x[s], v[s]) for s in range(6)]
+        # Backward entry i reaches follower i+1 from vehicle i+2.
+        assert backward == [(zx[s], zv[s]) for s in range(2, 7)]
 
     def test_single_follower(self):
-        msgs = exchange(_iterates(1), 0)
-        assert len(msgs) == 1
-        assert msgs[0].sender == 0 and msgs[0].receiver == 1
-        assert msgs[0].direction is Direction.FORWARD
-
-    def test_payload_separation(self):
-        for msg in exchange(_iterates(4), 2):
-            if msg.direction is Direction.FORWARD:
-                assert msg.x_ite is not None and msg.v_ite is not None
-                assert msg.zx_ite is None and msg.zv_ite is None
-            else:
-                assert msg.zx_ite is not None and msg.zv_ite is not None
-                assert msg.x_ite is None and msg.v_ite is None
-            assert msg.iteration_index == 2
+        x, v, _, _ = _payloads(1)
+        forward, backward = _round(_clean(1), 1, 0)
+        assert forward == [(x[0], v[0])]
+        assert backward == []
 
     def test_ordering_stable_across_runs(self):
-        assert exchange(_iterates(6), 5) == exchange(_iterates(6), 5)
+        assert _round(_clean(6), 6, 5) == _round(_clean(6), 6, 5)
 
 
 class TestApplyBias:
     def test_zero_bias_is_identity(self):
-        bias = BiasMatrices.zeros(10, 6)
-        for msg in exchange(_iterates(6), 3):
-            assert apply_bias(msg, bias) == msg
+        x, v, zx, zv = _payloads(6)
+        forward, backward = _round(_clean(6), 6, 3)
+        assert forward == list(zip(x[:6], v[:6]))
+        assert backward == list(zip(zx[2:], zv[2:]))
 
     def test_forward_bias_hits_named_cell(self):
         # x_ite bias of 3 on fv1's forward message at iteration t.
         case = single_channel_case(6, victim=1, window=(0, 0), channel="x_ite", bias_params=[3.0])
-        bias = iter_attack_value_cal(6, 0, 10, case)
-        msg = IterationMessage(1, 2, 4, Direction.FORWARD, x_ite=80.0, v_ite=30.0)
-        out = apply_bias(msg, bias)
-        assert out.x_ite == 83.0
-        assert out.v_ite == 30.0
+        channel = V2VChannel(bias=iter_attack_value_cal(6, 0, 10, case))
+        x = [100.0, 80.0, 60.0, 40.0, 20.0, 0.0, -20.0]
+        v = [30.0] * 7
+        out = channel.corrupt(FORWARD, x, v, 4, 0)
+        assert out[1] == (83.0, 30.0)  # fv2 receives fv1's biased broadcast
 
     def test_leader_messages_never_biased(self):
         full = BiasMatrices(*(np.full((10, 6), 9.0) for _ in range(4)))
-        msg = IterationMessage(0, 1, 1, Direction.FORWARD, x_ite=100.0, v_ite=30.0)
-        assert apply_bias(msg, full) == msg
+        x, v, _, _ = _payloads(6)
+        out = V2VChannel(bias=full).corrupt(FORWARD, x, v, 1, 0)
+        assert out[0] == (x[0], v[0])
+        assert all(got == (x[s] + 9.0, v[s] + 9.0) for s, got in enumerate(out) if s)
 
     def test_backward_bias_leaves_forward_untouched(self):
         # Differential check over one full exchange round.
         case = single_channel_case(6, victim=3, window=(0, 0), channel="zx_ite", bias_params=[5.0])
-        bias = iter_attack_value_cal(6, 0, 10, case)
-        clean = exchange(_iterates(6), 0)
-        dirty = [apply_bias(m, bias) for m in clean]
-        for before, after in zip(clean, dirty):
-            if before.direction is Direction.FORWARD:
-                assert before == after
-            elif before.sender == 3:
-                assert after.zx_ite == before.zx_ite + 5.0
-                assert after.zv_ite == before.zv_ite
+        dirty = V2VChannel(bias=iter_attack_value_cal(6, 0, 10, case))
+        clean_fwd, clean_bwd = _round(_clean(6), 6, 0)
+        dirty_fwd, dirty_bwd = _round(dirty, 6, 0)
+        assert dirty_fwd == clean_fwd
+        for i, (before, after) in enumerate(zip(clean_bwd, dirty_bwd)):
+            if i + 2 == 3:
+                assert after == (before[0] + 5.0, before[1])
             else:
-                assert before == after
+                assert after == before
 
     def test_forward_bias_impacts_only_immediate_follower(self):
         case = single_channel_case(6, victim=3, window=(0, 0), channel="v_ite", bias_params=[2.0])
-        bias = iter_attack_value_cal(6, 0, 10, case)
-        clean = exchange(_iterates(6), 0)
-        dirty = [apply_bias(m, bias) for m in clean]
-        changed = [
-            (b.sender, b.receiver) for b, a in zip(clean, dirty) if b != a
-        ]
+        dirty = V2VChannel(bias=iter_attack_value_cal(6, 0, 10, case))
+        clean_fwd, clean_bwd = _round(_clean(6), 6, 0)
+        dirty_fwd, dirty_bwd = _round(dirty, 6, 0)
+        changed = [(s, s + 1) for s, (b, a) in enumerate(zip(clean_fwd, dirty_fwd)) if b != a]
         assert changed == [(3, 4)]
+        assert dirty_bwd == clean_bwd
 
     def test_additive_composition(self):
         a = single_channel_case(6, victim=2, window=(0, 0), channel="x_ite", bias_params=[1.5])
         b = single_channel_case(6, victim=2, window=(0, 0), channel="x_ite", bias_params=[-4.0])
         bias_a = iter_attack_value_cal(6, 0, 10, a)
         bias_b = iter_attack_value_cal(6, 0, 10, b)
-        msg = IterationMessage(2, 3, 0, Direction.FORWARD, x_ite=60.0, v_ite=30.0)
-        assert apply_bias(apply_bias(msg, bias_a), bias_b) == apply_bias(msg, bias_a + bias_b)
+        x, v, _, _ = _payloads(6)
+        once = V2VChannel(bias=bias_a).corrupt(FORWARD, x, v, 0, 0)
+        # Re-send what vehicles 0..5 delivered; vehicle 6 sends nothing forward.
+        twice = V2VChannel(bias=bias_b).corrupt(
+            FORWARD, [p[0] for p in once] + [x[6]], [p[1] for p in once] + [v[6]], 0, 0
+        )
+        assert twice == V2VChannel(bias=bias_a + bias_b).corrupt(FORWARD, x, v, 0, 0)
 
 
 class TestDropRules:
     def test_drop_suppresses_matching_message(self):
         rule = DropRule(Direction.FORWARD, sender=2, control_steps=(5, 10), iterations=(0, 3))
         channel = V2VChannel(bias=BiasMatrices.zeros(10, 6), drops=(rule,))
-        hit = IterationMessage(2, 3, 1, Direction.FORWARD, x_ite=0.0, v_ite=0.0)
-        assert channel.corrupt(hit, 7) is None
-        assert channel.corrupt(hit, 11) is not None  # outside control window
-        late = IterationMessage(2, 3, 5, Direction.FORWARD, x_ite=0.0, v_ite=0.0)
-        assert channel.corrupt(late, 7) is not None  # outside iteration window
-        backward = IterationMessage(2, 1, 1, Direction.BACKWARD, zx_ite=0.0, zv_ite=0.0)
-        assert channel.corrupt(backward, 7) is not None  # other direction
+        x, v, zx, zv = _payloads(6)
+        hit = channel.corrupt(FORWARD, x, v, 1, 7)
+        assert hit[2] is None  # fv3 loses fv2's broadcast
+        assert all(got is not None for i, got in enumerate(hit) if i != 2)
+        assert channel.corrupt(FORWARD, x, v, 1, 11)[2] is not None  # outside control window
+        assert channel.corrupt(FORWARD, x, v, 5, 7)[2] is not None  # outside iteration window
+        backward = channel.corrupt(BACKWARD, zx, zv, 1, 7)
+        assert all(got is not None for got in backward)  # other direction
+
+    def test_leader_link_can_be_dropped(self):
+        rule = DropRule(Direction.FORWARD, sender=0)
+        channel = V2VChannel(bias=BiasMatrices.zeros(10, 6), drops=(rule,))
+        x, v, _, _ = _payloads(6)
+        out = channel.corrupt(FORWARD, x, v, 0, 0)
+        assert out[0] is None
+        assert out[1:] == list(zip(x[1:6], v[1:6]))
+
+    def test_backward_drop_hits_the_senders_receiver(self):
+        rule = DropRule(Direction.BACKWARD, sender=4)
+        channel = V2VChannel(bias=BiasMatrices.zeros(10, 6), drops=(rule,))
+        _, _, zx, zv = _payloads(6)
+        out = channel.corrupt(BACKWARD, zx, zv, 0, 0)
+        assert out[2] is None  # fv3 loses fv4's report
+        assert all(got is not None for i, got in enumerate(out) if i != 2)
 
     def test_receiver_reuses_last_value_when_dropped(self, config):
         # With fv3's forward broadcast jammed, fv4 keeps optimizing against
@@ -142,10 +152,6 @@ class TestDropRules:
 
 
 class TestHelpers:
-    def test_forward_backward_split_matches_exchange(self):
-        it = _iterates(5)
-        assert exchange(it, 1) == forward_messages(it, 1) + backward_messages(it, 1)
-
     def test_channel_enum_closed(self):
         assert {c.value for c in ChannelId} == {"x_ite", "v_ite", "zx_ite", "zv_ite"}
         with pytest.raises(ValueError):
