@@ -325,15 +325,57 @@ def _detection_from_doc(doc: Mapping[str, Any], seed: int) -> tuple[DetectionCon
     return cfg, enabled
 
 
-def _drops_from_doc(entries: Sequence[Mapping[str, Any]]) -> tuple[DropRule, ...]:
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _drop_interval(entry: Mapping[str, Any], key: str, where: str) -> Optional[tuple[int, int]]:
+    if key not in entry:
+        return None
+    value = entry[key]
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(_is_int(v) and v >= 0 for v in value)
+        and value[0] <= value[1]
+    ):
+        raise ConfigError(
+            f"{where}.{key} must be [lo, hi] with non-negative ints lo <= hi, got {value!r}"
+        )
+    return value[0], value[1]
+
+
+def _drops_from_doc(entries: Any, n: int) -> tuple[DropRule, ...]:
+    """Parse the ``drops`` list.  Senders are vehicle indices (0 = leader):
+    vehicles 0..n-1 send forward, 2..n send backward."""
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigError(f"drops must be a list, got {entries!r}")
     rules = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        where = f"drops[{i}]"
+        if not isinstance(entry, Mapping):
+            raise ConfigError(f"{where} must be a mapping, got {entry!r}")
+        unknown = sorted(set(entry) - {"direction", "sender", "control_steps", "iterations"})
+        if unknown:
+            raise ConfigError(f"{where}.{unknown[0]} is not a drop-rule key")
+        if entry.get("direction") not in ("forward", "backward"):
+            raise ConfigError(
+                f"{where}.direction must be 'forward' or 'backward', got {entry.get('direction')!r}"
+            )
+        direction = Direction(entry["direction"])
+        lo, hi = (0, n - 1) if direction is Direction.FORWARD else (2, n)
+        sender = entry.get("sender")
+        if not (_is_int(sender) and lo <= sender <= hi):
+            raise ConfigError(
+                f"{where}.sender must be an int in {lo}..{hi} for a {direction.value} "
+                f"rule with n={n}, got {sender!r}"
+            )
         rules.append(
             DropRule(
-                direction=Direction(entry["direction"]),
-                sender=int(entry["sender"]),
-                control_steps=tuple(entry["control_steps"]) if "control_steps" in entry else None,
-                iterations=tuple(entry["iterations"]) if "iterations" in entry else None,
+                direction=direction,
+                sender=sender,
+                control_steps=_drop_interval(entry, "control_steps", where),
+                iterations=_drop_interval(entry, "iterations", where),
             )
         )
     return tuple(rules)
@@ -371,7 +413,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
         detection=detection,
         seed=seed,
         detection_enabled=enabled,
-        drops=_drops_from_doc(doc.get("drops") or ()),
+        drops=_drops_from_doc(doc.get("drops") or (), sim.n),
         output=output,
     )
 

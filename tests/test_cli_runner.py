@@ -222,6 +222,31 @@ class TestCli:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rule, field",
+        [
+            ({"direction": "sideways", "sender": 2}, "drops[0].direction"),
+            ({"direction": "forward"}, "drops[0].sender"),
+            ({"direction": "forward", "sender": 2, "iterations": [5]}, "drops[0].iterations"),
+            ({"direction": "forward", "sender": 99}, "drops[0].sender"),
+            ({"direction": "forward", "sender": 2, "control_steps": [3, 1]}, "drops[0].control_steps"),
+            ({"direction": "backward", "sender": 1}, "drops[0].sender"),
+            ({"direction": "forward", "sender": 2, "iteration": [0, 3]}, "drops[0].iteration"),
+        ],
+        ids=[
+            "unknown-direction", "missing-sender", "short-interval", "sender-out-of-range",
+            "reversed-interval", "backward-sender-1", "unknown-key",
+        ],
+    )
+    def test_bad_drop_rule_exit_code(self, tmp_path, capsys, rule, field):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(scenario_doc(drops=[rule])))
+        rc = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert "Traceback" not in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from platoonsec import cli_runner
         from platoonsec.mpc_controller import NumericalError
