@@ -140,9 +140,6 @@ class AttackCase:
             for (start, end) in periods
         ]
 
-    def is_attacked_step(self, k: int) -> bool:
-        return any(start <= k <= end for start, end in self.attack_windows())
-
 
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -89,16 +89,13 @@ def _out_of_band_intervals(
     lo: float,
     hi: float,
     start: int = 0,
-    nan_ok: bool = True,
 ) -> tuple[tuple[int, int], ...]:
-    """Maximal index intervals where values leave [lo, hi]."""
+    """Maximal index intervals where values leave [lo, hi]; NaN counts as inside."""
     intervals = []
     open_start: Optional[int] = None
     for idx in range(start, len(values)):
         value = values[idx]
-        outside = (not math.isnan(value)) and (value < lo or value > hi) if nan_ok else (
-            value < lo or value > hi
-        )
+        outside = not math.isnan(value) and (value < lo or value > hi)
         if outside and open_start is None:
             open_start = idx
         elif not outside and open_start is not None:
