@@ -265,10 +265,10 @@ def run_control_step(
     # before anything was received falls back to the benign expectation for
     # forward values and a zero spacing report backward.  The last follower
     # has no successor, so its backward entries stay None.
-    fx: list = [None] * n
-    fv: list = [None] * n
-    rzx: list = [None] * n
-    rzv: list = [None] * n
+    fx: list[Optional[float]] = [None] * n
+    fv: list[Optional[float]] = [None] * n
+    rzx: list[Optional[float]] = [None] * n
+    rzv: list[Optional[float]] = [None] * n
 
     lam = [0.0] * n
     iterations_used = 0
