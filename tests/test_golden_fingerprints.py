@@ -1,12 +1,21 @@
-"""Frozen end-to-end fingerprints of the controller.
+"""Frozen end-to-end fingerprints of the controller and of detection.
 
 For every shipped scenario, plus a drop-rule document kept under
-``tests/golden/``, this pins the total V2V round count, the number of control
-steps that hit the round cap, and the sha256 of the controller columns of
-``trace.csv``.  Those columns are pure-Python floats written with ``repr``, so
-the hash is portable; the ELM columns go through BLAS and are left out.
+``tests/golden/``, this pins:
 
-A change that alters any of these values changes the controller's behaviour.
+- the total V2V round count, the number of control steps that hit the round
+  cap, and the sha256 of the controller columns of ``trace.csv``;
+- the sha256 of ``impact.txt`` followed by ``impact.csv``;
+- the sha256 of the ``anomalies.csv`` rows followed by the detection columns
+  of ``trace.csv``.
+
+The controller columns and the impact files are pure-Python floats written
+with ``repr``, so their hashes are exact and portable.  ELM predictions go
+through BLAS, so the detection hash formats every predicted value with
+``.9g`` first; flags and event rows still have to match exactly.
+
+Each document is simulated once; every pin reads the same artifacts.
+A change that alters any of these values changes the program's behaviour.
 Regenerate a fingerprint only on purpose, and say why in CHANGES.md.
 """
 
@@ -16,10 +25,20 @@ from pathlib import Path
 
 import pytest
 
-from platoonsec.cli_runner import load_scenario, simulate, write_trace_csv
+from platoonsec.cli_runner import (
+    load_scenario,
+    simulate,
+    write_anomaly_csv,
+    write_impact_csv,
+    write_trace_csv,
+)
+from platoonsec.detection import ANOMALY_CSV_COLUMNS
+from platoonsec.metrics import format_impact_report
 
 ROOT = Path(__file__).parent.parent
 CONTROLLER_COLUMNS = ("control_step", "vehicle_id", "x", "v", "u", "gap_front", "headway")
+DETECTION_COLUMNS = ("comparator_flag", "elm_pos_pred", "elm_vel_pred", "pos_anom", "vel_anom")
+ELM_COLUMNS = ("elm_pos_pred", "elm_vel_pred", "predicted_value")
 
 # path -> (rounds, cap steps, sha256 of the controller columns)
 FINGERPRINTS = {
@@ -46,25 +65,102 @@ FINGERPRINTS = {
     ),
 }
 
+# path -> (sha256 of the impact files, sha256 of the detection output)
+OUTPUT_FINGERPRINTS = {
+    "scenarios/benign.yaml": (
+        "d03bb93e55d3f58cec7c4d0e70494e8213e8e244d3f2574a183c638c77867238",
+        "e1ac7decc7b9128d38dd713723a68ff8fccfd6d1d15918e96cb0e9fa6fbc1d36",
+    ),
+    "scenarios/comparator_blindspot.yaml": (
+        "0f29c13db8cb496a072e09bb3c574d64b7b686870a8036105123512624c93a02",
+        "a53a4cd765ff7b7f5ef70a5320e375e06077d34df75bf58d6dfff8002df88468",
+    ),
+    "scenarios/efficiency_degradation.yaml": (
+        "82493461df80b8b8fb7eb10bc4b2659bb2659f806ed093486c630729a59e2bc0",
+        "8ba4903d8c77690e3d2e39a3c55104da7bb91a5e3cb749efdc70c725ad370a8f",
+    ),
+    "scenarios/safety_degradation.yaml": (
+        "eae7e239b30ec933b3979a4f7aa45c79d4f8c03429ad792c807e7f39cb9799c5",
+        "7d3eaa2efe076ed195c6c242ddc873597db546849e06fe4032d280bf4f83113a",
+    ),
+    "scenarios/single_target.yaml": (
+        "20dea27f6c58b75d1f074ec35ba68bd992592d78e7c32eeb109022721e7b38c6",
+        "e07df67f3fa25d6441c5aaae6c628554bb8be2b4f32fe2f569ad5c542967a59e",
+    ),
+    "scenarios/string_instability.yaml": (
+        "0174ad6fbe1730af2211b260f88ab47b1d87559bb6014d70e275dc77e57101c4",
+        "c6e5c479c1cc2cbcd681ff838249cb3c136b62946ebc472fb961b3334cc98e2f",
+    ),
+    "tests/golden/drop_rules.yaml": (
+        "672f8413ea3bd79b80b139e4cd8aeecbbfb28feff6ae572bbcc9723beb65fbc4",
+        "c1363251da16ea9f8978784130d0855dbb0613e67d69f4f3e72cfa9936260814",
+    ),
+}
 
-def controller_fingerprint(path: Path, tmp_path: Path) -> tuple[int, int, str]:
-    result = simulate(load_scenario(path))
-    trace = tmp_path / "trace.csv"
-    write_trace_csv(result.rows, trace)
-    with open(trace, newline="") as fh:
-        text = "\n".join(
-            ",".join(row[col] for col in CONTROLLER_COLUMNS) for row in csv.DictReader(fh)
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Simulate a pinned document once; return its step outcomes and the
+    directory its artifacts were written to."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            out = tmp_path_factory.mktemp("golden")
+            result = simulate(load_scenario(ROOT / name))
+            write_trace_csv(result.rows, out / "trace.csv")
+            write_anomaly_csv(result.events, out / "anomalies.csv")
+            (out / "impact.txt").write_text(format_impact_report(result.impact))
+            write_impact_csv(result, out / "impact.csv")
+            runs[name] = (result.step_outcomes, out)
+        return runs[name]
+
+    return run
+
+
+def _rows(path: Path, columns) -> str:
+    """The given columns of a CSV file, one line per row, ELM floats at .9g."""
+    with open(path, newline="") as fh:
+        return "\n".join(
+            ",".join(
+                format(float(row[col]), ".9g") if col in ELM_COLUMNS and row[col] else row[col]
+                for col in columns
+            )
+            for row in csv.DictReader(fh)
         )
-    rounds = sum(step.iterations_used for step in result.step_outcomes)
-    caps = sum(not step.converged for step in result.step_outcomes)
-    return rounds, caps, hashlib.sha256(text.encode()).hexdigest()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_every_shipped_scenario_is_pinned():
     shipped = {f"scenarios/{p.name}" for p in (ROOT / "scenarios").glob("*.yaml")}
     assert shipped <= set(FINGERPRINTS)
+    assert set(FINGERPRINTS) == set(OUTPUT_FINGERPRINTS)
 
 
 @pytest.mark.parametrize("name", sorted(FINGERPRINTS))
-def test_controller_fingerprint(name, tmp_path):
-    assert controller_fingerprint(ROOT / name, tmp_path) == FINGERPRINTS[name]
+def test_controller_fingerprint(name, artifacts):
+    steps, out = artifacts(name)
+    rounds = sum(step.iterations_used for step in steps)
+    caps = sum(not step.converged for step in steps)
+    digest = _sha256(_rows(out / "trace.csv", CONTROLLER_COLUMNS))
+    assert (rounds, caps, digest) == FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_FINGERPRINTS))
+def test_impact_fingerprint(name, artifacts):
+    _, out = artifacts(name)
+    digest = hashlib.sha256(
+        (out / "impact.txt").read_bytes() + (out / "impact.csv").read_bytes()
+    ).hexdigest()
+    assert digest == OUTPUT_FINGERPRINTS[name][0]
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_FINGERPRINTS))
+def test_detection_fingerprint(name, artifacts):
+    _, out = artifacts(name)
+    anomalies = _rows(out / "anomalies.csv", ANOMALY_CSV_COLUMNS)
+    text = anomalies + "\n" + _rows(out / "trace.csv", DETECTION_COLUMNS)
+    assert _sha256(text) == OUTPUT_FINGERPRINTS[name][1]
