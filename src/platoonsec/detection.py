@@ -29,10 +29,6 @@ class DetectionError(ValueError):
     pass
 
 
-class FrozenModelError(RuntimeError):
-    """Raised when a fit is attempted on a frozen model."""
-
-
 POS_ANOM = "PosAnom"
 VEL_ANOM = "VelAnom"
 
@@ -80,7 +76,7 @@ class ElmModel:
 
     Only the output weights are trained (ridge least squares); the input
     weights and hidden biases are drawn once from ``random_state`` and never
-    touched again.  When frozen, the output weights are immutable.
+    touched again.
     """
 
     hidden_count: int
@@ -90,7 +86,6 @@ class ElmModel:
     lag: int
     step_forward: int
     output_weights: Optional[np.ndarray] = None
-    frozen: bool = False
 
     def __post_init__(self):
         self.input_weights.flags.writeable = False
@@ -117,12 +112,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
-def comparator_check(
-    gap_front: float, gap_rear: float, nominal_diff: float, cfg: ComparatorConfig
-) -> bool:
-    """Flag when the gap difference deviates from its nominal by more than
-    the threshold.  Invariant under adding the same constant to both gaps."""
-    return abs((gap_front - gap_rear) - nominal_diff) > cfg.threshold
+def comparator_check(gap_front: float, gap_rear: float, cfg: ComparatorConfig) -> bool:
+    """Flag when the gap difference deviates from ``cfg.nominal_diff`` by more
+    than the threshold.  Invariant under adding the same constant to both gaps."""
+    return abs((gap_front - gap_rear) - cfg.nominal_diff) > cfg.threshold
 
 
 def minmax_fit(
@@ -165,12 +158,9 @@ def sliding_window(
             f"series of length {data.size} too short for lag={lag}, "
             f"step_forward={step_forward}"
         )
-    inputs = np.empty((count, lag))
-    targets = np.empty(count)
-    for i in range(count):
-        inputs[i] = data[i : i + lag]
-        targets[i] = data[i + lag + step_forward - 1]
-    return inputs, targets
+    # The copy keeps the inputs a C-contiguous array of their own, not a view.
+    inputs = np.lib.stride_tricks.sliding_window_view(data, lag)[:count].copy()
+    return inputs, data[lag + step_forward - 1 :].copy()
 
 
 class NumericalFitError(RuntimeError):
@@ -181,8 +171,6 @@ def elm_fit(
     model: ElmModel, inputs: np.ndarray, targets: np.ndarray, ridge: float = 1e-6
 ) -> ElmModel:
     """Ridge least-squares solve for the output weights; input weights untouched."""
-    if model.frozen:
-        raise FrozenModelError("cannot fit a frozen model")
     H = _sigmoid(inputs @ model.input_weights.T + model.hidden_biases)
     gram = H.T @ H + ridge * np.eye(model.hidden_count)
     rhs = H.T @ np.asarray(targets, dtype=float)
@@ -238,8 +226,6 @@ class DetectionConfig:
     norm_window: int = 200
     # Flags and events are suppressed while the models accumulate data.
     warmup_steps: int = 12
-    target_lo: float = 0.0
-    target_hi: float = 1.0
     seed: int = 0
 
 
@@ -266,7 +252,9 @@ class SeriesDetector:
         self.train_diffs: list[float] = []
         self.recent: list[float] = []
         self._last_train_value: Optional[float] = None
-        self._resume_gap = False
+        # True while the last observation was flagged: nothing is fitted,
+        # and the next clean observation only re-anchors the increments.
+        self.frozen = False
 
     def predict_next(self) -> Optional[float]:
         if len(self.recent) < self.model.lag + 1:
@@ -287,12 +275,12 @@ class SeriesDetector:
     def observe(self, value: float, flagged: bool) -> None:
         """Fold in one observation; training is skipped while flagged."""
         if not flagged:
-            if self._last_train_value is not None and not self._resume_gap:
+            if self._last_train_value is not None and not self.frozen:
                 self.train_diffs.append(value - self._last_train_value)
                 window = self.train_diffs[-self.cfg.norm_window:]
                 if len(window) >= self.model.lag + self.model.step_forward + 1:
                     try:
-                        norm = minmax_fit(window, self.cfg.target_lo, self.cfg.target_hi)
+                        norm = minmax_fit(window)
                     except DetectionError:
                         norm = None  # constant increments; last-value fallback
                     if norm is not None:
@@ -300,24 +288,15 @@ class SeriesDetector:
                         inputs, targets = sliding_window(
                             normalized, self.model.lag, self.model.step_forward
                         )
-                        self.model = elm_fit(
-                            replace(self.model, frozen=False),
-                            inputs,
-                            targets,
-                            self.cfg.ridge,
-                        )
+                        self.model = elm_fit(self.model, inputs, targets, self.cfg.ridge)
                         self.norm = norm
             self._last_train_value = value
-            self._resume_gap = False
-            if self.model.frozen:
-                self.model = replace(self.model, frozen=False)
+            self.frozen = False
         else:
             # Increments spanning an excluded window would mix clean and
             # tainted data, so the first post-freeze observation only
             # re-anchors the series.
-            self._resume_gap = True
-            if not self.model.frozen:
-                self.model = replace(self.model, frozen=True)
+            self.frozen = True
         self.recent.append(value)
         del self.recent[: -(self.model.lag + 1)]
 
@@ -338,7 +317,7 @@ class VehicleDetector:
 
     @property
     def frozen(self) -> bool:
-        return self.position.model.frozen
+        return self.position.frozen
 
 
 def update_or_freeze(
@@ -398,9 +377,7 @@ def detect_step(
             # Perceived rear gap reconstructed from the successor's reported
             # spacing error, sharing the front gap's nominal-spacing term.
             gap_rear = obs.rear_spacing_error + (obs.gap_front - obs.spacing_error)
-            comp = comparator_check(
-                obs.gap_front, gap_rear, cfg.comparator.nominal_diff, cfg.comparator
-            )
+            comp = comparator_check(obs.gap_front, gap_rear, cfg.comparator)
         else:
             comp = False
 

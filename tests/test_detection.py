@@ -10,7 +10,6 @@ from platoonsec.detection import (
     DetectionConfig,
     DetectionError,
     DetectorState,
-    FrozenModelError,
     POS_ANOM,
     VEL_ANOM,
     SeriesDetector,
@@ -27,6 +26,7 @@ from platoonsec.detection import (
     sliding_window,
     update_or_freeze,
 )
+from platoonsec import detection
 from platoonsec.detection import ElmModel
 from platoonsec.mpc_controller import PerceptionRecord
 
@@ -38,22 +38,22 @@ class TestComparator:
         self.cfg = ComparatorConfig(threshold=2.0, nominal_diff=0.0)
 
     def test_symmetric_benign(self):
-        assert not comparator_check(20.0, 20.0, 0.0, self.cfg)
+        assert not comparator_check(20.0, 20.0, self.cfg)
 
     def test_direct_threshold_breach(self):
-        assert comparator_check(20.0, 14.0, 0.0, self.cfg)
+        assert comparator_check(20.0, 14.0, self.cfg)
 
     def test_uniform_shift_blind_spot(self):
         # Both gaps inflated equally: the difference is unchanged, no flag.
-        assert not comparator_check(20.0 + 5.0, 20.0 + 5.0, 0.0, self.cfg)
+        assert not comparator_check(20.0 + 5.0, 20.0 + 5.0, self.cfg)
 
     def test_constant_shift_invariance(self):
         rng = random.Random(4)
         for _ in range(100):
             gf, gr = rng.uniform(5, 40), rng.uniform(5, 40)
             shift = rng.uniform(-30, 30)
-            assert comparator_check(gf, gr, 0.0, self.cfg) == comparator_check(
-                gf + shift, gr + shift, 0.0, self.cfg
+            assert comparator_check(gf, gr, self.cfg) == comparator_check(
+                gf + shift, gr + shift, self.cfg
             )
 
     def test_threshold_positive(self):
@@ -158,11 +158,6 @@ class TestElm:
         assert np.array_equal(a.output_weights, b.output_weights)
         assert np.array_equal(a.input_weights, b.input_weights)
 
-    def test_fit_frozen_rejected(self):
-        model = replace(create_elm(10, 1), frozen=True)
-        with pytest.raises(FrozenModelError):
-            elm_fit(model, np.zeros((5, 2)), np.zeros(5))
-
     def test_predict_matches_hand_computed_two_neuron_model(self):
         model = ElmModel(
             hidden_count=2,
@@ -242,6 +237,35 @@ class TestSeriesDetector:
         pred = det.predict_next()
         actual = 100.0 + 3.0 * 60 + 0.2 * math.sin(0.3 * 60)
         assert pred == pytest.approx(actual, abs=0.3)
+
+    def test_flagged_steps_never_fit_and_first_clean_step_reanchors(self, monkeypatch):
+        fits = []
+        real_fit = detection.elm_fit
+
+        def counting_fit(*args):
+            fits.append(args)
+            return real_fit(*args)
+
+        monkeypatch.setattr(detection, "elm_fit", counting_fit)
+        det = SeriesDetector(create_elm(20, 1), _cfg())
+        series = [3.0 * t + 0.2 * math.sin(t) for t in range(12)]
+        for value in series[:10]:
+            det.observe(value, flagged=False)
+        assert fits
+        fit_count, diffs = len(fits), list(det.train_diffs)
+
+        for _ in range(3):
+            det.observe(1e6, flagged=True)
+            assert det.frozen
+        assert (len(fits), det.train_diffs) == (fit_count, diffs)
+
+        det.observe(series[10], flagged=False)  # re-anchor only
+        assert not det.frozen
+        assert (len(fits), det.train_diffs) == (fit_count, diffs)
+
+        det.observe(series[11], flagged=False)
+        assert len(fits) == fit_count + 1
+        assert det.train_diffs == diffs + [series[11] - series[10]]
 
 
 class TestUpdateOrFreeze:
