@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -304,29 +305,54 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> dict[str, Path]:
 # scenario config document
 
 
-def _detection_from_doc(doc: Mapping[str, Any], seed: int) -> tuple[DetectionConfig, bool]:
-    enabled = bool(doc.get("enabled", True))
-    comparator = ComparatorConfig(
-        threshold=float(doc.get("comparator_threshold", 2.0)),
-        nominal_diff=float(doc.get("nominal_diff", 0.0)),
-    )
-    cfg = DetectionConfig(
-        comparator=comparator,
-        pos_threshold=float(doc.get("pos_threshold", 2.5)),
-        vel_threshold=float(doc.get("vel_threshold", 2.0)),
-        hidden_count=int(doc.get("hidden_count", 50)),
-        ridge=float(doc.get("ridge", 1e-6)),
-        lag=int(doc.get("lag", 2)),
-        step_forward=int(doc.get("step_forward", 1)),
-        norm_window=int(doc.get("norm_window", 200)),
-        warmup_steps=int(doc.get("warmup_steps", 12)),
-        seed=seed,
-    )
-    return cfg, enabled
-
-
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an int >= 1")
+_POSITIVE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
+
+# detection key -> (default, (check, what the check requires)); the keys
+# after the comparator's are DetectionConfig fields of the same name.
+_DETECTION_KEYS = {
+    "enabled": (True, (lambda v: isinstance(v, bool), "a bool")),
+    "comparator_threshold": (2.0, _POSITIVE),
+    "nominal_diff": (0.0, (_is_finite, "a finite number")),
+    "pos_threshold": (2.5, _POSITIVE),
+    "vel_threshold": (2.0, _POSITIVE),
+    "hidden_count": (50, _COUNT),
+    "ridge": (1e-6, _POSITIVE),
+    "lag": (2, _COUNT),
+    "step_forward": (1, _COUNT),
+    "norm_window": (200, _COUNT),
+    "warmup_steps": (12, (lambda v: _is_int(v) and v >= 0, "an int >= 0")),
+}
+
+
+def _detection_from_doc(doc: Any, seed: int) -> tuple[DetectionConfig, bool]:
+    """Parse the ``detection`` section; it and every key in it are optional."""
+    if doc is None:
+        doc = {}
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"detection must be a mapping, got {doc!r}")
+    for key in doc:
+        if key not in _DETECTION_KEYS:
+            raise ConfigError(f"detection.{key} is not a detection key")
+    values = {}
+    for key, (default, (check, requirement)) in _DETECTION_KEYS.items():
+        value = doc.get(key, default)
+        if not check(value):
+            raise ConfigError(f"detection.{key} must be {requirement}, got {value!r}")
+        values[key] = float(value) if isinstance(default, float) else value
+    enabled = values.pop("enabled")
+    comparator = ComparatorConfig(
+        threshold=values.pop("comparator_threshold"), nominal_diff=values.pop("nominal_diff")
+    )
+    return DetectionConfig(comparator=comparator, seed=seed, **values), enabled
 
 
 def _drop_interval(entry: Mapping[str, Any], key: str, where: str) -> Optional[tuple[int, int]]:
@@ -345,9 +371,15 @@ def _drop_interval(entry: Mapping[str, Any], key: str, where: str) -> Optional[t
     return value[0], value[1]
 
 
-def _drops_from_doc(entries: Any, n: int) -> tuple[DropRule, ...]:
+def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
     """Parse the ``drops`` list.  Senders are vehicle indices (0 = leader):
-    vehicles 0..n-1 send forward, 2..n send backward."""
+    vehicles 0..n-1 send forward, 2..n send backward.
+
+    A rule that can never change a run is rejected: one whose iterations all
+    lie past the round cap, and a leader rule that starts after round 0 (the
+    leader's prediction is fixed within a control step, so holding it from a
+    later round holds the live value).  Control steps past the end of the run
+    are accepted, because ``--steps`` may shorten a run."""
     if not isinstance(entries, (list, tuple)):
         raise ConfigError(f"drops must be a list, got {entries!r}")
     rules = []
@@ -355,7 +387,8 @@ def _drops_from_doc(entries: Any, n: int) -> tuple[DropRule, ...]:
         where = f"drops[{i}]"
         if not isinstance(entry, Mapping):
             raise ConfigError(f"{where} must be a mapping, got {entry!r}")
-        unknown = sorted(set(entry) - {"direction", "sender", "control_steps", "iterations"})
+        keys = {"direction", "sender", "control_steps", "iterations"}
+        unknown = sorted(set(entry) - keys, key=str)
         if unknown:
             raise ConfigError(f"{where}.{unknown[0]} is not a drop-rule key")
         if entry.get("direction") not in ("forward", "backward"):
@@ -363,19 +396,30 @@ def _drops_from_doc(entries: Any, n: int) -> tuple[DropRule, ...]:
                 f"{where}.direction must be 'forward' or 'backward', got {entry.get('direction')!r}"
             )
         direction = Direction(entry["direction"])
-        lo, hi = (0, n - 1) if direction is Direction.FORWARD else (2, n)
+        lo, hi = (0, sim.n - 1) if direction is Direction.FORWARD else (2, sim.n)
         sender = entry.get("sender")
         if not (_is_int(sender) and lo <= sender <= hi):
             raise ConfigError(
                 f"{where}.sender must be an int in {lo}..{hi} for a {direction.value} "
-                f"rule with n={n}, got {sender!r}"
+                f"rule with n={sim.n}, got {sender!r}"
+            )
+        iterations = _drop_interval(entry, "iterations", where)
+        if iterations is not None and iterations[0] >= sim.max_iterations:
+            raise ConfigError(
+                f"{where}.iterations {list(iterations)} starts at or past "
+                f"max_iterations={sim.max_iterations}, so the rule never fires"
+            )
+        if sender == 0 and iterations is not None and iterations[0] != 0:
+            raise ConfigError(
+                f"{where}.iterations must start at 0 for a leader rule, got "
+                f"{list(iterations)}: the leader's prediction is fixed within a control step"
             )
         rules.append(
             DropRule(
                 direction=direction,
                 sender=sender,
                 control_steps=_drop_interval(entry, "control_steps", where),
-                iterations=_drop_interval(entry, "iterations", where),
+                iterations=iterations,
             )
         )
     return tuple(rules)
@@ -399,7 +443,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     _leader_velocity_check(sim, leader)
     attack = parse_attack_case(doc.get("attack"), sim.n)
     seed = int(doc.get("seed", 0))
-    detection, enabled = _detection_from_doc(doc.get("detection") or {}, seed)
+    detection, enabled = _detection_from_doc(doc.get("detection"), seed)
     output_doc = doc.get("output") or {}
     output = OutputFlags(
         trace=bool(output_doc.get("trace", True)),
@@ -413,7 +457,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
         detection=detection,
         seed=seed,
         detection_enabled=enabled,
-        drops=_drops_from_doc(doc.get("drops") or (), sim.n),
+        drops=_drops_from_doc(doc.get("drops") or (), sim),
         output=output,
     )
 
@@ -542,7 +586,7 @@ def _cmd_replay_detect(args) -> int:
     with open(args.config) as fh:
         doc = yaml.safe_load(fh) or {}
     seed = int(doc.get("seed", 0))
-    detection, _ = _detection_from_doc(doc.get("detection") or {}, seed)
+    detection, _ = _detection_from_doc(doc.get("detection"), seed)
     events = replay_detection(Path(args.trace), detection)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

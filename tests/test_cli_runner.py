@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from platoonsec.cli_runner import (
     simulate,
     write_anomaly_csv,
 )
-from platoonsec.detection import DetectionConfig
+from platoonsec.detection import ComparatorConfig, DetectionConfig
 from platoonsec.platoon_model import ConfigError
 
 from conftest import make_scenario, single_channel_case
@@ -43,6 +44,20 @@ class TestScenarioLoading:
         assert scenario.attack.is_benign
         assert scenario.seed == 3
         assert scenario.detection.seed == 3
+        assert scenario.detection == DetectionConfig(seed=3)
+        assert scenario.detection_enabled
+
+    def test_detection_section_read(self):
+        section = {"enabled": False, "nominal_diff": 1, "pos_threshold": 3, "lag": 3}
+        scenario = scenario_from_dict(scenario_doc(detection=section))
+        assert not scenario.detection_enabled
+        assert isinstance(scenario.detection.pos_threshold, float)
+        assert scenario.detection == replace(
+            DetectionConfig(seed=3),
+            comparator=ComparatorConfig(nominal_diff=1.0),
+            pos_threshold=3.0,
+            lag=3,
+        )
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown scenario keys"):
@@ -177,8 +192,6 @@ class TestReplayDetect:
             replay_detection(path, DetectionConfig(seed=0))
 
     def test_threshold_monotonicity(self, tmp_path):
-        from dataclasses import replace
-
         attack = single_channel_case(6, victim=4, window=(20, 24), channel="x_ite", bias_params=[8.0])
         scenario = make_scenario(
             sim=make_scenario().sim.with_overrides(total_control_steps=40), attack=attack
@@ -232,10 +245,14 @@ class TestCli:
             ({"direction": "forward", "sender": 2, "control_steps": [3, 1]}, "drops[0].control_steps"),
             ({"direction": "backward", "sender": 1}, "drops[0].sender"),
             ({"direction": "forward", "sender": 2, "iteration": [0, 3]}, "drops[0].iteration"),
+            ({"direction": "forward", "sender": 2, 1: 0, "x": 0}, "drops[0].1"),
+            ({"direction": "forward", "sender": 2, "iterations": [300, 301]}, "drops[0].iterations"),
+            ({"direction": "forward", "sender": 0, "iterations": [3, 60]}, "drops[0].iterations"),
         ],
         ids=[
             "unknown-direction", "missing-sender", "short-interval", "sender-out-of-range",
-            "reversed-interval", "backward-sender-1", "unknown-key",
+            "reversed-interval", "backward-sender-1", "unknown-key", "mixed-type-keys",
+            "iterations-past-cap", "leader-after-round-0",
         ],
     )
     def test_bad_drop_rule_exit_code(self, tmp_path, capsys, rule, field):
@@ -243,6 +260,51 @@ class TestCli:
         bad.write_text(yaml.safe_dump(scenario_doc(drops=[rule])))
         rc = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert "Traceback" not in err
+
+    def test_drop_rule_past_the_run_is_accepted(self):
+        rule = {"direction": "backward", "sender": 3, "control_steps": [90, 100]}
+        scenario = scenario_from_dict(scenario_doc(drops=[rule]))
+        assert scenario.drops[0].control_steps == (90, 100)
+
+    @pytest.mark.parametrize("command", ["run", "replay-detect"])
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ({"pos_thresh": 3.0}, "detection.pos_thresh"),
+            ({"hidden_count": 0}, "detection.hidden_count"),
+            ({"lag": 0}, "detection.lag"),
+            ({"step_forward": True}, "detection.step_forward"),
+            ({"norm_window": 200.0}, "detection.norm_window"),
+            ({"warmup_steps": -1}, "detection.warmup_steps"),
+            ({"comparator_threshold": 0}, "detection.comparator_threshold"),
+            ({"pos_threshold": float("inf")}, "detection.pos_threshold"),
+            ({"vel_threshold": "2.0"}, "detection.vel_threshold"),
+            ({"ridge": float("nan")}, "detection.ridge"),
+            ({"nominal_diff": float("-inf")}, "detection.nominal_diff"),
+            ({"enabled": 1}, "detection.enabled"),
+            ([{"lag": 2}], "detection must be a mapping"),
+            (0, "detection must be a mapping"),
+        ],
+        ids=[
+            "unknown-key", "zero-hidden", "zero-lag", "bool-step", "float-window",
+            "negative-warmup", "zero-comparator", "infinite-threshold", "string-threshold",
+            "nan-ridge", "infinite-nominal", "int-enabled", "list-section", "zero-section",
+        ],
+    )
+    def test_bad_detection_section_exit_code(self, tmp_path, capsys, command, section, field):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(scenario_doc(detection=section)))
+        if command == "run":
+            argv = ["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]
+        else:
+            trace = tmp_path / "trace.csv"
+            trace.write_text(",".join(TRACE_COLUMNS) + "\n")
+            argv = ["replay-detect", "--trace", str(trace), "--config", str(bad),
+                    "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err
         assert "Traceback" not in err
