@@ -13,7 +13,11 @@ box-clipped Newton step on its local Lagrangian
 where the successor's terms are the backward-received values shifted by the
 vehicle's own candidate motion.  The Lagrangian is a convex quadratic in the
 scalar u, so the full Newton step clipped to the admissible box is its exact
-minimiser over that box; no damping or line search is needed.
+minimiser over that box; no damping or line search is needed.  What no round
+changes is computed once per control step: ``newton_terms``,
+``follower_terms`` and the live drop rules (``V2VChannel.at_step``).  A round
+computes only predictions, received values, backward spacing terms and
+gradients.
 
 The primal phase stops once every follower's successive candidates differ by
 at most ``primal_tol``; the dual phase then checks that all perceived gaps
@@ -121,81 +125,79 @@ def cost(
 
 def primal_exit(u_deltas: Sequence[float], primal_tol: float) -> bool:
     """Primal stop: every follower's successive candidates differ by <= tol."""
-    return max(abs(d) for d in u_deltas) <= primal_tol
+    return max(map(abs, u_deltas)) <= primal_tol
 
 
-def accel_box(v: float, config: SimConfig) -> tuple[float, float]:
-    """Admissible acceleration interval combining the hard box with the
-    velocity bounds on the predicted next step.
+def newton_terms(config: SimConfig) -> tuple[float, ...]:
+    """The Newton-step terms the config fixes for every follower: ``(tau,
+    tau^2, dpx, dz, Q_alpha, 2*Q_beta, p*tau, L_veh, delta, hess_front,
+    hess_rear)``, dpx = tau^2/2 and dz being the u-derivatives of the predicted
+    position and spacing error.  Raises NumericalError unless both Hessians
+    are finite and positive, which SimConfig leaves only to a non-finite one."""
+    tau = config.tau
+    dpx = tau * tau / 2.0
+    dz = -dpx - config.p * tau * tau
+    q2b = 2.0 * config.Q_beta
+    hess_front = config.Q_alpha * dz * dz + q2b * -tau * -tau + tau * tau
+    hess_rear = hess_front + (config.Q_alpha * dpx * dpx + q2b * tau * tau)
+    if not (0.0 < hess_front < math.inf and 0.0 < hess_rear < math.inf):
+        raise NumericalError(f"degenerate Newton Hessian {hess_front}, {hess_rear}")
+    return (tau, tau * tau, dpx, dz, config.Q_alpha, q2b, config.p * tau, config.L_veh,
+            config.delta, hess_front, hess_rear)
 
-    The velocity-derived edges are pulled in by a hair so the predicted
-    velocity stays inside [v_min, v_max] after floating-point rounding.
+
+def follower_terms(measured: VehicleState, config: SimConfig) -> tuple[float, float, float]:
+    """A follower's Newton-step terms fixed for a control step: ``x + v*tau``,
+    its predicted position at zero input, and ``lo, hi``, its acceleration
+    box joined with the velocity bounds on the predicted next step.  The
+    velocity-derived edges are pulled in by a hair so the predicted velocity
+    stays inside [v_min, v_max] after floating-point rounding.
     """
+    v = measured.v
     guard = 1e-9
     lo = max(config.a_min, (config.v_min - v) / config.tau + guard)
     hi = min(config.a_max, (config.v_max - v) / config.tau - guard)
     if lo > hi:  # degenerate box from an out-of-bounds velocity; stay put
-        mid = min(max((lo + hi) / 2.0, config.a_min), config.a_max)
-        return mid, mid
-    return lo, hi
+        lo = hi = min(max((lo + hi) / 2.0, config.a_min), config.a_max)
+    return measured.x + v * config.tau, lo, hi
 
 
 def primal_step(
-    measured: VehicleState,
-    u: float,
-    front_x: float,
-    front_v: float,
-    rear_zx: Optional[float],
-    rear_zv: Optional[float],
-    lam_front: float,
-    lam_rear: float,
-    config: SimConfig,
+    u: float, px: float, pv: float,
+    front_x: float, front_v: float,
+    rear_zx: Optional[float], rear_zv: Optional[float],
+    lam_front: float, lam_rear: float,
+    own: tuple[float, float, float], terms: tuple[float, ...],
 ) -> float:
     """One follower's new candidate acceleration: the full Newton step on its
-    local Lagrangian, clipped to the admissible box.
+    local Lagrangian clipped to the admissible box, which for this convex
+    quadratic in u is the exact minimiser over the box.
 
-    The Lagrangian is a convex quadratic in u and the current candidate lies
-    inside the box, so the clipped full step is the exact minimiser over the
-    box.  ``rear_zx``/``rear_zv`` are the successor's last backward report,
-    None for the last follower.  Raises NumericalError on a non-finite
-    gradient or Hessian.
+    ``(px, pv)`` is the follower's broadcast prediction for ``u``, ``own``
+    its ``follower_terms`` and ``terms`` the ``newton_terms``.  ``rear_zx``/
+    ``rear_zv`` are the successor's last backward report, None for the last
+    follower.  Raises NumericalError on a non-finite gradient.
     """
-    cfg = config
-    tau = cfg.tau
-    dpx = tau * tau / 2.0
-    dpv = tau
-    dz = -dpx - cfg.p * tau * dpv
-    dzp = -dpv
-    px = measured.x + measured.v * tau + u * dpx
-    pv = measured.v + u * dpv
-    z = front_x - px - (cfg.L_veh + cfg.p * tau * pv + cfg.delta)
+    tau, tau2, dpx, dz, q_alpha, q2b, ptau, L_veh, delta, hess, hess_rear = terms
+    base_x, lo, hi = own
+    # u*dpx rounds differently from the broadcast's u*tau*tau/2.0; the
+    # velocity v + u*tau is the broadcast one exactly.
+    x_u = base_x + u * dpx
+    z = front_x - x_u - (L_veh + ptau * pv + delta)
     zp = front_v - pv
-    grad = (
-        cfg.Q_alpha * z * dz
-        + 2.0 * cfg.Q_beta * zp * dzp
-        + tau * tau * u
-        + lam_front * (-dz)
-    )
-    hess = cfg.Q_alpha * dz * dz + 2.0 * cfg.Q_beta * dzp * dzp + tau * tau
+    grad = q_alpha * z * dz + q2b * zp * -tau + tau2 * u + lam_front * -dz
     if rear_zx is not None:
-        # The report was computed against the broadcast prediction; shift it
-        # by this candidate's motion relative to that broadcast.
-        broadcast_x, broadcast_v = predict(measured, u, tau)
-        rzx = rear_zx + (px - broadcast_x)
-        rzv = rear_zv + (pv - broadcast_v)
-        grad += (
-            cfg.Q_alpha * rzx * dpx
-            + 2.0 * cfg.Q_beta * rzv * dpv
-            + lam_rear * (-dpx)
-        )
-        hess += cfg.Q_alpha * dpx * dpx + 2.0 * cfg.Q_beta * dpv * dpv
-    if not (math.isfinite(grad) and math.isfinite(hess)) or hess <= 0.0:
-        raise NumericalError(
-            f"degenerate Newton data: grad={grad} hess={hess} u={u} "
-            f"front=({front_x}, {front_v})"
-        )
-    lo, hi = accel_box(measured.v, cfg)
-    return min(max(u + -grad / hess, lo), hi)
+        # Shift the report, made against the broadcast, by this candidate's
+        # motion; the velocity shift is 0.0, added so -0.0 still becomes 0.0.
+        rzx = rear_zx + (x_u - px)
+        rzv = rear_zv + 0.0
+        grad += q_alpha * rzx * dpx + q2b * rzv * tau + lam_rear * -dpx
+        hess = hess_rear
+    if not -math.inf < grad < math.inf:
+        raise NumericalError(f"non-finite gradient {grad} at u={u}, front=({front_x}, {front_v})")
+    # min(max(step, lo), hi) in value, as lo <= hi, without two builtin calls.
+    step = u + -grad / hess
+    return lo if step < lo else hi if step > hi else step
 
 
 def dual_update(
@@ -243,32 +245,28 @@ def run_control_step(
     n = platoon.n
     tau = cfg.tau
     k = platoon.control_step
+    channel = channel.at_step(k)
     followers = platoon.followers
+    terms = newton_terms(cfg)
+    own = [follower_terms(f, cfg) for f in followers]
 
     leader_x, leader_v = predict(platoon.leader, leader_u, tau)
-    if warm_start is None:
-        u = [0.0] * n
-    else:
-        if len(warm_start) != n:
-            raise ValueError(f"warm_start needs {n} entries, got {len(warm_start)}")
-        u = list(warm_start)
-    for i in range(n):
-        lo, hi = accel_box(followers[i].v, cfg)
-        u[i] = min(max(u[i], lo), hi)
+    u = [0.0] * n if warm_start is None else list(warm_start)
+    if len(u) != n:
+        raise ValueError(f"warm_start needs {n} entries, got {len(u)}")
+    u = [min(max(ui, lo), hi) for ui, (_, lo, hi) in zip(u, own)]
 
     px = [0.0] * n
     pv = [0.0] * n
     for i in range(n):
         px[i], pv[i] = predict(followers[i], u[i], tau)
 
-    # Last received channel values per follower (index 0 = fv1).  A drop
-    # before anything was received falls back to the benign expectation for
-    # forward values and a zero spacing report backward.  The last follower
-    # has no successor, so its backward entries stay None.
-    fx: list[Optional[float]] = [None] * n
-    fv: list[Optional[float]] = [None] * n
-    rzx: list[Optional[float]] = [None] * n
-    rzv: list[Optional[float]] = [None] * n
+    # Last received values per follower (index 0 = fv1), kept on a drop; at
+    # first the benign expectation forward, 0.0 backward (last follower: None).
+    fx = [px[i] + cfg.nominal_gap(pv[i]) for i in range(n)]
+    fv = list(pv)
+    rzx: list[Optional[float]] = [0.0] * (n - 1) + [None]
+    rzv: list[Optional[float]] = [0.0] * (n - 1) + [None]
 
     lam = [0.0] * n
     iterations_used = 0
@@ -279,8 +277,6 @@ def run_control_step(
         for i, got in enumerate(forward):
             if got is not None:
                 fx[i], fv[i] = got
-            elif fx[i] is None:
-                fx[i], fv[i] = px[i] + cfg.nominal_gap(pv[i]), pv[i]
 
         z = [spacing_error(fx[i], px[i], pv[i], cfg) for i in range(n)]
         zp = [relative_speed(fv[i], pv[i]) for i in range(n)]
@@ -288,24 +284,24 @@ def run_control_step(
         for i, got in enumerate(backward):
             if got is not None:
                 rzx[i], rzv[i] = got
-            elif rzx[i] is None:
-                rzx[i], rzv[i] = 0.0, 0.0
 
-        new_u = [0.0] * n
+        # Jacobi sweep: follower i's step reads only its own (px, pv), so
+        # each prediction can move on as soon as its step is taken.
+        deltas = [0.0] * n
         for i in range(n):
             lam_rear = lam[i + 1] if i < n - 1 else 0.0
             try:
-                new_u[i] = primal_step(
-                    followers[i], u[i], fx[i], fv[i], rzx[i], rzv[i], lam[i], lam_rear, cfg
+                step = primal_step(
+                    u[i], px[i], pv[i], fx[i], fv[i], rzx[i], rzv[i], lam[i], lam_rear,
+                    own[i], terms,
                 )
             except NumericalError as exc:
                 raise NumericalError(
                     f"follower {i + 1}, control step {k}, iteration {t}: {exc}"
                 ) from exc
-        deltas = [new_u[i] - u[i] for i in range(n)]
-        u = new_u
-        for i in range(n):
-            px[i], pv[i] = predict(followers[i], u[i], tau)
+            deltas[i] = step - u[i]
+            u[i] = step
+            px[i], pv[i] = predict(followers[i], step, tau)
         iterations_used = t + 1
 
         if primal_exit(deltas, cfg.primal_tol):

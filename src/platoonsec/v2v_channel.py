@@ -14,7 +14,7 @@ control loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -50,20 +50,18 @@ class DropRule:
     control_steps: Optional[tuple[int, int]] = None
     iterations: Optional[tuple[int, int]] = None
 
+    def live_at(self, k: int) -> bool:
+        """Whether the rule can jam anything during control step ``k``."""
+        return self.control_steps is None or self.control_steps[0] <= k <= self.control_steps[1]
+
     def matches(self, direction: Direction, t: int, k: int) -> bool:
         """Whether the rule jams its sender in ``direction`` during iteration
         round ``t`` of control step ``k``."""
-        if direction is not self.direction:
-            return False
-        if self.control_steps is not None:
-            lo, hi = self.control_steps
-            if not lo <= k <= hi:
-                return False
-        if self.iterations is not None:
-            lo, hi = self.iterations
-            if not lo <= t <= hi:
-                return False
-        return True
+        return (
+            direction is self.direction
+            and self.live_at(k)
+            and (self.iterations is None or self.iterations[0] <= t <= self.iterations[1])
+        )
 
 
 @dataclass(frozen=True)
@@ -72,6 +70,12 @@ class V2VChannel:
 
     bias: "BiasMatrices"
     drops: tuple[DropRule, ...] = ()
+
+    def at_step(self, k: int) -> "V2VChannel":
+        """This channel as control step ``k`` sees it: the drop rules live at
+        ``k``, step window resolved, so a round tests only ``iterations``."""
+        live = tuple(replace(r, control_steps=None) for r in self.drops if r.live_at(k))
+        return replace(self, drops=live)
 
     def corrupt(
         self,

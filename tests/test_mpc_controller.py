@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,13 +19,25 @@ from platoonsec import (
 from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal
 from platoonsec.mpc_controller import (
     NumericalError,
-    accel_box,
+    follower_terms,
+    newton_terms,
     primal_exit,
     primal_step,
 )
 from platoonsec.platoon_model import VehicleState
+from platoonsec.v2v_channel import ChannelId
 
 from conftest import single_channel_case
+
+
+def _primal_step(measured, u, fx, fv, rear_zx, rear_zv, lam_front, lam_rear, cfg):
+    """The kernel on one follower, fed the per-step terms run_control_step
+    builds for it and its broadcast prediction of ``u``."""
+    px, pv = predict(measured, u, cfg.tau)
+    return primal_step(
+        u, px, pv, fx, fv, rear_zx, rear_zv, lam_front, lam_rear,
+        follower_terms(measured, cfg), newton_terms(cfg),
+    )
 
 
 class TestPredict:
@@ -143,7 +156,7 @@ class TestPrimalStep:
         platoon = initial_platoon(config, 30.0)
         follower = platoon.followers[0]
         fx, fv = predict(platoon.leader, 0.0, config.tau)
-        u = primal_step(follower, 0.0, fx, fv, None, None, 0.0, 0.0, config)
+        u = _primal_step(follower, 0.0, fx, fv, None, None, 0.0, 0.0, config)
         assert abs(u) < 1e-9
 
     def test_matches_grid_search_argmin(self, config):
@@ -154,8 +167,8 @@ class TestPrimalStep:
             fx = measured.x + rng.uniform(10, 30)
             fv = measured.v + rng.uniform(-3, 3)
             lam = rng.uniform(0, 2)
-            u = primal_step(measured, 0.0, fx, fv, None, None, lam, 0.0, config)
-            lo, hi = accel_box(measured.v, config)
+            u = _primal_step(measured, 0.0, fx, fv, None, None, lam, 0.0, config)
+            lo, hi = follower_terms(measured, config)[1:]
             grid = [lo + i * 1e-3 for i in range(int((hi - lo) / 1e-3) + 1)]
             best = min(
                 grid,
@@ -171,11 +184,11 @@ class TestPrimalStep:
             measured = VehicleState(x=rng.uniform(0, 100), v=rng.uniform(5, 39))
             fx = measured.x + rng.uniform(5, 40)
             fv = measured.v + rng.uniform(-5, 5)
-            lo, hi = accel_box(measured.v, config)
+            lo, hi = follower_terms(measured, config)[1:]
             u0 = rng.uniform(lo, hi)
             rear = (rng.uniform(-5, 5), rng.uniform(-3, 3))
             lam_f, lam_r = rng.uniform(0, 3), rng.uniform(0, 3)
-            u = primal_step(measured, u0, fx, fv, rear[0], rear[1], lam_f, lam_r, config)
+            u = _primal_step(measured, u0, fx, fv, rear[0], rear[1], lam_f, lam_r, config)
             rear_ctx = (rear[0], rear[1], *predict(measured, u0, config.tau))
             before = _local_objective(measured, u0, fx, fv, rear_ctx, lam_f, lam_r, config)
             after = _local_objective(measured, u, fx, fv, rear_ctx, lam_f, lam_r, config)
@@ -190,11 +203,11 @@ class TestPrimalStep:
             measured = VehicleState(x=rng.uniform(0, 100), v=rng.uniform(5, 39))
             fx = measured.x + rng.uniform(5, 40)
             fv = measured.v + rng.uniform(-5, 5)
-            lo, hi = accel_box(measured.v, config)
+            lo, hi = follower_terms(measured, config)[1:]
             u0 = rng.uniform(lo, hi)
             rear = (rng.uniform(-5, 5), rng.uniform(-3, 3))
             lam_f, lam_r = rng.uniform(0, 3), rng.uniform(0, 3)
-            u = primal_step(measured, u0, fx, fv, *rear, lam_f, lam_r, config)
+            u = _primal_step(measured, u0, fx, fv, *rear, lam_f, lam_r, config)
             rear_ctx = (*rear, *predict(measured, u0, config.tau))
 
             def phi(w):
@@ -221,17 +234,17 @@ class TestPrimalStep:
     def test_result_stays_in_admissible_box(self, config):
         # A huge perceived gap must still produce a clipped command.
         measured = VehicleState(x=0.0, v=30.0)
-        u = primal_step(measured, 0.0, 1000.0, 30.0, None, None, 0.0, 0.0, config)
+        u = _primal_step(measured, 0.0, 1000.0, 30.0, None, None, 0.0, 0.0, config)
         assert u == config.a_max
-        u = primal_step(measured, 0.0, -1000.0, 30.0, None, None, 0.0, 0.0, config)
+        u = _primal_step(measured, 0.0, -1000.0, 30.0, None, None, 0.0, 0.0, config)
         assert u == config.a_min
 
     def test_non_finite_input_raises(self, config):
         measured = VehicleState(x=0.0, v=30.0)
         with pytest.raises(NumericalError):
-            primal_step(measured, 0.0, float("inf"), 30.0, None, None, 0.0, 0.0, config)
+            _primal_step(measured, 0.0, float("inf"), 30.0, None, None, 0.0, 0.0, config)
         with pytest.raises(NumericalError):
-            primal_step(measured, 0.0, 20.0, 30.0, float("nan"), 0.0, 0.0, 0.0, config)
+            _primal_step(measured, 0.0, 20.0, 30.0, float("nan"), 0.0, 0.0, 0.0, config)
 
 
 class TestPrimalExit:
@@ -269,7 +282,7 @@ class TestDualUpdate:
         violations = []
         for _ in range(25):
             for _ in range(50):
-                new_u = primal_step(measured, u, fx, fv, None, None, lam[0], 0.0, config)
+                new_u = _primal_step(measured, u, fx, fv, None, None, lam[0], 0.0, config)
                 converged = abs(new_u - u) <= config.primal_tol
                 u = new_u
                 if converged:
@@ -365,6 +378,38 @@ class TestRunControlStep:
         assert all(
             p.rear_spacing_error is not None for p in outcome.perception[:-1]
         )
+
+    @pytest.mark.parametrize(
+        "channel, column, receiver",
+        [("x_ite", 1, 2), ("v_ite", 2, 3), ("zx_ite", 3, 3), ("zv_ite", 1, 1)],
+    )
+    def test_non_finite_bias_names_follower_step_and_iteration(
+        self, config, channel, column, receiver
+    ):
+        # An unsatisfiable attack keeps the loop running past round 7, where
+        # one bias entry turns non-finite.  Bias column j corrupts follower
+        # j+1's messages.  Backward they reach follower j.  Forward they reach
+        # follower j+2, whose spacing report carries them back to follower j+1
+        # in the same round, before j+2's own step.
+        platoon = replace(initial_platoon(config, 30.0), control_step=4)
+        case = single_channel_case(
+            config.n, victim=4, window=(0, 5), channel="x_ite", bias_params=[-50.0]
+        )
+        clean = iter_attack_value_cal(config.n, 4, config.max_iterations, case)
+        arrays = {ch: clean.by_channel(ch).copy() for ch in ChannelId}
+        arrays[ChannelId(channel)][7, column] = float("nan")
+        bias = BiasMatrices(*arrays.values())
+        assert run_control_step(platoon, clean, config).iterations_used > 7
+        with pytest.raises(
+            NumericalError, match=rf"^follower {receiver}, control step 4, iteration 7: "
+        ):
+            run_control_step(platoon, bias, config)
+
+    def test_nan_tau_raises_instead_of_returning_nan(self, config):
+        platoon = initial_platoon(config, 30.0)
+        bias = BiasMatrices.zeros(config.max_iterations, config.n)
+        with pytest.raises(NumericalError):
+            run_control_step(platoon, bias, replace(config, tau=float("nan")))
 
 
 class TestCheckConstraints:
