@@ -425,13 +425,20 @@ def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
     return tuple(rules)
 
 
+def _seed(value: Any, where: str) -> int:
+    """A seed, which the ELM's random generator needs as an int >= 0."""
+    if not (_is_int(value) and value >= 0):
+        raise ConfigError(f"{where} must be an int >= 0, got {value!r}")
+    return value
+
+
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     if not isinstance(doc, Mapping):
         raise ConfigError("scenario document must be a mapping")
     known = {"sim", "leader", "attack", "drops", "detection", "seed", "output"}
     unknown = set(doc) - known
     if unknown:
-        raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown scenario keys: {sorted(unknown, key=str)}")
     sim = SimConfig().with_overrides(**(doc.get("sim") or {}))
     leader_doc = doc.get("leader") or {}
     leader = LeaderProfile(
@@ -442,7 +449,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     )
     _leader_velocity_check(sim, leader)
     attack = parse_attack_case(doc.get("attack"), sim.n)
-    seed = int(doc.get("seed", 0))
+    seed = _seed(doc.get("seed", 0), "seed")
     detection, enabled = _detection_from_doc(doc.get("detection"), seed)
     output_doc = doc.get("output") or {}
     output = OutputFlags(
@@ -561,6 +568,7 @@ def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[Anoma
 def _cmd_run(args) -> int:
     scenario = load_scenario(Path(args.scenario))
     if args.seed is not None:
+        _seed(args.seed, "--seed")
         scenario = replace(
             scenario,
             seed=args.seed,
@@ -584,8 +592,12 @@ def _cmd_generate_bias(args) -> int:
 
 def _cmd_replay_detect(args) -> int:
     with open(args.config) as fh:
-        doc = yaml.safe_load(fh) or {}
-    seed = int(doc.get("seed", 0))
+        doc = yaml.safe_load(fh)
+    if doc is None:
+        doc = {}
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"config document must be a mapping, got {type(doc).__name__}")
+    seed = _seed(doc.get("seed", 0), "seed")
     detection, _ = _detection_from_doc(doc.get("detection"), seed)
     events = replay_detection(Path(args.trace), detection)
     out_dir = Path(args.out)

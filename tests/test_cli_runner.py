@@ -309,6 +309,49 @@ class TestCli:
         assert err.startswith("config error: ") and field in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def _argv(command, doc_path, tmp_path):
+        if command == "run":
+            return ["run", "--scenario", str(doc_path), "--out", str(tmp_path / "out")]
+        trace = tmp_path / "trace.csv"
+        trace.write_text(",".join(TRACE_COLUMNS) + "\n")
+        return ["replay-detect", "--trace", str(trace), "--config", str(doc_path),
+                "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("command", ["run", "replay-detect"])
+    @pytest.mark.parametrize(
+        "seed", ["abc", 1.5, True, -1], ids=["string", "float", "bool", "negative"]
+    )
+    def test_bad_seed_exit_code(self, tmp_path, capsys, command, seed):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(scenario_doc(seed=seed)))
+        assert main(self._argv(command, bad, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be an int >= 0")
+        assert "Traceback" not in err
+
+    def test_negative_seed_override_exit_code(self, tmp_path, capsys):
+        scenario_path = tmp_path / "scenario.yaml"
+        scenario_path.write_text(yaml.safe_dump(scenario_doc()))
+        argv = self._argv("run", scenario_path, tmp_path) + ["--seed", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: --seed must be an int >= 0")
+
+    @pytest.mark.parametrize("command", ["run", "replay-detect"])
+    def test_list_document_exit_code(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump([{"seed": 1}, {"detection": {}}]))
+        assert main(self._argv(command, bad, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "document must be a mapping" in err
+
+    def test_mixed_type_top_level_keys_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({1: 2, "x": 3}))
+        assert main(self._argv("run", bad, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown scenario keys: [1, 'x']")
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from platoonsec import cli_runner
         from platoonsec.mpc_controller import NumericalError
