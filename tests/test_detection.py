@@ -188,6 +188,74 @@ class TestElm:
             elm_predict(model, [1.0, 2.0, 3.0])
 
 
+def _ref_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+
+
+def _ref_windows(data, lag, step_forward):
+    count = data.size - lag - step_forward + 1
+    inputs = np.lib.stride_tricks.sliding_window_view(data, lag)[:count].copy()
+    return inputs, data[lag + step_forward - 1 :].copy()
+
+
+def _ref_weights(model, inputs, targets, ridge):
+    H = _ref_sigmoid(inputs @ model.input_weights.T + model.hidden_biases)
+    gram = H.T @ H + ridge * np.eye(model.hidden_count)
+    return np.linalg.solve(gram, H.T @ targets)
+
+
+def _ref_predict(model, window):
+    h = _ref_sigmoid(window @ model.input_weights.T + model.hidden_biases)
+    return float(h @ model.output_weights)
+
+
+class TestKernelsMatchReferenceFormulas:
+    """The fit and forecast kernels give exactly the bits of the plain
+    formulas kept above, for every training size the detector meets."""
+
+    @pytest.mark.parametrize("lag, step_forward", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_windows_weights_and_forecasts_bit_identical(self, lag, step_forward):
+        rng = np.random.default_rng(100 * lag + step_forward)
+        model = create_elm(50, random_state=lag + step_forward, lag=lag, step_forward=step_forward)
+        for rows in range(3, 201):
+            increments = 3.0 + 0.05 * rng.standard_normal(rows + lag + step_forward - 1)
+            norm = minmax_fit(increments)
+            series = minmax_transform(norm, increments)
+
+            inputs, targets = sliding_window(series, lag, step_forward)
+            ref_inputs, ref_targets = _ref_windows(series, lag, step_forward)
+            assert inputs.shape == (rows, lag) and inputs.flags.c_contiguous
+            assert not np.shares_memory(inputs, series)
+            assert np.array_equal(inputs, ref_inputs)
+            assert np.array_equal(targets, ref_targets)
+
+            fitted = elm_fit(model, inputs, targets, 1e-6)
+            assert np.array_equal(fitted.output_weights, _ref_weights(model, inputs, targets, 1e-6))
+            for window in (inputs[0], inputs[-1], series[-lag:]):
+                assert elm_predict(fitted, window) == _ref_predict(fitted, window)
+
+    def test_forecast_far_outside_unit_range_is_clipped(self):
+        # A window of raw increments after a level jump: |inputs @ W.T + b|
+        # passes 500, so only the clip keeps exp from overflowing.
+        model = elm_fit(create_elm(50, random_state=4), *sliding_window(np.linspace(0, 1, 40), 2, 1))
+        window = np.array([900.0, -900.0])
+        assert np.abs(window @ model.input_weights.T + model.hidden_biases).max() > 500.0
+        with np.errstate(over="raise"):
+            predicted = elm_predict(model, window)
+        assert math.isfinite(predicted)
+        assert predicted == _ref_predict(model, window)
+
+    def test_ridge_enters_the_diagonal_only(self):
+        # Ten samples cannot pin down fifty weights: the ridge alone makes
+        # the Gram matrix invertible, and the weights follow it exactly.
+        rng = np.random.default_rng(6)
+        inputs, targets = rng.uniform(0, 1, size=(10, 2)), rng.uniform(0, 1, size=10)
+        model = create_elm(50, random_state=6)
+        for ridge in (1e-9, 1e-6, 1e-2, 10.0):
+            fitted = elm_fit(model, inputs, targets, ridge)
+            assert np.array_equal(fitted.output_weights, _ref_weights(model, inputs, targets, ridge))
+
+
 class TestDetectAnomaly:
     def test_observed_position_deviation_event(self):
         event = detect_anomaly(POS_ANOM, 41, 5, 436.026, 432.419, 2.5)
