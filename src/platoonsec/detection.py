@@ -17,7 +17,7 @@ what an on-board detector actually has access to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,8 +108,16 @@ def create_elm(
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+def _hidden(model: ElmModel, inputs: np.ndarray) -> np.ndarray:
+    """sigmoid(inputs @ W.T + b), in place on the fresh product.  The clip keeps
+    exp finite: forecast inputs are not bounded to [0, 1]."""
+    z = inputs @ model.input_weights.T
+    z += model.hidden_biases
+    z.clip(-500.0, 500.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def comparator_check(gap_front: float, gap_rear: float, cfg: ComparatorConfig) -> bool:
@@ -138,9 +146,9 @@ def minmax_transform(state: NormalizationState, values):
     return (np.asarray(values, dtype=float) - state.data_min) * scale + state.target_lo
 
 
-def minmax_inverse(state: NormalizationState, values):
+def minmax_inverse(state: NormalizationState, values):  # a float or a float array
     scale = (state.data_max - state.data_min) / (state.target_hi - state.target_lo)
-    return (np.asarray(values, dtype=float) - state.target_lo) * scale + state.data_min
+    return (values - state.target_lo) * scale + state.data_min
 
 
 def sliding_window(
@@ -158,8 +166,8 @@ def sliding_window(
             f"series of length {data.size} too short for lag={lag}, "
             f"step_forward={step_forward}"
         )
-    # The copy keeps the inputs a C-contiguous array of their own, not a view.
-    inputs = np.lib.stride_tricks.sliding_window_view(data, lag)[:count].copy()
+    # Row i gathers data[i : i + lag] into a new C-contiguous array.
+    inputs = data[np.arange(count)[:, None] + np.arange(lag)]
     return inputs, data[lag + step_forward - 1 :].copy()
 
 
@@ -171,15 +179,14 @@ def elm_fit(
     model: ElmModel, inputs: np.ndarray, targets: np.ndarray, ridge: float = 1e-6
 ) -> ElmModel:
     """Ridge least-squares solve for the output weights; input weights untouched."""
-    H = _sigmoid(inputs @ model.input_weights.T + model.hidden_biases)
-    gram = H.T @ H + ridge * np.eye(model.hidden_count)
-    rhs = H.T @ np.asarray(targets, dtype=float)
-    weights = np.linalg.solve(gram, rhs)
-    if not np.all(np.isfinite(weights)):
-        raise NumericalFitError(
-            f"non-finite output weights (ridge={ridge}, samples={len(targets)})"
-        )
-    return replace(model, output_weights=weights)
+    H = _hidden(model, inputs)
+    gram = H.T @ H
+    gram.flat[:: model.hidden_count + 1] += ridge
+    weights = np.linalg.solve(gram, H.T @ np.asarray(targets, dtype=float))
+    if not np.isfinite(weights).all():
+        raise NumericalFitError(f"non-finite output weights (ridge={ridge}, samples={len(targets)})")
+    return ElmModel(model.hidden_count, model.random_state, model.input_weights,
+                    model.hidden_biases, model.lag, model.step_forward, weights)
 
 
 def elm_predict(model: ElmModel, window: Sequence[float]) -> float:
@@ -188,8 +195,7 @@ def elm_predict(model: ElmModel, window: Sequence[float]) -> float:
     window = np.asarray(window, dtype=float)
     if window.shape != (model.lag,):
         raise DetectionError(f"window must have length {model.lag}, got {window.shape}")
-    h = _sigmoid(window @ model.input_weights.T + model.hidden_biases)
-    return float(h @ model.output_weights)
+    return float(_hidden(model, window) @ model.output_weights)
 
 
 def detect_anomaly(
@@ -257,20 +263,14 @@ class SeriesDetector:
         self.frozen = False
 
     def predict_next(self) -> Optional[float]:
-        if len(self.recent) < self.model.lag + 1:
+        recent, lag = self.recent, self.model.lag
+        if len(recent) < lag + 1:
             return None
-        anchor = self.recent[-1]
-        diffs = [
-            self.recent[i + 1] - self.recent[i]
-            for i in range(len(self.recent) - self.model.lag - 1, len(self.recent) - 1)
-        ]
         if self.norm is None or self.model.output_weights is None:
-            if not self.train_diffs:
-                return None
-            return anchor + self.train_diffs[-1]
-        window = minmax_transform(self.norm, diffs)
-        predicted = elm_predict(self.model, window)
-        return anchor + float(minmax_inverse(self.norm, predicted))
+            return recent[-1] + self.train_diffs[-1] if self.train_diffs else None
+        diffs = [b - a for a, b in zip(recent[-lag - 1 :], recent[-lag:])]
+        predicted = elm_predict(self.model, minmax_transform(self.norm, diffs))
+        return recent[-1] + minmax_inverse(self.norm, predicted)
 
     def observe(self, value: float, flagged: bool) -> None:
         """Fold in one observation; training is skipped while flagged."""
@@ -279,14 +279,14 @@ class SeriesDetector:
                 self.train_diffs.append(value - self._last_train_value)
                 window = self.train_diffs[-self.cfg.norm_window:]
                 if len(window) >= self.model.lag + self.model.step_forward + 1:
+                    window = np.asarray(window, dtype=float)  # for the fit and the transform
                     try:
                         norm = minmax_fit(window)
                     except DetectionError:
-                        norm = None  # constant increments; last-value fallback
-                    if norm is not None:
-                        normalized = minmax_transform(norm, window)
+                        pass  # constant increments; last-value fallback
+                    else:
                         inputs, targets = sliding_window(
-                            normalized, self.model.lag, self.model.step_forward
+                            minmax_transform(norm, window), self.model.lag, self.model.step_forward
                         )
                         self.model = elm_fit(self.model, inputs, targets, self.cfg.ridge)
                         self.norm = norm
