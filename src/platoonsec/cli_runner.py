@@ -15,7 +15,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
@@ -355,6 +355,25 @@ def _detection_from_doc(doc: Any, seed: int) -> tuple[DetectionConfig, bool]:
     return DetectionConfig(comparator=comparator, seed=seed, **values), enabled
 
 
+def _sim_from_doc(doc: Any) -> SimConfig:
+    """Parse the ``sim`` section: any SimConfig field, an int where the field
+    is an int and a finite number where it is a float.  ``math.isfinite``
+    fails for NaN, so no NaN reaches SimConfig's range checks."""
+    if doc is None:
+        doc = {}
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"sim must be a mapping, got {doc!r}")
+    kinds = {f.name: f.type for f in fields(SimConfig)}
+    for key, value in doc.items():
+        if key not in kinds:
+            raise ConfigError(f"sim.{key} is not a SimConfig field")
+        if kinds[key] == "int" and not _is_int(value):
+            raise ConfigError(f"sim.{key} must be an int, got {value!r}")
+        if kinds[key] == "float" and not _is_finite(value):
+            raise ConfigError(f"sim.{key} must be a finite number, got {value!r}")
+    return SimConfig(**doc)
+
+
 def _drop_interval(entry: Mapping[str, Any], key: str, where: str) -> Optional[tuple[int, int]]:
     if key not in entry:
         return None
@@ -439,7 +458,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown, key=str)}")
-    sim = SimConfig().with_overrides(**(doc.get("sim") or {}))
+    sim = _sim_from_doc(doc.get("sim"))
     leader_doc = doc.get("leader") or {}
     leader = LeaderProfile(
         speed=float(leader_doc.get("speed", 30.0)),
@@ -481,14 +500,26 @@ def load_scenario(path: Path) -> Scenario:
 # standalone bias generation
 
 
+def _case_count(doc: Mapping, sim_doc: Mapping, key: str, default: int) -> int:
+    """``key`` from the top level of a case file, else from its sim section."""
+    where, value = (key, doc[key]) if key in doc else (f"sim.{key}", sim_doc.get(key, default))
+    if not (_is_int(value) and value >= 1):
+        raise ConfigError(f"{where} must be an int >= 1, got {value!r}")
+    return value
+
+
 def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Path]:
     """Emit the four bias matrices for control step k as CSV files
     (rows = iteration index, columns = followers)."""
     with open(case_path) as fh:
         doc = yaml.safe_load(fh) or {}
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"case document must be a mapping, got {type(doc).__name__}")
     sim_doc = doc.get("sim") or {}
-    n = int(doc.get("n", sim_doc.get("n", 6)))
-    max_iterations = int(doc.get("max_iterations", sim_doc.get("max_iterations", 300)))
+    if not isinstance(sim_doc, Mapping):
+        raise ConfigError(f"sim must be a mapping, got {sim_doc!r}")
+    n = _case_count(doc, sim_doc, "n", 6)
+    max_iterations = _case_count(doc, sim_doc, "max_iterations", 300)
     attack_doc = doc.get("attack", doc if "iter_victim_list" in doc else None)
     case = parse_attack_case(attack_doc, n)
     bias = iter_attack_value_cal(n, k, max_iterations, case)
@@ -516,13 +547,14 @@ class TraceFormatError(ValueError):
     pass
 
 
-def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[AnomalyEvent]:
-    """Re-run the ELM stage over a recorded trace.
+def _read_trace(trace_path: Path) -> list[tuple[list[PerceptionRecord], list[bool]]]:
+    """Each control step's observations and comparator flags, in vehicle order.
 
-    The monitored series and the comparator flags are read back from the
-    trace, so results are identical to the live run under the same detection
-    config and seed.
+    Every row must be complete and well formed, and control steps 0..K must
+    each hold vehicles 1..n exactly once, as a live run writes them; anything
+    else is a ``TraceFormatError`` naming the line or the control step.
     """
+    by_step: dict[int, dict[int, tuple[PerceptionRecord, bool]]] = {}
     with open(trace_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -530,34 +562,59 @@ def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[Anoma
         missing = [c for c in TRACE_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise TraceFormatError(f"trace is missing columns: {missing}")
-        by_step: dict[int, list[dict]] = {}
         for record in reader:
-            by_step.setdefault(int(record["control_step"]), []).append(record)
-    if not by_step:
-        return []
-
-    events: list[AnomalyEvent] = []
-    detector: Optional[DetectorState] = None
-    for k in sorted(by_step):
-        records = sorted(by_step[k], key=lambda r: int(r["vehicle_id"]))
-        if detector is None:
-            detector = DetectorState(len(records), detection)
-        observations = [
-            PerceptionRecord(
-                vehicle=int(r["vehicle_id"]),
-                front_x=float(r["x"]),
-                front_v=float(r["v"]),
-                gap_front=float(r["gap_front"]),
-                spacing_error=0.0,
-                rear_spacing_error=None,
+            where = f"{trace_path} line {reader.line_num}"
+            if None in record or None in record.values():
+                fields_wanted = len(reader.fieldnames)
+                raise TraceFormatError(f"{where} does not have the header's {fields_wanted} fields")
+            try:
+                k, vehicle = int(record["control_step"]), int(record["vehicle_id"])
+                x, v, gap = float(record["x"]), float(record["v"]), float(record["gap_front"])
+            except ValueError as exc:
+                raise TraceFormatError(f"{where}: {exc}") from None
+            if k < 0 or vehicle < 1:
+                raise TraceFormatError(f"{where}: need control_step >= 0 and vehicle_id >= 1")
+            if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(gap)):
+                raise TraceFormatError(f"{where}: x, v and gap_front must be finite")
+            if record["comparator_flag"] not in ("0", "1"):
+                raise TraceFormatError(f"{where}: comparator_flag must be 0 or 1")
+            step = by_step.setdefault(k, {})
+            if vehicle in step:
+                raise TraceFormatError(f"{where} repeats vehicle {vehicle} of control step {k}")
+            observation = PerceptionRecord(
+                vehicle=vehicle, front_x=x, front_v=v, gap_front=gap,
+                spacing_error=0.0, rear_spacing_error=None,
             )
-            for r in records
-        ]
-        comparator_flags = [r["comparator_flag"] == "1" for r in records]
-        detection_result = detect_step(
-            observations, detector, k, comparator_flags_override=comparator_flags
-        )
-        events.extend(detection_result.events)
+            step[vehicle] = observation, record["comparator_flag"] == "1"
+    n = max((max(step) for step in by_step.values()), default=0)
+    steps = []
+    for k in range(len(by_step)):
+        if k not in by_step:
+            raise TraceFormatError(f"{trace_path} has no rows for control step {k}")
+        step = by_step[k]
+        if len(step) != n:
+            lacking = min(set(range(1, n + 1)) - set(step))
+            raise TraceFormatError(f"{trace_path}: control step {k} lacks vehicle {lacking}")
+        rows = [step[vehicle] for vehicle in range(1, n + 1)]
+        steps.append(([obs for obs, _ in rows], [flag for _, flag in rows]))
+    return steps
+
+
+def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[AnomalyEvent]:
+    """Re-run the ELM stage over a recorded trace.
+
+    The monitored series and the comparator flags are read back from the
+    trace, so results are identical to the live run under the same detection
+    config and seed.
+    """
+    steps = _read_trace(trace_path)
+    if not steps:
+        return []
+    detector = DetectorState(len(steps[0][0]), detection)
+    events: list[AnomalyEvent] = []
+    for k, (observations, comparator_flags) in enumerate(steps):
+        result = detect_step(observations, detector, k, comparator_flags_override=comparator_flags)
+        events.extend(result.events)
     return events
 
 

@@ -184,7 +184,7 @@ def elm_fit(
     gram.flat[:: model.hidden_count + 1] += ridge
     weights = np.linalg.solve(gram, H.T @ np.asarray(targets, dtype=float))
     if not np.isfinite(weights).all():
-        raise NumericalFitError(f"non-finite output weights (ridge={ridge}, samples={len(targets)})")
+        raise NumericalFitError(f"non-finite output weights (ridge={ridge}, samples={len(H)})")
     return ElmModel(model.hidden_count, model.random_state, model.input_weights,
                     model.hidden_biases, model.lag, model.step_forward, weights)
 

@@ -64,23 +64,23 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
+            raise ConfigError(f"sim.n must be >= 1, got {self.n}")
         if self.tau <= 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
+            raise ConfigError(f"sim.tau must be > 0, got {self.tau}")
         if self.L_veh <= 0:
-            raise ConfigError(f"L_veh must be > 0, got {self.L_veh}")
+            raise ConfigError(f"sim.L_veh must be > 0, got {self.L_veh}")
         if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            raise ConfigError(f"sim.max_iterations must be >= 1, got {self.max_iterations}")
         if self.primal_tol <= 0:
-            raise ConfigError(f"primal_tol must be > 0, got {self.primal_tol}")
+            raise ConfigError(f"sim.primal_tol must be > 0, got {self.primal_tol}")
         if not self.a_min < self.a_max:
-            raise ConfigError(f"need a_min < a_max, got [{self.a_min}, {self.a_max}]")
+            raise ConfigError(f"need sim.a_min < sim.a_max, got [{self.a_min}, {self.a_max}]")
         if not self.v_min < self.v_max:
-            raise ConfigError(f"need v_min < v_max, got [{self.v_min}, {self.v_max}]")
+            raise ConfigError(f"need sim.v_min < sim.v_max, got [{self.v_min}, {self.v_max}]")
         if self.Q_alpha <= 0 or self.Q_beta <= 0:
-            raise ConfigError("Q_alpha and Q_beta must be > 0 (strict convexity)")
+            raise ConfigError("sim.Q_alpha and sim.Q_beta must be > 0 (strict convexity)")
         if self.total_control_steps < 1:
-            raise ConfigError("total_control_steps must be >= 1")
+            raise ConfigError("sim.total_control_steps must be >= 1")
 
     def nominal_gap(self, v: float) -> float:
         """Front-bumper-to-front-bumper equilibrium spacing at speed v."""

@@ -207,6 +207,83 @@ class TestReplayDetect:
         assert loose_keys <= base_keys
 
 
+@pytest.fixture(scope="module")
+def live_trace_lines(tmp_path_factory):
+    """The lines of a live 40-step n=6 trace: a header, then 240 rows."""
+    out = tmp_path_factory.mktemp("live")
+    paths = run_scenario(scenario_from_dict(scenario_doc()), out)
+    return paths["trace"].read_text().splitlines(keepends=True)
+
+
+def _cut_mid_row(lines):
+    return lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]
+
+
+def _drop_vehicle_1_of_step_5(lines):
+    return [line for line in lines if not line.startswith("5,1,")]
+
+
+def _duplicate_step_0(lines):
+    return lines + lines[1:4]
+
+
+def _drop_step_7(lines):
+    return [line for line in lines if not line.startswith("7,")]
+
+
+def _edit_row(row, column, value):
+    def edit(lines):
+        fields = lines[row].rstrip("\n").split(",")
+        fields[TRACE_COLUMNS.index(column)] = value
+        return lines[:row] + [",".join(fields) + "\n"] + lines[row + 1 :]
+
+    return edit
+
+
+class TestReplayBadTrace:
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_cut_mid_row, "line 241 does not have the header's 12 fields"),
+            (_drop_vehicle_1_of_step_5, "control step 5 lacks vehicle 1"),
+            (_duplicate_step_0, "line 242 repeats vehicle 1 of control step 0"),
+            (_drop_step_7, "has no rows for control step 7"),
+            (lambda lines: lines[:3] + [lines[3].rstrip("\n") + ",1\n"] + lines[4:],
+             "line 4 does not have the header's 12 fields"),
+            (_edit_row(9, "x", "abc"), "line 10: could not convert string to float"),
+            (_edit_row(9, "control_step", "1.5"), "line 10: invalid literal for int()"),
+            (_edit_row(9, "v", "nan"), "line 10: x, v and gap_front must be finite"),
+            (_edit_row(9, "vehicle_id", "0"), "line 10: need control_step >= 0 and vehicle_id >= 1"),
+            (_edit_row(9, "comparator_flag", "2"), "line 10: comparator_flag must be 0 or 1"),
+        ],
+        ids=[
+            "cut-mid-row", "missing-vehicle", "duplicated-rows", "missing-step", "extra-field",
+            "text-x", "float-step", "nan-v", "vehicle-0", "flag-2",
+        ],
+    )
+    def test_exit_code_names_line_or_step(self, tmp_path, capsys, live_trace_lines, corrupt, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("".join(corrupt(live_trace_lines)))
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(scenario_doc()))
+        argv = ["replay-detect", "--trace", str(trace), "--config", str(config),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {trace}") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_rows_in_any_order_replay_like_the_live_order(self, tmp_path, live_trace_lines):
+        scenario = scenario_from_dict(scenario_doc())
+        live, shuffled = tmp_path / "live.csv", tmp_path / "shuffled.csv"
+        live.write_text("".join(live_trace_lines))
+        shuffled.write_text("".join(live_trace_lines[:1] + live_trace_lines[:0:-1]))
+        assert replay_detection(shuffled, scenario.detection) == replay_detection(
+            live, scenario.detection
+        )
+
+
 class TestCli:
     def test_run_command(self, tmp_path, capsys):
         scenario_path = tmp_path / "scenario.yaml"
