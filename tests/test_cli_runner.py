@@ -429,6 +429,66 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: unknown scenario keys: [1, 'x']")
 
+    @pytest.mark.parametrize(
+        "sim, message",
+        [
+            ({"n": "3"}, "sim.n must be an int, got '3'"),
+            ({"n": True}, "sim.n must be an int, got True"),
+            ({"max_iterations": 300.0}, "sim.max_iterations must be an int, got 300.0"),
+            ({"tau": float("nan")}, "sim.tau must be a finite number, got nan"),
+            ({"dual_margin": float("nan")}, "sim.dual_margin must be a finite number, got nan"),
+            ({"v_max": float("inf")}, "sim.v_max must be a finite number, got inf"),
+            ({"L_veh": "5.0"}, "sim.L_veh must be a finite number, got '5.0'"),
+            ({"dual_step": False}, "sim.dual_step must be a finite number, got False"),
+            ({"tau": 0}, "sim.tau must be > 0, got 0"),
+            ({"n": 0}, "sim.n must be >= 1, got 0"),
+            ({"bogus": 1}, "sim.bogus is not a SimConfig field"),
+            ({1: 2}, "sim.1 is not a SimConfig field"),
+            (0, "sim must be a mapping, got 0"),
+            ([6], "sim must be a mapping, got [6]"),
+        ],
+        ids=[
+            "string-n", "bool-n", "float-iterations", "nan-tau", "nan-margin", "infinite-v-max",
+            "string-length", "bool-step", "zero-tau", "zero-n", "unknown-key", "int-key",
+            "zero-section", "list-section",
+        ],
+    )
+    def test_bad_sim_section_exit_code(self, tmp_path, capsys, sim, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(scenario_doc(sim=sim)))
+        assert main(self._argv("run", bad, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+
+    def test_sim_section_takes_ints_for_float_fields(self):
+        scenario = scenario_from_dict(scenario_doc(sim={"tau": 1, "v_max": 40, "n": 3}))
+        assert (scenario.sim.tau, scenario.sim.v_max, scenario.sim.n) == (1, 40, 3)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ({"n": "abc"}, "n must be an int >= 1, got 'abc'"),
+            ({"n": 0}, "n must be an int >= 1, got 0"),
+            ({"n": True}, "n must be an int >= 1, got True"),
+            ({"sim": {"n": 6.0}}, "sim.n must be an int >= 1, got 6.0"),
+            ({"max_iterations": "300"}, "max_iterations must be an int >= 1, got '300'"),
+            ({"sim": {"max_iterations": 2.5}}, "sim.max_iterations must be an int >= 1, got 2.5"),
+            ({"sim": 3}, "sim must be a mapping, got 3"),
+            ([1, 2], "case document must be a mapping, got list"),
+        ],
+        ids=[
+            "string-n", "zero-n", "bool-n", "float-sim-n", "string-iterations",
+            "float-sim-iterations", "int-sim", "list-document",
+        ],
+    )
+    def test_bad_generate_bias_case_exit_code(self, tmp_path, capsys, case, message):
+        bad = tmp_path / "case.yaml"
+        bad.write_text(yaml.safe_dump(case))
+        argv = ["generate-bias", "--case", str(bad), "--k", "3", "--out", str(tmp_path / "bias")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "bias").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from platoonsec import cli_runner
         from platoonsec.mpc_controller import NumericalError
