@@ -333,12 +333,19 @@ _DETECTION_KEYS = {
 }
 
 
+def _section(doc: Any, name: str) -> Mapping:
+    """An optional section: left out or empty it reads as ``{}``, and
+    anything else must be a mapping."""
+    if doc is None:
+        return {}
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{name} must be a mapping, got {doc!r}")
+    return doc
+
+
 def _detection_from_doc(doc: Any, seed: int) -> tuple[DetectionConfig, bool]:
     """Parse the ``detection`` section; it and every key in it are optional."""
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"detection must be a mapping, got {doc!r}")
+    doc = _section(doc, "detection")
     for key in doc:
         if key not in _DETECTION_KEYS:
             raise ConfigError(f"detection.{key} is not a detection key")
@@ -359,10 +366,7 @@ def _sim_from_doc(doc: Any) -> SimConfig:
     """Parse the ``sim`` section: any SimConfig field, an int where the field
     is an int and a finite number where it is a float.  ``math.isfinite``
     fails for NaN, so no NaN reaches SimConfig's range checks."""
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"sim must be a mapping, got {doc!r}")
+    doc = _section(doc, "sim")
     kinds = {f.name: f.type for f in fields(SimConfig)}
     for key, value in doc.items():
         if key not in kinds:
@@ -515,9 +519,7 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
         doc = yaml.safe_load(fh) or {}
     if not isinstance(doc, Mapping):
         raise ConfigError(f"case document must be a mapping, got {type(doc).__name__}")
-    sim_doc = doc.get("sim") or {}
-    if not isinstance(sim_doc, Mapping):
-        raise ConfigError(f"sim must be a mapping, got {sim_doc!r}")
+    sim_doc = _section(doc.get("sim"), "sim")
     n = _case_count(doc, sim_doc, "n", 6)
     max_iterations = _case_count(doc, sim_doc, "max_iterations", 300)
     attack_doc = doc.get("attack", doc if "iter_victim_list" in doc else None)
