@@ -12,6 +12,7 @@ periods or repeated channels on the same victim sum.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -154,6 +155,8 @@ def _as_int(value: Any, path: str) -> int:
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise AttackCaseError(f"{path}: expected a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise AttackCaseError(f"{path}: an int too large for a float")
     return float(value)
 
 
@@ -191,7 +194,7 @@ def normalize_freq(kind: Any, params: Any, path: str) -> tuple[str, tuple[float,
         raise AttackCaseError(f"{path}: Cluster on-window must be >= 1, got {on}")
     if off < 0:
         raise AttackCaseError(f"{path}: Cluster off-window must be >= 0, got {off}")
-    return kind, (float(on), float(off))
+    return kind, (_as_float(on, f"{path}[0]"), _as_float(off, f"{path}[1]"))
 
 
 def parse_attack_case(doc: Mapping[str, Any] | None, n: int) -> AttackCase:
@@ -202,9 +205,11 @@ def parse_attack_case(doc: Mapping[str, Any] | None, n: int) -> AttackCase:
     """
     if doc is None:
         return AttackCase.empty()
+    if not isinstance(doc, Mapping):
+        raise AttackCaseError(f"attack must be a mapping, got {doc!r}")
     unknown = set(doc) - set(ATTACK_LIST_KEYS)
     if unknown:
-        raise AttackCaseError(f"unknown attack case keys: {sorted(unknown)}")
+        raise AttackCaseError(f"unknown attack case keys: {sorted(unknown, key=str)}")
     raw = {key: _as_seq(doc.get(key, []), key) for key in ATTACK_LIST_KEYS}
 
     victims = tuple(
@@ -291,22 +296,13 @@ def parse_attack_case(doc: Mapping[str, Any] | None, n: int) -> AttackCase:
             bkinds, bparams = [], []
             for m in range(slots):
                 kind = per_victim["iter_biastype_list"][j][m]
-                values = _as_seq(
-                    per_victim["iter_biasparavalue_list"][j][m],
-                    f"iter_biasparavalue_list[{i}][{j}][{m}]",
-                )
+                path = f"iter_biasparavalue_list[{i}][{j}][{m}]"
+                values = _as_seq(per_victim["iter_biasparavalue_list"][j][m], path)
+                values = tuple(_as_float(v, f"{path}[{q}]") for q, v in enumerate(values))
                 try:
-                    bp = BiasParams(
-                        kind,
-                        tuple(
-                            _as_float(v, f"iter_biasparavalue_list[{i}][{j}][{m}][{q}]")
-                            for q, v in enumerate(values)
-                        ),
-                    )
+                    bp = BiasParams(kind, values)
                 except AttackCaseError as exc:
-                    raise AttackCaseError(
-                        f"iter_biasparavalue_list[{i}][{j}][{m}]: {exc}"
-                    ) from None
+                    raise AttackCaseError(f"{path}: {exc}") from None
                 bkinds.append(kind)
                 bparams.append(bp)
             v_channels.append(tuple(chs))

@@ -22,6 +22,7 @@ from typing import Any, Mapping, Optional, Sequence
 import yaml
 
 from .attack_engine import (
+    ATTACK_LIST_KEYS,
     AttackCase,
     AttackCaseError,
     iter_attack_value_cal,
@@ -48,24 +49,8 @@ from .mpc_controller import (
     check_constraints,
     run_control_step,
 )
-from .platoon_model import ConfigError, PlatoonState, SimConfig, initial_platoon
+from .platoon_model import ConfigError, SimConfig, initial_platoon
 from .v2v_channel import Direction, DropRule, V2VChannel
-
-TRACE_COLUMNS = (
-    "control_step",
-    "vehicle_id",
-    "x",
-    "v",
-    "u",
-    "gap_front",
-    "headway",
-    "comparator_flag",
-    "elm_pos_pred",
-    "elm_vel_pred",
-    "pos_anom",
-    "vel_anom",
-)
-
 
 @dataclass(frozen=True)
 class LeaderProfile:
@@ -118,6 +103,9 @@ class TraceRow:
     vel_anom: bool
 
 
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+
+
 @dataclass(frozen=True)
 class StepOutcome:
     control_step: int
@@ -133,7 +121,6 @@ class RunResult:
     step_outcomes: list[StepOutcome]
     violations: list[tuple[int, ConstraintViolation]]
     flags_by_step: list[tuple[bool, ...]]
-    final_platoon: PlatoonState
 
 
 def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
@@ -184,8 +171,7 @@ def simulate(scenario: Scenario) -> RunResult:
             detection = None
             flags_by_step.append((False,) * n)
 
-        pos_hits = {e.vehicle for e in (detection.events if detection else ()) if e.kind == POS_ANOM}
-        vel_hits = {e.vehicle for e in (detection.events if detection else ()) if e.kind == VEL_ANOM}
+        hits = {(e.kind, e.vehicle) for e in (detection.events if detection else ())}
         for i in range(n):
             obs: PerceptionRecord = outcome.perception[i]
             follower = platoon.followers[i]
@@ -204,8 +190,8 @@ def simulate(scenario: Scenario) -> RunResult:
                     comparator_flag=bool(detection.comparator_flags[i]) if detection else False,
                     elm_pos_pred=detection.pos_predictions[i] if detection else None,
                     elm_vel_pred=detection.vel_predictions[i] if detection else None,
-                    pos_anom=(i + 1) in pos_hits,
-                    vel_anom=(i + 1) in vel_hits,
+                    pos_anom=(POS_ANOM, i + 1) in hits,
+                    vel_anom=(VEL_ANOM, i + 1) in hits,
                 )
             )
 
@@ -223,7 +209,6 @@ def simulate(scenario: Scenario) -> RunResult:
         step_outcomes=step_outcomes,
         violations=violations,
         flags_by_step=flags_by_step,
-        final_platoon=platoon,
     )
 
 
@@ -302,7 +287,7 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> dict[str, Path]:
 
 
 # ---------------------------------------------------------------------------
-# scenario config document
+# input documents
 
 
 def _is_int(value: Any) -> bool:
@@ -310,18 +295,55 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_finite(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """NaN, the infinities and ints past the float range fail."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
+def _is_interval(value: Any) -> bool:
+    return value is None or (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(_is_int(v) and v >= 0 for v in value)
+        and value[0] <= value[1]
+    )
+
+
+def _is_profile(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(phase, (list, tuple))
+        and len(phase) == 2
+        and _is_int(phase[0])
+        and phase[0] >= 0
+        and _is_finite(phase[1])
+        for phase in value
+    )
+
+
+# A rule is (check, what the check requires).
+_BOOL = (lambda v: isinstance(v, bool), "a bool")
 _COUNT = (lambda v: _is_int(v) and v >= 1, "an int >= 1")
+_NATURAL = (lambda v: _is_int(v) and v >= 0, "an int >= 0")
+_FINITE = (_is_finite, "a finite number")
 _POSITIVE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
+_INTERVAL = (_is_interval, "[lo, hi] with non-negative ints lo <= hi")
 
-# detection key -> (default, (check, what the check requires)); the keys
-# after the comparator's are DetectionConfig fields of the same name.
+# The tables map a section's keys to (default, rule).  A default that fails
+# its rule makes the key required.
+_SIM_KEYS = {
+    f.name: (f.default, (_is_int, "an int") if f.type == "int" else _FINITE)
+    for f in fields(SimConfig)
+}
+_LEADER_KEYS = {
+    "speed": (LeaderProfile.speed, _FINITE),
+    "profile": ((), (_is_profile, "a list of [start_step >= 0, acceleration] pairs")),
+}
+_OUTPUT_KEYS = {f.name: (f.default, _BOOL) for f in fields(OutputFlags)}
+# The keys after the comparator's are DetectionConfig fields of the same name.
 _DETECTION_KEYS = {
-    "enabled": (True, (lambda v: isinstance(v, bool), "a bool")),
+    "enabled": (True, _BOOL),
     "comparator_threshold": (2.0, _POSITIVE),
-    "nominal_diff": (0.0, (_is_finite, "a finite number")),
+    "nominal_diff": (0.0, _FINITE),
     "pos_threshold": (2.5, _POSITIVE),
     "vel_threshold": (2.0, _POSITIVE),
     "hidden_count": (50, _COUNT),
@@ -329,69 +351,68 @@ _DETECTION_KEYS = {
     "lag": (2, _COUNT),
     "step_forward": (1, _COUNT),
     "norm_window": (200, _COUNT),
-    "warmup_steps": (12, (lambda v: _is_int(v) and v >= 0, "an int >= 0")),
+    "warmup_steps": (12, _NATURAL),
 }
+_DROP_KEYS = {
+    "direction": (None, (lambda v: v in ("forward", "backward"), "'forward' or 'backward'")),
+    "sender": (None, (_is_int, "an int")),
+    "control_steps": (None, _INTERVAL),
+    "iterations": (None, _INTERVAL),
+}
+_CASE_KEYS = {"n": (SimConfig.n, _COUNT), "max_iterations": (SimConfig.max_iterations, _COUNT)}
 
 
-def _section(doc: Any, name: str) -> Mapping:
-    """An optional section: left out or empty it reads as ``{}``, and
-    anything else must be a mapping."""
+def _check(where: str, value: Any, rule: tuple) -> Any:
+    check, requirement = rule
+    if not check(value):
+        raise ConfigError(f"{where} must be {requirement}, got {value!r}")
+    return value
+
+
+def _read_section(
+    doc: Any, where: str, table: Mapping, noun: Optional[str], widen: bool = False
+) -> dict[str, Any]:
+    """Every key of ``table`` from the optional section ``doc`` at ``where``,
+    defaults filled in.  A key outside the table is not a ``noun``; with no
+    noun, other code reads it.  ``widen`` makes ints floats where the default
+    is a float."""
+    if doc is None:
+        doc = {}
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{where} must be a mapping, got {doc!r}")
+    prefix = f"{where}." if where else ""
+    for key in doc:
+        if noun is not None and key not in table:
+            raise ConfigError(f"{prefix}{key} is not a {noun}")
+    values = {}
+    for key, (default, rule) in table.items():
+        value = _check(prefix + key, doc.get(key, default), rule)
+        values[key] = float(value) if widen and isinstance(default, float) else value
+    return values
+
+
+def _load_doc(path: Path, what: str) -> Mapping:
+    """A YAML document that must be a mapping; an empty file reads as ``{}``."""
+    with open(path) as fh:
+        doc = yaml.safe_load(fh)
     if doc is None:
         return {}
     if not isinstance(doc, Mapping):
-        raise ConfigError(f"{name} must be a mapping, got {doc!r}")
+        raise ConfigError(f"{what} must be a mapping, got {type(doc).__name__}")
     return doc
 
 
-def _detection_from_doc(doc: Any, seed: int) -> tuple[DetectionConfig, bool]:
-    """Parse the ``detection`` section; it and every key in it are optional."""
-    doc = _section(doc, "detection")
-    for key in doc:
-        if key not in _DETECTION_KEYS:
-            raise ConfigError(f"detection.{key} is not a detection key")
-    values = {}
-    for key, (default, (check, requirement)) in _DETECTION_KEYS.items():
-        value = doc.get(key, default)
-        if not check(value):
-            raise ConfigError(f"detection.{key} must be {requirement}, got {value!r}")
-        values[key] = float(value) if isinstance(default, float) else value
+def _detection_from_doc(doc: Mapping) -> tuple[int, DetectionConfig, bool]:
+    """The seed, the detection config and whether detection is enabled, read
+    from a scenario or replay config document."""
+    seed = _check("seed", doc.get("seed", 0), _NATURAL)
+    section = doc.get("detection")
+    values = _read_section(section, "detection", _DETECTION_KEYS, "detection key", widen=True)
     enabled = values.pop("enabled")
     comparator = ComparatorConfig(
         threshold=values.pop("comparator_threshold"), nominal_diff=values.pop("nominal_diff")
     )
-    return DetectionConfig(comparator=comparator, seed=seed, **values), enabled
-
-
-def _sim_from_doc(doc: Any) -> SimConfig:
-    """Parse the ``sim`` section: any SimConfig field, an int where the field
-    is an int and a finite number where it is a float.  ``math.isfinite``
-    fails for NaN, so no NaN reaches SimConfig's range checks."""
-    doc = _section(doc, "sim")
-    kinds = {f.name: f.type for f in fields(SimConfig)}
-    for key, value in doc.items():
-        if key not in kinds:
-            raise ConfigError(f"sim.{key} is not a SimConfig field")
-        if kinds[key] == "int" and not _is_int(value):
-            raise ConfigError(f"sim.{key} must be an int, got {value!r}")
-        if kinds[key] == "float" and not _is_finite(value):
-            raise ConfigError(f"sim.{key} must be a finite number, got {value!r}")
-    return SimConfig(**doc)
-
-
-def _drop_interval(entry: Mapping[str, Any], key: str, where: str) -> Optional[tuple[int, int]]:
-    if key not in entry:
-        return None
-    value = entry[key]
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(_is_int(v) and v >= 0 for v in value)
-        and value[0] <= value[1]
-    ):
-        raise ConfigError(
-            f"{where}.{key} must be [lo, hi] with non-negative ints lo <= hi, got {value!r}"
-        )
-    return value[0], value[1]
+    return seed, DetectionConfig(comparator=comparator, seed=seed, **values), enabled
 
 
 def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
@@ -403,30 +424,22 @@ def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
     leader's prediction is fixed within a control step, so holding it from a
     later round holds the live value).  Control steps past the end of the run
     are accepted, because ``--steps`` may shorten a run."""
+    if entries is None:
+        return ()
     if not isinstance(entries, (list, tuple)):
         raise ConfigError(f"drops must be a list, got {entries!r}")
     rules = []
     for i, entry in enumerate(entries):
         where = f"drops[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ConfigError(f"{where} must be a mapping, got {entry!r}")
-        keys = {"direction", "sender", "control_steps", "iterations"}
-        unknown = sorted(set(entry) - keys, key=str)
-        if unknown:
-            raise ConfigError(f"{where}.{unknown[0]} is not a drop-rule key")
-        if entry.get("direction") not in ("forward", "backward"):
-            raise ConfigError(
-                f"{where}.direction must be 'forward' or 'backward', got {entry.get('direction')!r}"
-            )
-        direction = Direction(entry["direction"])
+        rule = _read_section(entry, where, _DROP_KEYS, "drop-rule key")
+        direction, sender = Direction(rule["direction"]), rule["sender"]
         lo, hi = (0, sim.n - 1) if direction is Direction.FORWARD else (2, sim.n)
-        sender = entry.get("sender")
-        if not (_is_int(sender) and lo <= sender <= hi):
+        if not lo <= sender <= hi:
             raise ConfigError(
                 f"{where}.sender must be an int in {lo}..{hi} for a {direction.value} "
                 f"rule with n={sim.n}, got {sender!r}"
             )
-        iterations = _drop_interval(entry, "iterations", where)
+        steps, iterations = (rule[key] and tuple(rule[key]) for key in ("control_steps", "iterations"))
         if iterations is not None and iterations[0] >= sim.max_iterations:
             raise ConfigError(
                 f"{where}.iterations {list(iterations)} starts at or past "
@@ -437,94 +450,58 @@ def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
                 f"{where}.iterations must start at 0 for a leader rule, got "
                 f"{list(iterations)}: the leader's prediction is fixed within a control step"
             )
-        rules.append(
-            DropRule(
-                direction=direction,
-                sender=sender,
-                control_steps=_drop_interval(entry, "control_steps", where),
-                iterations=iterations,
-            )
-        )
+        rules.append(DropRule(direction, sender, control_steps=steps, iterations=iterations))
     return tuple(rules)
-
-
-def _seed(value: Any, where: str) -> int:
-    """A seed, which the ELM's random generator needs as an int >= 0."""
-    if not (_is_int(value) and value >= 0):
-        raise ConfigError(f"{where} must be an int >= 0, got {value!r}")
-    return value
 
 
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     if not isinstance(doc, Mapping):
-        raise ConfigError("scenario document must be a mapping")
-    known = {"sim", "leader", "attack", "drops", "detection", "seed", "output"}
-    unknown = set(doc) - known
+        raise ConfigError(f"scenario document must be a mapping, got {type(doc).__name__}")
+    unknown = set(doc) - {"sim", "leader", "attack", "drops", "detection", "seed", "output"}
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown, key=str)}")
-    sim = _sim_from_doc(doc.get("sim"))
-    leader_doc = doc.get("leader") or {}
+    sim = SimConfig(**_read_section(doc.get("sim"), "sim", _SIM_KEYS, "SimConfig field"))
+    leader = _read_section(doc.get("leader"), "leader", _LEADER_KEYS, "leader key")
     leader = LeaderProfile(
-        speed=float(leader_doc.get("speed", 30.0)),
-        phases=tuple(
-            (int(start), float(accel)) for start, accel in leader_doc.get("profile", [])
-        ),
+        speed=float(leader["speed"]),
+        phases=tuple((start, float(accel)) for start, accel in leader["profile"]),
     )
     _leader_velocity_check(sim, leader)
-    attack = parse_attack_case(doc.get("attack"), sim.n)
-    seed = _seed(doc.get("seed", 0), "seed")
-    detection, enabled = _detection_from_doc(doc.get("detection"), seed)
-    output_doc = doc.get("output") or {}
-    output = OutputFlags(
-        trace=bool(output_doc.get("trace", True)),
-        anomalies=bool(output_doc.get("anomalies", True)),
-        impact=bool(output_doc.get("impact", True)),
-    )
+    seed, detection, enabled = _detection_from_doc(doc)
     return Scenario(
         sim=sim,
         leader=leader,
-        attack=attack,
+        attack=parse_attack_case(doc.get("attack"), sim.n),
         detection=detection,
         seed=seed,
         detection_enabled=enabled,
-        drops=_drops_from_doc(doc.get("drops") or (), sim),
-        output=output,
+        drops=_drops_from_doc(doc.get("drops"), sim),
+        output=OutputFlags(**_read_section(doc.get("output"), "output", _OUTPUT_KEYS, "output key")),
     )
 
 
 def load_scenario(path: Path) -> Scenario:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    if doc is None:
-        doc = {}
-    return scenario_from_dict(doc)
+    return scenario_from_dict(_load_doc(path, "scenario document"))
 
 
 # ---------------------------------------------------------------------------
 # standalone bias generation
 
 
-def _case_count(doc: Mapping, sim_doc: Mapping, key: str, default: int) -> int:
-    """``key`` from the top level of a case file, else from its sim section."""
-    where, value = (key, doc[key]) if key in doc else (f"sim.{key}", sim_doc.get(key, default))
-    if not (_is_int(value) and value >= 1):
-        raise ConfigError(f"{where} must be an int >= 1, got {value!r}")
-    return value
-
-
 def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Path]:
     """Emit the four bias matrices for control step k as CSV files
-    (rows = iteration index, columns = followers)."""
-    with open(case_path) as fh:
-        doc = yaml.safe_load(fh) or {}
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"case document must be a mapping, got {type(doc).__name__}")
-    sim_doc = _section(doc.get("sim"), "sim")
-    n = _case_count(doc, sim_doc, "n", 6)
-    max_iterations = _case_count(doc, sim_doc, "max_iterations", 300)
-    attack_doc = doc.get("attack", doc if "iter_victim_list" in doc else None)
-    case = parse_attack_case(attack_doc, n)
-    bias = iter_attack_value_cal(n, k, max_iterations, case)
+    (rows = iteration index, columns = followers).
+
+    ``n`` and ``max_iterations`` come from the top level of the case file,
+    else from its ``sim`` section; the seven lists live under ``attack``.
+    Other keys are left alone, so a scenario file is a case file too."""
+    doc = _load_doc(case_path, "case document")
+    if misplaced := [key for key in ATTACK_LIST_KEYS if key in doc]:
+        raise ConfigError(f"{misplaced[0]} must be under attack:, not at the top level")
+    in_sim = _read_section(doc.get("sim"), "sim", _CASE_KEYS, None)
+    table = {key: (in_sim[key], rule) for key, (_, rule) in _CASE_KEYS.items()}
+    n, max_iterations = _read_section(doc, "", table, None).values()
+    bias = iter_attack_value_cal(n, k, max_iterations, parse_attack_case(doc.get("attack"), n))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -624,10 +601,10 @@ def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[Anoma
 # CLI
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> dict[str, Path]:
     scenario = load_scenario(Path(args.scenario))
     if args.seed is not None:
-        _seed(args.seed, "--seed")
+        _check("--seed", args.seed, _NATURAL)
         scenario = replace(
             scenario,
             seed=args.seed,
@@ -636,35 +613,21 @@ def _cmd_run(args) -> int:
     if args.steps is not None:
         scenario = replace(scenario, sim=scenario.sim.with_overrides(total_control_steps=args.steps))
         _leader_velocity_check(scenario.sim, scenario.leader)
-    paths = run_scenario(scenario, Path(args.out))
-    for name, path in sorted(paths.items()):
-        print(f"{name}: {path}")
-    return 0
+    return run_scenario(scenario, Path(args.out))
 
 
-def _cmd_generate_bias(args) -> int:
-    paths = generate_bias_files(Path(args.case), args.k, Path(args.out))
-    for name, path in sorted(paths.items()):
-        print(f"{name}: {path}")
-    return 0
+def _cmd_generate_bias(args) -> dict[str, Path]:
+    _check("--k", args.k, _NATURAL)
+    return generate_bias_files(Path(args.case), args.k, Path(args.out))
 
 
-def _cmd_replay_detect(args) -> int:
-    with open(args.config) as fh:
-        doc = yaml.safe_load(fh)
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"config document must be a mapping, got {type(doc).__name__}")
-    seed = _seed(doc.get("seed", 0), "seed")
-    detection, _ = _detection_from_doc(doc.get("detection"), seed)
+def _cmd_replay_detect(args) -> dict[str, Path]:
+    _, detection, _ = _detection_from_doc(_load_doc(Path(args.config), "config document"))
     events = replay_detection(Path(args.trace), detection)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "anomalies.csv"
-    write_anomaly_csv(events, out_path)
-    print(f"anomalies: {out_path}")
-    return 0
+    write_anomaly_csv(events, out_dir / "anomalies.csv")
+    return {"anomalies": out_dir / "anomalies.csv"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -695,24 +658,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What bad input raises; main() reports each as a config error, exit 1.
+_INPUT_ERRORS = (
+    ConfigError, AttackCaseError, DetectionError, TraceFormatError, FileNotFoundError, yaml.YAMLError
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (
-        ConfigError,
-        AttackCaseError,
-        DetectionError,
-        TraceFormatError,
-        FileNotFoundError,
-        yaml.YAMLError,
-    ) as exc:
+        paths = args.func(args)
+    except _INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, NumericalFitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    for name, path in sorted(paths.items()):
+        print(f"{name}: {path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -124,33 +124,6 @@ class PlatoonState:
         return tuple(self.gap(i) for i in range(1, self.n + 1))
 
 
-@dataclass(frozen=True)
-class SpacingState:
-    """Spacing error and relative speed for one adjacent vehicle pair."""
-
-    spacing_error: float
-    relative_speed: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.spacing_error) and math.isfinite(self.relative_speed)):
-            raise ConfigError("non-finite spacing state")
-
-
-def spacing_states(platoon: PlatoonState, config: SimConfig) -> tuple[SpacingState, ...]:
-    """Measured spacing error and relative speed for every adjacent pair."""
-    states = []
-    prev = platoon.leader
-    for follower in platoon.followers:
-        states.append(
-            SpacingState(
-                spacing_error=prev.x - follower.x - config.nominal_gap(follower.v),
-                relative_speed=prev.v - follower.v,
-            )
-        )
-        prev = follower
-    return tuple(states)
-
-
 def initial_platoon(config: SimConfig, leader_speed: float) -> PlatoonState:
     """Build an equilibrium platoon: every vehicle at leader_speed, gaps nominal.
 

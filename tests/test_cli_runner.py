@@ -1,11 +1,14 @@
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
+from platoonsec.attack_engine import ATTACK_LIST_KEYS
 from platoonsec.cli_runner import (
+    _INPUT_ERRORS,
     LeaderProfile,
     TRACE_COLUMNS,
     generate_bias_files,
@@ -18,7 +21,7 @@ from platoonsec.cli_runner import (
     write_anomaly_csv,
 )
 from platoonsec.detection import ComparatorConfig, DetectionConfig
-from platoonsec.platoon_model import ConfigError
+from platoonsec.platoon_model import ConfigError, SimConfig
 
 from conftest import make_scenario, single_channel_case
 
@@ -33,6 +36,18 @@ def scenario_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def _constant_bias_attack(bias):
+    return {
+        "iter_victim_list": [2],
+        "control_attackperiod_list": [[[5, 9]]],
+        "iter_malichannel_list": [[["v_ite"]]],
+        "iter_freq_type_list": [[["Continuous"]]],
+        "iter_freqparavalue_list": [[[[0]]]],
+        "iter_biastype_list": [[["Constant"]]],
+        "iter_biasparavalue_list": [[[[bias]]]],
+    }
 
 
 class TestScenarioLoading:
@@ -71,17 +86,7 @@ class TestScenarioLoading:
             scenario_from_dict(doc)
 
     def test_attack_section_mirrors_seven_lists(self):
-        doc = scenario_doc(
-            attack={
-                "iter_victim_list": [2],
-                "control_attackperiod_list": [[[5, 9]]],
-                "iter_malichannel_list": [[["v_ite"]]],
-                "iter_freq_type_list": [[["Continuous"]]],
-                "iter_freqparavalue_list": [[[[0]]]],
-                "iter_biastype_list": [[["Constant"]]],
-                "iter_biasparavalue_list": [[[[2.0]]]],
-            }
-        )
+        doc = scenario_doc(attack=_constant_bias_attack(2.0))
         scenario = scenario_from_dict(doc)
         assert scenario.attack.iter_victim_list == (2,)
 
@@ -364,11 +369,13 @@ class TestCli:
             ({"enabled": 1}, "detection.enabled"),
             ([{"lag": 2}], "detection must be a mapping"),
             (0, "detection must be a mapping"),
+            ({"ridge": 10**400}, "detection.ridge"),
         ],
         ids=[
             "unknown-key", "zero-hidden", "zero-lag", "bool-step", "float-window",
             "negative-warmup", "zero-comparator", "infinite-threshold", "string-threshold",
             "nan-ridge", "infinite-nominal", "int-enabled", "list-section", "zero-section",
+            "int-past-float-range",
         ],
     )
     def test_bad_detection_section_exit_code(self, tmp_path, capsys, command, section, field):
@@ -475,10 +482,12 @@ class TestCli:
             ({"sim": {"max_iterations": 2.5}}, "sim.max_iterations must be an int >= 1, got 2.5"),
             ({"sim": 3}, "sim must be a mapping, got 3"),
             ([1, 2], "case document must be a mapping, got list"),
+            ({"iter_victim_list": [1]},
+             "iter_victim_list must be under attack:, not at the top level"),
         ],
         ids=[
             "string-n", "zero-n", "bool-n", "float-sim-n", "string-iterations",
-            "float-sim-iterations", "int-sim", "list-document",
+            "float-sim-iterations", "int-sim", "list-document", "top-level-lists",
         ],
     )
     def test_bad_generate_bias_case_exit_code(self, tmp_path, capsys, case, message):
@@ -488,6 +497,61 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "bias").exists()
+
+    def test_negative_k_exit_code(self, tmp_path, capsys):
+        case = Path(__file__).parent.parent / "scenarios" / "single_target.yaml"
+        argv = ["generate-bias", "--case", str(case), "--k", "-1", "--out", str(tmp_path / "bias")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: --k must be an int >= 0, got -1\n"
+        assert not (tmp_path / "bias").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"leader": {"profile": [[1]]}}, "leader.profile must be a list of "
+             "[start_step >= 0, acceleration] pairs, got [[1]]"),
+            ({"leader": {"profile": [[1.5, 2]]}}, "leader.profile must be a list of "
+             "[start_step >= 0, acceleration] pairs, got [[1.5, 2]]"),
+            ({"leader": 5}, "leader must be a mapping, got 5"),
+            ({"leader": {"speed": "fast"}}, "leader.speed must be a finite number, got 'fast'"),
+            ({"leader": {"speeed": 20}}, "leader.speeed is not a leader key"),
+            ({"output": 5}, "output must be a mapping, got 5"),
+            ({"output": {"trace": "no"}}, "output.trace must be a bool, got 'no'"),
+        ],
+        ids=[
+            "short-phase", "float-start", "int-leader", "string-speed", "unknown-leader-key",
+            "int-output", "string-flag",
+        ],
+    )
+    def test_bad_leader_or_output_exit_code(self, tmp_path, capsys, overrides, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(scenario_doc(**overrides)))
+        assert main(self._argv("run", bad, tmp_path)) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "attack, message",
+        [
+            (5, "attack must be a mapping, got 5"),
+            ([], "attack must be a mapping, got []"),
+            (True, "attack must be a mapping, got True"),
+            ({1: [], "x": []}, "unknown attack case keys: [1, 'x']"),
+            (_constant_bias_attack("a"),
+             "iter_biasparavalue_list[0][0][0][0]: expected a number, got 'a'"),
+            (_constant_bias_attack(10**400),
+             "iter_biasparavalue_list[0][0][0][0]: an int too large for a float"),
+        ],
+        ids=[
+            "int-attack", "list-attack", "bool-attack", "mixed-type-keys", "text-bias-parameter",
+            "int-past-float-range",
+        ],
+    )
+    def test_bad_attack_section_exit_code(self, tmp_path, capsys, attack, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(scenario_doc(attack=attack)))
+        assert main(self._argv("run", bad, tmp_path)) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from platoonsec import cli_runner
@@ -535,3 +599,64 @@ class TestCli:
             (tmp_path / "replay" / "anomalies.csv").read_bytes()
             == (tmp_path / "out" / "anomalies.csv").read_bytes()
         )
+
+
+# YAML-shaped documents whose keys are mostly ones the readers know, so that
+# the values reach the per-key checks.  Ints stay small: a large
+# total_control_steps, n or max_iterations is valid and only makes the work
+# large.
+_KNOWN_KEYS = sorted(
+    {f.name for f in fields(SimConfig)}
+    | {"speed", "profile", "trace", "anomalies", "impact", "enabled", "pos_threshold", "lag"}
+    | {"ridge", "direction", "sender", "control_steps", "iterations", "n", "max_iterations"}
+    | set(ATTACK_LIST_KEYS)
+)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+    | st.text("ab-_.1", max_size=4)
+    | st.sampled_from(["forward", "backward", "x_ite", "Cluster", "Discrete", "Linear"])
+)
+_KEYS = st.sampled_from(_KNOWN_KEYS) | st.integers(-1, 2) | st.text("ab", max_size=2)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+SCENARIO_KEYS = ("sim", "leader", "attack", "drops", "detection", "seed", "output")
+
+
+def _documents(*top_level_keys):
+    return st.dictionaries(st.sampled_from(top_level_keys), _VALUES, max_size=len(top_level_keys))
+
+
+class TestAnyDocument:
+    """Whatever a document holds, reading it loads or raises an error that
+    main() reports as a config error (exit 1), never a traceback."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(doc=_documents(*SCENARIO_KEYS))
+    def test_scenario_loads_or_is_a_config_error(self, doc):
+        try:
+            scenario_from_dict(doc)
+        except _INPUT_ERRORS:
+            pass
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(doc=_documents("n", "max_iterations", "sim", "attack", *ATTACK_LIST_KEYS[:2]))
+    def test_generate_bias_case_exits_0_or_1(self, tmp_path_factory, doc):
+        folder = tmp_path_factory.mktemp("case")
+        case = folder / "case.yaml"
+        case.write_text(yaml.safe_dump(doc))
+        argv = ["generate-bias", "--case", str(case), "--k", "3", "--out", str(folder / "bias")]
+        assert main(argv) in (0, 1)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(doc=_documents(*SCENARIO_KEYS))
+    def test_replay_config_exits_0_or_1(self, tmp_path_factory, doc):
+        folder = tmp_path_factory.mktemp("replay")
+        config, trace = folder / "config.yaml", folder / "trace.csv"
+        config.write_text(yaml.safe_dump(doc))
+        trace.write_text(",".join(TRACE_COLUMNS) + "\n")
+        argv = ["replay-detect", "--trace", str(trace), "--config", str(config),
+                "--out", str(folder / "out")]
+        assert main(argv) in (0, 1)

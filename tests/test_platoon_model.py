@@ -3,7 +3,7 @@ import math
 import pytest
 
 from platoonsec import ConfigError, SimConfig, initial_platoon
-from platoonsec.platoon_model import VehicleState, spacing_states
+from platoonsec.platoon_model import VehicleState
 
 
 class TestSimConfig:
@@ -90,9 +90,3 @@ class TestInitialPlatoon:
             platoon.gap(0)
         with pytest.raises(IndexError):
             platoon.gap(config.n + 1)
-
-    def test_spacing_states_zero_at_equilibrium(self, config):
-        platoon = initial_platoon(config, 30.0)
-        for pair in spacing_states(platoon, config):
-            assert pair.spacing_error == pytest.approx(0.0, abs=1e-12)
-            assert pair.relative_speed == 0.0
