@@ -361,6 +361,20 @@ _DROP_KEYS = {
 }
 _CASE_KEYS = {"n": (SimConfig.n, _COUNT), "max_iterations": (SimConfig.max_iterations, _COUNT)}
 
+# Each control step allocates four (max_iterations x n) bias matrices of
+# float64: at this many cells each, 32 MB in all.
+MAX_BIAS_CELLS = 1_000_000
+
+
+def _check_bias_size(prefix: str, n: int, max_iterations: int) -> None:
+    """Reject sizes whose bias matrices would pass MAX_BIAS_CELLS, before
+    anything of that size is allocated."""
+    if n * max_iterations > MAX_BIAS_CELLS:
+        raise ConfigError(
+            f"{prefix}n x {prefix}max_iterations must be at most {MAX_BIAS_CELLS} "
+            f"bias-matrix cells, got {n} x {max_iterations}"
+        )
+
 
 def _check(where: str, value: Any, rule: tuple) -> Any:
     check, requirement = rule
@@ -461,6 +475,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown, key=str)}")
     sim = SimConfig(**_read_section(doc.get("sim"), "sim", _SIM_KEYS, "SimConfig field"))
+    _check_bias_size("sim.", sim.n, sim.max_iterations)
     leader = _read_section(doc.get("leader"), "leader", _LEADER_KEYS, "leader key")
     leader = LeaderProfile(
         speed=float(leader["speed"]),
@@ -501,6 +516,7 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
     in_sim = _read_section(doc.get("sim"), "sim", _CASE_KEYS, None)
     table = {key: (in_sim[key], rule) for key, (_, rule) in _CASE_KEYS.items()}
     n, max_iterations = _read_section(doc, "", table, None).values()
+    _check_bias_size("", n, max_iterations)
     bias = iter_attack_value_cal(n, k, max_iterations, parse_attack_case(doc.get("attack"), n))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -86,12 +86,15 @@ class ElmModel:
     lag: int
     step_forward: int
     output_weights: Optional[np.ndarray] = None
+    # P = (HᵀH + ridge·I)⁻¹ of the fit, kept so that elm_update can move the
+    # output weights row by row.
+    gram_inverse: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.input_weights.flags.writeable = False
-        self.hidden_biases.flags.writeable = False
-        if self.output_weights is not None:
-            self.output_weights.flags.writeable = False
+        for array in (self.input_weights, self.hidden_biases, self.output_weights,
+                      self.gram_inverse):
+            if array is not None:
+                array.flags.writeable = False
 
 
 def create_elm(
@@ -175,18 +178,46 @@ class NumericalFitError(RuntimeError):
     pass
 
 
+def _fitted(model: ElmModel, weights: np.ndarray, gram_inverse: np.ndarray) -> ElmModel:
+    if not np.isfinite(weights).all():
+        raise NumericalFitError(f"non-finite output weights ({model.hidden_count} hidden units)")
+    return ElmModel(model.hidden_count, model.random_state, model.input_weights,
+                    model.hidden_biases, model.lag, model.step_forward, weights, gram_inverse)
+
+
 def elm_fit(
     model: ElmModel, inputs: np.ndarray, targets: np.ndarray, ridge: float = 1e-6
 ) -> ElmModel:
-    """Ridge least-squares solve for the output weights; input weights untouched."""
+    """Ridge least squares for the output weights, w = P @ Hᵀt with
+    P = (HᵀH + ridge·I)⁻¹; input weights untouched."""
     H = _hidden(model, inputs)
     gram = H.T @ H
     gram.flat[:: model.hidden_count + 1] += ridge
-    weights = np.linalg.solve(gram, H.T @ np.asarray(targets, dtype=float))
-    if not np.isfinite(weights).all():
-        raise NumericalFitError(f"non-finite output weights (ridge={ridge}, samples={len(H)})")
-    return ElmModel(model.hidden_count, model.random_state, model.input_weights,
-                    model.hidden_biases, model.lag, model.step_forward, weights)
+    gram_inverse = np.linalg.inv(gram)
+    return _fitted(model, gram_inverse @ (H.T @ np.asarray(targets, dtype=float)), gram_inverse)
+
+
+def elm_update(
+    model: ElmModel, inputs: np.ndarray, targets: np.ndarray, signs: np.ndarray
+) -> ElmModel:
+    """Recursive least squares on a fitted model: row i of ``inputs`` and
+    ``targets`` joins the training set when signs[i] is +1 and leaves it when
+    -1, in order.  Each row changes P by Sherman–Morrison and moves the
+    weights by the row's residual times the gain sign·P_new @ h, so the
+    result is elm_fit's on the changed set, up to rounding.
+
+    Moving the weights by the residual, rather than recomputing P @ Hᵀt,
+    keeps P's 1/ridge directions out of them: on a window that holds few
+    distinct rows, P @ Hᵀt after two updates was off by hundreds of times
+    the data range at ridge 1e-9."""
+    H = _hidden(model, inputs)
+    P, weights = model.gram_inverse.copy(), model.output_weights.copy()
+    for h, target, sign in zip(H, targets, signs):
+        Ph = P @ h
+        gain = Ph * (sign / (1.0 + sign * (h @ Ph)))
+        weights += gain * (target - h @ weights)
+        P -= np.outer(Ph, gain)
+    return _fitted(model, weights, P)
 
 
 def elm_predict(model: ElmModel, window: Sequence[float]) -> float:
@@ -235,6 +266,13 @@ class DetectionConfig:
     seed: int = 0
 
 
+# Recursive updates allowed between full refits.  Each update adds rounding
+# to P; refitting after this many bounds the drift (see README).
+REFIT_PERIOD = 50
+# Signs for elm_update: the joining pair, then the leaving one.
+_JOIN_LEAVE = np.array([1.0, -1.0])
+
+
 class SeriesDetector:
     """Online one-step-ahead forecaster for a single scalar series.
 
@@ -261,6 +299,9 @@ class SeriesDetector:
         # True while the last observation was flagged: nothing is fitted,
         # and the next clean observation only re-anchors the increments.
         self.frozen = False
+        # Recursive updates since the last full refit; None when the next
+        # fit must refit in full.
+        self.updates: Optional[int] = None
 
     def predict_next(self) -> Optional[float]:
         recent, lag = self.recent, self.model.lag
@@ -277,19 +318,7 @@ class SeriesDetector:
         if not flagged:
             if self._last_train_value is not None and not self.frozen:
                 self.train_diffs.append(value - self._last_train_value)
-                window = self.train_diffs[-self.cfg.norm_window:]
-                if len(window) >= self.model.lag + self.model.step_forward + 1:
-                    window = np.asarray(window, dtype=float)  # for the fit and the transform
-                    try:
-                        norm = minmax_fit(window)
-                    except DetectionError:
-                        pass  # constant increments; last-value fallback
-                    else:
-                        inputs, targets = sliding_window(
-                            minmax_transform(norm, window), self.model.lag, self.model.step_forward
-                        )
-                        self.model = elm_fit(self.model, inputs, targets, self.cfg.ridge)
-                        self.norm = norm
+                self._fit()
             self._last_train_value = value
             self.frozen = False
         else:
@@ -297,8 +326,48 @@ class SeriesDetector:
             # tainted data, so the first post-freeze observation only
             # re-anchors the series.
             self.frozen = True
+            self.updates = None
         self.recent.append(value)
         del self.recent[: -(self.model.lag + 1)]
+
+    def _fit(self) -> None:
+        """Fit the training pairs of the last ``norm_window`` increments.
+
+        While ``updates`` is not None, the previous observation was fitted
+        too, so the window has gained one pair (and, once full, lost its
+        oldest).  If its min-max range is also unchanged, elm_update folds
+        those pairs into the stored fit.  Anything else, and the fit after
+        REFIT_PERIOD updates in a row, refits in full with elm_fit.  A flag
+        or a constant window sets ``updates`` to None, so the stored P is
+        not used again.
+        """
+        diffs, lag, ahead = self.train_diffs, self.model.lag, self.model.step_forward
+        window = diffs[-self.cfg.norm_window:]
+        if len(window) < lag + ahead + 1:
+            return
+        lo, hi = min(window), max(window)
+        if not hi > lo:
+            self.updates = None  # constant increments; last-value fallback
+            return
+        norm = self.norm
+        if (self.updates is not None and self.updates < REFIT_PERIOD
+                and lo == norm.data_min and hi == norm.data_max):
+            end = len(diffs)
+            starts = [end - lag - ahead]  # the pair that joins
+            if end > self.cfg.norm_window:
+                starts.append(end - 1 - self.cfg.norm_window)  # the pair that leaves
+            pairs = [diffs[j:j + lag] + [diffs[j + lag + ahead - 1]] for j in starts]
+            rows = minmax_transform(norm, pairs)
+            signs = _JOIN_LEAVE[:len(starts)]
+            self.model = elm_update(self.model, rows[:, :lag], rows[:, lag], signs)
+            self.updates += 1
+            return
+        window = np.asarray(window, dtype=float)  # for the fit and the transform
+        norm = minmax_fit(window)
+        inputs, targets = sliding_window(minmax_transform(norm, window), lag, ahead)
+        self.model = elm_fit(self.model, inputs, targets, self.cfg.ridge)
+        self.norm = norm
+        self.updates = 0
 
 
 class VehicleDetector:

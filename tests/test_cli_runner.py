@@ -7,8 +7,10 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from platoonsec.attack_engine import ATTACK_LIST_KEYS
+from platoonsec import cli_runner
 from platoonsec.cli_runner import (
     _INPUT_ERRORS,
+    MAX_BIAS_CELLS,
     LeaderProfile,
     TRACE_COLUMNS,
     generate_bias_files,
@@ -497,6 +499,43 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "bias").exists()
+
+    @pytest.mark.parametrize(
+        "command, where, sizes, message",
+        [
+            ("run", "sim", {"n": 100_000_000_000}, "sim.n x sim.max_iterations must be at "
+             "most 1000000 bias-matrix cells, got 100000000000 x 300"),
+            ("run", "sim", {"n": 6, "max_iterations": 10**400},
+             f"sim.n x sim.max_iterations must be at most 1000000 bias-matrix cells, "
+             f"got 6 x {10**400}"),
+            ("generate-bias", None, {"n": 100_000_000_000}, "n x max_iterations must be at "
+             "most 1000000 bias-matrix cells, got 100000000000 x 300"),
+            ("generate-bias", "sim", {"n": 3334, "max_iterations": 300}, "n x max_iterations "
+             "must be at most 1000000 bias-matrix cells, got 3334 x 300"),
+        ],
+        ids=["run-n", "run-iterations", "case-n", "case-sim-n"],
+    )
+    def test_oversized_bias_matrices_exit_code(self, tmp_path, capsys, monkeypatch, command,
+                                               where, sizes, message):
+        # The check comes before the platoon or a bias matrix is built.
+        def never(*args):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(cli_runner, "iter_attack_value_cal", never)
+        monkeypatch.setattr(cli_runner, "initial_platoon", never)
+        doc = scenario_doc(**{where: sizes}) if where else {**scenario_doc(), **sizes}
+        bad = tmp_path / "big.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        if command == "run":
+            argv = self._argv("run", bad, tmp_path)
+        else:
+            argv = ["generate-bias", "--case", str(bad), "--k", "3", "--out", str(tmp_path / "bias")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_bias_size_limit_is_inclusive(self):
+        sim = {"n": 1000, "max_iterations": MAX_BIAS_CELLS // 1000}
+        assert scenario_from_dict(scenario_doc(sim=sim)).sim.n == 1000
 
     def test_negative_k_exit_code(self, tmp_path, capsys):
         case = Path(__file__).parent.parent / "scenarios" / "single_target.yaml"

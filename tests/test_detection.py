@@ -201,7 +201,7 @@ def _ref_windows(data, lag, step_forward):
 def _ref_weights(model, inputs, targets, ridge):
     H = _ref_sigmoid(inputs @ model.input_weights.T + model.hidden_biases)
     gram = H.T @ H + ridge * np.eye(model.hidden_count)
-    return np.linalg.solve(gram, H.T @ targets)
+    return np.linalg.inv(gram) @ (H.T @ targets)
 
 
 def _ref_predict(model, window):
@@ -307,14 +307,7 @@ class TestSeriesDetector:
         assert pred == pytest.approx(actual, abs=0.3)
 
     def test_flagged_steps_never_fit_and_first_clean_step_reanchors(self, monkeypatch):
-        fits = []
-        real_fit = detection.elm_fit
-
-        def counting_fit(*args):
-            fits.append(args)
-            return real_fit(*args)
-
-        monkeypatch.setattr(detection, "elm_fit", counting_fit)
+        fits = _record_fits(monkeypatch)  # full refits and recursive updates
         det = SeriesDetector(create_elm(20, 1), _cfg())
         series = [3.0 * t + 0.2 * math.sin(t) for t in range(12)]
         for value in series[:10]:
@@ -334,6 +327,128 @@ class TestSeriesDetector:
         det.observe(series[11], flagged=False)
         assert len(fits) == fit_count + 1
         assert det.train_diffs == diffs + [series[11] - series[10]]
+
+
+def _record_fits(monkeypatch) -> list:
+    """Make every full refit append "refit" and every recursive update
+    append "update" to the returned list."""
+    kinds = []
+
+    def recording(kind, kernel):
+        def wrapper(*args):
+            kinds.append(kind)
+            return kernel(*args)
+        return wrapper
+
+    monkeypatch.setattr(detection, "elm_fit", recording("refit", detection.elm_fit))
+    monkeypatch.setattr(detection, "elm_update", recording("update", detection.elm_update))
+    return kinds
+
+
+def _full_refit_prediction(det: SeriesDetector) -> float:
+    """The detector's next-value forecast from a fresh elm_fit on its window."""
+    lag, ahead = det.model.lag, det.model.step_forward
+    window = np.asarray(det.train_diffs[-det.cfg.norm_window:])
+    norm = minmax_fit(window)
+    model = elm_fit(det.model, *sliding_window(minmax_transform(norm, window), lag, ahead), det.cfg.ridge)
+    diffs = np.diff(det.recent[-lag - 1:])
+    return det.recent[-1] + minmax_inverse(norm, elm_predict(model, minmax_transform(norm, diffs)))
+
+
+def _exact_series(increments) -> list[float]:
+    """Running sums of dyadic increments: every difference the detector
+    takes is exactly an increment, so min-max ranges repeat bit for bit."""
+    values, level = [], 0.0
+    for step in increments:
+        level += step
+        values.append(level)
+    return values
+
+
+_STEPS = np.arange(1200)
+_RNG = np.random.default_rng(17)
+
+
+class TestRecursiveUpdates:
+    """Fits that keep the window's min-max range update the stored fit
+    recursively; these bound that against a full refit and pin down which
+    fits refit in full."""
+
+    @pytest.mark.parametrize("increments, ridge, bound", [
+        # a smooth drive with sensor noise, default ridge
+        (3.0 + 0.3 * np.sin(0.05 * _STEPS) + 0.01 * _RNG.standard_normal(_STEPS.size), 1e-6, 2e-6),
+        # ill-conditioned: increments within 1e-9 of each other, ridge 1e-9
+        (3.0 + 1e-9 * np.sin(0.05 * _STEPS) + 1e-11 * _RNG.standard_normal(_STEPS.size), 1e-9, 1e-3),
+        # three distinct increments: few distinct rows, so most of P is 1/ridge
+        (np.choose((_STEPS // 37) % 3, [0.0, 0.02, -0.02]), 1e-9, 1e-3),
+    ], ids=["smooth", "tiny-range", "three-level"])
+    def test_recursive_forecast_tracks_full_refit(self, increments, ridge, bound, monkeypatch):
+        fits = _record_fits(monkeypatch)
+        det = SeriesDetector(create_elm(50, 5), _cfg(ridge=ridge))
+        worst = 0.0
+        for value in np.cumsum(increments).tolist():
+            det.observe(value, flagged=False)
+            if fits and fits[-1] == "update":
+                drift = abs(det.predict_next() - _full_refit_prediction(det))
+                worst = max(worst, drift / (det.norm.data_max - det.norm.data_min))
+        assert len(det.train_diffs) > 5 * det.cfg.norm_window
+        assert fits.count("update") > len(fits) / 2
+        assert worst <= bound
+
+    def test_refresh_period_forces_a_refit(self, monkeypatch):
+        fits = _record_fits(monkeypatch)
+        det = SeriesDetector(create_elm(20, 1), _cfg())
+        cycle = [3.0, 3.125, 2.875, 3.25, 2.75]
+        for value in _exact_series(cycle * 60):
+            det.observe(value, flagged=False)
+        # The range is set by the first five increments; from then on every
+        # fit is an update, except each (REFIT_PERIOD + 1)-th.
+        first = fits.index("update") - 1  # the refit that set the range
+        pattern = (["refit"] + ["update"] * detection.REFIT_PERIOD) * 6
+        assert fits[first:] == pattern[: len(fits) - first]
+        assert fits.count("refit") >= 3
+
+    def test_range_change_forces_a_refit(self, monkeypatch):
+        fits = _record_fits(monkeypatch)
+        det = SeriesDetector(create_elm(20, 1), _cfg())
+        values = _exact_series([3.0, 3.125, 2.875, 3.25, 2.75] * 4 + [3.5, 3.0])
+        for value in values[:-2]:
+            det.observe(value, flagged=False)
+        assert fits[-1] == "update"
+        det.observe(values[-2], flagged=False)  # a new maximum
+        assert fits[-1] == "refit"
+        det.observe(values[-1], flagged=False)
+        assert fits[-1] == "update"
+
+    def test_freeze_forces_a_refit(self, monkeypatch):
+        fits = _record_fits(monkeypatch)
+        det = SeriesDetector(create_elm(20, 1), _cfg())
+        values = _exact_series([3.0, 3.125, 2.875, 3.25, 2.75] * 4 + [3.0, 3.0, 3.0])
+        for value in values[:-3]:
+            det.observe(value, flagged=False)
+        assert fits[-1] == "update"
+        det.observe(1e6, flagged=True)
+        det.observe(values[-3], flagged=False)  # re-anchors only
+        fit_count = len(fits)
+        det.observe(values[-2], flagged=False)
+        assert fits[fit_count:] == ["refit"]
+        det.observe(values[-1], flagged=False)
+        assert fits[-1] == "update"
+
+    def test_skipped_constant_window_forces_a_refit(self, monkeypatch):
+        # With a four-increment window, [2.75, 3, 3, 3] and then [3, 3, 3, 2.75]
+        # share a range; the constant window between them is not fitted, so
+        # the second must refit even though its range matches the stored one.
+        fits = _record_fits(monkeypatch)
+        det = SeriesDetector(create_elm(20, 1), _cfg(norm_window=4))
+        for value in _exact_series([0.0, 2.75, 3.0, 3.0, 3.0]):
+            det.observe(value, flagged=False)
+        assert fits == ["refit"]
+        det.observe(det.recent[-1] + 3.0, flagged=False)  # window [3, 3, 3, 3]
+        assert fits == ["refit"]
+        det.observe(det.recent[-1] + 2.75, flagged=False)
+        assert (det.norm.data_min, det.norm.data_max) == (2.75, 3.0)
+        assert fits == ["refit", "refit"]
 
 
 class TestUpdateOrFreeze:

@@ -73,27 +73,27 @@ OUTPUT_FINGERPRINTS = {
     ),
     "scenarios/comparator_blindspot.yaml": (
         "0f29c13db8cb496a072e09bb3c574d64b7b686870a8036105123512624c93a02",
-        "a53a4cd765ff7b7f5ef70a5320e375e06077d34df75bf58d6dfff8002df88468",
+        "17e0dc0d7dd11047f80c751a4aa4647dbab8b1be90383b95302d743639d744e7",
     ),
     "scenarios/efficiency_degradation.yaml": (
         "82493461df80b8b8fb7eb10bc4b2659bb2659f806ed093486c630729a59e2bc0",
-        "8ba4903d8c77690e3d2e39a3c55104da7bb91a5e3cb749efdc70c725ad370a8f",
+        "897edc33720068126ac3595fdcf9b5e3f09d097250fd0efb65acc78372726bcc",
     ),
     "scenarios/safety_degradation.yaml": (
         "eae7e239b30ec933b3979a4f7aa45c79d4f8c03429ad792c807e7f39cb9799c5",
-        "7d3eaa2efe076ed195c6c242ddc873597db546849e06fe4032d280bf4f83113a",
+        "3d3ada70ef600cb9405a45fde5824bb4092fd52afacd76b7830ed026ced6b152",
     ),
     "scenarios/single_target.yaml": (
         "20dea27f6c58b75d1f074ec35ba68bd992592d78e7c32eeb109022721e7b38c6",
-        "e07df67f3fa25d6441c5aaae6c628554bb8be2b4f32fe2f569ad5c542967a59e",
+        "db5a7d7d0f0e94b3f5fda2b9448343f8de4d5be68cba8ec4a36adca80bd781aa",
     ),
     "scenarios/string_instability.yaml": (
         "0174ad6fbe1730af2211b260f88ab47b1d87559bb6014d70e275dc77e57101c4",
-        "c6e5c479c1cc2cbcd681ff838249cb3c136b62946ebc472fb961b3334cc98e2f",
+        "66613e9e01ba8fa8184170610a74f1ddf7185574d299492938a924e058768d6d",
     ),
     "tests/golden/drop_rules.yaml": (
         "672f8413ea3bd79b80b139e4cd8aeecbbfb28feff6ae572bbcc9723beb65fbc4",
-        "c1363251da16ea9f8978784130d0855dbb0613e67d69f4f3e72cfa9936260814",
+        "c0ab8374921f346db359a89c7264c711ca41d442472795b2c8af281ff5396f4c",
     ),
 }
 
