@@ -178,9 +178,15 @@ class NumericalFitError(RuntimeError):
     pass
 
 
-def _fitted(model: ElmModel, weights: np.ndarray, gram_inverse: np.ndarray) -> ElmModel:
-    if not np.isfinite(weights).all():
-        raise NumericalFitError(f"non-finite output weights ({model.hidden_count} hidden units)")
+# Smallest ridge at which fits keep P for elm_update.  Below it P's 1/ridge
+# directions magnify each update's rounding faster than REFIT_PERIOD bounds
+# it, so every fit refits in full (see README).
+UPDATE_MIN_RIDGE = 1e-10
+
+
+def _fitted(
+    model: ElmModel, weights: np.ndarray, gram_inverse: Optional[np.ndarray]
+) -> ElmModel:
     return ElmModel(model.hidden_count, model.random_state, model.input_weights,
                     model.hidden_biases, model.lag, model.step_forward, weights, gram_inverse)
 
@@ -188,23 +194,42 @@ def _fitted(model: ElmModel, weights: np.ndarray, gram_inverse: np.ndarray) -> E
 def elm_fit(
     model: ElmModel, inputs: np.ndarray, targets: np.ndarray, ridge: float = 1e-6
 ) -> ElmModel:
-    """Ridge least squares for the output weights, w = P @ Hᵀt with
-    P = (HᵀH + ridge·I)⁻¹; input weights untouched."""
+    """Ridge least squares for the output weights, (HᵀH + ridge·I) w = Hᵀt;
+    input weights untouched.  From UPDATE_MIN_RIDGE up, w = P @ Hᵀt with
+    P = (HᵀH + ridge·I)⁻¹ kept for elm_update.  Below it no P is kept and w
+    comes from solve, which stays backward stable where P @ Hᵀt does not:
+    at ridge 1e-12, P @ Hᵀt gave 301 anomaly events on a benign drive that
+    solve gives 1 on."""
     H = _hidden(model, inputs)
     gram = H.T @ H
     gram.flat[:: model.hidden_count + 1] += ridge
-    gram_inverse = np.linalg.inv(gram)
-    return _fitted(model, gram_inverse @ (H.T @ np.asarray(targets, dtype=float)), gram_inverse)
+    moment = H.T @ np.asarray(targets, dtype=float)
+    if ridge >= UPDATE_MIN_RIDGE:
+        gram_inverse = np.linalg.inv(gram)
+        weights = gram_inverse @ moment
+    else:
+        gram_inverse, weights = None, np.linalg.solve(gram, moment)
+    if not np.isfinite(weights).all():
+        raise NumericalFitError(f"non-finite output weights (ridge={ridge}, samples={len(H)})")
+    return _fitted(model, weights, gram_inverse)
+
+
+# Smallest Sherman–Morrison denominator 1 + sign·hᵀPh that elm_update accepts.
+# A row's rounding in P grows like 1/denominator, and a denominator that is
+# not clearly positive means P has lost its definiteness.
+MIN_DENOMINATOR = 1e-6
 
 
 def elm_update(
     model: ElmModel, inputs: np.ndarray, targets: np.ndarray, signs: np.ndarray
-) -> ElmModel:
+) -> Optional[ElmModel]:
     """Recursive least squares on a fitted model: row i of ``inputs`` and
     ``targets`` joins the training set when signs[i] is +1 and leaves it when
     -1, in order.  Each row changes P by Sherman–Morrison and moves the
     weights by the row's residual times the gain sign·P_new @ h, so the
-    result is elm_fit's on the changed set, up to rounding.
+    result is elm_fit's on the changed set, up to rounding.  None when a
+    denominator falls below MIN_DENOMINATOR or a weight is not finite: the
+    caller must then refit in full.
 
     Moving the weights by the residual, rather than recomputing P @ Hᵀt,
     keeps P's 1/ridge directions out of them: on a window that holds few
@@ -214,9 +239,14 @@ def elm_update(
     P, weights = model.gram_inverse.copy(), model.output_weights.copy()
     for h, target, sign in zip(H, targets, signs):
         Ph = P @ h
-        gain = Ph * (sign / (1.0 + sign * (h @ Ph)))
+        denominator = 1.0 + sign * (h @ Ph)
+        if not denominator >= MIN_DENOMINATOR:
+            return None
+        gain = Ph * (sign / denominator)
         weights += gain * (target - h @ weights)
         P -= np.outer(Ph, gain)
+    if not np.isfinite(weights).all():
+        return None
     return _fitted(model, weights, P)
 
 
@@ -335,11 +365,11 @@ class SeriesDetector:
 
         While ``updates`` is not None, the previous observation was fitted
         too, so the window has gained one pair (and, once full, lost its
-        oldest).  If its min-max range is also unchanged, elm_update folds
-        those pairs into the stored fit.  Anything else, and the fit after
-        REFIT_PERIOD updates in a row, refits in full with elm_fit.  A flag
-        or a constant window sets ``updates`` to None, so the stored P is
-        not used again.
+        oldest).  If its min-max range is also unchanged and the stored fit
+        kept P, elm_update folds those pairs into it.  Anything else, an
+        update that elm_update refuses, and the fit after REFIT_PERIOD
+        updates in a row refit in full with elm_fit.  A flag or a constant
+        window sets ``updates`` to None, so the stored P is not used again.
         """
         diffs, lag, ahead = self.train_diffs, self.model.lag, self.model.step_forward
         window = diffs[-self.cfg.norm_window:]
@@ -351,6 +381,7 @@ class SeriesDetector:
             return
         norm = self.norm
         if (self.updates is not None and self.updates < REFIT_PERIOD
+                and self.model.gram_inverse is not None
                 and lo == norm.data_min and hi == norm.data_max):
             end = len(diffs)
             starts = [end - lag - ahead]  # the pair that joins
@@ -359,9 +390,11 @@ class SeriesDetector:
             pairs = [diffs[j:j + lag] + [diffs[j + lag + ahead - 1]] for j in starts]
             rows = minmax_transform(norm, pairs)
             signs = _JOIN_LEAVE[:len(starts)]
-            self.model = elm_update(self.model, rows[:, :lag], rows[:, lag], signs)
-            self.updates += 1
-            return
+            updated = elm_update(self.model, rows[:, :lag], rows[:, lag], signs)
+            if updated is not None:
+                self.model = updated
+                self.updates += 1
+                return
         window = np.asarray(window, dtype=float)  # for the fit and the transform
         norm = minmax_fit(window)
         inputs, targets = sliding_window(minmax_transform(norm, window), lag, ahead)

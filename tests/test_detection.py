@@ -1,8 +1,10 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from platoonsec.detection import (
     AnomalyEvent,
@@ -20,6 +22,7 @@ from platoonsec.detection import (
     detect_step,
     elm_fit,
     elm_predict,
+    elm_update,
     minmax_fit,
     minmax_inverse,
     minmax_transform,
@@ -27,10 +30,13 @@ from platoonsec.detection import (
     update_or_freeze,
 )
 from platoonsec import detection
+from platoonsec.cli_runner import scenario_from_dict, simulate
 from platoonsec.detection import ElmModel
 from platoonsec.mpc_controller import PerceptionRecord
 
 from dataclasses import replace
+
+ROOT = Path(__file__).parent.parent
 
 
 class TestComparator:
@@ -201,6 +207,8 @@ def _ref_windows(data, lag, step_forward):
 def _ref_weights(model, inputs, targets, ridge):
     H = _ref_sigmoid(inputs @ model.input_weights.T + model.hidden_biases)
     gram = H.T @ H + ridge * np.eye(model.hidden_count)
+    if ridge < detection.UPDATE_MIN_RIDGE:
+        return np.linalg.solve(gram, H.T @ targets)
     return np.linalg.inv(gram) @ (H.T @ targets)
 
 
@@ -251,9 +259,10 @@ class TestKernelsMatchReferenceFormulas:
         rng = np.random.default_rng(6)
         inputs, targets = rng.uniform(0, 1, size=(10, 2)), rng.uniform(0, 1, size=10)
         model = create_elm(50, random_state=6)
-        for ridge in (1e-9, 1e-6, 1e-2, 10.0):
+        for ridge in (1e-12, 1e-9, 1e-6, 1e-2, 10.0):
             fitted = elm_fit(model, inputs, targets, ridge)
             assert np.array_equal(fitted.output_weights, _ref_weights(model, inputs, targets, ridge))
+            assert (fitted.gram_inverse is None) == (ridge < detection.UPDATE_MIN_RIDGE)
 
 
 class TestDetectAnomaly:
@@ -381,7 +390,11 @@ class TestRecursiveUpdates:
         (3.0 + 1e-9 * np.sin(0.05 * _STEPS) + 1e-11 * _RNG.standard_normal(_STEPS.size), 1e-9, 1e-3),
         # three distinct increments: few distinct rows, so most of P is 1/ridge
         (np.choose((_STEPS // 37) % 3, [0.0, 0.02, -0.02]), 1e-9, 1e-3),
-    ], ids=["smooth", "tiny-range", "three-level"])
+        # both again at the smallest ridge that still updates
+        (3.0 + 1e-9 * np.sin(0.05 * _STEPS) + 1e-11 * _RNG.standard_normal(_STEPS.size),
+         detection.UPDATE_MIN_RIDGE, 5e-3),
+        (np.choose((_STEPS // 37) % 3, [0.0, 0.02, -0.02]), detection.UPDATE_MIN_RIDGE, 5e-3),
+    ], ids=["smooth", "tiny-range", "three-level", "tiny-range-at-floor", "three-level-at-floor"])
     def test_recursive_forecast_tracks_full_refit(self, increments, ridge, bound, monkeypatch):
         fits = _record_fits(monkeypatch)
         det = SeriesDetector(create_elm(50, 5), _cfg(ridge=ridge))
@@ -449,6 +462,54 @@ class TestRecursiveUpdates:
         det.observe(det.recent[-1] + 2.75, flagged=False)
         assert (det.norm.data_min, det.norm.data_max) == (2.75, 3.0)
         assert fits == ["refit", "refit"]
+
+    def test_below_the_ridge_floor_every_fit_refits(self, monkeypatch):
+        values = _exact_series([3.0, 3.125, 2.875, 3.25, 2.75] * 20)
+        for ridge, updates in ((detection.UPDATE_MIN_RIDGE, True),
+                               (detection.UPDATE_MIN_RIDGE / 100, False)):
+            fits = _record_fits(monkeypatch)
+            det = SeriesDetector(create_elm(20, 1), _cfg(ridge=ridge))
+            for value in values:
+                det.observe(value, flagged=False)
+            assert ("update" in fits) == updates
+            assert (det.model.gram_inverse is None) != updates
+
+    def test_refused_update_refits(self, monkeypatch):
+        # A P that has lost its definiteness gives a Sherman–Morrison
+        # denominator below one; the update is refused and the window refitted.
+        fits = _record_fits(monkeypatch)
+        det = SeriesDetector(create_elm(20, 1), _cfg())
+        values = _exact_series([3.0, 3.125, 2.875, 3.25, 2.75] * 4 + [3.0])
+        for value in values[:-1]:
+            det.observe(value, flagged=False)
+        assert fits[-1] == "update"
+        det.model = replace(det.model, gram_inverse=-np.eye(20))  # hᵀPh < 0
+        det.observe(values[-1], flagged=False)
+        assert fits[-2:] == ["update", "refit"]
+        assert det.updates == 0
+        assert det.predict_next() == _full_refit_prediction(det)
+
+    def test_update_with_non_finite_weights_is_refused(self):
+        inputs, targets = sliding_window(np.linspace(0, 1, 40), 2, 1)
+        model = elm_fit(create_elm(20, random_state=2), inputs, targets)
+        assert elm_update(model, inputs[:1], targets[:1], np.array([1.0])) is not None
+        broken = replace(model, output_weights=np.full(20, np.inf))
+        with np.errstate(invalid="ignore"):
+            assert elm_update(broken, inputs[:1], targets[:1], np.array([1.0])) is None
+
+    @pytest.mark.parametrize("name", ["single_target", "efficiency_degradation"])
+    @pytest.mark.parametrize("ridge", [detection.UPDATE_MIN_RIDGE, 1e-12], ids=["floor", "1e-12"])
+    def test_events_match_a_refit_on_every_step(self, name, ridge, monkeypatch):
+        doc = yaml.safe_load((ROOT / "scenarios" / f"{name}.yaml").read_text())
+        doc.setdefault("detection", {})["ridge"] = ridge
+
+        def events():
+            return [(e.kind, e.control_step, e.vehicle, e.actual)
+                    for e in simulate(scenario_from_dict(doc)).events]
+
+        recursive = events()
+        monkeypatch.setattr(detection, "REFIT_PERIOD", 0)
+        assert recursive == events()
 
 
 class TestUpdateOrFreeze:
