@@ -3,8 +3,9 @@
 An attack case is specified as seven parallel, congruently nested lists:
 victims, per-victim attack periods, per-period malicious channels, and
 per-channel frequency kinds, frequency parameters, bias kinds and bias
-parameters.  Feeding a case and a control step into the generator yields four
-(max_iterations x n) matrices of additive corruption, one per vulnerable
+parameters.  Parsing flattens them into slots, one per channel of one period
+of one victim.  Feeding a case and a control step into the generator yields
+four (max_iterations x n) matrices of additive corruption, one per vulnerable
 channel.  Columns of non-victim followers are all zero, and overlapping
 periods or repeated channels on the same victim sum.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +26,6 @@ class AttackCaseError(ValueError):
     """Raised when an attack case violates the seven-list schema."""
 
 
-FREQ_KINDS = ("Continuous", "Cluster")
-BIAS_KINDS = ("Constant", "Linear", "Sinusoidal")
 _BIAS_ARITY = {"Constant": 1, "Linear": 2, "Sinusoidal": 4}
 
 ATTACK_LIST_KEYS = (
@@ -38,28 +37,6 @@ ATTACK_LIST_KEYS = (
     "iter_biastype_list",
     "iter_biasparavalue_list",
 )
-
-
-@dataclass(frozen=True)
-class BiasParams:
-    """Validated waveform parameters for one channel slot.
-
-    Constant: values = (c,); Linear: (m, c); Sinusoidal: (A, f, theta, c).
-    """
-
-    kind: str
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.kind not in BIAS_KINDS:
-            raise AttackCaseError(f"unknown bias kind {self.kind!r}")
-        arity = _BIAS_ARITY[self.kind]
-        if len(self.values) != arity:
-            raise AttackCaseError(
-                f"{self.kind} bias takes {arity} parameter(s), got {list(self.values)}"
-            )
-        if not all(math.isfinite(v) for v in self.values):
-            raise AttackCaseError(f"non-finite bias parameters {list(self.values)}")
 
 
 @dataclass(frozen=True)
@@ -92,63 +69,44 @@ class BiasMatrices:
         return getattr(self, f"{channel.value}_bias")
 
     def is_zero(self) -> bool:
-        return not (
-            self.x_ite_bias.any()
-            or self.v_ite_bias.any()
-            or self.zx_ite_bias.any()
-            or self.zv_ite_bias.any()
-        )
+        return not any(self.by_channel(ch).any() for ch in ChannelId)
 
     def __add__(self, other: "BiasMatrices") -> "BiasMatrices":
-        return BiasMatrices(
-            self.x_ite_bias + other.x_ite_bias,
-            self.v_ite_bias + other.v_ite_bias,
-            self.zx_ite_bias + other.zx_ite_bias,
-            self.zv_ite_bias + other.zv_ite_bias,
-        )
+        return BiasMatrices(*(self.by_channel(ch) + other.by_channel(ch) for ch in ChannelId))
+
+
+class AttackSlot(NamedTuple):
+    """One channel of one attack period of one victim.
+
+    ``victim`` is a 1-based follower number and [start, end] a closed
+    interval of control steps.  [on, off] is the stealth window: Continuous
+    is [1, 0] and Discrete [off] is [1, off].  ``bias_values`` are Constant
+    (c,), Linear (m, c) or Sinusoidal (A, f, theta, c).
+    """
+
+    victim: int
+    start: int
+    end: int
+    channel: ChannelId
+    on: int
+    off: int
+    bias_kind: str
+    bias_values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class AttackCase:
-    """The seven parallel lists, validated and normalised.
+    """The slots of a validated case in document order: victim, then period,
+    then channel.  No slots is the benign case."""
 
-    Victim indices are 1-based follower numbers.  'Discrete' frequency
-    entries are normalised to Cluster with an on-window of 1 at parse time,
-    so only Continuous and Cluster appear here.
-    """
-
-    iter_victim_list: tuple[int, ...]
-    control_attackperiod_list: tuple[tuple[tuple[int, int], ...], ...]
-    iter_malichannel_list: tuple[tuple[tuple[ChannelId, ...], ...], ...]
-    iter_freq_type_list: tuple[tuple[tuple[str, ...], ...], ...]
-    iter_freqparavalue_list: tuple[tuple[tuple[tuple[float, ...], ...], ...], ...]
-    iter_biastype_list: tuple[tuple[tuple[str, ...], ...], ...]
-    iter_biasparavalue_list: tuple[tuple[tuple[BiasParams, ...], ...], ...]
-
-    @classmethod
-    def empty(cls) -> "AttackCase":
-        return cls((), (), (), (), (), (), ())
-
-    @property
-    def is_benign(self) -> bool:
-        return not self.iter_victim_list
-
-    def attack_windows(self) -> list[tuple[int, int]]:
-        """All [start, end] control-step intervals across victims."""
-        return [
-            (start, end)
-            for periods in self.control_attackperiod_list
-            for (start, end) in periods
-        ]
+    slots: tuple[AttackSlot, ...] = ()
 
 
 def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise AttackCaseError(f"{path}: expected an integer, got {value!r}")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise AttackCaseError(f"{path}: expected an integer, got {value!r}")
-        value = int(value)
     return value
 
 
@@ -166,35 +124,56 @@ def _as_seq(value: Any, path: str) -> Sequence:
     return value
 
 
-def normalize_freq(kind: Any, params: Any, path: str) -> tuple[str, tuple[float, ...]]:
-    """Validate one frequency entry; 'Discrete' becomes Cluster [1, off]."""
+def _entries(value: Any, path: str, count: int, what: str) -> Sequence:
+    """A list at ``path`` that must hold ``count`` entries (``what``)."""
+    value = _as_seq(value, path)
+    if len(value) != count:
+        raise AttackCaseError(f"{path}: expected {count} {what}, got {len(value)}")
+    return value
+
+
+def _stealth_window(kind: Any, params: Any, path: str) -> tuple[int, int]:
+    """Validate one frequency entry as its stealth window [on, off]."""
     if kind == "Discrete":
         params = _as_seq(params, path)
-        if len(params) == 1:
-            off = _as_int(params[0], f"{path}[0]")
-        elif len(params) == 2 and _as_int(params[0], f"{path}[0]") == 1:
-            off = _as_int(params[1], f"{path}[1]")
-        else:
+        if not (len(params) == 1 or len(params) == 2 and _as_int(params[0], f"{path}[0]") == 1):
             raise AttackCaseError(
                 f"{path}: Discrete frequency takes [off] (or [1, off]), got {list(params)}"
             )
-        kind, params = "Cluster", (1, off)
-    if kind not in FREQ_KINDS:
+        kind, params = "Cluster", (1, _as_int(params[-1], f"{path}[{len(params) - 1}]"))
+    if kind not in ("Continuous", "Cluster"):
         raise AttackCaseError(f"{path}: unknown frequency kind {kind!r}")
     params = _as_seq(params, path)
     if kind == "Continuous":
         if len(params) > 1:
             raise AttackCaseError(f"{path}: Continuous takes [0], got {list(params)}")
-        return kind, (0.0,)
+        return 1, 0
     if len(params) != 2:
         raise AttackCaseError(f"{path}: Cluster takes [on, off], got {list(params)}")
-    on = _as_int(params[0], f"{path}[0]")
-    off = _as_int(params[1], f"{path}[1]")
+    on, off = (_as_int(v, f"{path}[{q}]") for q, v in enumerate(params))
     if on < 1:
         raise AttackCaseError(f"{path}: Cluster on-window must be >= 1, got {on}")
     if off < 0:
         raise AttackCaseError(f"{path}: Cluster off-window must be >= 0, got {off}")
-    return kind, (_as_float(on, f"{path}[0]"), _as_float(off, f"{path}[1]"))
+    # Like every number in the case, a window must fit in a float.
+    _as_float(on, f"{path}[0]")
+    _as_float(off, f"{path}[1]")
+    return on, off
+
+
+def _bias(kind: Any, values: Any, path: str) -> tuple[str, tuple[float, ...]]:
+    """Validate one bias entry as its kind and parameters."""
+    values = _as_seq(values, path)
+    values = tuple(_as_float(v, f"{path}[{q}]") for q, v in enumerate(values))
+    # A tuple, not the dict: a YAML kind may be an unhashable list.
+    if kind not in tuple(_BIAS_ARITY):
+        raise AttackCaseError(f"{path}: unknown bias kind {kind!r}")
+    arity = _BIAS_ARITY[kind]
+    if len(values) != arity:
+        raise AttackCaseError(f"{path}: {kind} bias takes {arity} parameter(s), got {list(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raise AttackCaseError(f"{path}: non-finite bias parameters {list(values)}")
+    return kind, values
 
 
 def parse_attack_case(doc: Mapping[str, Any] | None, n: int) -> AttackCase:
@@ -204,212 +183,116 @@ def parse_attack_case(doc: Mapping[str, Any] | None, n: int) -> AttackCase:
     case.  Shape mismatches are rejected with the offending path.
     """
     if doc is None:
-        return AttackCase.empty()
+        return AttackCase()
     if not isinstance(doc, Mapping):
         raise AttackCaseError(f"attack must be a mapping, got {doc!r}")
-    unknown = set(doc) - set(ATTACK_LIST_KEYS)
-    if unknown:
+    if unknown := set(doc) - set(ATTACK_LIST_KEYS):
         raise AttackCaseError(f"unknown attack case keys: {sorted(unknown, key=str)}")
     raw = {key: _as_seq(doc.get(key, []), key) for key in ATTACK_LIST_KEYS}
 
-    victims = tuple(
-        _as_int(v, f"iter_victim_list[{i}]") for i, v in enumerate(raw["iter_victim_list"])
-    )
+    victims = [_as_int(v, f"iter_victim_list[{i}]") for i, v in enumerate(raw["iter_victim_list"])]
     for i, victim in enumerate(victims):
         if not 1 <= victim <= n:
-            raise AttackCaseError(
-                f"iter_victim_list[{i}]: victim {victim} outside 1..{n}"
-            )
+            raise AttackCaseError(f"iter_victim_list[{i}]: victim {victim} outside 1..{n}")
 
     for key in ATTACK_LIST_KEYS[1:]:
-        if len(raw[key]) != len(victims):
-            raise AttackCaseError(
-                f"{key}: expected {len(victims)} per-victim entries, got {len(raw[key])}"
-            )
+        _entries(raw[key], key, len(victims), "per-victim entries")
 
-    periods, channels, freq_kinds, freq_params, bias_kinds, bias_params = (
-        [],
-        [],
-        [],
-        [],
-        [],
-        [],
-    )
+    slots = []
     for i, victim in enumerate(victims):
+        periods = []
         vp = _as_seq(raw["control_attackperiod_list"][i], f"control_attackperiod_list[{i}]")
-        victim_periods = []
         for j, interval in enumerate(vp):
             path = f"control_attackperiod_list[{i}][{j}]"
             interval = _as_seq(interval, path)
             if len(interval) != 2:
                 raise AttackCaseError(f"{path}: expected [start, end], got {list(interval)}")
-            start = _as_int(interval[0], f"{path}[0]")
-            end = _as_int(interval[1], f"{path}[1]")
+            start, end = (_as_int(v, f"{path}[{q}]") for q, v in enumerate(interval))
             if start < 0 or start > end:
                 raise AttackCaseError(f"{path}: invalid interval [{start}, {end}]")
-            victim_periods.append((start, end))
-        periods.append(tuple(victim_periods))
+            periods.append((start, end))
 
-        per_victim = {}
-        for key in ATTACK_LIST_KEYS[2:]:
-            entry = _as_seq(raw[key][i], f"{key}[{i}]")
-            if len(entry) != len(victim_periods):
-                raise AttackCaseError(
-                    f"{key}[{i}]: expected {len(victim_periods)} period entries for "
-                    f"victim {victim}, got {len(entry)}"
-                )
-            per_victim[key] = entry
-
-        v_channels, v_fkinds, v_fparams, v_bkinds, v_bparams = [], [], [], [], []
-        for j in range(len(victim_periods)):
-            ch_list = _as_seq(
-                per_victim["iter_malichannel_list"][j], f"iter_malichannel_list[{i}][{j}]"
-            )
-            slots = len(ch_list)
-            if slots == 0:
+        what = f"period entries for victim {victim}"
+        per_period = [
+            _entries(raw[key][i], f"{key}[{i}]", len(periods), what) for key in ATTACK_LIST_KEYS[2:]
+        ]
+        for j, (start, end) in enumerate(periods):
+            ch_list = _as_seq(per_period[0][j], f"iter_malichannel_list[{i}][{j}]")
+            if not ch_list:
                 raise AttackCaseError(
                     f"iter_malichannel_list[{i}][{j}]: a period needs at least one channel"
                 )
-            chs = []
+            channels = []
             for m, ch in enumerate(ch_list):
                 try:
-                    chs.append(ChannelId(ch))
+                    channels.append(ChannelId(ch))
                 except ValueError:
                     raise AttackCaseError(
                         f"iter_malichannel_list[{i}][{j}][{m}]: unknown channel {ch!r}"
                     ) from None
-            for key in ATTACK_LIST_KEYS[3:]:
-                entry = _as_seq(per_victim[key][j], f"{key}[{i}][{j}]")
-                if len(entry) != slots:
-                    raise AttackCaseError(
-                        f"{key}[{i}][{j}]: expected {slots} channel entries, got {len(entry)}"
-                    )
-            fkinds, fparams = [], []
-            for m in range(slots):
-                kind, params = normalize_freq(
-                    per_victim["iter_freq_type_list"][j][m],
-                    per_victim["iter_freqparavalue_list"][j][m],
-                    f"iter_freqparavalue_list[{i}][{j}][{m}]",
-                )
-                fkinds.append(kind)
-                fparams.append(params)
-            bkinds, bparams = [], []
-            for m in range(slots):
-                kind = per_victim["iter_biastype_list"][j][m]
-                path = f"iter_biasparavalue_list[{i}][{j}][{m}]"
-                values = _as_seq(per_victim["iter_biasparavalue_list"][j][m], path)
-                values = tuple(_as_float(v, f"{path}[{q}]") for q, v in enumerate(values))
-                try:
-                    bp = BiasParams(kind, values)
-                except AttackCaseError as exc:
-                    raise AttackCaseError(f"{path}: {exc}") from None
-                bkinds.append(kind)
-                bparams.append(bp)
-            v_channels.append(tuple(chs))
-            v_fkinds.append(tuple(fkinds))
-            v_fparams.append(tuple(fparams))
-            v_bkinds.append(tuple(bkinds))
-            v_bparams.append(tuple(bparams))
-        channels.append(tuple(v_channels))
-        freq_kinds.append(tuple(v_fkinds))
-        freq_params.append(tuple(v_fparams))
-        bias_kinds.append(tuple(v_bkinds))
-        bias_params.append(tuple(v_bparams))
-
-    return AttackCase(
-        iter_victim_list=victims,
-        control_attackperiod_list=tuple(periods),
-        iter_malichannel_list=tuple(channels),
-        iter_freq_type_list=tuple(freq_kinds),
-        iter_freqparavalue_list=tuple(freq_params),
-        iter_biastype_list=tuple(bias_kinds),
-        iter_biasparavalue_list=tuple(bias_params),
-    )
+            fk, fp, bk, bp = (
+                _entries(entries[j], f"{key}[{i}][{j}]", len(channels), "channel entries")
+                for key, entries in zip(ATTACK_LIST_KEYS[3:], per_period[1:])
+            )
+            windows = [
+                _stealth_window(fk[m], fp[m], f"iter_freqparavalue_list[{i}][{j}][{m}]")
+                for m in range(len(channels))
+            ]
+            biases = [
+                _bias(bk[m], bp[m], f"iter_biasparavalue_list[{i}][{j}][{m}]")
+                for m in range(len(channels))
+            ]
+            slots.extend(
+                AttackSlot(victim, start, end, channel, on, off, kind, values)
+                for channel, (on, off), (kind, values) in zip(channels, windows, biases)
+            )
+    return AttackCase(tuple(slots))
 
 
-def stealth_mask(freq_kind: str, freq_params: Sequence[float], max_iterations: int) -> np.ndarray:
-    """The 0/1 on-off vector implementing the attack frequency.
+def stealth_mask(on: int, off: int, max_iterations: int) -> np.ndarray:
+    """The boolean on-off vector of the stealth window [on, off].
 
-    Continuous is all ones.  Cluster [on, off] repeats a period of on+off
-    entries starting active at index 0, so [1, 10] is active exactly at
-    0, 11, 22, ...
+    A period of on+off entries repeats, starting active at index 0, so
+    [1, 10] is active exactly at 0, 11, 22, ... and [1, 0] everywhere.
     """
-    kind, params = normalize_freq(freq_kind, list(freq_params), "freq_params")
-    if kind == "Continuous":
-        return np.ones(max_iterations, dtype=np.int64)
-    on, off = int(params[0]), int(params[1])
-    period = on + off
-    mask = np.zeros(max_iterations, dtype=np.int64)
-    for t in range(max_iterations):
-        if t % period < on:
-            mask[t] = 1
-    return mask
+    # Clamping gives the same mask and keeps huge windows inside int64.
+    on, off = min(on, max_iterations), min(off, max_iterations)
+    return np.arange(max_iterations) % (on + off) < on
 
 
-def bias_waveform(
-    bias_kind: str, params: Sequence[float], t: int, max_iterations: int
-) -> float:
-    """Waveform value at iteration t.
+@np.errstate(over="ignore", invalid="ignore")
+def bias_waveform(kind: str, values: Sequence[float], max_iterations: int) -> np.ndarray:
+    """The waveform over iterations t = 0..max_iterations-1.
 
     Constant -> c; Linear -> m*t + c; Sinusoidal ->
     A * sin(2*pi*f*(t / max_iterations) + theta) + c, i.e. f full cycles
-    across one control step's iteration rows.
+    across one control step's iteration rows.  Overflow gives inf and an
+    infinite phase NaN, which the controller reports as a numerical failure.
     """
-    bp = BiasParams(bias_kind, tuple(float(v) for v in params))
-    if bp.kind == "Constant":
-        return bp.values[0]
-    if bp.kind == "Linear":
-        m, c = bp.values
+    t = np.arange(max_iterations)
+    if kind == "Constant":
+        return np.full(max_iterations, values[0])
+    if kind == "Linear":
+        m, c = values
         return m * t + c
-    amp, freq, theta, shift = bp.values
-    return amp * math.sin(2.0 * math.pi * freq * (t / max_iterations) + theta) + shift
+    amp, freq, theta, shift = values
+    phase = 2.0 * math.pi * freq * (t / max_iterations) + theta
+    # math.sin, not np.sin: numpy's sine may round differently.
+    sines = [math.sin(x) if math.isfinite(x) else math.nan for x in phase.tolist()]
+    return amp * np.array(sines) + shift
 
 
-def iter_channel_bias(
-    freq_kind: str,
-    freq_params: Sequence[float],
-    bias_kind: str,
-    bias_params: Sequence[float],
-    max_iterations: int,
-) -> np.ndarray:
-    """Elementwise product of stealth mask and waveform over all iterations."""
-    mask = stealth_mask(freq_kind, freq_params, max_iterations)
-    vec = np.zeros(max_iterations)
-    for t in range(max_iterations):
-        if mask[t]:
-            vec[t] = bias_waveform(bias_kind, bias_params, t, max_iterations)
-    return vec
-
-
-def iter_attack_value_cal(
-    n: int, k: int, max_iterations: int, case: AttackCase
-) -> BiasMatrices:
+def iter_attack_value_cal(n: int, k: int, max_iterations: int, case: AttackCase) -> BiasMatrices:
     """Generate the four per-channel bias matrices for control step k.
 
-    For every victim whose attack period contains k (closed interval), the
-    per-channel bias vector is added into the victim's column of the matching
-    matrix; everything else stays zero.  Overlapping periods and repeated
-    channels accumulate.
+    For every slot whose period contains k (closed interval), the masked
+    waveform is added into the victim's column of the slot's channel matrix,
+    in slot order; everything else stays zero.
     """
     mats = {ch: np.zeros((max_iterations, n)) for ch in ChannelId}
-    for i, victim in enumerate(case.iter_victim_list):
-        col = victim - 1
-        for j, (start, end) in enumerate(case.control_attackperiod_list[i]):
-            if not start <= k <= end:
-                continue
-            slots = case.iter_malichannel_list[i][j]
-            for m, channel in enumerate(slots):
-                vec = iter_channel_bias(
-                    case.iter_freq_type_list[i][j][m],
-                    case.iter_freqparavalue_list[i][j][m],
-                    case.iter_biastype_list[i][j][m],
-                    case.iter_biasparavalue_list[i][j][m].values,
-                    max_iterations,
-                )
-                mats[channel][:, col] += vec
-    return BiasMatrices(
-        x_ite_bias=mats[ChannelId.X_ITE],
-        v_ite_bias=mats[ChannelId.V_ITE],
-        zx_ite_bias=mats[ChannelId.ZX_ITE],
-        zv_ite_bias=mats[ChannelId.ZV_ITE],
-    )
+    for slot in case.slots:
+        if slot.start <= k <= slot.end:
+            mask = stealth_mask(slot.on, slot.off, max_iterations)
+            wave = bias_waveform(slot.bias_kind, slot.bias_values, max_iterations)
+            mats[slot.channel][:, slot.victim - 1] += np.where(mask, wave, 0.0)
+    return BiasMatrices(**{f"{ch.value}_bias": matrix for ch, matrix in mats.items()})

@@ -124,6 +124,13 @@ class RunResult:
 
 
 def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
+    """Walk the leader's speed over every control step of the run, after
+    checking that the run is at most MAX_CONTROL_STEPS long."""
+    if sim.total_control_steps > MAX_CONTROL_STEPS:
+        raise ConfigError(
+            f"sim.total_control_steps must be at most {MAX_CONTROL_STEPS}, "
+            f"got {sim.total_control_steps}"
+        )
     v = leader.speed
     if not sim.v_min <= v <= sim.v_max:
         raise ConfigError(f"leader speed {v} outside [{sim.v_min}, {sim.v_max}]")
@@ -360,6 +367,10 @@ _DROP_KEYS = {
     "iterations": (None, _INTERVAL),
 }
 _CASE_KEYS = {"n": (SimConfig.n, _COUNT), "max_iterations": (SimConfig.max_iterations, _COUNT)}
+
+# Loading walks the leader over every control step, a fraction of a second per
+# million, and a run spends milliseconds on each: a longer run is refused first.
+MAX_CONTROL_STEPS = 1_000_000
 
 # Each control step allocates four (max_iterations x n) bias matrices of
 # float64: at this many cells each, 32 MB in all.

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .attack_engine import BiasMatrices
 from .platoon_model import PlatoonState, SimConfig, VehicleState
 from .v2v_channel import Direction, V2VChannel
 
@@ -226,7 +225,7 @@ def dual_update(
 
 def run_control_step(
     platoon: PlatoonState,
-    channel: V2VChannel | BiasMatrices,
+    channel: V2VChannel,
     config: SimConfig,
     leader_u: float = 0.0,
     warm_start: Optional[Sequence[float]] = None,
@@ -239,8 +238,6 @@ def run_control_step(
     the platoon's currently applied accelerations are untouched during the
     loop.  Deterministic: identical inputs produce bit-identical outcomes.
     """
-    if isinstance(channel, BiasMatrices):
-        channel = V2VChannel(bias=channel)
     cfg = config
     n = platoon.n
     tau = cfg.tau

@@ -48,7 +48,7 @@ def make_scenario(
     return Scenario(
         sim=sim,
         leader=leader or LeaderProfile(30.0),
-        attack=attack or AttackCase.empty(),
+        attack=attack or AttackCase(),
         detection=detection,
         seed=seed,
         detection_enabled=detection_enabled,

@@ -39,6 +39,7 @@ from platoonsec.detection import (
 )
 from platoonsec.metrics import ImpactClass
 from platoonsec.mpc_controller import primal_exit
+from platoonsec.v2v_channel import V2VChannel
 
 from conftest import single_channel_case
 from test_attack_engine import oracle_bias_matrices, random_attack_doc
@@ -125,7 +126,7 @@ def test_c2_constraint_soundness():
             detection_enabled=False,
         )
         result = simulate(scenario)
-        windows = scenario.attack.attack_windows()
+        windows = [(slot.start, slot.end) for slot in scenario.attack.slots]
         for k, violation in result.violations:
             if violation.kind in ("acceleration", "velocity"):
                 accel_vel_bad.append((trial, k, violation))
@@ -153,7 +154,7 @@ def test_c3_loop_contract():
 
     config = SimConfig()
     platoon = initial_platoon(config, 30.0)
-    zero_bias = BiasMatrices.zeros(config.max_iterations, config.n)
+    zero_bias = V2VChannel(bias=BiasMatrices.zeros(config.max_iterations, config.n))
     equilibrium = run_control_step(platoon, zero_bias, config)
     ok = ok and equilibrium.converged and equilibrium.iterations_used == 1
 
@@ -170,15 +171,14 @@ def test_c3_loop_contract():
 
     case = single_channel_case(6, victim=4, window=(0, 5), channel="x_ite", bias_params=[-50.0])
     bias = iter_attack_value_cal(6, 0, config.max_iterations, case)
-    hostile = run_control_step(platoon, bias, config)
+    hostile = run_control_step(platoon, V2VChannel(bias=bias), config)
     ok = ok and hostile.iterations_used == 300 and not hostile.converged
 
     caps = []
     for magnitude in (-30.0, -10.0, 5.0, 25.0):
         case = single_channel_case(6, victim=2, window=(0, 5), channel="x_ite", bias_params=[magnitude])
-        outcome = run_control_step(
-            platoon, iter_attack_value_cal(6, 0, 300, case), config
-        )
+        bias = iter_attack_value_cal(6, 0, 300, case)
+        outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
         caps.append(outcome.iterations_used <= 300)
     ok = ok and all(caps)
     _verdict(
@@ -196,12 +196,13 @@ def test_c4_bias_generator_oracle_equivalence():
     mismatches = 0
     for _ in range(100):
         n = rng.randint(2, 8)
-        case = parse_attack_case(random_attack_doc(rng, n), n)
+        doc = random_attack_doc(rng, n)
+        case = parse_attack_case(doc, n)
         max_iter = rng.choice([60, 150, 300])
         for _ in range(10):
             k = rng.randint(0, 120)
             got = iter_attack_value_cal(n, k, max_iter, case)
-            expected = oracle_bias_matrices(n, k, max_iter, case)
+            expected = oracle_bias_matrices(n, k, max_iter, doc)
             for ch, matrix in expected.items():
                 if not np.array_equal(got.by_channel(ch), matrix):
                     mismatches += 1

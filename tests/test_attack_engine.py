@@ -9,10 +9,8 @@ from platoonsec.attack_engine import (
     AttackCase,
     AttackCaseError,
     BiasMatrices,
-    BiasParams,
     bias_waveform,
     iter_attack_value_cal,
-    iter_channel_bias,
     parse_attack_case,
     stealth_mask,
 )
@@ -32,18 +30,41 @@ def running_example_doc():
     }
 
 
+def one_slot_doc(freq, freq_params, bias, bias_params, period=(0, 5)):
+    """A case with one slot: follower 2's v_ite channel over ``period``."""
+    return {
+        "iter_victim_list": [2],
+        "control_attackperiod_list": [[list(period)]],
+        "iter_malichannel_list": [[["v_ite"]]],
+        "iter_freq_type_list": [[[freq]]],
+        "iter_freqparavalue_list": [[[freq_params]]],
+        "iter_biastype_list": [[[bias]]],
+        "iter_biasparavalue_list": [[[bias_params]]],
+    }
+
+
+def one_slot_column(freq, freq_params, bias, bias_params, max_iterations=300):
+    """The bias vector a one-slot case puts on its channel at control step 0."""
+    case = parse_attack_case(one_slot_doc(freq, freq_params, bias, bias_params), 6)
+    return iter_attack_value_cal(6, 0, max_iterations, case).v_ite_bias[:, 1]
+
+
 class TestParseAttackCase:
     def test_running_example_parses(self):
+        # One slot per channel, in document order: victim, period, channel.
         case = parse_attack_case(running_example_doc(), n=6)
-        assert case.iter_victim_list == (1, 3, 5)
-        assert case.control_attackperiod_list[0] == ((10, 20), (15, 25))
-        assert case.iter_malichannel_list[0][0] == (ChannelId.X_ITE, ChannelId.V_ITE)
-        assert case.iter_biasparavalue_list[2][0][0].values == (10.0, 0.5, 0.0, 5.0)
+        assert case.slots == (
+            (1, 10, 20, ChannelId.X_ITE, 1, 0, "Constant", (3.0,)),
+            (1, 10, 20, ChannelId.V_ITE, 1, 0, "Constant", (2.0,)),
+            (1, 15, 25, ChannelId.V_ITE, 2, 8, "Constant", (4.0,)),
+            (3, 20, 30, ChannelId.ZX_ITE, 1, 0, "Linear", (2.0, 5.0)),
+            (5, 40, 60, ChannelId.ZV_ITE, 1, 10, "Sinusoidal", (10.0, 0.5, 0.0, 5.0)),
+        )
 
     def test_empty_case_is_benign(self):
-        assert parse_attack_case(None, 6).is_benign
-        assert parse_attack_case({}, 6).is_benign
-        assert AttackCase.empty().is_benign
+        assert parse_attack_case(None, 6) == AttackCase()
+        assert parse_attack_case({}, 6) == AttackCase()
+        assert AttackCase().slots == ()
 
     def test_shape_mismatch_names_the_path(self):
         doc = running_example_doc()
@@ -70,18 +91,9 @@ class TestParseAttackCase:
             parse_attack_case(doc, 6)
 
     def test_discrete_is_cluster_alias(self):
-        doc = {
-            "iter_victim_list": [2],
-            "control_attackperiod_list": [[[0, 5]]],
-            "iter_malichannel_list": [[["v_ite"]]],
-            "iter_freq_type_list": [[["Discrete"]]],
-            "iter_freqparavalue_list": [[[[4]]]],
-            "iter_biastype_list": [[["Constant"]]],
-            "iter_biasparavalue_list": [[[[1.0]]]],
-        }
-        case = parse_attack_case(doc, 6)
-        assert case.iter_freq_type_list[0][0][0] == "Cluster"
-        assert case.iter_freqparavalue_list[0][0][0] == (1.0, 4.0)
+        for params in ([4], [1, 4]):
+            case = parse_attack_case(one_slot_doc("Discrete", params, "Constant", [1.0]), 6)
+            assert [(slot.on, slot.off) for slot in case.slots] == [(1, 4)]
 
     def test_interval_sanity(self):
         doc = running_example_doc()
@@ -92,10 +104,10 @@ class TestParseAttackCase:
 
 class TestStealthMask:
     def test_continuous_all_ones(self):
-        assert stealth_mask("Continuous", [0], 300).tolist() == [1] * 300
+        assert stealth_mask(1, 0, 300).tolist() == [1] * 300
 
     def test_cluster_one_on_ten_off(self):
-        mask = stealth_mask("Cluster", [1, 10], 300)
+        mask = stealth_mask(1, 10, 300)
         active = [t for t in range(300) if mask[t]]
         assert active == list(range(0, 300, 11))
         assert active[-1] == 297
@@ -103,7 +115,7 @@ class TestStealthMask:
     def test_cluster_against_brute_force(self):
         # Oracle: walk t, toggling per the on/off period rule.
         for on, off in [(2, 5), (3, 0), (1, 1), (4, 7)]:
-            mask = stealth_mask("Cluster", [on, off], 100)
+            mask = stealth_mask(on, off, 100)
             state_on, remaining, expected = True, on, []
             for _ in range(100):
                 expected.append(1 if state_on else 0)
@@ -115,72 +127,76 @@ class TestStealthMask:
                         state_on, remaining = True, on
             assert mask.tolist() == expected
 
-    def test_bad_on_window(self):
-        with pytest.raises(AttackCaseError):
-            stealth_mask("Cluster", [0, 5], 10)
-
 
 class TestBiasWaveform:
     def test_constant(self):
+        values = bias_waveform("Constant", [4.0], 300)
         for t in (0, 7, 299):
-            assert bias_waveform("Constant", [4.0], t, 300) == 4.0
+            assert values[t] == 4.0
 
     def test_degenerate_linear_is_constant(self):
-        assert bias_waveform("Linear", [0.0, 7.0], 123, 300) == 7.0
+        assert bias_waveform("Linear", [0.0, 7.0], 300)[123] == 7.0
 
     def test_linear_slope(self):
-        assert bias_waveform("Linear", [0.2, 5.0], 10, 300) == pytest.approx(7.0)
+        assert bias_waveform("Linear", [0.2, 5.0], 300)[10] == pytest.approx(7.0)
 
     def test_sinusoid_five_cycles_and_range(self):
-        values = [bias_waveform("Sinusoidal", [20, 5, 0, 2], t, 300) for t in range(301)]
+        values = bias_waveform("Sinusoidal", [20, 5, 0, 2], 300)
         # Five full cycles across 300 rows: zeros of the sine every 30 rows.
-        for t in range(0, 301, 30):
+        for t in range(0, 300, 30):
             assert values[t] == pytest.approx(2.0, abs=1e-9)
         assert min(values) == pytest.approx(-18.0, abs=1e-6)
         assert max(values) == pytest.approx(22.0, abs=1e-6)
-        for t in range(301):
+        for t in range(300):
             direct = 20 * math.sin(2 * math.pi * 5 * (t / 300)) + 2
             assert values[t] == direct
-
-    def test_unknown_kind(self):
-        with pytest.raises(AttackCaseError):
-            bias_waveform("Square", [1.0], 0, 300)
 
 
 class TestIterChannelBias:
     def test_continuous_constant(self):
-        vec = iter_channel_bias("Continuous", [0], "Constant", [3.0], 300)
+        vec = one_slot_column("Continuous", [0], "Constant", [3.0])
         assert vec.tolist() == [3.0] * 300
 
     def test_cluster_linear_brute_force(self):
-        vec = iter_channel_bias("Cluster", [1, 10], "Linear", [2.0, 5.0], 300)
+        vec = one_slot_column("Cluster", [1, 10], "Linear", [2.0, 5.0])
         for t in range(300):
             expected = (2.0 * t + 5.0) if t % 11 == 0 else 0.0
             assert vec[t] == expected
 
     def test_mask_annihilates_waveform(self):
         # off-window so long the mask is active only at t=0
-        vec = iter_channel_bias("Cluster", [1, 1000], "Sinusoidal", [5, 5, 1.0, 3], 300)
+        vec = one_slot_column("Cluster", [1, 1000], "Sinusoidal", [5, 5, 1.0, 3])
         assert vec[0] != 0.0
         assert not vec[1:].any()
 
+    def test_windows_longer_than_any_step(self):
+        # Windows past int64 are valid input; the mask depends only on
+        # which of them reach past the step's rows.
+        vec = one_slot_column("Cluster", [2, 10**30], "Constant", [3.0], max_iterations=50)
+        assert vec.tolist() == [3.0, 3.0] + [0.0] * 48
+        vec = one_slot_column("Cluster", [10**30, 0], "Constant", [3.0], max_iterations=50)
+        assert vec.tolist() == [3.0] * 50
 
-def oracle_bias_matrices(n, k, max_iterations, case: AttackCase) -> dict:
-    """Full-enumeration reference: loop every (victim, period, channel, t)."""
+
+def oracle_bias_matrices(n, k, max_iterations, doc) -> dict:
+    """Full-enumeration reference over the raw seven-list document: loop
+    every (victim, period, channel, t)."""
     mats = {ch: np.zeros((max_iterations, n)) for ch in ChannelId}
-    for i, victim in enumerate(case.iter_victim_list):
-        for j, (start, end) in enumerate(case.control_attackperiod_list[i]):
+    for i, victim in enumerate(doc["iter_victim_list"]):
+        for j, (start, end) in enumerate(doc["control_attackperiod_list"][i]):
             if k < start or k > end:
                 continue
-            for m, channel in enumerate(case.iter_malichannel_list[i][j]):
-                fk = case.iter_freq_type_list[i][j][m]
-                fp = case.iter_freqparavalue_list[i][j][m]
-                bk = case.iter_biastype_list[i][j][m]
-                bp = case.iter_biasparavalue_list[i][j][m].values
+            for m, channel in enumerate(doc["iter_malichannel_list"][i][j]):
+                fk = doc["iter_freq_type_list"][i][j][m]
+                fp = doc["iter_freqparavalue_list"][i][j][m]
+                bk = doc["iter_biastype_list"][i][j][m]
+                bp = [float(v) for v in doc["iter_biasparavalue_list"][i][j][m]]
                 if fk == "Continuous":
                     on, off = 1, 0
+                elif fk == "Discrete":
+                    on, off = 1, fp[-1]
                 else:
-                    on, off = int(fp[0]), int(fp[1])
+                    on, off = fp
                 for t in range(max_iterations):
                     if t % (on + off) >= on:
                         continue
@@ -190,7 +206,7 @@ def oracle_bias_matrices(n, k, max_iterations, case: AttackCase) -> dict:
                         value = bp[0] * t + bp[1]
                     else:
                         value = bp[0] * math.sin(2 * math.pi * bp[1] * (t / max_iterations) + bp[2]) + bp[3]
-                    mats[channel][t, victim - 1] += value
+                    mats[ChannelId(channel)][t, victim - 1] += value
     return mats
 
 
@@ -249,7 +265,7 @@ class TestIterAttackValueCal:
         # fv1 under both of its periods: x_ite carries the constant 3,
         # v_ite carries constant 2 plus the clustered constant 4.
         assert bias.x_ite_bias[:, 0].tolist() == [3.0] * 300
-        mask = stealth_mask("Cluster", [2, 8], 300)
+        mask = stealth_mask(2, 8, 300)
         expected_v = 2.0 + 4.0 * mask
         assert np.array_equal(bias.v_ite_bias[:, 0], expected_v)
         # fv3 and fv5 periods do not contain 15.
@@ -279,25 +295,14 @@ class TestIterAttackValueCal:
             for _ in range(10):
                 k = rng.randint(0, 120)
                 got = iter_attack_value_cal(n, k, max_iter, case)
-                expected = oracle_bias_matrices(n, k, max_iter, case)
+                expected = oracle_bias_matrices(n, k, max_iter, doc)
                 for ch in ChannelId:
                     assert np.array_equal(got.by_channel(ch), expected[ch]), (
                         f"trial {trial}, k={k}, channel {ch}"
                     )
 
     def test_period_boundaries_closed(self):
-        case = parse_attack_case(
-            {
-                "iter_victim_list": [2],
-                "control_attackperiod_list": [[[10, 20]]],
-                "iter_malichannel_list": [[["x_ite"]]],
-                "iter_freq_type_list": [[["Continuous"]]],
-                "iter_freqparavalue_list": [[[[0]]]],
-                "iter_biastype_list": [[["Constant"]]],
-                "iter_biasparavalue_list": [[[[1.0]]]],
-            },
-            6,
-        )
+        case = parse_attack_case(one_slot_doc("Continuous", [0], "Constant", [1.0], (10, 20)), 6)
         assert iter_attack_value_cal(6, 9, 50, case).is_zero()
         assert not iter_attack_value_cal(6, 10, 50, case).is_zero()
         assert not iter_attack_value_cal(6, 20, 50, case).is_zero()
@@ -340,7 +345,7 @@ class TestIterAttackValueCal:
             assert np.array_equal(combined.by_channel(ch), summed.by_channel(ch))
 
     def test_output_shape_fixed(self):
-        for case in (AttackCase.empty(), parse_attack_case(running_example_doc(), 6)):
+        for case in (AttackCase(), parse_attack_case(running_example_doc(), 6)):
             bias = iter_attack_value_cal(6, 0, 77, case)
             for ch in ChannelId:
                 assert bias.by_channel(ch).shape == (77, 6)
@@ -348,11 +353,11 @@ class TestIterAttackValueCal:
     @given(st.integers(0, 120))
     @settings(max_examples=25, deadline=None)
     def test_sparsity_only_active_victims(self, k):
-        case = parse_attack_case(running_example_doc(), 6)
-        bias = iter_attack_value_cal(6, k, 50, case)
+        doc = running_example_doc()
+        bias = iter_attack_value_cal(6, k, 50, parse_attack_case(doc, 6))
         active = {
             victim
-            for victim, periods in zip(case.iter_victim_list, case.control_attackperiod_list)
+            for victim, periods in zip(doc["iter_victim_list"], doc["control_attackperiod_list"])
             if any(s <= k <= e for s, e in periods)
         }
         for ch in ChannelId:
@@ -373,9 +378,3 @@ class TestBiasMatrices:
             BiasMatrices(
                 np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((4, 3))
             )
-
-    def test_bias_params_validation(self):
-        with pytest.raises(AttackCaseError):
-            BiasParams("Sinusoidal", (1.0, 2.0))
-        with pytest.raises(AttackCaseError):
-            BiasParams("Constant", (math.nan,))

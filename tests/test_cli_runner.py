@@ -11,6 +11,7 @@ from platoonsec import cli_runner
 from platoonsec.cli_runner import (
     _INPUT_ERRORS,
     MAX_BIAS_CELLS,
+    MAX_CONTROL_STEPS,
     LeaderProfile,
     TRACE_COLUMNS,
     generate_bias_files,
@@ -40,14 +41,14 @@ def scenario_doc(**overrides):
     return doc
 
 
-def _constant_bias_attack(bias):
+def _one_channel_attack(bias, bias_kind="Constant", freq_kind="Continuous", freq_params=(0,)):
     return {
         "iter_victim_list": [2],
         "control_attackperiod_list": [[[5, 9]]],
         "iter_malichannel_list": [[["v_ite"]]],
-        "iter_freq_type_list": [[["Continuous"]]],
-        "iter_freqparavalue_list": [[[[0]]]],
-        "iter_biastype_list": [[["Constant"]]],
+        "iter_freq_type_list": [[[freq_kind]]],
+        "iter_freqparavalue_list": [[[list(freq_params)]]],
+        "iter_biastype_list": [[[bias_kind]]],
         "iter_biasparavalue_list": [[[[bias]]]],
     }
 
@@ -58,7 +59,7 @@ class TestScenarioLoading:
         path.write_text(yaml.safe_dump(scenario_doc()))
         scenario = load_scenario(path)
         assert scenario.sim.total_control_steps == 40
-        assert scenario.attack.is_benign
+        assert not scenario.attack.slots
         assert scenario.seed == 3
         assert scenario.detection.seed == 3
         assert scenario.detection == DetectionConfig(seed=3)
@@ -88,9 +89,9 @@ class TestScenarioLoading:
             scenario_from_dict(doc)
 
     def test_attack_section_mirrors_seven_lists(self):
-        doc = scenario_doc(attack=_constant_bias_attack(2.0))
+        doc = scenario_doc(attack=_one_channel_attack(2.0))
         scenario = scenario_from_dict(doc)
-        assert scenario.attack.iter_victim_list == (2,)
+        assert [slot.victim for slot in scenario.attack.slots] == [2]
 
     def test_leader_accel_lookup(self):
         profile = LeaderProfile(30.0, phases=((10, -1.0), (20, 0.5)))
@@ -455,11 +456,13 @@ class TestCli:
             ({1: 2}, "sim.1 is not a SimConfig field"),
             (0, "sim must be a mapping, got 0"),
             ([6], "sim must be a mapping, got [6]"),
+            ({"total_control_steps": 10**9},
+             "sim.total_control_steps must be at most 1000000, got 1000000000"),
         ],
         ids=[
             "string-n", "bool-n", "float-iterations", "nan-tau", "nan-margin", "infinite-v-max",
             "string-length", "bool-step", "zero-tau", "zero-n", "unknown-key", "int-key",
-            "zero-section", "list-section",
+            "zero-section", "list-section", "too-many-steps",
         ],
     )
     def test_bad_sim_section_exit_code(self, tmp_path, capsys, sim, message):
@@ -533,6 +536,19 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_run_length_limit(self, tmp_path, capsys):
+        # The limit is inclusive, and run --steps is held to it too.
+        sim = {"total_control_steps": MAX_CONTROL_STEPS}
+        assert scenario_from_dict(scenario_doc(sim=sim)).sim.total_control_steps == MAX_CONTROL_STEPS
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(scenario_doc()))
+        argv = self._argv("run", path, tmp_path) + ["--steps", str(MAX_CONTROL_STEPS + 1)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: sim.total_control_steps must be at most 1000000, got 1000001\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_bias_size_limit_is_inclusive(self):
         sim = {"n": 1000, "max_iterations": MAX_BIAS_CELLS // 1000}
         assert scenario_from_dict(scenario_doc(sim=sim)).sim.n == 1000
@@ -576,14 +592,25 @@ class TestCli:
             ([], "attack must be a mapping, got []"),
             (True, "attack must be a mapping, got True"),
             ({1: [], "x": []}, "unknown attack case keys: [1, 'x']"),
-            (_constant_bias_attack("a"),
+            (_one_channel_attack("a"),
              "iter_biasparavalue_list[0][0][0][0]: expected a number, got 'a'"),
-            (_constant_bias_attack(10**400),
+            (_one_channel_attack(10**400),
              "iter_biasparavalue_list[0][0][0][0]: an int too large for a float"),
+            (_one_channel_attack(1.0, bias_kind="Square"),
+             "iter_biasparavalue_list[0][0][0]: unknown bias kind 'Square'"),
+            (_one_channel_attack(1.0, freq_kind="Burst"),
+             "iter_freqparavalue_list[0][0][0]: unknown frequency kind 'Burst'"),
+            (_one_channel_attack(1.0, freq_kind="Cluster", freq_params=(0, 5)),
+             "iter_freqparavalue_list[0][0][0]: Cluster on-window must be >= 1, got 0"),
+            (_one_channel_attack(1.0, freq_kind="Cluster", freq_params=(2, -1)),
+             "iter_freqparavalue_list[0][0][0]: Cluster off-window must be >= 0, got -1"),
+            (_one_channel_attack(float("nan")),
+             "iter_biasparavalue_list[0][0][0]: non-finite bias parameters [nan]"),
         ],
         ids=[
             "int-attack", "list-attack", "bool-attack", "mixed-type-keys", "text-bias-parameter",
-            "int-past-float-range",
+            "int-past-float-range", "unknown-bias-kind", "unknown-frequency-kind",
+            "zero-on-window", "negative-off-window", "nan-bias-parameter",
         ],
     )
     def test_bad_attack_section_exit_code(self, tmp_path, capsys, attack, message):

@@ -25,7 +25,7 @@ from platoonsec.mpc_controller import (
     primal_step,
 )
 from platoonsec.platoon_model import VehicleState
-from platoonsec.v2v_channel import ChannelId
+from platoonsec.v2v_channel import ChannelId, V2VChannel
 
 from conftest import single_channel_case
 
@@ -224,7 +224,7 @@ class TestPrimalStep:
             config.n, victim=2, window=(0, 5), channel="x_ite", bias_params=[4.0]
         )
         bias = iter_attack_value_cal(config.n, 0, config.max_iterations, case)
-        outcome = run_control_step(platoon, bias, config)
+        outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
         assert any(abs(u) > 1e-3 for u in outcome.u_next)
         for record, u, follower in zip(outcome.perception, outcome.u_next, platoon.followers):
             px, pv = predict(follower, u, config.tau)
@@ -300,20 +300,20 @@ class TestRunControlStep:
     def test_equilibrium_converges_immediately(self, config):
         platoon = initial_platoon(config, 30.0)
         bias = BiasMatrices.zeros(config.max_iterations, config.n)
-        outcome = run_control_step(platoon, bias, config)
+        outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
         assert outcome.converged
         assert outcome.iterations_used <= 5
         assert all(abs(u) < 1e-6 for u in outcome.u_next)
 
     def test_leader_deceleration_respects_constraints(self, config):
         platoon = initial_platoon(config, 30.0)
-        bias = BiasMatrices.zeros(config.max_iterations, config.n)
+        channel = V2VChannel(bias=BiasMatrices.zeros(config.max_iterations, config.n))
         prev = (0.0,) * config.n
         from platoonsec import step_platoon
 
         for step in range(30):
             leader_u = -2.0 if step < 15 else 0.0
-            outcome = run_control_step(platoon, bias, config, leader_u, warm_start=prev)
+            outcome = run_control_step(platoon, channel, config, leader_u, warm_start=prev)
             assert all(config.a_min <= u <= config.a_max for u in outcome.u_next)
             assert check_constraints(outcome.u_next, platoon, config, leader_u) == []
             platoon = step_platoon(platoon, leader_u, outcome.u_next, config.tau)
@@ -325,7 +325,7 @@ class TestRunControlStep:
             config.n, victim=4, window=(0, 5), channel="x_ite", bias_params=[-50.0]
         )
         bias = iter_attack_value_cal(config.n, 0, config.max_iterations, case)
-        outcome = run_control_step(platoon, bias, config)
+        outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
         assert outcome.iterations_used == config.max_iterations == 300
         assert not outcome.converged
 
@@ -335,7 +335,7 @@ class TestRunControlStep:
             config.n, victim=2, window=(0, 5), channel="v_ite", bias_params=[500.0]
         )
         bias = iter_attack_value_cal(config.n, 0, config.max_iterations, case)
-        outcome = run_control_step(platoon, bias, config)
+        outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
         assert all(config.a_min <= u <= config.a_max for u in outcome.u_next)
 
     def test_iteration_bound_holds_across_random_cases(self, config):
@@ -350,7 +350,7 @@ class TestRunControlStep:
                 bias_params=[rng.uniform(-30, 30)],
             )
             bias = iter_attack_value_cal(config.n, 0, config.max_iterations, case)
-            outcome = run_control_step(platoon, bias, config)
+            outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
             assert outcome.iterations_used <= config.max_iterations
 
     def test_deterministic(self, config):
@@ -359,20 +359,20 @@ class TestRunControlStep:
             config.n, victim=3, window=(0, 5), channel="x_ite", bias_params=[7.0]
         )
         bias = iter_attack_value_cal(config.n, 0, config.max_iterations, case)
-        a = run_control_step(platoon, bias, config)
-        b = run_control_step(platoon, bias, config)
+        a = run_control_step(platoon, V2VChannel(bias=bias), config)
+        b = run_control_step(platoon, V2VChannel(bias=bias), config)
         assert a == b
 
     def test_warm_start_length_checked(self, config):
         platoon = initial_platoon(config, 30.0)
         bias = BiasMatrices.zeros(config.max_iterations, config.n)
         with pytest.raises(ValueError):
-            run_control_step(platoon, bias, config, warm_start=[0.0])
+            run_control_step(platoon, V2VChannel(bias=bias), config, warm_start=[0.0])
 
     def test_perception_records_cover_all_followers(self, config):
         platoon = initial_platoon(config, 30.0)
         bias = BiasMatrices.zeros(config.max_iterations, config.n)
-        outcome = run_control_step(platoon, bias, config)
+        outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
         assert [p.vehicle for p in outcome.perception] == list(range(1, config.n + 1))
         assert outcome.perception[-1].rear_spacing_error is None
         assert all(
@@ -399,17 +399,17 @@ class TestRunControlStep:
         arrays = {ch: clean.by_channel(ch).copy() for ch in ChannelId}
         arrays[ChannelId(channel)][7, column] = float("nan")
         bias = BiasMatrices(*arrays.values())
-        assert run_control_step(platoon, clean, config).iterations_used > 7
+        assert run_control_step(platoon, V2VChannel(bias=clean), config).iterations_used > 7
         with pytest.raises(
             NumericalError, match=rf"^follower {receiver}, control step 4, iteration 7: "
         ):
-            run_control_step(platoon, bias, config)
+            run_control_step(platoon, V2VChannel(bias=bias), config)
 
     def test_nan_tau_raises_instead_of_returning_nan(self, config):
         platoon = initial_platoon(config, 30.0)
         bias = BiasMatrices.zeros(config.max_iterations, config.n)
         with pytest.raises(NumericalError):
-            run_control_step(platoon, bias, replace(config, tau=float("nan")))
+            run_control_step(platoon, V2VChannel(bias=bias), replace(config, tau=float("nan")))
 
 
 class TestCheckConstraints:
