@@ -161,8 +161,9 @@ def _stealth_window(kind: Any, params: Any, path: str) -> tuple[int, int]:
     return on, off
 
 
-def _bias(kind: Any, values: Any, path: str) -> tuple[str, tuple[float, ...]]:
-    """Validate one bias entry as its kind and parameters."""
+def _bias(kind: Any, values: Any, path: str, max_iterations: int) -> tuple[str, tuple[float, ...]]:
+    """Validate one bias entry as its kind and parameters, whose waveform
+    must stay finite over max_iterations rows."""
     values = _as_seq(values, path)
     values = tuple(_as_float(v, f"{path}[{q}]") for q, v in enumerate(values))
     # A tuple, not the dict: a YAML kind may be an unhashable list.
@@ -173,14 +174,20 @@ def _bias(kind: Any, values: Any, path: str) -> tuple[str, tuple[float, ...]]:
         raise AttackCaseError(f"{path}: {kind} bias takes {arity} parameter(s), got {list(values)}")
     if not all(math.isfinite(v) for v in values):
         raise AttackCaseError(f"{path}: non-finite bias parameters {list(values)}")
+    if not _finite_waveform(kind, values, max_iterations):
+        raise AttackCaseError(
+            f"{path}: {kind} bias {list(values)} overflows within {max_iterations} iterations"
+        )
     return kind, values
 
 
-def parse_attack_case(doc: Mapping[str, Any] | None, n: int) -> AttackCase:
-    """Validate a seven-list attack description against follower count n.
+def parse_attack_case(doc: Mapping[str, Any] | None, n: int, max_iterations: int) -> AttackCase:
+    """Validate a seven-list attack description against follower count n and
+    the max_iterations rows of a control step.
 
     An absent/empty document, or one with all-empty lists, is the benign
-    case.  Shape mismatches are rejected with the offending path.
+    case.  Shape mismatches, and waveforms that overflow, are rejected with
+    the offending path.
     """
     if doc is None:
         return AttackCase()
@@ -239,7 +246,7 @@ def parse_attack_case(doc: Mapping[str, Any] | None, n: int) -> AttackCase:
                 for m in range(len(channels))
             ]
             biases = [
-                _bias(bk[m], bp[m], f"iter_biasparavalue_list[{i}][{j}][{m}]")
+                _bias(bk[m], bp[m], f"iter_biasparavalue_list[{i}][{j}][{m}]", max_iterations)
                 for m in range(len(channels))
             ]
             slots.extend(
@@ -260,6 +267,21 @@ def stealth_mask(on: int, off: int, max_iterations: int) -> np.ndarray:
     return np.arange(max_iterations) % (on + off) < on
 
 
+def _sine_phase(freq: float, theta: float, max_iterations: int) -> np.ndarray:
+    return 2.0 * math.pi * freq * (np.arange(max_iterations) / max_iterations) + theta
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _finite_waveform(kind: str, values: Sequence[float], max_iterations: int) -> bool:
+    """Whether every row of bias_waveform(kind, values, max_iterations) is
+    finite.  A sinusoid's sines cost more than the rest of parsing: while
+    |A| + |c| is finite it bounds |A*sin + c| (rounding is monotone), so
+    only the phases need checking."""
+    if kind == "Sinusoidal" and math.isfinite(abs(values[0]) + abs(values[3])):
+        return bool(np.isfinite(_sine_phase(values[1], values[2], max_iterations)).all())
+    return bool(np.isfinite(bias_waveform(kind, values, max_iterations)).all())
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def bias_waveform(kind: str, values: Sequence[float], max_iterations: int) -> np.ndarray:
     """The waveform over iterations t = 0..max_iterations-1.
@@ -267,16 +289,16 @@ def bias_waveform(kind: str, values: Sequence[float], max_iterations: int) -> np
     Constant -> c; Linear -> m*t + c; Sinusoidal ->
     A * sin(2*pi*f*(t / max_iterations) + theta) + c, i.e. f full cycles
     across one control step's iteration rows.  Overflow gives inf and an
-    infinite phase NaN, which the controller reports as a numerical failure.
+    infinite phase NaN; parse_attack_case rejects a slot whose waveform has
+    either.
     """
-    t = np.arange(max_iterations)
     if kind == "Constant":
         return np.full(max_iterations, values[0])
     if kind == "Linear":
         m, c = values
-        return m * t + c
+        return m * np.arange(max_iterations) + c
     amp, freq, theta, shift = values
-    phase = 2.0 * math.pi * freq * (t / max_iterations) + theta
+    phase = _sine_phase(freq, theta, max_iterations)
     # math.sin, not np.sin: numpy's sine may round differently.
     sines = [math.sin(x) if math.isfinite(x) else math.nan for x in phase.tolist()]
     return amp * np.array(sines) + shift

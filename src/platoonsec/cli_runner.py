@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import yaml
 
@@ -31,7 +31,6 @@ from .attack_engine import (
 from .detection import (
     ANOMALY_CSV_COLUMNS,
     AnomalyEvent,
-    ComparatorConfig,
     DetectionConfig,
     DetectionError,
     DetectorState,
@@ -81,8 +80,6 @@ class Scenario:
     leader: LeaderProfile
     attack: AttackCase
     detection: DetectionConfig
-    seed: int = 0
-    detection_enabled: bool = True
     drops: tuple[DropRule, ...] = ()
     output: OutputFlags = OutputFlags()
 
@@ -150,7 +147,7 @@ def simulate(scenario: Scenario) -> RunResult:
     sim = scenario.sim
     n = sim.n
     platoon = initial_platoon(sim, scenario.leader.speed)
-    detector = DetectorState(n, scenario.detection) if scenario.detection_enabled else None
+    detector = DetectorState(n, scenario.detection) if scenario.detection.enabled else None
 
     rows: list[TraceRow] = []
     events: list[AnomalyEvent] = []
@@ -229,48 +226,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_trace_csv(rows: Sequence[TraceRow], path: Path) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row with every cell through _fmt."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in TRACE_COLUMNS])
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def write_trace_csv(rows: Sequence[TraceRow], path: Path) -> None:
+    _write_csv(path, TRACE_COLUMNS, ([getattr(row, col) for col in TRACE_COLUMNS] for row in rows))
 
 
 def write_anomaly_csv(events: Sequence[AnomalyEvent], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ANOMALY_CSV_COLUMNS)
-        for event in events:
-            writer.writerow(
-                [
-                    event.kind,
-                    event.control_step,
-                    event.vehicle,
-                    repr(event.actual),
-                    repr(event.predicted),
-                ]
-            )
+    rows = ((e.kind, e.control_step, e.vehicle, e.actual, e.predicted) for e in events)
+    _write_csv(path, ANOMALY_CSV_COLUMNS, rows)
 
 
 def write_impact_csv(result: RunResult, path: Path) -> None:
-    report = result.impact
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["control_step", "vehicle", "headway", "acceleration", "safe_lo", "safe_hi"]
-        )
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row.control_step,
-                    row.vehicle_id,
-                    repr(row.headway),
-                    repr(row.u),
-                    repr(report.safe_lo),
-                    repr(report.safe_hi),
-                ]
-            )
+    lo, hi = result.impact.safe_lo, result.impact.safe_hi
+    header = ("control_step", "vehicle", "headway", "acceleration", "safe_lo", "safe_hi")
+    rows = ((r.control_step, r.vehicle_id, r.headway, r.u, lo, hi) for r in result.rows)
+    _write_csv(path, header, rows)
 
 
 def run_scenario(scenario: Scenario, out_dir: Path) -> dict[str, Path]:
@@ -346,19 +323,19 @@ _LEADER_KEYS = {
     "profile": ((), (_is_profile, "a list of [start_step >= 0, acceleration] pairs")),
 }
 _OUTPUT_KEYS = {f.name: (f.default, _BOOL) for f in fields(OutputFlags)}
-# The keys after the comparator's are DetectionConfig fields of the same name.
+# Each key is the DetectionConfig field of the same name; seed is read apart.
 _DETECTION_KEYS = {
-    "enabled": (True, _BOOL),
-    "comparator_threshold": (2.0, _POSITIVE),
-    "nominal_diff": (0.0, _FINITE),
-    "pos_threshold": (2.5, _POSITIVE),
-    "vel_threshold": (2.0, _POSITIVE),
-    "hidden_count": (50, _COUNT),
-    "ridge": (1e-6, _POSITIVE),
-    "lag": (2, _COUNT),
-    "step_forward": (1, _COUNT),
-    "norm_window": (200, _COUNT),
-    "warmup_steps": (12, _NATURAL),
+    "enabled": (DetectionConfig.enabled, _BOOL),
+    "comparator_threshold": (DetectionConfig.comparator_threshold, _POSITIVE),
+    "nominal_diff": (DetectionConfig.nominal_diff, _FINITE),
+    "pos_threshold": (DetectionConfig.pos_threshold, _POSITIVE),
+    "vel_threshold": (DetectionConfig.vel_threshold, _POSITIVE),
+    "hidden_count": (DetectionConfig.hidden_count, _COUNT),
+    "ridge": (DetectionConfig.ridge, _POSITIVE),
+    "lag": (DetectionConfig.lag, _COUNT),
+    "step_forward": (DetectionConfig.step_forward, _COUNT),
+    "norm_window": (DetectionConfig.norm_window, _COUNT),
+    "warmup_steps": (DetectionConfig.warmup_steps, _NATURAL),
 }
 _DROP_KEYS = {
     "direction": (None, (lambda v: v in ("forward", "backward"), "'forward' or 'backward'")),
@@ -427,17 +404,13 @@ def _load_doc(path: Path, what: str) -> Mapping:
     return doc
 
 
-def _detection_from_doc(doc: Mapping) -> tuple[int, DetectionConfig, bool]:
-    """The seed, the detection config and whether detection is enabled, read
-    from a scenario or replay config document."""
+def _detection_from_doc(doc: Mapping) -> DetectionConfig:
+    """The detection section and the seed of a scenario or replay config
+    document."""
     seed = _check("seed", doc.get("seed", 0), _NATURAL)
     section = doc.get("detection")
     values = _read_section(section, "detection", _DETECTION_KEYS, "detection key", widen=True)
-    enabled = values.pop("enabled")
-    comparator = ComparatorConfig(
-        threshold=values.pop("comparator_threshold"), nominal_diff=values.pop("nominal_diff")
-    )
-    return seed, DetectionConfig(comparator=comparator, seed=seed, **values), enabled
+    return DetectionConfig(**values, seed=seed)
 
 
 def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
@@ -493,14 +466,12 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
         phases=tuple((start, float(accel)) for start, accel in leader["profile"]),
     )
     _leader_velocity_check(sim, leader)
-    seed, detection, enabled = _detection_from_doc(doc)
+    detection = _detection_from_doc(doc)
     return Scenario(
         sim=sim,
         leader=leader,
-        attack=parse_attack_case(doc.get("attack"), sim.n),
+        attack=parse_attack_case(doc.get("attack"), sim.n, sim.max_iterations),
         detection=detection,
-        seed=seed,
-        detection_enabled=enabled,
         drops=_drops_from_doc(doc.get("drops"), sim),
         output=OutputFlags(**_read_section(doc.get("output"), "output", _OUTPUT_KEYS, "output key")),
     )
@@ -528,20 +499,16 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
     table = {key: (in_sim[key], rule) for key, (_, rule) in _CASE_KEYS.items()}
     n, max_iterations = _read_section(doc, "", table, None).values()
     _check_bias_size("", n, max_iterations)
-    bias = iter_attack_value_cal(n, k, max_iterations, parse_attack_case(doc.get("attack"), n))
+    case = parse_attack_case(doc.get("attack"), n, max_iterations)
+    bias = iter_attack_value_cal(n, k, max_iterations, case)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     header = [f"fv{i}" for i in range(1, n + 1)]
     for name in ("x_ite", "v_ite", "zx_ite", "zv_ite"):
-        path = out_dir / f"{name}_bias.csv"
-        matrix = getattr(bias, f"{name}_bias")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in matrix:
-                writer.writerow([repr(float(value)) for value in row])
-        paths[name] = path
+        paths[name] = out_dir / f"{name}_bias.csv"
+        # tolist() gives Python floats, which _fmt writes as repr does.
+        _write_csv(paths[name], header, getattr(bias, f"{name}_bias").tolist())
     return paths
 
 
@@ -632,11 +599,7 @@ def _cmd_run(args) -> dict[str, Path]:
     scenario = load_scenario(Path(args.scenario))
     if args.seed is not None:
         _check("--seed", args.seed, _NATURAL)
-        scenario = replace(
-            scenario,
-            seed=args.seed,
-            detection=replace(scenario.detection, seed=args.seed),
-        )
+        scenario = replace(scenario, detection=replace(scenario.detection, seed=args.seed))
     if args.steps is not None:
         scenario = replace(scenario, sim=scenario.sim.with_overrides(total_control_steps=args.steps))
         _leader_velocity_check(scenario.sim, scenario.leader)
@@ -649,7 +612,7 @@ def _cmd_generate_bias(args) -> dict[str, Path]:
 
 
 def _cmd_replay_detect(args) -> dict[str, Path]:
-    _, detection, _ = _detection_from_doc(_load_doc(Path(args.config), "config document"))
+    detection = _detection_from_doc(_load_doc(Path(args.config), "config document"))
     events = replay_detection(Path(args.trace), detection)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -42,23 +42,30 @@ ANOMALY_CSV_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class ComparatorConfig:
-    threshold: float = 2.0
-    nominal_diff: float = 0.0
+class DetectionConfig:
+    """The ``detection`` section's keys, one field each, and the run's seed."""
 
-    def __post_init__(self):
-        if self.threshold <= 0:
-            raise DetectionError(f"comparator threshold must be > 0, got {self.threshold}")
+    enabled: bool = True
+    comparator_threshold: float = 2.0
+    nominal_diff: float = 0.0
+    pos_threshold: float = 2.5
+    vel_threshold: float = 2.0
+    hidden_count: int = 50
+    ridge: float = 1e-6
+    lag: int = 2
+    step_forward: int = 1
+    norm_window: int = 200
+    # Flags and events are suppressed while the models accumulate data.
+    warmup_steps: int = 12
+    seed: int = 0
 
 
 @dataclass(frozen=True)
 class NormalizationState:
-    """Affine map of [data_min, data_max] onto [target_lo, target_hi]."""
+    """Affine map of [data_min, data_max] onto [0, 1]."""
 
     data_min: float
     data_max: float
-    target_lo: float
-    target_hi: float
 
 
 @dataclass(frozen=True)
@@ -75,16 +82,12 @@ class ElmModel:
     """Single-hidden-layer network with fixed random input weights.
 
     Only the output weights are trained (ridge least squares); the input
-    weights and hidden biases are drawn once from ``random_state`` and never
-    touched again.
+    weights and hidden biases are drawn once by create_elm and never touched
+    again.
     """
 
-    hidden_count: int
-    random_state: int
     input_weights: np.ndarray  # (hidden_count, lag)
     hidden_biases: np.ndarray  # (hidden_count,)
-    lag: int
-    step_forward: int
     output_weights: Optional[np.ndarray] = None
     # P = (HᵀH + ridge·I)⁻¹ of the fit, kept so that elm_update can move the
     # output weights row by row.
@@ -97,17 +100,11 @@ class ElmModel:
                 array.flags.writeable = False
 
 
-def create_elm(
-    hidden_count: int, random_state: int, lag: int = 2, step_forward: int = 1
-) -> ElmModel:
+def create_elm(hidden_count: int, random_state: int, lag: int = 2) -> ElmModel:
     rng = np.random.default_rng(random_state)
     return ElmModel(
-        hidden_count=hidden_count,
-        random_state=random_state,
         input_weights=rng.uniform(-1.0, 1.0, size=(hidden_count, lag)),
         hidden_biases=rng.uniform(-1.0, 1.0, size=hidden_count),
-        lag=lag,
-        step_forward=step_forward,
     )
 
 
@@ -123,17 +120,14 @@ def _hidden(model: ElmModel, inputs: np.ndarray) -> np.ndarray:
     return np.divide(1.0, z, out=z)
 
 
-def comparator_check(gap_front: float, gap_rear: float, cfg: ComparatorConfig) -> bool:
+def comparator_check(gap_front: float, gap_rear: float, cfg: DetectionConfig) -> bool:
     """Flag when the gap difference deviates from ``cfg.nominal_diff`` by more
-    than the threshold.  Invariant under adding the same constant to both gaps."""
-    return abs((gap_front - gap_rear) - cfg.nominal_diff) > cfg.threshold
+    than ``cfg.comparator_threshold``.  Invariant under adding the same
+    constant to both gaps."""
+    return abs((gap_front - gap_rear) - cfg.nominal_diff) > cfg.comparator_threshold
 
 
-def minmax_fit(
-    series: Sequence[float], target_lo: float = 0.0, target_hi: float = 1.0
-) -> NormalizationState:
-    if target_lo >= target_hi:
-        raise DetectionError(f"bad target range [{target_lo}, {target_hi}]")
+def minmax_fit(series: Sequence[float]) -> NormalizationState:
     data = np.asarray(series, dtype=float)
     if data.size < 2:
         raise DetectionError("normalization fit needs at least 2 values")
@@ -141,17 +135,17 @@ def minmax_fit(
     hi = float(data.max())
     if not hi > lo:
         raise DetectionError(f"degenerate series range [{lo}, {hi}]")
-    return NormalizationState(data_min=lo, data_max=hi, target_lo=target_lo, target_hi=target_hi)
+    return NormalizationState(data_min=lo, data_max=hi)
 
 
 def minmax_transform(state: NormalizationState, values):
-    scale = (state.target_hi - state.target_lo) / (state.data_max - state.data_min)
-    return (np.asarray(values, dtype=float) - state.data_min) * scale + state.target_lo
+    # Multiplying by the reciprocal, not dividing, keeps the golden fingerprints' bits.
+    scale = 1.0 / (state.data_max - state.data_min)
+    return (np.asarray(values, dtype=float) - state.data_min) * scale
 
 
 def minmax_inverse(state: NormalizationState, values):  # a float or a float array
-    scale = (state.data_max - state.data_min) / (state.target_hi - state.target_lo)
-    return (values - state.target_lo) * scale + state.data_min
+    return values * (state.data_max - state.data_min) + state.data_min
 
 
 def sliding_window(
@@ -184,13 +178,6 @@ class NumericalFitError(RuntimeError):
 UPDATE_MIN_RIDGE = 1e-10
 
 
-def _fitted(
-    model: ElmModel, weights: np.ndarray, gram_inverse: Optional[np.ndarray]
-) -> ElmModel:
-    return ElmModel(model.hidden_count, model.random_state, model.input_weights,
-                    model.hidden_biases, model.lag, model.step_forward, weights, gram_inverse)
-
-
 def elm_fit(
     model: ElmModel, inputs: np.ndarray, targets: np.ndarray, ridge: float = 1e-6
 ) -> ElmModel:
@@ -202,7 +189,7 @@ def elm_fit(
     solve gives 1 on."""
     H = _hidden(model, inputs)
     gram = H.T @ H
-    gram.flat[:: model.hidden_count + 1] += ridge
+    gram.flat[:: len(gram) + 1] += ridge
     moment = H.T @ np.asarray(targets, dtype=float)
     if ridge >= UPDATE_MIN_RIDGE:
         gram_inverse = np.linalg.inv(gram)
@@ -211,7 +198,7 @@ def elm_fit(
         gram_inverse, weights = None, np.linalg.solve(gram, moment)
     if not np.isfinite(weights).all():
         raise NumericalFitError(f"non-finite output weights (ridge={ridge}, samples={len(H)})")
-    return _fitted(model, weights, gram_inverse)
+    return ElmModel(model.input_weights, model.hidden_biases, weights, gram_inverse)
 
 
 # Smallest Sherman–Morrison denominator 1 + sign·hᵀPh that elm_update accepts.
@@ -247,15 +234,16 @@ def elm_update(
         P -= np.outer(Ph, gain)
     if not np.isfinite(weights).all():
         return None
-    return _fitted(model, weights, P)
+    return ElmModel(model.input_weights, model.hidden_biases, weights, P)
 
 
 def elm_predict(model: ElmModel, window: Sequence[float]) -> float:
     if model.output_weights is None:
         raise DetectionError("model has no trained output weights")
     window = np.asarray(window, dtype=float)
-    if window.shape != (model.lag,):
-        raise DetectionError(f"window must have length {model.lag}, got {window.shape}")
+    lag = model.input_weights.shape[1]
+    if window.shape != (lag,):
+        raise DetectionError(f"window must have length {lag}, got {window.shape}")
     return float(_hidden(model, window) @ model.output_weights)
 
 
@@ -279,21 +267,6 @@ def detect_anomaly(
             predicted=predicted,
         )
     return None
-
-
-@dataclass(frozen=True)
-class DetectionConfig:
-    comparator: ComparatorConfig = ComparatorConfig()
-    pos_threshold: float = 2.5
-    vel_threshold: float = 2.0
-    hidden_count: int = 50
-    ridge: float = 1e-6
-    lag: int = 2
-    step_forward: int = 1
-    norm_window: int = 200
-    # Flags and events are suppressed while the models accumulate data.
-    warmup_steps: int = 12
-    seed: int = 0
 
 
 # Recursive updates allowed between full refits.  Each update adds rounding
@@ -334,7 +307,7 @@ class SeriesDetector:
         self.updates: Optional[int] = None
 
     def predict_next(self) -> Optional[float]:
-        recent, lag = self.recent, self.model.lag
+        recent, lag = self.recent, self.cfg.lag
         if len(recent) < lag + 1:
             return None
         if self.norm is None or self.model.output_weights is None:
@@ -358,7 +331,7 @@ class SeriesDetector:
             self.frozen = True
             self.updates = None
         self.recent.append(value)
-        del self.recent[: -(self.model.lag + 1)]
+        del self.recent[: -(self.cfg.lag + 1)]
 
     def _fit(self) -> None:
         """Fit the training pairs of the last ``norm_window`` increments.
@@ -371,7 +344,7 @@ class SeriesDetector:
         updates in a row refit in full with elm_fit.  A flag or a constant
         window sets ``updates`` to None, so the stored P is not used again.
         """
-        diffs, lag, ahead = self.train_diffs, self.model.lag, self.model.step_forward
+        diffs, lag, ahead = self.train_diffs, self.cfg.lag, self.cfg.step_forward
         window = diffs[-self.cfg.norm_window:]
         if len(window) < lag + ahead + 1:
             return
@@ -403,41 +376,18 @@ class SeriesDetector:
         self.updates = 0
 
 
-class VehicleDetector:
-    """Per-vehicle detector state: one position and one velocity forecaster."""
-
-    def __init__(self, vehicle: int, cfg: DetectionConfig):
-        self.vehicle = vehicle
-        self.cfg = cfg
-        base = cfg.seed * 1000 + vehicle * 2
-        self.position = SeriesDetector(
-            create_elm(cfg.hidden_count, base, cfg.lag, cfg.step_forward), cfg
-        )
-        self.velocity = SeriesDetector(
-            create_elm(cfg.hidden_count, base + 1, cfg.lag, cfg.step_forward), cfg
-        )
-
-    @property
-    def frozen(self) -> bool:
-        return self.position.frozen
-
-
-def update_or_freeze(
-    detector: VehicleDetector, attack_flag: bool, position: float, velocity: float
-) -> VehicleDetector:
-    """Freeze-on-attack: flagged steps keep the stored weights and exclude the
-    observation from training; unflagged steps resume online fitting."""
-    detector.position.observe(position, attack_flag)
-    detector.velocity.observe(velocity, attack_flag)
-    return detector
-
-
 class DetectorState:
-    """Detector bank for the whole platoon, mutated only by detect_step."""
+    """Detector bank for the whole platoon, mutated only by detect_step:
+    ``vehicles[i]`` is follower i+1's (position, velocity) forecaster pair."""
 
     def __init__(self, n: int, cfg: DetectionConfig):
         self.cfg = cfg
-        self.vehicles = [VehicleDetector(i, cfg) for i in range(1, n + 1)]
+
+        def series(seed: int) -> SeriesDetector:
+            return SeriesDetector(create_elm(cfg.hidden_count, seed, cfg.lag), cfg)
+
+        bases = (cfg.seed * 1000 + 2 * vehicle for vehicle in range(1, n + 1))
+        self.vehicles = [(series(base), series(base + 1)) for base in bases]
 
 
 @dataclass(frozen=True)
@@ -469,9 +419,9 @@ def detect_step(
     active = control_step >= cfg.warmup_steps
     flags, comp_flags, pos_preds, vel_preds, events = [], [], [], [], []
     for idx, obs in enumerate(observations):
-        detector = state.vehicles[idx]
-        pos_pred = detector.position.predict_next()
-        vel_pred = detector.velocity.predict_next()
+        position, velocity = state.vehicles[idx]
+        pos_pred = position.predict_next()
+        vel_pred = velocity.predict_next()
 
         if comparator_flags_override is not None:
             comp = bool(comparator_flags_override[idx])
@@ -479,28 +429,25 @@ def detect_step(
             # Perceived rear gap reconstructed from the successor's reported
             # spacing error, sharing the front gap's nominal-spacing term.
             gap_rear = obs.rear_spacing_error + (obs.gap_front - obs.spacing_error)
-            comp = comparator_check(obs.gap_front, gap_rear, cfg.comparator)
+            comp = comparator_check(obs.gap_front, gap_rear, cfg)
         else:
             comp = False
 
         vehicle_events = []
-        if active and pos_pred is not None:
-            event = detect_anomaly(
-                POS_ANOM, control_step, obs.vehicle, obs.front_x, pos_pred,
-                cfg.pos_threshold,
-            )
-            if event:
-                vehicle_events.append(event)
-        if active and vel_pred is not None:
-            event = detect_anomaly(
-                VEL_ANOM, control_step, obs.vehicle, obs.front_v, vel_pred,
-                cfg.vel_threshold,
-            )
-            if event:
-                vehicle_events.append(event)
+        for kind, actual, predicted, threshold in (
+            (POS_ANOM, obs.front_x, pos_pred, cfg.pos_threshold),
+            (VEL_ANOM, obs.front_v, vel_pred, cfg.vel_threshold),
+        ):
+            if active and predicted is not None:
+                event = detect_anomaly(
+                    kind, control_step, obs.vehicle, actual, predicted, threshold
+                )
+                if event:
+                    vehicle_events.append(event)
 
         flagged = comp or bool(vehicle_events)
-        update_or_freeze(detector, flagged, obs.front_x, obs.front_v)
+        position.observe(obs.front_x, flagged)
+        velocity.observe(obs.front_v, flagged)
 
         flags.append(flagged)
         comp_flags.append(comp)

@@ -32,6 +32,7 @@ def single_channel_case(
             "iter_biasparavalue_list": [[[bias_params or [1.0]]]],
         },
         n,
+        SimConfig.max_iterations,
     )
 
 
@@ -40,7 +41,6 @@ def make_scenario(
     attack: AttackCase | None = None,
     leader: LeaderProfile | None = None,
     seed: int = 1,
-    detection_enabled: bool = True,
     **detection_overrides,
 ) -> Scenario:
     sim = sim or SimConfig()
@@ -50,6 +50,4 @@ def make_scenario(
         leader=leader or LeaderProfile(30.0),
         attack=attack or AttackCase(),
         detection=detection,
-        seed=seed,
-        detection_enabled=detection_enabled,
     )

@@ -27,7 +27,7 @@ from platoonsec.cli_runner import (
 )
 from platoonsec.detection import (
     DetectionConfig,
-    VehicleDetector,
+    DetectorState,
     create_elm,
     elm_fit,
     elm_predict,
@@ -35,7 +35,6 @@ from platoonsec.detection import (
     minmax_inverse,
     minmax_transform,
     sliding_window,
-    update_or_freeze,
 )
 from platoonsec.metrics import ImpactClass
 from platoonsec.mpc_controller import primal_exit
@@ -120,10 +119,8 @@ def test_c2_constraint_soundness():
         scenario = Scenario(
             sim=SimConfig(total_control_steps=120),
             leader=LeaderProfile(30.0, phases),
-            attack=parse_attack_case(doc, 6),
-            detection=DetectionConfig(seed=trial),
-            seed=trial,
-            detection_enabled=False,
+            attack=parse_attack_case(doc, 6, SimConfig.max_iterations),
+            detection=DetectionConfig(enabled=False, seed=trial),
         )
         result = simulate(scenario)
         windows = [(slot.start, slot.end) for slot in scenario.attack.slots]
@@ -197,8 +194,8 @@ def test_c4_bias_generator_oracle_equivalence():
     for _ in range(100):
         n = rng.randint(2, 8)
         doc = random_attack_doc(rng, n)
-        case = parse_attack_case(doc, n)
         max_iter = rng.choice([60, 150, 300])
+        case = parse_attack_case(doc, n, max_iter)
         for _ in range(10):
             k = rng.randint(0, 120)
             got = iter_attack_value_cal(n, k, max_iter, case)
@@ -284,20 +281,23 @@ def test_c8_elm_correctness():
     ramp_ok = rmse < 1e-3
 
     cfg = DetectionConfig(seed=5, warmup_steps=0)
-    det = VehicleDetector(1, cfg)
+    position, velocity = DetectorState(1, cfg).vehicles[0]
     for t in range(10):
-        update_or_freeze(det, False, 3.0 * t + 0.01 * t * t, 30.0 + 0.05 * t)
-    weights_before = det.position.model.output_weights.copy()
+        position.observe(3.0 * t + 0.01 * t * t, False)
+        velocity.observe(30.0 + 0.05 * t, False)
+    weights_before = position.model.output_weights.copy()
     for t in range(10, 14):
-        update_or_freeze(det, True, 1e5 + t, -1e4)
-    freeze_ok = np.array_equal(det.position.model.output_weights, weights_before)
+        position.observe(1e5 + t, True)
+        velocity.observe(-1e4, True)
+    freeze_ok = np.array_equal(position.model.output_weights, weights_before)
 
     def detector_run():
-        d = VehicleDetector(2, DetectionConfig(seed=11, warmup_steps=0))
+        pos, vel = DetectorState(2, DetectionConfig(seed=11, warmup_steps=0)).vehicles[1]
         outputs = []
         for t in range(25):
-            outputs.append((d.position.predict_next(), d.velocity.predict_next()))
-            update_or_freeze(d, False, 2.0 * t + 0.3 * math.sin(t), 30.0 + 0.2 * math.cos(t))
+            outputs.append((pos.predict_next(), vel.predict_next()))
+            pos.observe(2.0 * t + 0.3 * math.sin(t), False)
+            vel.observe(30.0 + 0.2 * math.cos(t), False)
         return outputs
 
     determinism_ok = detector_run() == detector_run()

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -45,14 +46,14 @@ def one_slot_doc(freq, freq_params, bias, bias_params, period=(0, 5)):
 
 def one_slot_column(freq, freq_params, bias, bias_params, max_iterations=300):
     """The bias vector a one-slot case puts on its channel at control step 0."""
-    case = parse_attack_case(one_slot_doc(freq, freq_params, bias, bias_params), 6)
+    case = parse_attack_case(one_slot_doc(freq, freq_params, bias, bias_params), 6, max_iterations)
     return iter_attack_value_cal(6, 0, max_iterations, case).v_ite_bias[:, 1]
 
 
 class TestParseAttackCase:
     def test_running_example_parses(self):
         # One slot per channel, in document order: victim, period, channel.
-        case = parse_attack_case(running_example_doc(), n=6)
+        case = parse_attack_case(running_example_doc(), n=6, max_iterations=300)
         assert case.slots == (
             (1, 10, 20, ChannelId.X_ITE, 1, 0, "Constant", (3.0,)),
             (1, 10, 20, ChannelId.V_ITE, 1, 0, "Constant", (2.0,)),
@@ -62,44 +63,73 @@ class TestParseAttackCase:
         )
 
     def test_empty_case_is_benign(self):
-        assert parse_attack_case(None, 6) == AttackCase()
-        assert parse_attack_case({}, 6) == AttackCase()
+        assert parse_attack_case(None, 6, 300) == AttackCase()
+        assert parse_attack_case({}, 6, 300) == AttackCase()
         assert AttackCase().slots == ()
 
     def test_shape_mismatch_names_the_path(self):
         doc = running_example_doc()
         doc["iter_malichannel_list"][0] = [["x_ite", "v_ite"]]  # 1 period entry, 2 expected
         with pytest.raises(AttackCaseError, match=r"iter_malichannel_list\[0\]"):
-            parse_attack_case(doc, 6)
+            parse_attack_case(doc, 6, 300)
 
     def test_victim_out_of_range(self):
         doc = running_example_doc()
         doc["iter_victim_list"] = [1, 3, 7]
         with pytest.raises(AttackCaseError, match="victim 7"):
-            parse_attack_case(doc, 6)
+            parse_attack_case(doc, 6, 300)
 
     def test_parameter_arity_enforced(self):
         doc = running_example_doc()
         doc["iter_biasparavalue_list"][1] = [[[2]]]  # Linear needs [m, c]
         with pytest.raises(AttackCaseError, match="Linear"):
-            parse_attack_case(doc, 6)
+            parse_attack_case(doc, 6, 300)
 
     def test_unknown_channel_rejected(self):
         doc = running_example_doc()
         doc["iter_malichannel_list"][1] = [["w_ite"]]
         with pytest.raises(AttackCaseError, match="w_ite"):
-            parse_attack_case(doc, 6)
+            parse_attack_case(doc, 6, 300)
 
     def test_discrete_is_cluster_alias(self):
         for params in ([4], [1, 4]):
-            case = parse_attack_case(one_slot_doc("Discrete", params, "Constant", [1.0]), 6)
+            case = parse_attack_case(one_slot_doc("Discrete", params, "Constant", [1.0]), 6, 300)
             assert [(slot.on, slot.off) for slot in case.slots] == [(1, 4)]
 
     def test_interval_sanity(self):
         doc = running_example_doc()
         doc["control_attackperiod_list"][1] = [[30, 20]]
         with pytest.raises(AttackCaseError, match="invalid interval"):
-            parse_attack_case(doc, 6)
+            parse_attack_case(doc, 6, 300)
+
+    def test_overflow_check_matches_the_waveform(self):
+        # A slot is rejected exactly when bias_waveform has a non-finite row
+        # over the case's max_iterations, whichever path the check takes.
+        big = sys.float_info.max
+        params = [
+            ("Linear", [1e305, 0.0]), ("Linear", [-1e306, big]), ("Linear", [big, -big]),
+            ("Sinusoidal", [1.0, 1e308, 0.0, 0.0]), ("Sinusoidal", [1.0, 1e305, big, 0.0]),
+            ("Sinusoidal", [big, 0.0, -math.pi / 2, big]), ("Sinusoidal", [big, 0.0, math.pi / 2, big]),
+            ("Sinusoidal", [big, 0.25, 0.0, big]), ("Sinusoidal", [-big, 3.0, 1.0, -big]),
+        ]
+        rng = random.Random(7)
+        for _ in range(200):
+            scale = lambda: rng.choice([-1, 1]) * big * rng.uniform(0.3, 1.0)
+            params.append(("Sinusoidal", [scale(), rng.uniform(0, 5), rng.uniform(-4, 4), scale()]))
+        rejected = 0
+        for kind, values in params:
+            for max_iterations in (1, 2, 300, 3000):
+                finite = np.isfinite(bias_waveform(kind, values, max_iterations)).all()
+                doc = one_slot_doc("Continuous", [0], kind, values)
+                try:
+                    parse_attack_case(doc, 6, max_iterations)
+                except AttackCaseError as exc:
+                    assert "overflows" in str(exc)
+                    assert not finite, (kind, values, max_iterations)
+                    rejected += 1
+                else:
+                    assert finite, (kind, values, max_iterations)
+        assert 0 < rejected < 4 * len(params)
 
 
 class TestStealthMask:
@@ -255,12 +285,12 @@ def random_attack_doc(rng: random.Random, n: int) -> dict:
 
 class TestIterAttackValueCal:
     def test_step_outside_every_period_gives_zeros(self):
-        case = parse_attack_case(running_example_doc(), 6)
+        case = parse_attack_case(running_example_doc(), 6, 300)
         bias = iter_attack_value_cal(6, 100, 300, case)
         assert bias.is_zero()
 
     def test_running_example_at_step_15(self):
-        case = parse_attack_case(running_example_doc(), 6)
+        case = parse_attack_case(running_example_doc(), 6, 300)
         bias = iter_attack_value_cal(6, 15, 300, case)
         # fv1 under both of its periods: x_ite carries the constant 3,
         # v_ite carries constant 2 plus the clustered constant 4.
@@ -277,7 +307,7 @@ class TestIterAttackValueCal:
             assert not matrix[:, [1, 3, 5]].any()
 
     def test_running_example_at_step_25(self):
-        case = parse_attack_case(running_example_doc(), 6)
+        case = parse_attack_case(running_example_doc(), 6, 300)
         bias = iter_attack_value_cal(6, 25, 300, case)
         # only fv1's second period ([15, 25], v_ite) and fv3's ([20, 30], zx_ite)
         assert not bias.x_ite_bias.any()
@@ -290,8 +320,8 @@ class TestIterAttackValueCal:
         for trial in range(100):
             n = rng.randint(2, 8)
             doc = random_attack_doc(rng, n)
-            case = parse_attack_case(doc, n)
             max_iter = rng.choice([50, 120, 300])
+            case = parse_attack_case(doc, n, max_iter)
             for _ in range(10):
                 k = rng.randint(0, 120)
                 got = iter_attack_value_cal(n, k, max_iter, case)
@@ -302,7 +332,7 @@ class TestIterAttackValueCal:
                     )
 
     def test_period_boundaries_closed(self):
-        case = parse_attack_case(one_slot_doc("Continuous", [0], "Constant", [1.0], (10, 20)), 6)
+        case = parse_attack_case(one_slot_doc("Continuous", [0], "Constant", [1.0], (10, 20)), 6, 50)
         assert iter_attack_value_cal(6, 9, 50, case).is_zero()
         assert not iter_attack_value_cal(6, 10, 50, case).is_zero()
         assert not iter_attack_value_cal(6, 20, 50, case).is_zero()
@@ -318,7 +348,7 @@ class TestIterAttackValueCal:
             "iter_biasparavalue_list": [[[[2.0]], [[0.1, 1.0]]]],
             "control_attackperiod_list": [[[5, 15], [10, 20]]],
         }
-        combined = iter_attack_value_cal(6, 12, 60, parse_attack_case(base, 6))
+        combined = iter_attack_value_cal(6, 12, 60, parse_attack_case(base, 6, 60))
 
         def single(period, channel_doc, freq, fp, bk, bp):
             return parse_attack_case(
@@ -332,6 +362,7 @@ class TestIterAttackValueCal:
                     "iter_biasparavalue_list": [bp],
                 },
                 6,
+                60,
             )
 
         first = iter_attack_value_cal(
@@ -345,7 +376,7 @@ class TestIterAttackValueCal:
             assert np.array_equal(combined.by_channel(ch), summed.by_channel(ch))
 
     def test_output_shape_fixed(self):
-        for case in (AttackCase(), parse_attack_case(running_example_doc(), 6)):
+        for case in (AttackCase(), parse_attack_case(running_example_doc(), 6, 77)):
             bias = iter_attack_value_cal(6, 0, 77, case)
             for ch in ChannelId:
                 assert bias.by_channel(ch).shape == (77, 6)
@@ -354,7 +385,7 @@ class TestIterAttackValueCal:
     @settings(max_examples=25, deadline=None)
     def test_sparsity_only_active_victims(self, k):
         doc = running_example_doc()
-        bias = iter_attack_value_cal(6, k, 50, parse_attack_case(doc, 6))
+        bias = iter_attack_value_cal(6, k, 50, parse_attack_case(doc, 6, 50))
         active = {
             victim
             for victim, periods in zip(doc["iter_victim_list"], doc["control_attackperiod_list"])

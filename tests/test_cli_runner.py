@@ -23,12 +23,13 @@ from platoonsec.cli_runner import (
     simulate,
     write_anomaly_csv,
 )
-from platoonsec.detection import ComparatorConfig, DetectionConfig
+from platoonsec.detection import DetectionConfig
 from platoonsec.platoon_model import ConfigError, SimConfig
 
 from conftest import make_scenario, single_channel_case
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
 
 def scenario_doc(**overrides):
@@ -41,7 +42,7 @@ def scenario_doc(**overrides):
     return doc
 
 
-def _one_channel_attack(bias, bias_kind="Constant", freq_kind="Continuous", freq_params=(0,)):
+def _one_channel_attack(*bias, bias_kind="Constant", freq_kind="Continuous", freq_params=(0,)):
     return {
         "iter_victim_list": [2],
         "control_attackperiod_list": [[[5, 9]]],
@@ -49,7 +50,7 @@ def _one_channel_attack(bias, bias_kind="Constant", freq_kind="Continuous", freq
         "iter_freq_type_list": [[[freq_kind]]],
         "iter_freqparavalue_list": [[[list(freq_params)]]],
         "iter_biastype_list": [[[bias_kind]]],
-        "iter_biasparavalue_list": [[[[bias]]]],
+        "iter_biasparavalue_list": [[[list(bias)]]],
     }
 
 
@@ -60,22 +61,23 @@ class TestScenarioLoading:
         scenario = load_scenario(path)
         assert scenario.sim.total_control_steps == 40
         assert not scenario.attack.slots
-        assert scenario.seed == 3
-        assert scenario.detection.seed == 3
         assert scenario.detection == DetectionConfig(seed=3)
-        assert scenario.detection_enabled
 
     def test_detection_section_read(self):
-        section = {"enabled": False, "nominal_diff": 1, "pos_threshold": 3, "lag": 3}
-        scenario = scenario_from_dict(scenario_doc(detection=section))
-        assert not scenario.detection_enabled
-        assert isinstance(scenario.detection.pos_threshold, float)
-        assert scenario.detection == replace(
-            DetectionConfig(seed=3),
-            comparator=ComparatorConfig(nominal_diff=1.0),
-            pos_threshold=3.0,
-            lag=3,
-        )
+        # Every key set away from its default; the keys are exactly the
+        # DetectionConfig fields other than seed.
+        section = {
+            "enabled": False, "comparator_threshold": 3, "nominal_diff": 1, "pos_threshold": 3,
+            "vel_threshold": 2.5, "hidden_count": 20, "ridge": 1.0e-4, "lag": 3,
+            "step_forward": 2, "norm_window": 100, "warmup_steps": 5,
+        }
+        defaults = DetectionConfig()
+        assert set(section) == {f.name for f in fields(DetectionConfig)} - {"seed"}
+        assert all(value != getattr(defaults, key) for key, value in section.items())
+        detection = scenario_from_dict(scenario_doc(detection=section)).detection
+        assert detection == DetectionConfig(**section, seed=3)
+        for key in ("comparator_threshold", "nominal_diff", "pos_threshold"):
+            assert isinstance(getattr(detection, key), float)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown scenario keys"):
@@ -313,6 +315,28 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 25 * 6
 
+    def test_seed_override_is_the_document_seed(self, tmp_path):
+        # run --seed sets detection.seed and nothing else: the artifacts are
+        # those of the same document with that seed.  The seed moves the
+        # forecasts in the trace (single_target's anomalies do not move).
+        shipped = SCENARIO_DIR / "single_target.yaml"
+        doc = yaml.safe_load(shipped.read_text())
+        assert doc["seed"] == 1
+        copy = tmp_path / "seed9.yaml"
+        copy.write_text(yaml.safe_dump({**doc, "seed": 9}))
+        runs = {
+            "override": ["--scenario", str(shipped), "--seed", "9"],
+            "document": ["--scenario", str(copy)],
+            "seed1": ["--scenario", str(shipped)],
+        }
+        for name, args in runs.items():
+            assert main(["run", *args, "--out", str(tmp_path / name)]) == 0
+        for artifact in ("trace.csv", "anomalies.csv", "impact.txt", "impact.csv"):
+            override = (tmp_path / "override" / artifact).read_bytes()
+            assert override == (tmp_path / "document" / artifact).read_bytes(), artifact
+        trace = (tmp_path / "override" / "trace.csv").read_bytes()
+        assert trace != (tmp_path / "seed1" / "trace.csv").read_bytes()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(scenario_doc(sim={"n": 0})))
@@ -489,10 +513,16 @@ class TestCli:
             ([1, 2], "case document must be a mapping, got list"),
             ({"iter_victim_list": [1]},
              "iter_victim_list must be under attack:, not at the top level"),
+            # 1e305 * 299 is finite, 1e305 * 2999 is not: the case's own
+            # max_iterations bounds the waveform.
+            ({"max_iterations": 3000, "attack": _one_channel_attack(1e305, 0, bias_kind="Linear")},
+             "iter_biasparavalue_list[0][0][0]: Linear bias [1e+305, 0.0] overflows within "
+             "3000 iterations"),
         ],
         ids=[
             "string-n", "zero-n", "bool-n", "float-sim-n", "string-iterations",
             "float-sim-iterations", "int-sim", "list-document", "top-level-lists",
+            "overflowing-line",
         ],
     )
     def test_bad_generate_bias_case_exit_code(self, tmp_path, capsys, case, message):
@@ -606,11 +636,18 @@ class TestCli:
              "iter_freqparavalue_list[0][0][0]: Cluster off-window must be >= 0, got -1"),
             (_one_channel_attack(float("nan")),
              "iter_biasparavalue_list[0][0][0]: non-finite bias parameters [nan]"),
+            (_one_channel_attack(1, 1e308, 0, 0, bias_kind="Sinusoidal"),
+             "iter_biasparavalue_list[0][0][0]: Sinusoidal bias [1.0, 1e+308, 0.0, 0.0] "
+             "overflows within 300 iterations"),
+            (_one_channel_attack(1e308, 0, bias_kind="Linear"),
+             "iter_biasparavalue_list[0][0][0]: Linear bias [1e+308, 0.0] overflows within "
+             "300 iterations"),
         ],
         ids=[
             "int-attack", "list-attack", "bool-attack", "mixed-type-keys", "text-bias-parameter",
             "int-past-float-range", "unknown-bias-kind", "unknown-frequency-kind",
             "zero-on-window", "negative-off-window", "nan-bias-parameter",
+            "overflowing-sinusoid", "overflowing-line",
         ],
     )
     def test_bad_attack_section_exit_code(self, tmp_path, capsys, attack, message):

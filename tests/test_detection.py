@@ -8,14 +8,12 @@ import yaml
 
 from platoonsec.detection import (
     AnomalyEvent,
-    ComparatorConfig,
     DetectionConfig,
     DetectionError,
     DetectorState,
     POS_ANOM,
     VEL_ANOM,
     SeriesDetector,
-    VehicleDetector,
     comparator_check,
     create_elm,
     detect_anomaly,
@@ -27,7 +25,6 @@ from platoonsec.detection import (
     minmax_inverse,
     minmax_transform,
     sliding_window,
-    update_or_freeze,
 )
 from platoonsec import detection
 from platoonsec.cli_runner import scenario_from_dict, simulate
@@ -41,7 +38,7 @@ ROOT = Path(__file__).parent.parent
 
 class TestComparator:
     def setup_method(self):
-        self.cfg = ComparatorConfig(threshold=2.0, nominal_diff=0.0)
+        self.cfg = DetectionConfig(comparator_threshold=2.0, nominal_diff=0.0)
 
     def test_symmetric_benign(self):
         assert not comparator_check(20.0, 20.0, self.cfg)
@@ -61,10 +58,6 @@ class TestComparator:
             assert comparator_check(gf, gr, self.cfg) == comparator_check(
                 gf + shift, gr + shift, self.cfg
             )
-
-    def test_threshold_positive(self):
-        with pytest.raises(DetectionError):
-            ComparatorConfig(threshold=0.0)
 
 
 class TestMinMax:
@@ -88,11 +81,6 @@ class TestMinMax:
     def test_too_short_rejected(self):
         with pytest.raises(DetectionError):
             minmax_fit([1.0])
-
-    def test_custom_target_range(self):
-        state = minmax_fit([0.0, 4.0], target_lo=-1.0, target_hi=1.0)
-        assert minmax_transform(state, 2.0) == pytest.approx(0.0)
-        assert minmax_transform(state, 4.0) == pytest.approx(1.0)
 
 
 class TestSlidingWindow:
@@ -129,8 +117,9 @@ class TestSlidingWindow:
 def reference_ridge_fit(model: ElmModel, inputs, targets, ridge):
     """Independent ridge solution via the augmented least-squares system."""
     H = 1.0 / (1.0 + np.exp(-np.clip(inputs @ model.input_weights.T + model.hidden_biases, -500, 500)))
-    A = np.vstack([H, math.sqrt(ridge) * np.eye(model.hidden_count)])
-    b = np.concatenate([targets, np.zeros(model.hidden_count)])
+    hidden_count = len(model.hidden_biases)
+    A = np.vstack([H, math.sqrt(ridge) * np.eye(hidden_count)])
+    b = np.concatenate([targets, np.zeros(hidden_count)])
     weights, *_ = np.linalg.lstsq(A, b, rcond=None)
     return H, weights
 
@@ -166,12 +155,8 @@ class TestElm:
 
     def test_predict_matches_hand_computed_two_neuron_model(self):
         model = ElmModel(
-            hidden_count=2,
-            random_state=0,
             input_weights=np.array([[1.0, 0.0], [0.0, -2.0]]),
             hidden_biases=np.array([0.0, 0.5]),
-            lag=2,
-            step_forward=1,
             output_weights=np.array([0.5, -0.25]),
         )
         window = [0.2, 0.4]
@@ -206,7 +191,7 @@ def _ref_windows(data, lag, step_forward):
 
 def _ref_weights(model, inputs, targets, ridge):
     H = _ref_sigmoid(inputs @ model.input_weights.T + model.hidden_biases)
-    gram = H.T @ H + ridge * np.eye(model.hidden_count)
+    gram = H.T @ H + ridge * np.eye(len(model.hidden_biases))
     if ridge < detection.UPDATE_MIN_RIDGE:
         return np.linalg.solve(gram, H.T @ targets)
     return np.linalg.inv(gram) @ (H.T @ targets)
@@ -224,7 +209,7 @@ class TestKernelsMatchReferenceFormulas:
     @pytest.mark.parametrize("lag, step_forward", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_windows_weights_and_forecasts_bit_identical(self, lag, step_forward):
         rng = np.random.default_rng(100 * lag + step_forward)
-        model = create_elm(50, random_state=lag + step_forward, lag=lag, step_forward=step_forward)
+        model = create_elm(50, random_state=lag + step_forward, lag=lag)
         for rows in range(3, 201):
             increments = 3.0 + 0.05 * rng.standard_normal(rows + lag + step_forward - 1)
             norm = minmax_fit(increments)
@@ -356,7 +341,7 @@ def _record_fits(monkeypatch) -> list:
 
 def _full_refit_prediction(det: SeriesDetector) -> float:
     """The detector's next-value forecast from a fresh elm_fit on its window."""
-    lag, ahead = det.model.lag, det.model.step_forward
+    lag, ahead = det.cfg.lag, det.cfg.step_forward
     window = np.asarray(det.train_diffs[-det.cfg.norm_window:])
     norm = minmax_fit(window)
     model = elm_fit(det.model, *sliding_window(minmax_transform(norm, window), lag, ahead), det.cfg.ridge)
@@ -512,50 +497,60 @@ class TestRecursiveUpdates:
         assert recursive == events()
 
 
+def _pair():
+    """Follower 1's (position, velocity) forecasters."""
+    return DetectorState(1, _cfg()).vehicles[0]
+
+
+def _observe(pair, flagged, position, velocity):
+    pair[0].observe(position, flagged)
+    pair[1].observe(velocity, flagged)
+
+
 class TestUpdateOrFreeze:
-    def _weights(self, det: VehicleDetector):
-        w = det.position.model.output_weights
+    def _weights(self, pair):
+        w = pair[0].model.output_weights
         return None if w is None else w.copy()
 
     def test_freeze_window_semantics(self):
         # flags [False, True, True, False]: weights move only on the
         # unflagged observations.
-        det = VehicleDetector(1, _cfg())
+        pair = _pair()
         for t in range(8):  # build enough history to fit
-            update_or_freeze(det, False, 3.0 * t + 0.01 * t * t, 30.0 + 0.1 * t)
-        w0 = self._weights(det)
+            _observe(pair, False, 3.0 * t + 0.01 * t * t, 30.0 + 0.1 * t)
+        w0 = self._weights(pair)
         assert w0 is not None
-        update_or_freeze(det, True, 999.0, 99.0)
-        assert det.frozen
-        assert np.array_equal(self._weights(det), w0)
-        update_or_freeze(det, True, 1234.0, 77.0)
-        assert np.array_equal(self._weights(det), w0)
-        update_or_freeze(det, False, 27.0, 30.9)
-        assert not det.frozen
+        _observe(pair, True, 999.0, 99.0)
+        assert pair[0].frozen and pair[1].frozen
+        assert np.array_equal(self._weights(pair), w0)
+        _observe(pair, True, 1234.0, 77.0)
+        assert np.array_equal(self._weights(pair), w0)
+        _observe(pair, False, 27.0, 30.9)
+        assert not pair[0].frozen and not pair[1].frozen
 
     def test_tainted_observations_never_train(self):
         # Two runs with identical benign data but different garbage during
         # the flagged window end with identical weights.
         def run(tainted_value):
-            det = VehicleDetector(1, _cfg())
+            pair = _pair()
             for t in range(10):
-                update_or_freeze(det, False, 3.0 * t + 0.02 * t * t, 30.0)
+                _observe(pair, False, 3.0 * t + 0.02 * t * t, 30.0)
             for _ in range(3):
-                update_or_freeze(det, True, tainted_value, tainted_value)
+                _observe(pair, True, tainted_value, tainted_value)
             for t in range(10, 18):
-                update_or_freeze(det, False, 3.0 * t + 0.02 * t * t, 30.0)
-            return det.position.model.output_weights
+                _observe(pair, False, 3.0 * t + 0.02 * t * t, 30.0)
+            return pair[0].model.output_weights
 
         a = run(1e6)
         b = run(-123.456)
         assert np.array_equal(a, b)
 
     def test_unflagged_run_keeps_training(self):
-        det = VehicleDetector(1, _cfg())
+        pair = _pair()
         seen = []
         for t in range(8, 20):
-            update_or_freeze(det, False, 3.0 * t + 0.3 * math.sin(t), 30.0)
-            w = self._weights(det)
+            _observe(pair, False, 3.0 * t + 0.3 * math.sin(t), 30.0)
+            w = self._weights(pair)
             if w is not None:
                 seen.append(w)
         assert len(seen) >= 2
@@ -592,7 +587,7 @@ class TestDetectStep:
         result = detect_step(obs, state, 30)
         assert result.flags[2]
         assert any(e.kind == POS_ANOM and e.vehicle == 3 for e in result.events)
-        assert state.vehicles[2].frozen
+        assert state.vehicles[2][0].frozen and state.vehicles[2][1].frozen
 
     def test_comparator_feeds_combined_flag(self):
         state = DetectorState(6, DetectionConfig(seed=1, warmup_steps=12))
@@ -635,8 +630,8 @@ class TestDetectStep:
 
     def test_two_models_per_vehicle_with_lag_two(self):
         state = DetectorState(3, DetectionConfig(seed=0))
-        for det in state.vehicles:
-            assert det.position.model.lag == 2
-            assert det.velocity.model.lag == 2
-            assert det.position.model.step_forward == 1
-            assert det.position.model.random_state != det.velocity.model.random_state
+        for position, velocity in state.vehicles:
+            assert position.model.input_weights.shape == (50, 2)
+            assert velocity.model.input_weights.shape == (50, 2)
+            assert position.cfg.step_forward == 1
+            assert not np.array_equal(position.model.input_weights, velocity.model.input_weights)
