@@ -186,8 +186,9 @@ def parse_attack_case(doc: Mapping[str, Any] | None, n: int, max_iterations: int
     the max_iterations rows of a control step.
 
     An absent/empty document, or one with all-empty lists, is the benign
-    case.  Shape mismatches, and waveforms that overflow, are rejected with
-    the offending path.
+    case.  Shape mismatches, and waveforms that overflow, alone or summed
+    with the other slots of their victim and channel, are rejected with the
+    offending path or victim.
     """
     if doc is None:
         return AttackCase()
@@ -253,7 +254,35 @@ def parse_attack_case(doc: Mapping[str, Any] | None, n: int, max_iterations: int
                 AttackSlot(victim, start, end, channel, on, off, kind, values)
                 for channel, (on, off), (kind, values) in zip(channels, windows, biases)
             )
+    _check_sums(slots, max_iterations)
     return AttackCase(tuple(slots))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _check_sums(slots: Sequence[AttackSlot], max_iterations: int) -> None:
+    """Reject slots of one victim and channel whose sum overflows where two
+    or more are active at once.  The sum is taken as iter_attack_value_cal
+    takes it, in slot order, at every control step where the set of active
+    slots changes."""
+    groups: dict[tuple[int, ChannelId], list[AttackSlot]] = {}
+    for slot in slots:
+        groups.setdefault((slot.victim, slot.channel), []).append(slot)
+    for (victim, channel), group in groups.items():
+        spans = sorted((slot.start, slot.end) for slot in group)
+        if all(a_end < b_start for (_, a_end), (b_start, _) in zip(spans, spans[1:])):
+            continue  # no two slots are ever active at once
+        for k in sorted({slot.start for slot in group} | {slot.end + 1 for slot in group}):
+            active = [slot for slot in group if slot.start <= k <= slot.end]
+            if len(active) < 2:
+                continue
+            total = np.zeros(max_iterations)
+            for slot in active:
+                total += _slot_bias(slot, max_iterations)
+            if not np.isfinite(total).all():
+                raise AttackCaseError(
+                    f"victim {victim}: the {len(active)} {channel.value} slots active at "
+                    f"control step {k} overflow when summed"
+                )
 
 
 def stealth_mask(on: int, off: int, max_iterations: int) -> np.ndarray:
@@ -304,6 +333,12 @@ def bias_waveform(kind: str, values: Sequence[float], max_iterations: int) -> np
     return amp * np.array(sines) + shift
 
 
+def _slot_bias(slot: AttackSlot, max_iterations: int) -> np.ndarray:
+    """The slot's waveform under its stealth mask, one entry per iteration row."""
+    mask = stealth_mask(slot.on, slot.off, max_iterations)
+    return np.where(mask, bias_waveform(slot.bias_kind, slot.bias_values, max_iterations), 0.0)
+
+
 def iter_attack_value_cal(n: int, k: int, max_iterations: int, case: AttackCase) -> BiasMatrices:
     """Generate the four per-channel bias matrices for control step k.
 
@@ -314,7 +349,5 @@ def iter_attack_value_cal(n: int, k: int, max_iterations: int, case: AttackCase)
     mats = {ch: np.zeros((max_iterations, n)) for ch in ChannelId}
     for slot in case.slots:
         if slot.start <= k <= slot.end:
-            mask = stealth_mask(slot.on, slot.off, max_iterations)
-            wave = bias_waveform(slot.bias_kind, slot.bias_values, max_iterations)
-            mats[slot.channel][:, slot.victim - 1] += np.where(mask, wave, 0.0)
+            mats[slot.channel][:, slot.victim - 1] += _slot_bias(slot, max_iterations)
     return BiasMatrices(**{f"{ch.value}_bias": matrix for ch, matrix in mats.items()})

@@ -37,6 +37,7 @@ from .detection import (
     NumericalFitError,
     POS_ANOM,
     VEL_ANOM,
+    comparator_flags,
     detect_step,
 )
 from .dynamics import step_platoon
@@ -44,7 +45,6 @@ from .metrics import ImpactReport, build_impact_report, format_impact_report, ti
 from .mpc_controller import (
     ConstraintViolation,
     NumericalError,
-    PerceptionRecord,
     check_constraints,
     run_control_step,
 )
@@ -168,7 +168,8 @@ def simulate(scenario: Scenario) -> RunResult:
             violations.append((k, violation))
 
         if detector is not None:
-            detection = detect_step(outcome.perception, detector, k)
+            comparator = comparator_flags(outcome.gap_front, outcome.gap_rear, detector.cfg, k)
+            detection = detect_step(outcome.front_x, outcome.front_v, comparator, detector, k)
             events.extend(detection.events)
             flags_by_step.append(detection.flags)
         else:
@@ -177,7 +178,6 @@ def simulate(scenario: Scenario) -> RunResult:
 
         hits = {(e.kind, e.vehicle) for e in (detection.events if detection else ())}
         for i in range(n):
-            obs: PerceptionRecord = outcome.perception[i]
             follower = platoon.followers[i]
             headway = time_headway(platoon.gap(i + 1), follower.v, sim.L_veh)
             headway_series[i].append(headway)
@@ -186,12 +186,12 @@ def simulate(scenario: Scenario) -> RunResult:
                 TraceRow(
                     control_step=k,
                     vehicle_id=i + 1,
-                    x=obs.front_x,
-                    v=obs.front_v,
+                    x=outcome.front_x[i],
+                    v=outcome.front_v[i],
                     u=outcome.u_next[i],
-                    gap_front=obs.gap_front,
+                    gap_front=outcome.gap_front[i],
                     headway=headway,
-                    comparator_flag=bool(detection.comparator_flags[i]) if detection else False,
+                    comparator_flag=comparator[i] if detection else False,
                     elm_pos_pred=detection.pos_predictions[i] if detection else None,
                     elm_vel_pred=detection.vel_predictions[i] if detection else None,
                     pos_anom=(POS_ANOM, i + 1) in hits,
@@ -520,14 +520,14 @@ class TraceFormatError(ValueError):
     pass
 
 
-def _read_trace(trace_path: Path) -> list[tuple[list[PerceptionRecord], list[bool]]]:
-    """Each control step's observations and comparator flags, in vehicle order.
+def _read_trace(trace_path: Path) -> list[tuple[list[float], list[float], list[bool]]]:
+    """Each control step's x, v and comparator-flag columns, in vehicle order.
 
     Every row must be complete and well formed, and control steps 0..K must
     each hold vehicles 1..n exactly once, as a live run writes them; anything
     else is a ``TraceFormatError`` naming the line or the control step.
     """
-    by_step: dict[int, dict[int, tuple[PerceptionRecord, bool]]] = {}
+    by_step: dict[int, dict[int, tuple[float, float, bool]]] = {}
     with open(trace_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -554,11 +554,7 @@ def _read_trace(trace_path: Path) -> list[tuple[list[PerceptionRecord], list[boo
             step = by_step.setdefault(k, {})
             if vehicle in step:
                 raise TraceFormatError(f"{where} repeats vehicle {vehicle} of control step {k}")
-            observation = PerceptionRecord(
-                vehicle=vehicle, front_x=x, front_v=v, gap_front=gap,
-                spacing_error=0.0, rear_spacing_error=None,
-            )
-            step[vehicle] = observation, record["comparator_flag"] == "1"
+            step[vehicle] = x, v, record["comparator_flag"] == "1"
     n = max((max(step) for step in by_step.values()), default=0)
     steps = []
     for k in range(len(by_step)):
@@ -568,8 +564,8 @@ def _read_trace(trace_path: Path) -> list[tuple[list[PerceptionRecord], list[boo
         if len(step) != n:
             lacking = min(set(range(1, n + 1)) - set(step))
             raise TraceFormatError(f"{trace_path}: control step {k} lacks vehicle {lacking}")
-        rows = [step[vehicle] for vehicle in range(1, n + 1)]
-        steps.append(([obs for obs, _ in rows], [flag for _, flag in rows]))
+        xs, vs, flags = zip(*(step[vehicle] for vehicle in range(1, n + 1)))
+        steps.append((list(xs), list(vs), list(flags)))
     return steps
 
 
@@ -585,9 +581,8 @@ def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[Anoma
         return []
     detector = DetectorState(len(steps[0][0]), detection)
     events: list[AnomalyEvent] = []
-    for k, (observations, comparator_flags) in enumerate(steps):
-        result = detect_step(observations, detector, k, comparator_flags_override=comparator_flags)
-        events.extend(result.events)
+    for k, (xs, vs, flags) in enumerate(steps):
+        events.extend(detect_step(xs, vs, flags, detector, k).events)
     return events
 
 

@@ -22,8 +22,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mpc_controller import PerceptionRecord
-
 
 class DetectionError(ValueError):
     pass
@@ -125,6 +123,21 @@ def comparator_check(gap_front: float, gap_rear: float, cfg: DetectionConfig) ->
     than ``cfg.comparator_threshold``.  Invariant under adding the same
     constant to both gaps."""
     return abs((gap_front - gap_rear) - cfg.nominal_diff) > cfg.comparator_threshold
+
+
+def comparator_flags(
+    gap_front: Sequence[float],
+    gap_rear: Sequence[Optional[float]],
+    cfg: DetectionConfig,
+    control_step: int,
+) -> list[bool]:
+    """Stage one for every vehicle of one control step: ``comparator_check``
+    on each pair of perceived gaps.  Silent during the warmup window and for
+    a vehicle with no rear report (gap_rear None, the last follower)."""
+    if control_step < cfg.warmup_steps:
+        return [False] * len(gap_front)
+    return [rear is not None and comparator_check(front, rear, cfg)
+            for front, rear in zip(gap_front, gap_rear)]
 
 
 def minmax_fit(series: Sequence[float]) -> NormalizationState:
@@ -289,7 +302,9 @@ class SeriesDetector:
     consecutive unflagged observations (tainted values never enter it), while
     ``recent`` holds the raw trailing observations used as prediction input.
     When the training window is constant, min-max normalization is degenerate
-    and the predictor falls back to repeating the last trained increment.
+    and nothing is fitted.  Before the first fit the predictor then repeats
+    the last trained increment; after it, ``model`` and ``norm`` stay as the
+    last fit left them and keep forecasting.
     """
 
     def __init__(self, model: ElmModel, cfg: DetectionConfig):
@@ -350,7 +365,7 @@ class SeriesDetector:
             return
         lo, hi = min(window), max(window)
         if not hi > lo:
-            self.updates = None  # constant increments; last-value fallback
+            self.updates = None  # constant increments; keep the last fit
             return
         norm = self.norm
         if (self.updates is not None and self.updates < REFIT_PERIOD
@@ -395,68 +410,55 @@ class StepDetection:
     """Per-vehicle flags and predictions for one control step."""
 
     flags: tuple[bool, ...]
-    comparator_flags: tuple[bool, ...]
     pos_predictions: tuple[Optional[float], ...]
     vel_predictions: tuple[Optional[float], ...]
     events: tuple[AnomalyEvent, ...]
 
 
 def detect_step(
-    observations: Sequence[PerceptionRecord],
+    front_x: Sequence[float],
+    front_v: Sequence[float],
+    comparator: Sequence[bool],
     state: DetectorState,
     control_step: int,
-    comparator_flags_override: Optional[Sequence[bool]] = None,
 ) -> StepDetection:
-    """Run both detection stages on one control step of channel observations.
+    """Run the forecaster stage on one control step of channel observations,
+    one entry per vehicle (index 0 = fv1), given stage one's flags.
 
-    A vehicle is flagged when either its comparator or one of its forecasters
-    fires; the combined flag drives freeze-on-attack.  During the warmup
-    window flags and events are suppressed while the models train.  The
-    override argument replays recorded comparator flags instead of
-    recomputing them (used when rerunning detection from a trace).
+    A vehicle is flagged when its comparator flag is set or one of its
+    forecasters fires; the combined flag drives freeze-on-attack.  The
+    comparator flags are used as given, whether ``comparator_flags`` just
+    computed them or a replay read them from a trace.  During the warmup
+    window the forecasters raise no events while the models train.
     """
     cfg = state.cfg
     active = control_step >= cfg.warmup_steps
-    flags, comp_flags, pos_preds, vel_preds, events = [], [], [], [], []
-    for idx, obs in enumerate(observations):
+    flags, pos_preds, vel_preds, events = [], [], [], []
+    for idx, (x, v, comp) in enumerate(zip(front_x, front_v, comparator)):
         position, velocity = state.vehicles[idx]
         pos_pred = position.predict_next()
         vel_pred = velocity.predict_next()
 
-        if comparator_flags_override is not None:
-            comp = bool(comparator_flags_override[idx])
-        elif active and obs.rear_spacing_error is not None:
-            # Perceived rear gap reconstructed from the successor's reported
-            # spacing error, sharing the front gap's nominal-spacing term.
-            gap_rear = obs.rear_spacing_error + (obs.gap_front - obs.spacing_error)
-            comp = comparator_check(obs.gap_front, gap_rear, cfg)
-        else:
-            comp = False
-
         vehicle_events = []
         for kind, actual, predicted, threshold in (
-            (POS_ANOM, obs.front_x, pos_pred, cfg.pos_threshold),
-            (VEL_ANOM, obs.front_v, vel_pred, cfg.vel_threshold),
+            (POS_ANOM, x, pos_pred, cfg.pos_threshold),
+            (VEL_ANOM, v, vel_pred, cfg.vel_threshold),
         ):
             if active and predicted is not None:
-                event = detect_anomaly(
-                    kind, control_step, obs.vehicle, actual, predicted, threshold
-                )
+                event = detect_anomaly(kind, control_step, idx + 1, actual, predicted, threshold)
                 if event:
                     vehicle_events.append(event)
 
         flagged = comp or bool(vehicle_events)
-        position.observe(obs.front_x, flagged)
-        velocity.observe(obs.front_v, flagged)
+        position.observe(x, flagged)
+        velocity.observe(v, flagged)
 
         flags.append(flagged)
-        comp_flags.append(comp)
         pos_preds.append(pos_pred)
         vel_preds.append(vel_pred)
         events.extend(vehicle_events)
     return StepDetection(
         flags=tuple(flags),
-        comparator_flags=tuple(comp_flags),
         pos_predictions=tuple(pos_preds),
         vel_predictions=tuple(vel_preds),
         events=tuple(events),

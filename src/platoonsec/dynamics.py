@@ -17,13 +17,15 @@ from typing import Sequence
 from .platoon_model import PlatoonState, VehicleState
 
 
+def predict(state: VehicleState, u: float, tau: float) -> tuple[float, float]:
+    """Position and velocity one control step on under constant acceleration u."""
+    return state.x + state.v * tau + u * tau * tau / 2.0, state.v + u * tau
+
+
 def step_vehicle(state: VehicleState, u: float, tau: float) -> VehicleState:
     """Advance one vehicle one control step under constant acceleration u."""
-    return VehicleState(
-        x=state.x + state.v * tau + u * tau * tau / 2.0,
-        v=state.v + u * tau,
-        u=u,
-    )
+    x, v = predict(state, u, tau)
+    return VehicleState(x=x, v=v, u=u)
 
 
 def step_platoon(

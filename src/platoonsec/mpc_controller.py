@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .dynamics import predict
 from .platoon_model import PlatoonState, SimConfig, VehicleState
 from .v2v_channel import Direction, V2VChannel
 
@@ -46,32 +47,25 @@ class NumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PerceptionRecord:
-    """What one follower saw on its channels at the end of a control step.
+class ControlOutcome:
+    """Result of one control step's optimization, with what each follower
+    (index 0 = fv1) saw on its channels at the end of it.
 
     front_x / front_v are the forward-channel values as received (biased if
-    the predecessor's outgoing channels were under attack); gap_front and
-    spacing_error are computed from them against the follower's own final
-    prediction.  rear_spacing_error is the backward-channel value received
-    from the successor, None for the last follower.
+    the predecessor's outgoing channels were under attack) and gap_front the
+    front gap they give against the follower's own final prediction.
+    gap_rear is the rear gap rebuilt from the successor's backward report,
+    which shares the front gap's nominal-spacing term; None for the last
+    follower.
     """
-
-    vehicle: int
-    front_x: float
-    front_v: float
-    gap_front: float
-    spacing_error: float
-    rear_spacing_error: Optional[float]
-
-
-@dataclass(frozen=True)
-class ControlOutcome:
-    """Result of one control step's optimization."""
 
     u_next: tuple[float, ...]
     iterations_used: int
     converged: bool
-    perception: tuple[PerceptionRecord, ...] = ()
+    front_x: tuple[float, ...]
+    front_v: tuple[float, ...]
+    gap_front: tuple[float, ...]
+    gap_rear: tuple[Optional[float], ...]
 
 
 @dataclass(frozen=True)
@@ -80,14 +74,6 @@ class ConstraintViolation:
     kind: str  # "acceleration" | "velocity" | "safety_gap"
     value: float
     bound: float
-
-
-def predict(state: VehicleState, u: float, tau: float) -> tuple[float, float]:
-    """Next-step position and velocity; identical formula to the plant."""
-    return (
-        state.x + state.v * tau + u * tau * tau / 2.0,
-        state.v + u * tau,
-    )
 
 
 def spacing_error(
@@ -101,25 +87,6 @@ def spacing_error(
 
 def relative_speed(v_pred_prev: float, v_pred_self: float) -> float:
     return v_pred_prev - v_pred_self
-
-
-def cost(
-    z: Sequence[float], z_prime: Sequence[float], u: Sequence[float], config: SimConfig
-) -> float:
-    """Platoon-wide strictly convex objective."""
-    if not (len(z) == len(z_prime) == len(u)):
-        raise ValueError(
-            f"length mismatch: z={len(z)} z_prime={len(z_prime)} u={len(u)}"
-        )
-    tau2 = config.tau * config.tau
-    total = 0.0
-    for zi, zpi, ui in zip(z, z_prime, u):
-        total += (
-            0.5 * config.Q_alpha * zi * zi
-            + config.Q_beta * zpi * zpi
-            + 0.5 * tau2 * ui * ui
-        )
-    return total
 
 
 def primal_exit(u_deltas: Sequence[float], primal_tol: float) -> bool:
@@ -309,22 +276,20 @@ def run_control_step(
                 break
             lam = dual_update(lam, gaps, safeties, cfg)
 
-    perception = tuple(
-        PerceptionRecord(
-            vehicle=i + 1,
-            front_x=fx[i],
-            front_v=fv[i],
-            gap_front=fx[i] - px[i],
-            spacing_error=spacing_error(fx[i], px[i], pv[i], cfg),
-            rear_spacing_error=rzx[i],
-        )
+    gap_front = [fx[i] - px[i] for i in range(n)]
+    gap_rear = [
+        None if rzx[i] is None
+        else rzx[i] + (gap_front[i] - spacing_error(fx[i], px[i], pv[i], cfg))
         for i in range(n)
-    )
+    ]
     return ControlOutcome(
         u_next=tuple(u),
         iterations_used=iterations_used,
         converged=converged,
-        perception=perception,
+        front_x=tuple(fx),
+        front_v=tuple(fv),
+        gap_front=tuple(gap_front),
+        gap_rear=tuple(gap_rear),
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platoonsec.attack_engine import (
+    ATTACK_LIST_KEYS,
     AttackCase,
     AttackCaseError,
     BiasMatrices,
@@ -130,6 +131,54 @@ class TestParseAttackCase:
                 else:
                     assert finite, (kind, values, max_iterations)
         assert 0 < rejected < 4 * len(params)
+
+    def test_sum_check_matches_the_generator(self):
+        # A case is rejected exactly when iter_attack_value_cal, summing in
+        # slot order, gives a non-finite bias at some control step.  Periods
+        # on one victim and channel start and end at random; near-max
+        # constants overflow together, or cancel, depending on which are
+        # active and in what order.
+        big = sys.float_info.max
+        cases = [
+            # In slot order big - big + big is finite, but once the middle
+            # slot ends at step 3 the other two overflow.
+            [((0, 9), [0], big), ((0, 2), [0], -big), ((0, 9), [0], big)],
+        ]
+        rng = random.Random(5)
+        for _ in range(150):
+            cases.append([
+                ((start, start + rng.randint(0, 4)), rng.choice([[0], [1, 0], [2, 3]]),
+                 rng.choice([-1, 1]) * big * rng.uniform(0.3, 1.0))
+                for start in (rng.randint(0, 8) for _ in range(rng.randint(2, 4)))
+            ])
+        rejected = 0
+        for slots in cases:
+            docs = [
+                one_slot_doc("Continuous" if window == [0] else "Cluster", window, "Constant",
+                             [value], period)
+                for period, window, value in slots
+            ]
+            # The slots of the whole case, each parsed on its own.
+            alone = AttackCase(tuple(
+                slot for doc in docs for slot in parse_attack_case(doc, 6, 10).slots
+            ))
+            with np.errstate(over="ignore"):
+                finite = all(
+                    np.isfinite(iter_attack_value_cal(6, k, 10, alone).v_ite_bias).all()
+                    for k in range(14)
+                )
+            merged = {key: [[entry for doc in docs for entry in doc[key][0]]]
+                      for key in ATTACK_LIST_KEYS[1:]}
+            merged["iter_victim_list"] = [2]
+            try:
+                assert parse_attack_case(merged, 6, 10) == alone
+            except AttackCaseError as exc:
+                assert "overflow when summed" in str(exc)
+                assert not finite, slots
+                rejected += 1
+            else:
+                assert finite, slots
+        assert 0 < rejected < len(cases)
 
 
 class TestStealthMask:

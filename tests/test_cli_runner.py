@@ -42,6 +42,19 @@ def scenario_doc(**overrides):
     return doc
 
 
+def _two_constant_slots(first, second):
+    """Two Constant slots on follower 2's x_ite over control steps [0, 4]."""
+    return {
+        "iter_victim_list": [2],
+        "control_attackperiod_list": [[[0, 4]]],
+        "iter_malichannel_list": [[["x_ite", "x_ite"]]],
+        "iter_freq_type_list": [[["Continuous", "Continuous"]]],
+        "iter_freqparavalue_list": [[[[0], [0]]]],
+        "iter_biastype_list": [[["Constant", "Constant"]]],
+        "iter_biasparavalue_list": [[[[first], [second]]]],
+    }
+
+
 def _one_channel_attack(*bias, bias_kind="Constant", freq_kind="Continuous", freq_params=(0,)):
     return {
         "iter_victim_list": [2],
@@ -642,12 +655,14 @@ class TestCli:
             (_one_channel_attack(1e308, 0, bias_kind="Linear"),
              "iter_biasparavalue_list[0][0][0]: Linear bias [1e+308, 0.0] overflows within "
              "300 iterations"),
+            (_two_constant_slots(1e308, 1e308),
+             "victim 2: the 2 x_ite slots active at control step 0 overflow when summed"),
         ],
         ids=[
             "int-attack", "list-attack", "bool-attack", "mixed-type-keys", "text-bias-parameter",
             "int-past-float-range", "unknown-bias-kind", "unknown-frequency-kind",
             "zero-on-window", "negative-off-window", "nan-bias-parameter",
-            "overflowing-sinusoid", "overflowing-line",
+            "overflowing-sinusoid", "overflowing-line", "overflowing-sum",
         ],
     )
     def test_bad_attack_section_exit_code(self, tmp_path, capsys, attack, message):
@@ -655,6 +670,13 @@ class TestCli:
         bad.write_text(yaml.safe_dump(scenario_doc(attack=attack)))
         assert main(self._argv("run", bad, tmp_path)) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_cancelling_attack_slots_exit_code(self, tmp_path, capsys):
+        # Summed in slot order, 1e308 and -1e308 cancel: the run goes ahead.
+        doc = tmp_path / "cancel.yaml"
+        doc.write_text(yaml.safe_dump(scenario_doc(attack=_two_constant_slots(1e308, -1e308))))
+        assert main(self._argv("run", doc, tmp_path)) == 0
+        assert capsys.readouterr().err == ""
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from platoonsec import cli_runner

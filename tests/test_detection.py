@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from platoonsec.detection import (
     VEL_ANOM,
     SeriesDetector,
     comparator_check,
+    comparator_flags,
     create_elm,
     detect_anomaly,
     detect_step,
@@ -29,9 +31,6 @@ from platoonsec.detection import (
 from platoonsec import detection
 from platoonsec.cli_runner import scenario_from_dict, simulate
 from platoonsec.detection import ElmModel
-from platoonsec.mpc_controller import PerceptionRecord
-
-from dataclasses import replace
 
 ROOT = Path(__file__).parent.parent
 
@@ -284,6 +283,29 @@ class TestSeriesDetector:
         for _ in range(10):
             det.observe(30.0, flagged=False)
         assert det.predict_next() == pytest.approx(30.0, abs=1e-12)
+
+    def test_constant_window_keeps_the_last_fit(self):
+        # A constant window fits nothing.  After a fit, the forecaster keeps
+        # forecasting with the model and range that fit left, instead of
+        # falling back to repeating the last increment.
+        det = SeriesDetector(create_elm(20, 1), _cfg(norm_window=6))
+        value = 0.0
+        for t in range(12):
+            value += 3.0 + t % 2  # increments 3, 4, 3, 4, ...
+            det.observe(value, flagged=False)
+        for _ in range(5):  # the last window that still holds a 4
+            value += 3.0
+            det.observe(value, flagged=False)
+        model, norm = det.model, det.norm
+        assert norm is not None and model.output_weights is not None
+        for _ in range(10):
+            value += 3.0
+            det.observe(value, flagged=False)
+            assert det.train_diffs[-6:] == [3.0] * 6
+        assert det.model is model and det.norm is norm
+        expected = elm_predict(model, minmax_transform(norm, [3.0, 3.0]))
+        assert det.predict_next() == value + minmax_inverse(norm, expected)
+        assert det.predict_next() != value + 3.0
 
     def test_ramp_predicts_next_step(self):
         det = SeriesDetector(create_elm(20, 1), _cfg())
@@ -557,34 +579,32 @@ class TestUpdateOrFreeze:
         assert any(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
 
 
-def _benign_obs(vehicle, k):
-    x = 500.0 - 20.0 * vehicle + 3.0 * k
-    return PerceptionRecord(
-        vehicle=vehicle,
-        front_x=x,
-        front_v=30.0,
-        gap_front=20.0,
-        spacing_error=0.0,
-        rear_spacing_error=0.0 if vehicle < 6 else None,
-    )
+def _benign_columns(k, n=6):
+    """front_x, front_v and comparator flags of a platoon cruising at 30 m/s."""
+    return [500.0 - 20.0 * vehicle + 3.0 * k for vehicle in range(1, n + 1)], [30.0] * n, [False] * n
+
+
+def _benign_gaps(n=6):
+    """Front and rear gaps of a platoon at its nominal spacing."""
+    return [20.0] * n, [20.0] * (n - 1) + [None]
 
 
 class TestDetectStep:
     def test_benign_stream_never_flags(self):
         state = DetectorState(6, DetectionConfig(seed=1, warmup_steps=12))
         for k in range(60):
-            result = detect_step([_benign_obs(v, k) for v in range(1, 7)], state, k)
+            assert comparator_flags(*_benign_gaps(), state.cfg, k) == [False] * 6
+            result = detect_step(*_benign_columns(k), state, k)
             assert not any(result.flags)
             assert result.events == ()
 
     def test_front_position_jump_raises_pos_anomaly(self):
         state = DetectorState(6, DetectionConfig(seed=1, warmup_steps=12))
         for k in range(30):
-            detect_step([_benign_obs(v, k) for v in range(1, 7)], state, k)
-        obs = [_benign_obs(v, 30) for v in range(1, 7)]
-        shifted = replace(obs[2], front_x=obs[2].front_x + 10.0)
-        obs[2] = shifted
-        result = detect_step(obs, state, 30)
+            detect_step(*_benign_columns(k), state, k)
+        xs, vs, comparator = _benign_columns(30)
+        xs[2] += 10.0
+        result = detect_step(xs, vs, comparator, state, 30)
         assert result.flags[2]
         assert any(e.kind == POS_ANOM and e.vehicle == 3 for e in result.events)
         assert state.vehicles[2][0].frozen and state.vehicles[2][1].frozen
@@ -592,37 +612,63 @@ class TestDetectStep:
     def test_comparator_feeds_combined_flag(self):
         state = DetectorState(6, DetectionConfig(seed=1, warmup_steps=12))
         for k in range(20):
-            detect_step([_benign_obs(v, k) for v in range(1, 7)], state, k)
-        obs = [_benign_obs(v, 20) for v in range(1, 7)]
-        # front gap perceived 6 m long while the rear report stays nominal
-        obs[3] = replace(obs[3], gap_front=26.0, spacing_error=6.0)
-        result = detect_step(obs, state, 20)
-        assert result.comparator_flags[3]
-        assert result.flags[3]
+            detect_step(*_benign_columns(k), state, k)
+        gap_front, gap_rear = _benign_gaps()
+        # The front gap perceived 6 m long while the rear gap stays nominal;
+        # a 2 m difference is at the threshold, which does not flag.
+        gap_front[3] = 26.0
+        gap_front[4] = 22.0
+        comparator = comparator_flags(gap_front, gap_rear, state.cfg, 20)
+        assert comparator == [False, False, False, True, False, False]
+        xs, vs, _ = _benign_columns(20)
+        result = detect_step(xs, vs, comparator, state, 20)
+        assert result.flags == (False, False, False, True, False, False)
+        assert result.events == ()
 
     def test_last_vehicle_has_no_comparator(self):
-        state = DetectorState(6, DetectionConfig(seed=1, warmup_steps=0))
-        obs = [_benign_obs(v, 0) for v in range(1, 7)]
-        obs[5] = replace(obs[5], gap_front=40.0, spacing_error=20.0)
-        result = detect_step(obs, state, 0)
-        assert not result.comparator_flags[5]
+        cfg = DetectionConfig(seed=1, warmup_steps=0)
+        gap_front, gap_rear = _benign_gaps()
+        gap_front[5] = 40.0
+        assert not comparator_flags(gap_front, gap_rear, cfg, 0)[5]
 
     def test_warmup_suppresses_flags(self):
-        state = DetectorState(6, DetectionConfig(seed=1, warmup_steps=12))
-        obs = [_benign_obs(v, 0) for v in range(1, 7)]
-        obs[1] = replace(obs[1], gap_front=50.0, spacing_error=30.0)
-        result = detect_step(obs, state, 5)
-        assert not any(result.flags)
+        cfg = DetectionConfig(seed=1, warmup_steps=12)
+        gap_front, gap_rear = _benign_gaps()
+        gap_front[1] = 50.0
+        assert comparator_flags(gap_front, gap_rear, cfg, 11) == [False] * 6
+        assert comparator_flags(gap_front, gap_rear, cfg, 12)[1]
+        # Nor do the forecasters raise events before the warmup ends.
+        state = DetectorState(6, cfg)
+        for k in range(12):
+            xs, vs, comparator = _benign_columns(k)
+            xs[1] += 10.0 * (k == 11)
+            assert detect_step(xs, vs, comparator, state, k).events == ()
+
+    def test_passed_flag_freezes_its_vehicle_without_an_event(self):
+        # Replay passes the comparator flags recorded in a trace: a flag
+        # freezes both forecasters of its vehicle, even during the warmup,
+        # and leaves the other vehicles training.
+        for flagged_step in (3, 20):
+            state = DetectorState(6, DetectionConfig(seed=1, warmup_steps=12))
+            for k in range(flagged_step):
+                detect_step(*_benign_columns(k), state, k)
+            xs, vs, comparator = _benign_columns(flagged_step)
+            comparator[2] = True
+            result = detect_step(xs, vs, comparator, state, flagged_step)
+            assert result.flags == (False, False, True, False, False, False)
+            assert result.events == ()
+            assert state.vehicles[2][0].frozen and state.vehicles[2][1].frozen
+            assert not state.vehicles[1][0].frozen and not state.vehicles[1][1].frozen
 
     def test_deterministic_given_seed(self):
         def run():
             state = DetectorState(6, DetectionConfig(seed=42, warmup_steps=5))
             out = []
             for k in range(25):
-                obs = [_benign_obs(v, k) for v in range(1, 7)]
+                xs, vs, comparator = _benign_columns(k)
                 if k == 20:
-                    obs[0] = replace(obs[0], front_x=obs[0].front_x + 8.0)
-                result = detect_step(obs, state, k)
+                    xs[0] += 8.0
+                result = detect_step(xs, vs, comparator, state, k)
                 out.append((result.flags, result.pos_predictions, result.events))
             return out
 

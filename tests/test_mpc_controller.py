@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from platoonsec import (
     SimConfig,
     check_constraints,
-    cost,
     dual_update,
     initial_platoon,
     predict,
@@ -25,7 +24,7 @@ from platoonsec.mpc_controller import (
     primal_step,
 )
 from platoonsec.platoon_model import VehicleState
-from platoonsec.v2v_channel import ChannelId, V2VChannel
+from platoonsec.v2v_channel import ChannelId, Direction, V2VChannel
 
 from conftest import single_channel_case
 
@@ -98,39 +97,6 @@ class TestRelativeSpeed:
     )
     def test_antisymmetry(self, a, b):
         assert relative_speed(a, b) == -relative_speed(b, a)
-
-
-class TestCost:
-    def test_zero_at_origin(self, config):
-        assert cost([0.0] * 6, [0.0] * 6, [0.0] * 6, config) == 0.0
-
-    def test_worked_example(self):
-        cfg = SimConfig(n=1, Q_alpha=1.0, Q_beta=1.0, tau=0.1)
-        assert cost([1.0], [1.0], [2.0], cfg) == pytest.approx(0.5 + 1.0 + 0.02)
-
-    def test_length_mismatch(self, config):
-        with pytest.raises(ValueError):
-            cost([0.0], [0.0, 0.0], [0.0], config)
-
-    def test_strictly_convex_along_random_lines(self, config):
-        # Positive second difference of the cost along random directions in u.
-        rng = random.Random(11)
-        n = 4
-        cfg = SimConfig(n=n)
-        for _ in range(50):
-            z = [rng.uniform(-5, 5) for _ in range(n)]
-            zp = [rng.uniform(-5, 5) for _ in range(n)]
-            u = [rng.uniform(-5, 3) for _ in range(n)]
-            d = [rng.uniform(-1, 1) for _ in range(n)]
-            if all(abs(x) < 1e-3 for x in d):
-                continue
-            h = 0.5
-
-            def along(s):
-                return cost(z, zp, [ui + s * di for ui, di in zip(u, d)], cfg)
-
-            second_diff = along(h) - 2.0 * along(0.0) + along(-h)
-            assert second_diff > 0.0
 
 
 def _local_objective(measured, u, fx, fv, rear, lam_front, lam_rear, cfg):
@@ -226,10 +192,11 @@ class TestPrimalStep:
         bias = iter_attack_value_cal(config.n, 0, config.max_iterations, case)
         outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
         assert any(abs(u) > 1e-3 for u in outcome.u_next)
-        for record, u, follower in zip(outcome.perception, outcome.u_next, platoon.followers):
-            px, pv = predict(follower, u, config.tau)
-            assert record.gap_front == record.front_x - px
-            assert record.spacing_error == spacing_error(record.front_x, px, pv, config)
+        for front_x, gap_front, u, follower in zip(
+            outcome.front_x, outcome.gap_front, outcome.u_next, platoon.followers
+        ):
+            px, _ = predict(follower, u, config.tau)
+            assert gap_front == front_x - px
 
     def test_result_stays_in_admissible_box(self, config):
         # A huge perceived gap must still produce a clipped command.
@@ -370,14 +337,44 @@ class TestRunControlStep:
             run_control_step(platoon, V2VChannel(bias=bias), config, warm_start=[0.0])
 
     def test_perception_records_cover_all_followers(self, config):
+        # One entry per follower in each column; only the last follower has
+        # no successor to report its rear gap.
         platoon = initial_platoon(config, 30.0)
         bias = BiasMatrices.zeros(config.max_iterations, config.n)
         outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
-        assert [p.vehicle for p in outcome.perception] == list(range(1, config.n + 1))
-        assert outcome.perception[-1].rear_spacing_error is None
-        assert all(
-            p.rear_spacing_error is not None for p in outcome.perception[:-1]
+        for column in (outcome.front_x, outcome.front_v, outcome.gap_front, outcome.gap_rear):
+            assert len(column) == config.n
+        assert outcome.gap_rear[-1] is None
+        assert all(isinstance(gap, float) for gap in outcome.gap_rear[:-1])
+
+    def test_gap_rear_rebuilt_from_the_last_backward_report(self, config, monkeypatch):
+        # gap_rear is the successor's last received spacing report plus the
+        # front gap's nominal-spacing term, gap_front - spacing_error, taken
+        # against the final prediction.  A zx_ite attack on fv3 moves the
+        # report follower 2 receives.
+        reports = []
+        corrupt = V2VChannel.corrupt
+
+        def spy(self, direction, *args):
+            delivered = corrupt(self, direction, *args)
+            if direction is Direction.BACKWARD:
+                reports[:] = [got[0] for got in delivered]
+            return delivered
+
+        monkeypatch.setattr(V2VChannel, "corrupt", spy)
+        platoon = initial_platoon(config, 30.0)
+        case = single_channel_case(
+            config.n, victim=3, window=(0, 5), channel="zx_ite", bias_params=[3.0]
         )
+        bias = iter_attack_value_cal(config.n, 0, config.max_iterations, case)
+        outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
+        assert len(reports) == config.n - 1
+        for i, report in enumerate(reports):
+            px, pv = predict(platoon.followers[i], outcome.u_next[i], config.tau)
+            front_x, gap_front = outcome.front_x[i], outcome.gap_front[i]
+            expected = report + (gap_front - spacing_error(front_x, px, pv, config))
+            assert outcome.gap_rear[i] == expected
+        assert abs(outcome.gap_rear[1] - outcome.gap_front[1]) > 2.0
 
     @pytest.mark.parametrize(
         "channel, column, receiver",
