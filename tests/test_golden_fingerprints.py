@@ -7,7 +7,9 @@ For every shipped scenario, plus a drop-rule document kept under
   cap, and the sha256 of the controller columns of ``trace.csv``;
 - the sha256 of ``impact.txt`` followed by ``impact.csv``;
 - the sha256 of the ``anomalies.csv`` rows followed by the detection columns
-  of ``trace.csv``.
+  of ``trace.csv``;
+- the count and sha256 of the constraint violations, which no artifact
+  holds: one ``step,vehicle,kind,value,bound`` line each, floats by ``repr``.
 
 The controller columns and the impact files are pure-Python floats written
 with ``repr``, so their hashes are exact and portable.  ELM predictions go
@@ -97,10 +99,35 @@ OUTPUT_FINGERPRINTS = {
     ),
 }
 
+# path -> (violation count, sha256 of the violations)
+VIOLATION_FINGERPRINTS = {
+    "scenarios/benign.yaml": (
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "scenarios/comparator_blindspot.yaml": (
+        6, "e5cc7dca7a77434414501a9213848be91cd101f22e106fb7a41b88123b837aea",
+    ),
+    "scenarios/efficiency_degradation.yaml": (
+        13, "c57bb9250d1a2ea356df4970429b3b69b94eb73913f849af2bcc023901af0494",
+    ),
+    "scenarios/safety_degradation.yaml": (
+        43, "f82d663d02e32c3bfbce03eea4db910d712f1d0416fe18bb89c54810b8a3bad6",
+    ),
+    "scenarios/single_target.yaml": (
+        8, "23a72778103861a0886e4b4d370246b7c4def2e1be7d18de56a68879cc9bad45",
+    ),
+    "scenarios/string_instability.yaml": (
+        21, "255c6b1cd9610f88465678aee04074d5e212cffa1cb902d10ed41a405c4f6a11",
+    ),
+    "tests/golden/drop_rules.yaml": (
+        5, "2ebfbfab89d8cd484a94730bdb4da7501ec3df39baa65ec81b30dcbf2613fef8",
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """Simulate a pinned document once; return its step outcomes and the
+    """Simulate a pinned document once; return its RunResult and the
     directory its artifacts were written to."""
     runs = {}
 
@@ -112,7 +139,7 @@ def artifacts(tmp_path_factory):
             write_anomaly_csv(result.events, out / "anomalies.csv")
             (out / "impact.txt").write_text(format_impact_report(result.impact))
             write_impact_csv(result, out / "impact.csv")
-            runs[name] = (result.step_outcomes, out)
+            runs[name] = (result, out)
         return runs[name]
 
     return run
@@ -137,12 +164,13 @@ def _sha256(text: str) -> str:
 def test_every_shipped_scenario_is_pinned():
     shipped = {f"scenarios/{p.name}" for p in (ROOT / "scenarios").glob("*.yaml")}
     assert shipped <= set(FINGERPRINTS)
-    assert set(FINGERPRINTS) == set(OUTPUT_FINGERPRINTS)
+    assert set(FINGERPRINTS) == set(OUTPUT_FINGERPRINTS) == set(VIOLATION_FINGERPRINTS)
 
 
 @pytest.mark.parametrize("name", sorted(FINGERPRINTS))
 def test_controller_fingerprint(name, artifacts):
-    steps, out = artifacts(name)
+    result, out = artifacts(name)
+    steps = result.step_outcomes
     rounds = sum(step.iterations_used for step in steps)
     caps = sum(not step.converged for step in steps)
     digest = _sha256(_rows(out / "trace.csv", CONTROLLER_COLUMNS))
@@ -164,3 +192,12 @@ def test_detection_fingerprint(name, artifacts):
     anomalies = _rows(out / "anomalies.csv", ANOMALY_CSV_COLUMNS)
     text = anomalies + "\n" + _rows(out / "trace.csv", DETECTION_COLUMNS)
     assert _sha256(text) == OUTPUT_FINGERPRINTS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(VIOLATION_FINGERPRINTS))
+def test_violation_fingerprint(name, artifacts):
+    result, _ = artifacts(name)
+    text = "\n".join(
+        f"{k},{v.vehicle},{v.kind},{v.value!r},{v.bound!r}" for k, v in result.violations
+    )
+    assert (len(result.violations), _sha256(text)) == VIOLATION_FINGERPRINTS[name]
