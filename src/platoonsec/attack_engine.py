@@ -68,12 +68,6 @@ class BiasMatrices:
     def by_channel(self, channel: ChannelId) -> np.ndarray:
         return getattr(self, f"{channel.value}_bias")
 
-    def is_zero(self) -> bool:
-        return not any(self.by_channel(ch).any() for ch in ChannelId)
-
-    def __add__(self, other: "BiasMatrices") -> "BiasMatrices":
-        return BiasMatrices(*(self.by_channel(ch) + other.by_channel(ch) for ch in ChannelId))
-
 
 class AttackSlot(NamedTuple):
     """One channel of one attack period of one victim.

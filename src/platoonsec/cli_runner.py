@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import yaml
 
@@ -36,6 +36,7 @@ from .detection import (
     DetectorState,
     NumericalFitError,
     POS_ANOM,
+    StepDetection,
     VEL_ANOM,
     comparator_flags,
     detect_step,
@@ -44,6 +45,7 @@ from .dynamics import step_platoon
 from .metrics import ImpactReport, build_impact_report, format_impact_report, time_headway
 from .mpc_controller import (
     ConstraintViolation,
+    ControlOutcome,
     NumericalError,
     check_constraints,
     run_control_step,
@@ -58,6 +60,14 @@ class LeaderProfile:
 
     speed: float = 30.0
     phases: tuple[tuple[int, float], ...] = ()
+
+    def __post_init__(self):
+        for i in range(1, len(self.phases)):
+            if self.phases[i][0] <= self.phases[i - 1][0]:
+                raise ConfigError(
+                    f"leader.profile[{i}] starts at step {self.phases[i][0]}, not after "
+                    f"leader.profile[{i - 1}]'s {self.phases[i - 1][0]}: start steps must increase"
+                )
 
     def accel_at(self, k: int) -> float:
         accel = 0.0
@@ -84,8 +94,7 @@ class Scenario:
     output: OutputFlags = OutputFlags()
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     control_step: int
     vehicle_id: int
     x: float
@@ -100,14 +109,7 @@ class TraceRow:
     vel_anom: bool
 
 
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    control_step: int
-    iterations_used: int
-    converged: bool
+TRACE_COLUMNS = TraceRow._fields
 
 
 @dataclass
@@ -115,7 +117,7 @@ class RunResult:
     rows: list[TraceRow]
     events: list[AnomalyEvent]
     impact: ImpactReport
-    step_outcomes: list[StepOutcome]
+    step_outcomes: list[ControlOutcome]  # one per control step
     violations: list[tuple[int, ConstraintViolation]]
     flags_by_step: list[tuple[bool, ...]]
 
@@ -148,14 +150,14 @@ def simulate(scenario: Scenario) -> RunResult:
     n = sim.n
     platoon = initial_platoon(sim, scenario.leader.speed)
     detector = DetectorState(n, scenario.detection) if scenario.detection.enabled else None
+    # What every step of a run with detection disabled detects.
+    idle = StepDetection((False,) * n, (None,) * n, (None,) * n, ())
 
     rows: list[TraceRow] = []
     events: list[AnomalyEvent] = []
-    step_outcomes: list[StepOutcome] = []
+    step_outcomes: list[ControlOutcome] = []
     violations: list[tuple[int, ConstraintViolation]] = []
     flags_by_step: list[tuple[bool, ...]] = []
-    headway_series: list[list[float]] = [[] for _ in range(n)]
-    accel_series: list[list[float]] = [[] for _ in range(n)]
 
     prev_u: Sequence[float] = (0.0,) * n
     for k in range(sim.total_control_steps):
@@ -163,49 +165,38 @@ def simulate(scenario: Scenario) -> RunResult:
         bias = iter_attack_value_cal(n, k, sim.max_iterations, scenario.attack)
         channel = V2VChannel(bias=bias, drops=scenario.drops)
         outcome = run_control_step(platoon, channel, sim, leader_u, warm_start=prev_u)
-        step_outcomes.append(StepOutcome(k, outcome.iterations_used, outcome.converged))
-        for violation in check_constraints(outcome.u_next, platoon, sim, leader_u):
-            violations.append((k, violation))
+        step_outcomes.append(outcome)
+        stepped = step_platoon(platoon, leader_u, outcome.u_next, sim.tau)
+        violations.extend((k, violation) for violation in check_constraints(stepped, sim))
 
-        if detector is not None:
+        if detector is None:
+            comparator, detection = idle.flags, idle
+        else:
             comparator = comparator_flags(outcome.gap_front, outcome.gap_rear, detector.cfg, k)
             detection = detect_step(outcome.front_x, outcome.front_v, comparator, detector, k)
-            events.extend(detection.events)
-            flags_by_step.append(detection.flags)
-        else:
-            detection = None
-            flags_by_step.append((False,) * n)
+        events.extend(detection.events)
+        flags_by_step.append(detection.flags)
 
-        hits = {(e.kind, e.vehicle) for e in (detection.events if detection else ())}
-        for i in range(n):
-            follower = platoon.followers[i]
-            headway = time_headway(platoon.gap(i + 1), follower.v, sim.L_veh)
-            headway_series[i].append(headway)
-            accel_series[i].append(outcome.u_next[i])
-            rows.append(
-                TraceRow(
-                    control_step=k,
-                    vehicle_id=i + 1,
-                    x=outcome.front_x[i],
-                    v=outcome.front_v[i],
-                    u=outcome.u_next[i],
-                    gap_front=outcome.gap_front[i],
-                    headway=headway,
-                    comparator_flag=comparator[i] if detection else False,
-                    elm_pos_pred=detection.pos_predictions[i] if detection else None,
-                    elm_vel_pred=detection.vel_predictions[i] if detection else None,
-                    pos_anom=(POS_ANOM, i + 1) in hits,
-                    vel_anom=(VEL_ANOM, i + 1) in hits,
-                )
-            )
+        hits = {(e.kind, e.vehicle) for e in detection.events}
+        for i, follower in enumerate(platoon.followers):
+            rows.append(TraceRow(
+                k, i + 1, outcome.front_x[i], outcome.front_v[i], outcome.u_next[i],
+                outcome.gap_front[i], time_headway(platoon.gap(i + 1), follower.v, sim.L_veh),
+                comparator[i], detection.pos_predictions[i], detection.vel_predictions[i],
+                (POS_ANOM, i + 1) in hits, (VEL_ANOM, i + 1) in hits,
+            ))
 
-        platoon = step_platoon(platoon, leader_u, outcome.u_next, sim.tau)
+        platoon = stepped
         prev_u = outcome.u_next
 
     # Short smoke runs still get a report: the classification warmup cannot
     # swallow the whole series.
     warmup = min(10, sim.total_control_steps - 1)
-    impact = build_impact_report(headway_series, accel_series, warmup=warmup)
+    impact = build_impact_report(
+        [[row.headway for row in rows[i::n]] for i in range(n)],
+        [[row.u for row in rows[i::n]] for i in range(n)],
+        warmup=warmup,
+    )
     return RunResult(
         rows=rows,
         events=events,
@@ -235,7 +226,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
 
 def write_trace_csv(rows: Sequence[TraceRow], path: Path) -> None:
-    _write_csv(path, TRACE_COLUMNS, ([getattr(row, col) for col in TRACE_COLUMNS] for row in rows))
+    _write_csv(path, TRACE_COLUMNS, rows)
 
 
 def write_anomaly_csv(events: Sequence[AnomalyEvent], path: Path) -> None:
@@ -353,6 +344,11 @@ MAX_CONTROL_STEPS = 1_000_000
 # float64: at this many cells each, 32 MB in all.
 MAX_BIAS_CELLS = 1_000_000
 
+# Each forecaster keeps a (hidden_count x hidden_count) P, and a refit builds
+# a (norm_window x lag) input matrix and its (norm_window x hidden_count)
+# hidden layer, of float64: at this many cells each, 8 MB apiece.
+MAX_DETECTION_CELLS = 1_000_000
+
 
 def _check_bias_size(prefix: str, n: int, max_iterations: int) -> None:
     """Reject sizes whose bias matrices would pass MAX_BIAS_CELLS, before
@@ -410,6 +406,19 @@ def _detection_from_doc(doc: Mapping) -> DetectionConfig:
     seed = _check("seed", doc.get("seed", 0), _NATURAL)
     section = doc.get("detection")
     values = _read_section(section, "detection", _DETECTION_KEYS, "detection key", widen=True)
+    for rows, cols in (("hidden_count", "hidden_count"), ("norm_window", "lag"),
+                       ("norm_window", "hidden_count")):
+        if values[rows] * values[cols] > MAX_DETECTION_CELLS:
+            raise ConfigError(
+                f"detection.{rows} x detection.{cols} must be at most {MAX_DETECTION_CELLS} "
+                f"cells, got {values[rows]} x {values[cols]}"
+            )
+    least = values["lag"] + values["step_forward"] + 1
+    if values["norm_window"] < least:
+        raise ConfigError(
+            f"detection.norm_window must be at least lag + step_forward + 1 = {least}, "
+            f"got {values['norm_window']}: a shorter window never holds two training pairs"
+        )
     return DetectionConfig(**values, seed=seed)
 
 
@@ -574,10 +583,10 @@ def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[Anoma
 
     The monitored series and the comparator flags are read back from the
     trace, so results are identical to the live run under the same detection
-    config and seed.
+    config and seed: none when the config disables detection.
     """
     steps = _read_trace(trace_path)
-    if not steps:
+    if not steps or not detection.enabled:
         return []
     detector = DetectorState(len(steps[0][0]), detection)
     events: list[AnomalyEvent] = []

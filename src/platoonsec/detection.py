@@ -140,17 +140,6 @@ def comparator_flags(
             for front, rear in zip(gap_front, gap_rear)]
 
 
-def minmax_fit(series: Sequence[float]) -> NormalizationState:
-    data = np.asarray(series, dtype=float)
-    if data.size < 2:
-        raise DetectionError("normalization fit needs at least 2 values")
-    lo = float(data.min())
-    hi = float(data.max())
-    if not hi > lo:
-        raise DetectionError(f"degenerate series range [{lo}, {hi}]")
-    return NormalizationState(data_min=lo, data_max=hi)
-
-
 def minmax_transform(state: NormalizationState, values):
     # Multiplying by the reciprocal, not dividing, keeps the golden fingerprints' bits.
     scale = 1.0 / (state.data_max - state.data_min)
@@ -251,13 +240,8 @@ def elm_update(
 
 
 def elm_predict(model: ElmModel, window: Sequence[float]) -> float:
-    if model.output_weights is None:
-        raise DetectionError("model has no trained output weights")
-    window = np.asarray(window, dtype=float)
-    lag = model.input_weights.shape[1]
-    if window.shape != (lag,):
-        raise DetectionError(f"window must have length {lag}, got {window.shape}")
-    return float(_hidden(model, window) @ model.output_weights)
+    """The fitted model's forecast from one window of ``lag`` inputs."""
+    return float(_hidden(model, np.asarray(window, dtype=float)) @ model.output_weights)
 
 
 def detect_anomaly(
@@ -383,8 +367,7 @@ class SeriesDetector:
                 self.model = updated
                 self.updates += 1
                 return
-        window = np.asarray(window, dtype=float)  # for the fit and the transform
-        norm = minmax_fit(window)
+        norm = NormalizationState(lo, hi)
         inputs, targets = sliding_window(minmax_transform(norm, window), lag, ahead)
         self.model = elm_fit(self.model, inputs, targets, self.cfg.ridge)
         self.norm = norm

@@ -106,13 +106,6 @@ def _out_of_band_intervals(
     return tuple(intervals)
 
 
-def acceleration_envelope(
-    accel_series: Sequence[float], lo: float = -1.5, hi: float = 1.0
-) -> tuple[tuple[int, int], ...]:
-    """Maximal control-step intervals where the acceleration leaves [lo, hi]."""
-    return _out_of_band_intervals(accel_series, lo, hi)
-
-
 def build_impact_report(
     headway_by_vehicle: Sequence[Sequence[float]],
     accel_by_vehicle: Sequence[Sequence[float]],

@@ -80,13 +80,7 @@ def spacing_error(
     x_pred_prev: float, x_pred_self: float, v_pred_self: float, config: SimConfig
 ) -> float:
     """Deviation of the predicted gap from the adaptive nominal spacing."""
-    return x_pred_prev - x_pred_self - (
-        config.L_veh + config.p * config.tau * v_pred_self + config.delta
-    )
-
-
-def relative_speed(v_pred_prev: float, v_pred_self: float) -> float:
-    return v_pred_prev - v_pred_self
+    return x_pred_prev - x_pred_self - config.nominal_gap(v_pred_self)
 
 
 def primal_exit(u_deltas: Sequence[float], primal_tol: float) -> bool:
@@ -212,6 +206,7 @@ def run_control_step(
     channel = channel.at_step(k)
     followers = platoon.followers
     terms = newton_terms(cfg)
+    ptau, L_veh, delta = terms[6:9]
     own = [follower_terms(f, cfg) for f in followers]
 
     leader_x, leader_v = predict(platoon.leader, leader_u, tau)
@@ -242,8 +237,10 @@ def run_control_step(
             if got is not None:
                 fx[i], fv[i] = got
 
-        z = [spacing_error(fx[i], px[i], pv[i], cfg) for i in range(n)]
-        zp = [relative_speed(fv[i], pv[i]) for i in range(n)]
+        # spacing_error inline on the unpacked terms (the same bits), and the
+        # relative speed.
+        z = [fx[i] - px[i] - (L_veh + ptau * pv[i] + delta) for i in range(n)]
+        zp = [fv[i] - pv[i] for i in range(n)]
         backward = channel.corrupt(Direction.BACKWARD, [0.0, *z], [0.0, *zp], t, k)
         for i, got in enumerate(backward):
             if got is not None:
@@ -293,32 +290,25 @@ def run_control_step(
     )
 
 
-def check_constraints(
-    u: Sequence[float],
-    platoon: PlatoonState,
-    config: SimConfig,
-    leader_u: float = 0.0,
-) -> list[ConstraintViolation]:
-    """Evaluate the acceleration, velocity and safety-gap constraints on the
-    true next state reached from ``platoon`` under the given accelerations.
-    """
-    if len(u) != platoon.n:
-        raise ValueError(f"expected {platoon.n} accelerations, got {len(u)}")
+def check_constraints(platoon: PlatoonState, config: SimConfig) -> list[ConstraintViolation]:
+    """Evaluate the acceleration, velocity and safety-gap constraints on a
+    platoon just stepped: each follower's applied ``u`` and the ``v`` and
+    gap it reached."""
     violations = []
-    prev_x, _ = predict(platoon.leader, leader_u, config.tau)
-    for i, (ui, state) in enumerate(zip(u, platoon.followers), start=1):
-        if not config.a_min <= ui <= config.a_max:
+    prev_x = platoon.leader.x
+    for i, state in enumerate(platoon.followers, start=1):
+        u, v = state.u, state.v
+        if not config.a_min <= u <= config.a_max:
             violations.append(
-                ConstraintViolation(i, "acceleration", ui, config.a_max if ui > config.a_max else config.a_min)
+                ConstraintViolation(i, "acceleration", u, config.a_max if u > config.a_max else config.a_min)
             )
-        x_next, v_next = predict(state, ui, config.tau)
-        if not config.v_min <= v_next <= config.v_max:
+        if not config.v_min <= v <= config.v_max:
             violations.append(
-                ConstraintViolation(i, "velocity", v_next, config.v_max if v_next > config.v_max else config.v_min)
+                ConstraintViolation(i, "velocity", v, config.v_max if v > config.v_max else config.v_min)
             )
-        safety = config.safety_gap(v_next)
-        gap = prev_x - x_next
+        safety = config.safety_gap(v)
+        gap = prev_x - state.x
         if gap < safety:
             violations.append(ConstraintViolation(i, "safety_gap", gap, safety))
-        prev_x = x_next
+        prev_x = state.x
     return violations

@@ -84,7 +84,7 @@ class SimConfig:
 
     def nominal_gap(self, v: float) -> float:
         """Front-bumper-to-front-bumper equilibrium spacing at speed v."""
-        return self.L_veh + self.p * self.tau * v + self.delta
+        return self.safety_gap(v) + self.delta
 
     def safety_gap(self, v: float) -> float:
         """Minimum admissible gap at speed v (adaptive safety distance)."""
@@ -119,9 +119,6 @@ class PlatoonState:
             raise IndexError(f"follower index {i} out of range 1..{self.n}")
         prev = self.leader if i == 1 else self.followers[i - 2]
         return prev.x - self.followers[i - 1].x
-
-    def gaps(self) -> tuple[float, ...]:
-        return tuple(self.gap(i) for i in range(1, self.n + 1))
 
 
 def initial_platoon(config: SimConfig, leader_speed: float) -> PlatoonState:

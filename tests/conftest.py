@@ -1,8 +1,9 @@
 import pytest
 
-from platoonsec import AttackCase, SimConfig, parse_attack_case
+from platoonsec.attack_engine import AttackCase, parse_attack_case
 from platoonsec.cli_runner import LeaderProfile, Scenario
 from platoonsec.detection import DetectionConfig
+from platoonsec.platoon_model import SimConfig
 
 
 @pytest.fixture

@@ -11,13 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from platoonsec import (
-    SimConfig,
-    initial_platoon,
-    parse_attack_case,
-    run_control_step,
-)
-from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal
+from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal, parse_attack_case
 from platoonsec.cli_runner import (
     LeaderProfile,
     Scenario,
@@ -30,14 +24,15 @@ from platoonsec.detection import (
     DetectorState,
     create_elm,
     elm_fit,
+    NormalizationState,
     elm_predict,
-    minmax_fit,
     minmax_inverse,
     minmax_transform,
     sliding_window,
 )
 from platoonsec.metrics import ImpactClass
-from platoonsec.mpc_controller import primal_exit
+from platoonsec.mpc_controller import primal_exit, run_control_step
+from platoonsec.platoon_model import SimConfig, initial_platoon
 from platoonsec.v2v_channel import V2VChannel
 
 from conftest import single_channel_case
@@ -268,7 +263,8 @@ def test_c8_elm_correctness():
     """C8: normalization round-trip, ramp fit quality, freeze soundness and
     seeded determinism."""
     rng = random.Random(88)
-    norm = minmax_fit([rng.uniform(-50, 50) for _ in range(100)])
+    sample = [rng.uniform(-50, 50) for _ in range(100)]
+    norm = NormalizationState(min(sample), max(sample))
     round_trip_ok = all(
         abs(float(minmax_inverse(norm, minmax_transform(norm, x))) - x) <= 1e-12
         for x in (rng.uniform(-100, 100) for _ in range(1000))

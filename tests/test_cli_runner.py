@@ -12,6 +12,7 @@ from platoonsec.cli_runner import (
     _INPUT_ERRORS,
     MAX_BIAS_CELLS,
     MAX_CONTROL_STEPS,
+    MAX_DETECTION_CELLS,
     LeaderProfile,
     TRACE_COLUMNS,
     generate_bias_files,
@@ -23,7 +24,7 @@ from platoonsec.cli_runner import (
     simulate,
     write_anomaly_csv,
 )
-from platoonsec.detection import DetectionConfig
+from platoonsec.detection import ANOMALY_CSV_COLUMNS, DetectionConfig
 from platoonsec.platoon_model import ConfigError, SimConfig
 
 from conftest import make_scenario, single_channel_case
@@ -200,6 +201,19 @@ class TestReplayDetect:
         replay_path = tmp_path / "replay.csv"
         write_anomaly_csv(events, replay_path)
         assert replay_path.read_bytes() == paths["anomalies"].read_bytes()
+
+    def test_disabled_detection_replays_like_the_live_run(self, tmp_path):
+        doc = yaml.safe_load((SCENARIO_DIR / "single_target.yaml").read_text())
+        doc["detection"] = {**(doc.get("detection") or {}), "enabled": False}
+        path = tmp_path / "disabled.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        trace = str(tmp_path / "out" / "trace.csv")
+        argv = ["replay-detect", "--trace", trace, "--config", str(path), "--out", str(tmp_path / "replay")]
+        assert main(argv) == 0
+        live = (tmp_path / "out" / "anomalies.csv").read_bytes()
+        assert (tmp_path / "replay" / "anomalies.csv").read_bytes() == live
+        assert live.decode().splitlines() == [",".join(ANOMALY_CSV_COLUMNS)]
 
     def test_empty_trace_gives_empty_events(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -410,12 +424,16 @@ class TestCli:
             ([{"lag": 2}], "detection must be a mapping"),
             (0, "detection must be a mapping"),
             ({"ridge": 10**400}, "detection.ridge"),
+            ({"hidden_count": 10**12}, "detection.hidden_count x detection.hidden_count"),
+            ({"lag": 10**11}, "detection.norm_window x detection.lag"),
+            ({"norm_window": 10**5}, "detection.norm_window x detection.hidden_count"),
+            ({"norm_window": 4, "step_forward": 2}, "detection.norm_window must be at least"),
         ],
         ids=[
             "unknown-key", "zero-hidden", "zero-lag", "bool-step", "float-window",
             "negative-warmup", "zero-comparator", "infinite-threshold", "string-threshold",
             "nan-ridge", "infinite-nominal", "int-enabled", "list-section", "zero-section",
-            "int-past-float-range",
+            "int-past-float-range", "huge-hidden", "huge-lag", "huge-window", "window-without-pairs",
         ],
     )
     def test_bad_detection_section_exit_code(self, tmp_path, capsys, command, section, field):
@@ -592,6 +610,16 @@ class TestCli:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_detection_size_limits_are_inclusive(self):
+        side = int(MAX_DETECTION_CELLS**0.5)
+        detection = {"hidden_count": side, "norm_window": side, "lag": side - 2, "step_forward": 1}
+        read = scenario_from_dict(scenario_doc(detection=detection)).detection
+        assert (read.hidden_count, read.norm_window) == (side, side)
+        with pytest.raises(ConfigError, match="detection.hidden_count x detection.hidden_count"):
+            scenario_from_dict(scenario_doc(detection={**detection, "hidden_count": side + 1}))
+        with pytest.raises(ConfigError, match="detection.norm_window must be at least"):
+            scenario_from_dict(scenario_doc(detection={**detection, "lag": side - 1}))
+
     def test_bias_size_limit_is_inclusive(self):
         sim = {"n": 1000, "max_iterations": MAX_BIAS_CELLS // 1000}
         assert scenario_from_dict(scenario_doc(sim=sim)).sim.n == 1000
@@ -615,10 +643,14 @@ class TestCli:
             ({"leader": {"speeed": 20}}, "leader.speeed is not a leader key"),
             ({"output": 5}, "output must be a mapping, got 5"),
             ({"output": {"trace": "no"}}, "output.trace must be a bool, got 'no'"),
+            ({"leader": {"profile": [[50, 1.0], [0, -1.0]]}}, "leader.profile[1] starts at "
+             "step 0, not after leader.profile[0]'s 50: start steps must increase"),
+            ({"leader": {"profile": [[10, 1.0], [10, -1.0]]}}, "leader.profile[1] starts at "
+             "step 10, not after leader.profile[0]'s 10: start steps must increase"),
         ],
         ids=[
             "short-phase", "float-start", "int-leader", "string-speed", "unknown-leader-key",
-            "int-output", "string-flag",
+            "int-output", "string-flag", "decreasing-start", "repeated-start",
         ],
     )
     def test_bad_leader_or_output_exit_code(self, tmp_path, capsys, overrides, message):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from platoonsec import SimConfig, initial_platoon, step_platoon, step_vehicle
-from platoonsec.platoon_model import VehicleState
+from platoonsec.dynamics import step_platoon, step_vehicle
+from platoonsec.platoon_model import SimConfig, VehicleState, initial_platoon
 
 
 class TestStepVehicle:
@@ -36,9 +36,9 @@ class TestStepPlatoon:
     def test_uniform_motion_preserves_gaps(self):
         cfg = SimConfig()
         platoon = initial_platoon(cfg, 30.0)
-        gaps = platoon.gaps()
+        gaps = [platoon.gap(i) for i in range(1, cfg.n + 1)]
         stepped = step_platoon(platoon, 0.0, [0.0] * cfg.n, cfg.tau)
-        assert stepped.gaps() == pytest.approx(gaps, abs=1e-12)
+        assert [stepped.gap(i) for i in range(1, cfg.n + 1)] == pytest.approx(gaps, abs=1e-12)
         assert stepped.control_step == 1
 
     def test_equilibrium_headways_constant_over_100_steps(self):

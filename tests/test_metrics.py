@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from platoonsec.metrics import (
     ImpactClass,
-    acceleration_envelope,
     build_impact_report,
     classify_impact,
     format_impact_report,
@@ -75,6 +74,13 @@ class TestClassifyImpact:
     def test_series_must_outlast_warmup(self):
         with pytest.raises(ValueError):
             classify_impact([0.5] * 10, 0.45, 0.55, 10)
+
+
+def acceleration_envelope(series, lo=-1.5, hi=1.0):
+    """The acceleration intervals an impact report gives one vehicle with
+    no warmup."""
+    report = build_impact_report([[0.5] * len(series)], [series], accel_lo=lo, accel_hi=hi, warmup=0)
+    return report.per_vehicle[0].accel_violations
 
 
 class TestAccelerationEnvelope:

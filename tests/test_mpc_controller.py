@@ -2,28 +2,21 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
 
-from platoonsec import (
-    SimConfig,
-    check_constraints,
-    dual_update,
-    initial_platoon,
-    predict,
-    relative_speed,
-    run_control_step,
-    spacing_error,
-    step_vehicle,
-)
 from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal
+from platoonsec.dynamics import predict, step_platoon, step_vehicle
 from platoonsec.mpc_controller import (
     NumericalError,
+    check_constraints,
+    dual_update,
     follower_terms,
     newton_terms,
     primal_exit,
     primal_step,
+    run_control_step,
+    spacing_error,
 )
-from platoonsec.platoon_model import VehicleState
+from platoonsec.platoon_model import VehicleState, initial_platoon
 from platoonsec.v2v_channel import ChannelId, Direction, V2VChannel
 
 from conftest import single_channel_case
@@ -84,19 +77,44 @@ class TestSpacingError:
             assert spacing_error(xp, xs, vs, config) == expected
 
 
+def first_round_relative_speeds(config, monkeypatch, v_bias: float = 0.0) -> list[float]:
+    """The relative speeds the followers of an equilibrium platoon send
+    backward in round 0, fv1's outgoing v_ite biased by ``v_bias``."""
+    payloads = []
+    corrupt = V2VChannel.corrupt
+
+    def spy(self, direction, a, b, t, k):
+        payloads.append((direction, b))
+        return corrupt(self, direction, a, b, t, k)
+
+    monkeypatch.setattr(V2VChannel, "corrupt", spy)
+    case = single_channel_case(config.n, victim=1, window=(0, 0), channel="v_ite", bias_params=[v_bias])
+    bias = iter_attack_value_cal(config.n, 0, 1, case)
+    run_control_step(initial_platoon(config, 30.0), V2VChannel(bias=bias), replace(config, max_iterations=1))
+    (forward, _), (backward, reports) = payloads
+    assert (forward, backward) == (Direction.FORWARD, Direction.BACKWARD)
+    return reports[1:]
+
+
 class TestRelativeSpeed:
-    def test_equal_speeds(self):
-        assert relative_speed(30.0, 30.0) == 0.0
+    """A follower's backward zv_ite report is the front velocity it
+    received minus its own predicted velocity."""
 
-    def test_direct(self):
-        assert relative_speed(31.0, 30.0) == 1.0
+    def test_equal_speeds(self, config, monkeypatch):
+        assert first_round_relative_speeds(config, monkeypatch) == [0.0] * config.n
 
-    @given(
-        st.floats(-100, 100, allow_nan=False),
-        st.floats(-100, 100, allow_nan=False),
-    )
-    def test_antisymmetry(self, a, b):
-        assert relative_speed(a, b) == -relative_speed(b, a)
+    def test_direct(self, config, monkeypatch):
+        # fv2 receives fv1's 30.0 m/s plus the bias against its own 30.0.
+        expected = [0.0, 1.0] + [0.0] * (config.n - 2)
+        assert first_round_relative_speeds(config, monkeypatch, 1.0) == expected
+
+    def test_antisymmetry(self, config, monkeypatch):
+        rng = random.Random(12)
+        for _ in range(20):
+            b = rng.uniform(-1.5, 1.5)
+            up = first_round_relative_speeds(config, monkeypatch, b)
+            down = first_round_relative_speeds(config, monkeypatch, -b)
+            assert up[1] == -down[1] != 0.0
 
 
 def _local_objective(measured, u, fx, fv, rear, lam_front, lam_rear, cfg):
@@ -276,14 +294,12 @@ class TestRunControlStep:
         platoon = initial_platoon(config, 30.0)
         channel = V2VChannel(bias=BiasMatrices.zeros(config.max_iterations, config.n))
         prev = (0.0,) * config.n
-        from platoonsec import step_platoon
-
         for step in range(30):
             leader_u = -2.0 if step < 15 else 0.0
             outcome = run_control_step(platoon, channel, config, leader_u, warm_start=prev)
             assert all(config.a_min <= u <= config.a_max for u in outcome.u_next)
-            assert check_constraints(outcome.u_next, platoon, config, leader_u) == []
             platoon = step_platoon(platoon, leader_u, outcome.u_next, config.tau)
+            assert check_constraints(platoon, config) == []
             prev = outcome.u_next
 
     def test_unsatisfiable_bias_exits_at_iteration_cap(self, config):
@@ -412,13 +428,14 @@ class TestRunControlStep:
 class TestCheckConstraints:
     def test_equilibrium_clean(self, config):
         platoon = initial_platoon(config, 30.0)
-        assert check_constraints([0.0] * config.n, platoon, config) == []
+        stepped = step_platoon(platoon, 0.0, [0.0] * config.n, config.tau)
+        assert check_constraints(stepped, config) == []
 
     def test_acceleration_violation_reported(self, config):
         platoon = initial_platoon(config, 30.0)
         u = [0.0] * config.n
         u[2] = config.a_max + 1.0
-        violations = check_constraints(u, platoon, config)
+        violations = check_constraints(step_platoon(platoon, 0.0, u, config.tau), config)
         assert any(v.vehicle == 3 and v.kind == "acceleration" for v in violations)
 
     def test_random_states_match_independent_reevaluation(self, config):
@@ -427,7 +444,8 @@ class TestCheckConstraints:
         for _ in range(100):
             u = [rng.uniform(-8, 6) for _ in range(config.n)]
             leader_u = rng.uniform(-2, 2)
-            got = {(v.vehicle, v.kind) for v in check_constraints(u, platoon, config, leader_u)}
+            stepped = step_platoon(platoon, leader_u, u, config.tau)
+            got = {(v.vehicle, v.kind) for v in check_constraints(stepped, config)}
             expected = set()
             tau = config.tau
             prev_x = platoon.leader.x + platoon.leader.v * tau + 0.5 * leader_u * tau**2

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from platoonsec import ConfigError, SimConfig, initial_platoon
-from platoonsec.platoon_model import VehicleState
+from platoonsec.platoon_model import ConfigError, SimConfig, VehicleState, initial_platoon
 
 
 class TestSimConfig:

@@ -104,7 +104,8 @@ class TestApplyBias:
         twice = V2VChannel(bias=bias_b).corrupt(
             FORWARD, [p[0] for p in once] + [x[6]], [p[1] for p in once] + [v[6]], 0, 0
         )
-        assert twice == V2VChannel(bias=bias_a + bias_b).corrupt(FORWARD, x, v, 0, 0)
+        summed = BiasMatrices(*(bias_a.by_channel(ch) + bias_b.by_channel(ch) for ch in ChannelId))
+        assert twice == V2VChannel(bias=summed).corrupt(FORWARD, x, v, 0, 0)
 
 
 class TestDropRules:
@@ -155,7 +156,8 @@ class TestDropRules:
     def test_receiver_reuses_last_value_when_dropped(self, config):
         # With fv3's forward broadcast jammed, fv4 keeps optimizing against
         # fv3's first-round broadcast instead of the live one.
-        from platoonsec import initial_platoon, run_control_step
+        from platoonsec.mpc_controller import run_control_step
+        from platoonsec.platoon_model import initial_platoon
 
         platoon = initial_platoon(config, 30.0)
         rule = DropRule(Direction.FORWARD, sender=3, iterations=(1, 400))
