@@ -1,10 +1,12 @@
 """End-to-end scenario orchestration and the command-line surface.
 
-A scenario file drives the per-step pipeline: generate bias matrices for the
-step, run the controller's iteration loop with the corrupted channel, advance
-the plant, run detection, accumulate metrics.  Outputs are a trace CSV, an
-anomaly CSV and an impact report; everything is deterministic given the
-scenario seed.
+A run is two passes.  The control pass walks the control steps: generate bias
+matrices for the step, run the controller's iteration loop with the corrupted
+channel, advance the plant, check constraints.  Detection only watches the
+channel and never feeds back into control, so the detection pass then runs
+over the recorded channel columns; a replay is that same pass over columns
+read back from a trace.  Outputs are a trace CSV, an anomaly CSV and an
+impact report; everything is deterministic given the scenario seed.
 
 Exit codes: 0 ok, 1 config error, 2 numerical failure.
 """
@@ -69,12 +71,14 @@ class LeaderProfile:
                     f"leader.profile[{i - 1}]'s {self.phases[i - 1][0]}: start steps must increase"
                 )
 
-    def accel_at(self, k: int) -> float:
-        accel = 0.0
-        for start, value in self.phases:
-            if start <= k:
-                accel = value
-        return accel
+    def accelerations(self, steps: int) -> list[float]:
+        """The acceleration of each control step 0..steps-1, in one walk over
+        the phases: 0.0 before the first, then each phase's until the next."""
+        starts = [start for start, _ in self.phases] + [steps]
+        accels = [0.0] * min(starts[0], steps)
+        for (start, accel), end in zip(self.phases, starts[1:]):
+            accels += [accel] * (min(end, steps) - start)
+        return accels
 
 
 @dataclass(frozen=True)
@@ -133,8 +137,8 @@ def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
     v = leader.speed
     if not sim.v_min <= v <= sim.v_max:
         raise ConfigError(f"leader speed {v} outside [{sim.v_min}, {sim.v_max}]")
-    for k in range(sim.total_control_steps):
-        v += leader.accel_at(k) * sim.tau
+    for k, accel in enumerate(leader.accelerations(sim.total_control_steps)):
+        v += accel * sim.tau
         if not sim.v_min <= v <= sim.v_max:
             raise ConfigError(
                 f"leader profile drives velocity to {v:.3f} at step {k + 1}, "
@@ -143,68 +147,70 @@ def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
 
 
 def simulate(scenario: Scenario) -> RunResult:
-    """Run the whole scenario in memory.  Pipeline order per control step:
-    bias generation, message exchange with injection inside the controller
-    loop, plant step, detection, metrics accumulation."""
+    """Run the whole scenario in memory.  The control pass runs each control
+    step as bias generation, message exchange with injection inside the
+    controller loop, headway, plant step and constraint check; the detection
+    pass then reads what the channel delivered, and the rows, events and
+    impact report are built from both."""
     sim = scenario.sim
     n = sim.n
     platoon = initial_platoon(sim, scenario.leader.speed)
-    detector = DetectorState(n, scenario.detection) if scenario.detection.enabled else None
-    # What every step of a run with detection disabled detects.
-    idle = StepDetection((False,) * n, (None,) * n, (None,) * n, ())
-
-    rows: list[TraceRow] = []
-    events: list[AnomalyEvent] = []
     step_outcomes: list[ControlOutcome] = []
+    headways: list[list[float]] = []
     violations: list[tuple[int, ConstraintViolation]] = []
-    flags_by_step: list[tuple[bool, ...]] = []
-
     prev_u: Sequence[float] = (0.0,) * n
-    for k in range(sim.total_control_steps):
-        leader_u = scenario.leader.accel_at(k)
+    for k, leader_u in enumerate(scenario.leader.accelerations(sim.total_control_steps)):
         bias = iter_attack_value_cal(n, k, sim.max_iterations, scenario.attack)
         channel = V2VChannel(bias=bias, drops=scenario.drops)
         outcome = run_control_step(platoon, channel, sim, leader_u, warm_start=prev_u)
         step_outcomes.append(outcome)
-        stepped = step_platoon(platoon, leader_u, outcome.u_next, sim.tau)
-        violations.extend((k, violation) for violation in check_constraints(stepped, sim))
-
-        if detector is None:
-            comparator, detection = idle.flags, idle
-        else:
-            comparator = comparator_flags(outcome.gap_front, outcome.gap_rear, detector.cfg, k)
-            detection = detect_step(outcome.front_x, outcome.front_v, comparator, detector, k)
-        events.extend(detection.events)
-        flags_by_step.append(detection.flags)
-
-        hits = {(e.kind, e.vehicle) for e in detection.events}
-        for i, follower in enumerate(platoon.followers):
-            rows.append(TraceRow(
-                k, i + 1, outcome.front_x[i], outcome.front_v[i], outcome.u_next[i],
-                outcome.gap_front[i], time_headway(platoon.gap(i + 1), follower.v, sim.L_veh),
-                comparator[i], detection.pos_predictions[i], detection.vel_predictions[i],
-                (POS_ANOM, i + 1) in hits, (VEL_ANOM, i + 1) in hits,
-            ))
-
-        platoon = stepped
+        headways.append([time_headway(platoon.gap(i + 1), follower.v, sim.L_veh)
+                         for i, follower in enumerate(platoon.followers)])
+        platoon = step_platoon(platoon, leader_u, outcome.u_next, sim.tau)
+        violations.extend((k, violation) for violation in check_constraints(platoon, sim))
         prev_u = outcome.u_next
+
+    comparator = [comparator_flags(o.gap_front, o.gap_rear, scenario.detection, k)
+                  for k, o in enumerate(step_outcomes)]
+    detections = detect_run([o.front_x for o in step_outcomes], [o.front_v for o in step_outcomes],
+                            comparator, scenario.detection)
+    rows: list[TraceRow] = []
+    for k, (o, headway, flags, detection) in enumerate(
+            zip(step_outcomes, headways, comparator, detections)):
+        hits = {(e.kind, e.vehicle) for e in detection.events}
+        rows.extend(TraceRow(
+            k, i + 1, o.front_x[i], o.front_v[i], o.u_next[i], o.gap_front[i], headway[i],
+            flags[i], detection.pos_predictions[i], detection.vel_predictions[i],
+            (POS_ANOM, i + 1) in hits, (VEL_ANOM, i + 1) in hits,
+        ) for i in range(n))
 
     # Short smoke runs still get a report: the classification warmup cannot
     # swallow the whole series.
-    warmup = min(10, sim.total_control_steps - 1)
     impact = build_impact_report(
         [[row.headway for row in rows[i::n]] for i in range(n)],
         [[row.u for row in rows[i::n]] for i in range(n)],
-        warmup=warmup,
+        warmup=min(10, sim.total_control_steps - 1),
     )
     return RunResult(
         rows=rows,
-        events=events,
-        impact=impact,
-        step_outcomes=step_outcomes,
-        violations=violations,
-        flags_by_step=flags_by_step,
+        events=[event for detection in detections for event in detection.events],
+        impact=impact, step_outcomes=step_outcomes, violations=violations,
+        flags_by_step=[detection.flags for detection in detections],
     )
+
+
+def detect_run(xs: Sequence[Sequence[float]], vs: Sequence[Sequence[float]],
+               comparator: Sequence[Sequence[bool]], cfg: DetectionConfig) -> list[StepDetection]:
+    """The detection pass: stage two over a whole run, one ``detect_step``
+    per control step, for a live run and a replay alike.  Entry k of ``xs``,
+    ``vs`` and ``comparator`` is control step k's column, one entry per
+    follower.  With detection disabled every step detects nothing."""
+    n = len(xs[0]) if xs else 0
+    if not cfg.enabled:
+        return [StepDetection((False,) * n, (None,) * n, (None,) * n, ())] * len(xs)
+    detector = DetectorState(n, cfg)
+    return [detect_step(x, v, flags, detector, k)
+            for k, (x, v, flags) in enumerate(zip(xs, vs, comparator))]
 
 
 def _fmt(value) -> str:
@@ -529,8 +535,8 @@ class TraceFormatError(ValueError):
     pass
 
 
-def _read_trace(trace_path: Path) -> list[tuple[list[float], list[float], list[bool]]]:
-    """Each control step's x, v and comparator-flag columns, in vehicle order.
+def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]]:
+    """The per-step x, v and comparator-flag columns, each in vehicle order.
 
     Every row must be complete and well formed, and control steps 0..K must
     each hold vehicles 1..n exactly once, as a live run writes them; anything
@@ -540,7 +546,7 @@ def _read_trace(trace_path: Path) -> list[tuple[list[float], list[float], list[b
     with open(trace_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            return []
+            return [], [], []
         missing = [c for c in TRACE_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise TraceFormatError(f"trace is missing columns: {missing}")
@@ -565,7 +571,7 @@ def _read_trace(trace_path: Path) -> list[tuple[list[float], list[float], list[b
                 raise TraceFormatError(f"{where} repeats vehicle {vehicle} of control step {k}")
             step[vehicle] = x, v, record["comparator_flag"] == "1"
     n = max((max(step) for step in by_step.values()), default=0)
-    steps = []
+    columns: tuple[list, list, list] = ([], [], [])
     for k in range(len(by_step)):
         if k not in by_step:
             raise TraceFormatError(f"{trace_path} has no rows for control step {k}")
@@ -573,26 +579,17 @@ def _read_trace(trace_path: Path) -> list[tuple[list[float], list[float], list[b
         if len(step) != n:
             lacking = min(set(range(1, n + 1)) - set(step))
             raise TraceFormatError(f"{trace_path}: control step {k} lacks vehicle {lacking}")
-        xs, vs, flags = zip(*(step[vehicle] for vehicle in range(1, n + 1)))
-        steps.append((list(xs), list(vs), list(flags)))
-    return steps
+        for column, values in zip(columns, zip(*(step[vehicle] for vehicle in range(1, n + 1)))):
+            column.append(values)
+    return columns
 
 
 def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[AnomalyEvent]:
-    """Re-run the ELM stage over a recorded trace.
-
-    The monitored series and the comparator flags are read back from the
-    trace, so results are identical to the live run under the same detection
-    config and seed: none when the config disables detection.
-    """
-    steps = _read_trace(trace_path)
-    if not steps or not detection.enabled:
-        return []
-    detector = DetectorState(len(steps[0][0]), detection)
-    events: list[AnomalyEvent] = []
-    for k, (xs, vs, flags) in enumerate(steps):
-        events.extend(detect_step(xs, vs, flags, detector, k).events)
-    return events
+    """Re-run the ELM stage over a recorded trace: ``detect_run`` over the x,
+    v and comparator-flag columns read back from it, so the events are the
+    live run's under the same detection config and seed (none when the config
+    disables detection)."""
+    return [e for step in detect_run(*_read_trace(trace_path), detection) for e in step.events]
 
 
 # ---------------------------------------------------------------------------

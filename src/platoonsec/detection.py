@@ -132,9 +132,10 @@ def comparator_flags(
     control_step: int,
 ) -> list[bool]:
     """Stage one for every vehicle of one control step: ``comparator_check``
-    on each pair of perceived gaps.  Silent during the warmup window and for
-    a vehicle with no rear report (gap_rear None, the last follower)."""
-    if control_step < cfg.warmup_steps:
+    on each pair of perceived gaps.  Silent with detection disabled, during
+    the warmup window and for a vehicle with no rear report (gap_rear None,
+    the last follower)."""
+    if not cfg.enabled or control_step < cfg.warmup_steps:
         return [False] * len(gap_front)
     return [rear is not None and comparator_check(front, rear, cfg)
             for front, rear in zip(gap_front, gap_rear)]
@@ -282,8 +283,9 @@ class SeriesDetector:
     frozen attack windows.  A level prediction is reconstructed as the last
     observation plus the predicted increment.
 
-    Two views of the data are kept: ``train_diffs`` holds increments between
-    consecutive unflagged observations (tainted values never enter it), while
+    Two views of the data are kept: ``train_diffs`` holds the last
+    ``norm_window + 1`` increments between consecutive unflagged observations
+    (tainted values never enter it), all that a fit reads, while
     ``recent`` holds the raw trailing observations used as prediction input.
     When the training window is constant, min-max normalization is degenerate
     and nothing is fitted.  Before the first fit the predictor then repeats
@@ -320,6 +322,7 @@ class SeriesDetector:
         if not flagged:
             if self._last_train_value is not None and not self.frozen:
                 self.train_diffs.append(value - self._last_train_value)
+                del self.train_diffs[: -(self.cfg.norm_window + 1)]
                 self._fit()
             self._last_train_value = value
             self.frozen = False

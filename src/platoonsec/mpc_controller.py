@@ -14,10 +14,9 @@ where the successor's terms are the backward-received values shifted by the
 vehicle's own candidate motion.  The Lagrangian is a convex quadratic in the
 scalar u, so the full Newton step clipped to the admissible box is its exact
 minimiser over that box; no damping or line search is needed.  What no round
-changes is computed once per control step: ``newton_terms``,
-``follower_terms`` and the live drop rules (``V2VChannel.at_step``).  A round
-computes only predictions, received values, backward spacing terms and
-gradients.
+changes is computed once per control step: ``newton_terms`` and
+``follower_terms``.  A round computes only predictions, received values,
+backward spacing terms and gradients.
 
 The primal phase stops once every follower's successive candidates differ by
 at most ``primal_tol``; the dual phase then checks that all perceived gaps
@@ -203,7 +202,6 @@ def run_control_step(
     n = platoon.n
     tau = cfg.tau
     k = platoon.control_step
-    channel = channel.at_step(k)
     followers = platoon.followers
     terms = newton_terms(cfg)
     ptau, L_veh, delta = terms[6:9]

@@ -14,7 +14,7 @@ control loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -50,16 +50,12 @@ class DropRule:
     control_steps: Optional[tuple[int, int]] = None
     iterations: Optional[tuple[int, int]] = None
 
-    def live_at(self, k: int) -> bool:
-        """Whether the rule can jam anything during control step ``k``."""
-        return self.control_steps is None or self.control_steps[0] <= k <= self.control_steps[1]
-
     def matches(self, direction: Direction, t: int, k: int) -> bool:
         """Whether the rule jams its sender in ``direction`` during iteration
         round ``t`` of control step ``k``."""
         return (
             direction is self.direction
-            and self.live_at(k)
+            and (self.control_steps is None or self.control_steps[0] <= k <= self.control_steps[1])
             and (self.iterations is None or self.iterations[0] <= t <= self.iterations[1])
         )
 
@@ -70,12 +66,6 @@ class V2VChannel:
 
     bias: "BiasMatrices"
     drops: tuple[DropRule, ...] = ()
-
-    def at_step(self, k: int) -> "V2VChannel":
-        """This channel as control step ``k`` sees it: the drop rules live at
-        ``k``, step window resolved, so a round tests only ``iterations``."""
-        live = tuple(replace(r, control_steps=None) for r in self.drops if r.live_at(k))
-        return replace(self, drops=live)
 
     def corrupt(
         self,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from platoonsec.attack_engine import ATTACK_LIST_KEYS
 from platoonsec import cli_runner
@@ -110,11 +110,34 @@ class TestScenarioLoading:
         assert [slot.victim for slot in scenario.attack.slots] == [2]
 
     def test_leader_accel_lookup(self):
-        profile = LeaderProfile(30.0, phases=((10, -1.0), (20, 0.5)))
-        assert profile.accel_at(5) == 0.0
-        assert profile.accel_at(10) == -1.0
-        assert profile.accel_at(19) == -1.0
-        assert profile.accel_at(25) == 0.5
+        accels = LeaderProfile(30.0, phases=((10, -1.0), (20, 0.5))).accelerations(30)
+        assert len(accels) == 30
+        assert accels[5] == 0.0
+        assert accels[10] == -1.0
+        assert accels[19] == -1.0
+        assert accels[25] == 0.5
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        phases=st.dictionaries(st.integers(0, 60), st.floats(-3.0, 3.0), max_size=8),
+        steps=st.integers(0, 50),
+    )
+    @example(phases={}, steps=20)
+    @example(phases={0: -1.0, 5: 0.5}, steps=10)
+    @example(phases={3: 1.0, 40: -2.0, 41: 2.0}, steps=30)
+    def test_accelerations_match_a_linear_scan(self, phases, steps):
+        """Each step's acceleration is the last phase started by then, 0.0
+        before the first; phases past the end of the run change nothing."""
+        profile = LeaderProfile(30.0, phases=tuple(sorted(phases.items())))
+
+        def scan(k):
+            accel = 0.0
+            for start, value in profile.phases:
+                if start <= k:
+                    accel = value
+            return accel
+
+        assert profile.accelerations(steps) == [scan(k) for k in range(steps)]
 
 
 class TestRunScenario:
@@ -214,6 +237,12 @@ class TestReplayDetect:
         live = (tmp_path / "out" / "anomalies.csv").read_bytes()
         assert (tmp_path / "replay" / "anomalies.csv").read_bytes() == live
         assert live.decode().splitlines() == [",".join(ANOMALY_CSV_COLUMNS)]
+        # No stage runs: no comparator flag, prediction or anomaly in the trace.
+        with open(trace, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        columns = ("comparator_flag", "elm_pos_pred", "elm_vel_pred", "pos_anom", "vel_anom")
+        assert len(rows) == 100 * 6
+        assert {tuple(row[c] for c in columns) for row in rows} == {("0", "", "", "0", "0")}
 
     def test_empty_trace_gives_empty_events(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -403,7 +403,8 @@ class TestRecursiveUpdates:
             if fits and fits[-1] == "update":
                 drift = abs(det.predict_next() - _full_refit_prediction(det))
                 worst = max(worst, drift / (det.norm.data_max - det.norm.data_min))
-        assert len(det.train_diffs) > 5 * det.cfg.norm_window
+        assert len(increments) > 5 * det.cfg.norm_window
+        assert len(det.train_diffs) == det.cfg.norm_window + 1  # all that a fit reads
         assert fits.count("update") > len(fits) / 2
         assert worst <= bound
 

@@ -137,22 +137,6 @@ class TestDropRules:
         assert out[2] is None  # fv3 loses fv4's report
         assert all(got is not None for i, got in enumerate(out) if i != 2)
 
-    def test_step_view_delivers_what_the_channel_delivers(self):
-        rules = (
-            DropRule(FORWARD, sender=2, control_steps=(5, 10), iterations=(0, 3)),
-            DropRule(BACKWARD, sender=4, control_steps=(7, 7)),
-            DropRule(FORWARD, sender=0, iterations=(0, 2)),
-        )
-        bias = BiasMatrices(*(np.random.default_rng(s).normal(size=(10, 6)) for s in range(4)))
-        channel = V2VChannel(bias=bias, drops=rules)
-        for k in range(12):
-            stepped = channel.at_step(k)
-            assert all(rule.control_steps is None for rule in stepped.drops)
-            for t in range(6):
-                assert _round(stepped, 6, t, k) == _round(channel, 6, t, k)
-        assert len(channel.at_step(3).drops) == 1
-        assert len(channel.at_step(7).drops) == 3
-
     def test_receiver_reuses_last_value_when_dropped(self, config):
         # With fv3's forward broadcast jammed, fv4 keeps optimizing against
         # fv3's first-round broadcast instead of the live one.
