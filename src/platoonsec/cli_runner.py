@@ -5,8 +5,11 @@ matrices for the step, run the controller's iteration loop with the corrupted
 channel, advance the plant, check constraints.  Detection only watches the
 channel and never feeds back into control, so the detection pass then runs
 over the recorded channel columns; a replay is that same pass over columns
-read back from a trace.  Outputs are a trace CSV, an anomaly CSV and an
-impact report; everything is deterministic given the scenario seed.
+read back from a trace.  Followers do not couple in detection, so the pass
+runs one follower at a time and deals the followers out to forked worker
+processes.  Outputs are a trace CSV, an anomaly CSV and an impact report;
+everything is deterministic given the scenario seed, whatever the number of
+workers.
 
 Exit codes: 0 ok, 1 config error, 2 numerical failure.
 """
@@ -16,6 +19,9 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -35,13 +41,14 @@ from .detection import (
     AnomalyEvent,
     DetectionConfig,
     DetectionError,
-    DetectorState,
     NumericalFitError,
     POS_ANOM,
-    StepDetection,
     VEL_ANOM,
+    VehicleDetection,
     comparator_flags,
-    detect_step,
+    # The detection pass calls detect_vehicle once per follower through this
+    # name, so that a wrapper bound to it (perfbench's "detect" hook) sees every call.
+    detect_vehicle as detect_step,
 )
 from .dynamics import step_platoon
 from .metrics import ImpactReport, build_impact_report, format_impact_report, time_headway
@@ -54,6 +61,7 @@ from .mpc_controller import (
 )
 from .platoon_model import ConfigError, SimConfig, initial_platoon
 from .v2v_channel import Direction, DropRule, V2VChannel
+
 
 @dataclass(frozen=True)
 class LeaderProfile:
@@ -146,12 +154,12 @@ def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
             )
 
 
-def simulate(scenario: Scenario) -> RunResult:
+def simulate(scenario: Scenario, workers: Optional[int] = None) -> RunResult:
     """Run the whole scenario in memory.  The control pass runs each control
     step as bias generation, message exchange with injection inside the
     controller loop, headway, plant step and constraint check; the detection
     pass then reads what the channel delivered, and the rows, events and
-    impact report are built from both."""
+    impact report are built from both.  ``workers`` is ``detect_run``'s."""
     sim = scenario.sim
     n = sim.n
     platoon = initial_platoon(sim, scenario.leader.speed)
@@ -172,17 +180,16 @@ def simulate(scenario: Scenario) -> RunResult:
 
     comparator = [comparator_flags(o.gap_front, o.gap_rear, scenario.detection, k)
                   for k, o in enumerate(step_outcomes)]
-    detections = detect_run([o.front_x for o in step_outcomes], [o.front_v for o in step_outcomes],
-                            comparator, scenario.detection)
-    rows: list[TraceRow] = []
-    for k, (o, headway, flags, detection) in enumerate(
-            zip(step_outcomes, headways, comparator, detections)):
-        hits = {(e.kind, e.vehicle) for e in detection.events}
-        rows.extend(TraceRow(
-            k, i + 1, o.front_x[i], o.front_v[i], o.u_next[i], o.gap_front[i], headway[i],
-            flags[i], detection.pos_predictions[i], detection.vel_predictions[i],
-            (POS_ANOM, i + 1) in hits, (VEL_ANOM, i + 1) in hits,
-        ) for i in range(n))
+    detections, events = detect_run(
+        list(zip(*(o.front_x for o in step_outcomes))), list(zip(*(o.front_v for o in step_outcomes))),
+        list(zip(*comparator)), scenario.detection, workers)
+    hits = {(e.kind, e.control_step, e.vehicle) for e in events}
+    rows = [TraceRow(
+        k, i + 1, o.front_x[i], o.front_v[i], o.u_next[i], o.gap_front[i], headway[i], flags[i],
+        detections[i].pos_predictions[k], detections[i].vel_predictions[k],
+        (POS_ANOM, k, i + 1) in hits, (VEL_ANOM, k, i + 1) in hits,
+    ) for k, (o, headway, flags) in enumerate(zip(step_outcomes, headways, comparator))
+        for i in range(n)]
 
     # Short smoke runs still get a report: the classification warmup cannot
     # swallow the whole series.
@@ -192,25 +199,93 @@ def simulate(scenario: Scenario) -> RunResult:
         warmup=min(10, sim.total_control_steps - 1),
     )
     return RunResult(
-        rows=rows,
-        events=[event for detection in detections for event in detection.events],
-        impact=impact, step_outcomes=step_outcomes, violations=violations,
-        flags_by_step=[detection.flags for detection in detections],
+        rows=rows, events=events, impact=impact, step_outcomes=step_outcomes,
+        violations=violations,
+        flags_by_step=list(zip(*(detection.flags for detection in detections))),
     )
 
 
-def detect_run(xs: Sequence[Sequence[float]], vs: Sequence[Sequence[float]],
-               comparator: Sequence[Sequence[bool]], cfg: DetectionConfig) -> list[StepDetection]:
-    """The detection pass: stage two over a whole run, one ``detect_step``
-    per control step, for a live run and a replay alike.  Entry k of ``xs``,
-    ``vs`` and ``comparator`` is control step k's column, one entry per
-    follower.  With detection disabled every step detects nothing."""
-    n = len(xs[0]) if xs else 0
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def detect_run(
+    xs: Sequence[Sequence[float]], vs: Sequence[Sequence[float]],
+    comparator: Sequence[Sequence[bool]], cfg: DetectionConfig, workers: Optional[int] = None,
+) -> tuple[list[VehicleDetection], list[AnomalyEvent]]:
+    """The detection pass over a whole run, live or replayed: each follower's
+    detection, and all events ordered by control step, then vehicle.  Entry i
+    of ``xs``, ``vs`` and ``comparator`` is follower i+1's column.
+
+    The followers are dealt round-robin into ``workers`` shares (default: the
+    usable CPUs).  Share 0 runs here and each other share in a forked child,
+    which pickles its detections back through a pipe; without ``os.fork``
+    everything runs here.  A follower's detection depends on its columns
+    alone, and the error raised is the lowest-numbered failing follower's, so
+    nothing depends on ``workers``.  No child outlives the call.
+    """
+    n = len(xs)
     if not cfg.enabled:
-        return [StepDetection((False,) * n, (None,) * n, (None,) * n, ())] * len(xs)
-    detector = DetectorState(n, cfg)
-    return [detect_step(x, v, flags, detector, k)
-            for k, (x, v, flags) in enumerate(zip(xs, vs, comparator))]
+        steps = len(xs[0]) if n else 0
+        return [VehicleDetection([False] * steps, [None] * steps, [None] * steps, [])] * n, []
+    workers = (workers or _usable_cpus()) if hasattr(os, "fork") else 1
+    shares = [range(first, n, workers) for first in range(min(workers, n))]
+
+    def detect_share(share: range) -> tuple[list[VehicleDetection], Optional[Exception]]:
+        """The share's detections up to its first error, and that error."""
+        found = []
+        try:
+            for i in share:
+                found.append(detect_step(xs[i], vs[i], comparator[i], i + 1, cfg))
+        except Exception as error:
+            return found, error
+        return found, None
+
+    children, payloads = [], []
+    try:
+        for share in shares[1:]:
+            children.append(_fork(detect_share, share))
+        outcomes = [detect_share(share) for share in shares[:1]]
+        for _, pipe in children:
+            with open(pipe, "rb", closefd=False) as reader:
+                payloads.append(reader.read())
+    finally:
+        for pid, pipe in children:  # killing one whose payload was read is harmless
+            os.close(pipe)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for payload in payloads:
+        if not payload:
+            raise RuntimeError("a detection worker ended without sending its share")
+        outcomes.append(pickle.loads(payload))
+    failures = [(share[len(found)], error)
+                for share, (found, error) in zip(shares, outcomes) if error is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    detections: list = [None] * n
+    for share, (found, _) in zip(shares, outcomes):
+        detections[share.start::share.step] = found
+    events = sorted((e for detection in detections for e in detection.events),
+                    key=lambda e: (e.control_step, e.vehicle))
+    return detections, events
+
+
+def _fork(work, share: range) -> tuple[int, int]:
+    """Start a child that runs ``work(share)`` and writes the pickled result
+    to a pipe: (the child's pid, the pipe's read end)."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child never returns into the caller's stack, and exits without
+        # the parent's cleanup (atexit handlers, buffered output).
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as writer:
+                writer.write(pickle.dumps(work(share)))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, read_end
 
 
 def _fmt(value) -> str:
@@ -536,7 +611,8 @@ class TraceFormatError(ValueError):
 
 
 def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]]:
-    """The per-step x, v and comparator-flag columns, each in vehicle order.
+    """The x, v and comparator-flag columns of each vehicle, in vehicle order,
+    each over the control steps in order.
 
     Every row must be complete and well formed, and control steps 0..K must
     each hold vehicles 1..n exactly once, as a live run writes them; anything
@@ -571,7 +647,6 @@ def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]
                 raise TraceFormatError(f"{where} repeats vehicle {vehicle} of control step {k}")
             step[vehicle] = x, v, record["comparator_flag"] == "1"
     n = max((max(step) for step in by_step.values()), default=0)
-    columns: tuple[list, list, list] = ([], [], [])
     for k in range(len(by_step)):
         if k not in by_step:
             raise TraceFormatError(f"{trace_path} has no rows for control step {k}")
@@ -579,17 +654,20 @@ def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]
         if len(step) != n:
             lacking = min(set(range(1, n + 1)) - set(step))
             raise TraceFormatError(f"{trace_path}: control step {k} lacks vehicle {lacking}")
-        for column, values in zip(columns, zip(*(step[vehicle] for vehicle in range(1, n + 1)))):
+    columns: tuple[list, list, list] = ([], [], [])
+    for vehicle in range(1, n + 1):
+        for column, values in zip(columns, zip(*(by_step[k][vehicle] for k in range(len(by_step))))):
             column.append(values)
     return columns
 
 
-def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[AnomalyEvent]:
+def replay_detection(trace_path: Path, detection: DetectionConfig,
+                     workers: Optional[int] = None) -> list[AnomalyEvent]:
     """Re-run the ELM stage over a recorded trace: ``detect_run`` over the x,
     v and comparator-flag columns read back from it, so the events are the
     live run's under the same detection config and seed (none when the config
     disables detection)."""
-    return [e for step in detect_run(*_read_trace(trace_path), detection) for e in step.events]
+    return detect_run(*_read_trace(trace_path), detection, workers)[1]
 
 
 # ---------------------------------------------------------------------------

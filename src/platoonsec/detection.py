@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -88,14 +88,8 @@ class ElmModel:
     hidden_biases: np.ndarray  # (hidden_count,)
     output_weights: Optional[np.ndarray] = None
     # P = (HᵀH + ridge·I)⁻¹ of the fit, kept so that elm_update can move the
-    # output weights row by row.
+    # output weights row by row, in place.
     gram_inverse: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        for array in (self.input_weights, self.hidden_biases, self.output_weights,
-                      self.gram_inverse):
-            if array is not None:
-                array.flags.writeable = False
 
 
 def create_elm(hidden_count: int, random_state: int, lag: int = 2) -> ElmModel:
@@ -107,11 +101,12 @@ def create_elm(hidden_count: int, random_state: int, lag: int = 2) -> ElmModel:
 
 
 def _hidden(model: ElmModel, inputs: np.ndarray) -> np.ndarray:
-    """sigmoid(inputs @ W.T + b), in place on the fresh product.  The clip keeps
-    exp finite: forecast inputs are not bounded to [0, 1]."""
+    """sigmoid(inputs @ W.T + b), in place on the fresh product.  Clipping to
+    [-500, 500] keeps exp finite: forecast inputs are not bounded to [0, 1]."""
     z = inputs @ model.input_weights.T
     z += model.hidden_biases
-    z.clip(-500.0, 500.0, out=z)
+    np.maximum(z, -500.0, out=z)
+    np.minimum(z, 500.0, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
@@ -212,32 +207,30 @@ MIN_DENOMINATOR = 1e-6
 
 def elm_update(
     model: ElmModel, inputs: np.ndarray, targets: np.ndarray, signs: np.ndarray
-) -> Optional[ElmModel]:
-    """Recursive least squares on a fitted model: row i of ``inputs`` and
-    ``targets`` joins the training set when signs[i] is +1 and leaves it when
-    -1, in order.  Each row changes P by Sherman–Morrison and moves the
-    weights by the row's residual times the gain sign·P_new @ h, so the
-    result is elm_fit's on the changed set, up to rounding.  None when a
+) -> bool:
+    """Recursive least squares on a fitted model, in place: row i of
+    ``inputs`` and ``targets`` joins the training set when signs[i] is +1 and
+    leaves it when -1, in order.  Each row changes P by Sherman–Morrison and
+    moves the weights by the row's residual times the gain sign·P_new @ h, so
+    the result is elm_fit's on the changed set, up to rounding.  False when a
     denominator falls below MIN_DENOMINATOR or a weight is not finite: the
-    caller must then refit in full.
+    model is then left part-updated and the caller must refit in full.
 
     Moving the weights by the residual, rather than recomputing P @ Hᵀt,
     keeps P's 1/ridge directions out of them: on a window that holds few
     distinct rows, P @ Hᵀt after two updates was off by hundreds of times
     the data range at ridge 1e-9."""
     H = _hidden(model, inputs)
-    P, weights = model.gram_inverse.copy(), model.output_weights.copy()
+    P, weights = model.gram_inverse, model.output_weights
     for h, target, sign in zip(H, targets, signs):
         Ph = P @ h
         denominator = 1.0 + sign * (h @ Ph)
         if not denominator >= MIN_DENOMINATOR:
-            return None
+            return False
         gain = Ph * (sign / denominator)
         weights += gain * (target - h @ weights)
-        P -= np.outer(Ph, gain)
-    if not np.isfinite(weights).all():
-        return None
-    return ElmModel(model.input_weights, model.hidden_biases, weights, P)
+        P -= Ph[:, None] * gain
+    return bool(np.isfinite(weights).all())
 
 
 def elm_predict(model: ElmModel, window: Sequence[float]) -> float:
@@ -311,11 +304,13 @@ class SeriesDetector:
         recent, lag = self.recent, self.cfg.lag
         if len(recent) < lag + 1:
             return None
-        if self.norm is None or self.model.output_weights is None:
+        norm = self.norm
+        if norm is None or self.model.output_weights is None:
             return recent[-1] + self.train_diffs[-1] if self.train_diffs else None
-        diffs = [b - a for a, b in zip(recent[-lag - 1 :], recent[-lag:])]
-        predicted = elm_predict(self.model, minmax_transform(self.norm, diffs))
-        return recent[-1] + minmax_inverse(self.norm, predicted)
+        # minmax_transform's operations, on floats.
+        lo, scale = norm.data_min, 1.0 / (norm.data_max - norm.data_min)
+        window = [((b - a) - lo) * scale for a, b in zip(recent[-lag - 1 :], recent[-lag:])]
+        return recent[-1] + minmax_inverse(norm, elm_predict(self.model, window))
 
     def observe(self, value: float, flagged: bool) -> None:
         """Fold in one observation; training is skipped while flagged."""
@@ -364,10 +359,7 @@ class SeriesDetector:
                 starts.append(end - 1 - self.cfg.norm_window)  # the pair that leaves
             pairs = [diffs[j:j + lag] + [diffs[j + lag + ahead - 1]] for j in starts]
             rows = minmax_transform(norm, pairs)
-            signs = _JOIN_LEAVE[:len(starts)]
-            updated = elm_update(self.model, rows[:, :lag], rows[:, lag], signs)
-            if updated is not None:
-                self.model = updated
+            if elm_update(self.model, rows[:, :lag], rows[:, lag], _JOIN_LEAVE[:len(starts)]):
                 self.updates += 1
                 return
         norm = NormalizationState(lo, hi)
@@ -377,75 +369,57 @@ class SeriesDetector:
         self.updates = 0
 
 
-class DetectorState:
-    """Detector bank for the whole platoon, mutated only by detect_step:
-    ``vehicles[i]`` is follower i+1's (position, velocity) forecaster pair."""
-
-    def __init__(self, n: int, cfg: DetectionConfig):
-        self.cfg = cfg
-
-        def series(seed: int) -> SeriesDetector:
-            return SeriesDetector(create_elm(cfg.hidden_count, seed, cfg.lag), cfg)
-
-        bases = (cfg.seed * 1000 + 2 * vehicle for vehicle in range(1, n + 1))
-        self.vehicles = [(series(base), series(base + 1)) for base in bases]
+def forecasters(vehicle: int, cfg: DetectionConfig) -> tuple[SeriesDetector, SeriesDetector]:
+    """Follower ``vehicle``'s (position, velocity) forecasters, seeded from
+    ``cfg.seed`` and the vehicle number alone."""
+    base = cfg.seed * 1000 + 2 * vehicle
+    return tuple(SeriesDetector(create_elm(cfg.hidden_count, seed, cfg.lag), cfg)
+                 for seed in (base, base + 1))
 
 
-@dataclass(frozen=True)
-class StepDetection:
-    """Per-vehicle flags and predictions for one control step."""
+class VehicleDetection(NamedTuple):
+    """One follower's stage-two output, one entry per control step, and its
+    events in step order."""
 
-    flags: tuple[bool, ...]
-    pos_predictions: tuple[Optional[float], ...]
-    vel_predictions: tuple[Optional[float], ...]
-    events: tuple[AnomalyEvent, ...]
+    flags: list[bool]
+    pos_predictions: list[Optional[float]]
+    vel_predictions: list[Optional[float]]
+    events: list[AnomalyEvent]
 
 
-def detect_step(
-    front_x: Sequence[float],
-    front_v: Sequence[float],
-    comparator: Sequence[bool],
-    state: DetectorState,
-    control_step: int,
-) -> StepDetection:
-    """Run the forecaster stage on one control step of channel observations,
-    one entry per vehicle (index 0 = fv1), given stage one's flags.
+def detect_vehicle(xs: Sequence[float], vs: Sequence[float], comparator: Sequence[bool],
+                   vehicle: int, cfg: DetectionConfig) -> VehicleDetection:
+    """Run the forecaster stage over a whole run for one follower: entry k of
+    ``xs``, ``vs`` and ``comparator`` is its channel observations and its
+    stage-one flag at control step k.
 
-    A vehicle is flagged when its comparator flag is set or one of its
+    A step is flagged when its comparator flag is set or one of the two
     forecasters fires; the combined flag drives freeze-on-attack.  The
     comparator flags are used as given, whether ``comparator_flags`` just
     computed them or a replay read them from a trace.  During the warmup
-    window the forecasters raise no events while the models train.
+    window the forecasters raise no events while the models train.  No
+    follower's output depends on another's, so followers may run in any
+    order or in parallel.
     """
-    cfg = state.cfg
-    active = control_step >= cfg.warmup_steps
+    position, velocity = forecasters(vehicle, cfg)
     flags, pos_preds, vel_preds, events = [], [], [], []
-    for idx, (x, v, comp) in enumerate(zip(front_x, front_v, comparator)):
-        position, velocity = state.vehicles[idx]
+    for k, (x, v, comp) in enumerate(zip(xs, vs, comparator)):
         pos_pred = position.predict_next()
         vel_pred = velocity.predict_next()
-
-        vehicle_events = []
-        for kind, actual, predicted, threshold in (
-            (POS_ANOM, x, pos_pred, cfg.pos_threshold),
-            (VEL_ANOM, v, vel_pred, cfg.vel_threshold),
-        ):
-            if active and predicted is not None:
-                event = detect_anomaly(kind, control_step, idx + 1, actual, predicted, threshold)
-                if event:
-                    vehicle_events.append(event)
-
-        flagged = comp or bool(vehicle_events)
+        fired = len(events)
+        if k >= cfg.warmup_steps:
+            for kind, actual, predicted, threshold in (
+                (POS_ANOM, x, pos_pred, cfg.pos_threshold),
+                (VEL_ANOM, v, vel_pred, cfg.vel_threshold),
+            ):
+                if predicted is not None:
+                    event = detect_anomaly(kind, k, vehicle, actual, predicted, threshold)
+                    if event:
+                        events.append(event)
+        flagged = comp or len(events) > fired
         position.observe(x, flagged)
         velocity.observe(v, flagged)
-
         flags.append(flagged)
         pos_preds.append(pos_pred)
         vel_preds.append(vel_pred)
-        events.extend(vehicle_events)
-    return StepDetection(
-        flags=tuple(flags),
-        pos_predictions=tuple(pos_preds),
-        vel_predictions=tuple(vel_preds),
-        events=tuple(events),
-    )
+    return VehicleDetection(flags, pos_preds, vel_preds, events)

@@ -21,9 +21,10 @@ from platoonsec.cli_runner import (
 )
 from platoonsec.detection import (
     DetectionConfig,
-    DetectorState,
     create_elm,
+    detect_vehicle,
     elm_fit,
+    forecasters,
     NormalizationState,
     elm_predict,
     minmax_inverse,
@@ -277,7 +278,7 @@ def test_c8_elm_correctness():
     ramp_ok = rmse < 1e-3
 
     cfg = DetectionConfig(seed=5, warmup_steps=0)
-    position, velocity = DetectorState(1, cfg).vehicles[0]
+    position, velocity = forecasters(1, cfg)
     for t in range(10):
         position.observe(3.0 * t + 0.01 * t * t, False)
         velocity.observe(30.0 + 0.05 * t, False)
@@ -288,13 +289,9 @@ def test_c8_elm_correctness():
     freeze_ok = np.array_equal(position.model.output_weights, weights_before)
 
     def detector_run():
-        pos, vel = DetectorState(2, DetectionConfig(seed=11, warmup_steps=0)).vehicles[1]
-        outputs = []
-        for t in range(25):
-            outputs.append((pos.predict_next(), vel.predict_next()))
-            pos.observe(2.0 * t + 0.3 * math.sin(t), False)
-            vel.observe(30.0 + 0.2 * math.cos(t), False)
-        return outputs
+        xs = [2.0 * t + 0.3 * math.sin(t) for t in range(25)]
+        vs = [30.0 + 0.2 * math.cos(t) for t in range(25)]
+        return detect_vehicle(xs, vs, [False] * 25, 2, DetectionConfig(seed=11, warmup_steps=0))
 
     determinism_ok = detector_run() == detector_run()
     _verdict(

@@ -1,4 +1,6 @@
 import csv
+import os
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -24,7 +26,15 @@ from platoonsec.cli_runner import (
     simulate,
     write_anomaly_csv,
 )
-from platoonsec.detection import ANOMALY_CSV_COLUMNS, DetectionConfig
+from platoonsec.detection import (
+    ANOMALY_CSV_COLUMNS,
+    POS_ANOM,
+    VEL_ANOM,
+    DetectionConfig,
+    DetectionError,
+    NumericalFitError,
+    detect_vehicle,
+)
 from platoonsec.platoon_model import ConfigError, SimConfig
 
 from conftest import make_scenario, single_channel_case
@@ -846,3 +856,132 @@ class TestAnyDocument:
         argv = ["replay-detect", "--trace", str(trace), "--config", str(config),
                 "--out", str(folder / "out")]
         assert main(argv) in (0, 1)
+
+
+def _assert_no_child_left():
+    """Every child this process started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_detect_step(failures):
+    """detect_step, except that the vehicles in ``failures`` raise the
+    exception given for them."""
+    def detect(xs, vs, comparator, vehicle, cfg):
+        if vehicle in failures:
+            raise failures[vehicle]
+        return detect_vehicle(xs, vs, comparator, vehicle, cfg)
+    return detect
+
+
+class TestParallelDetection:
+    """The detection pass deals the followers out to forked workers; its
+    output must not depend on how many."""
+
+    @pytest.mark.parametrize("path, flags, events", [
+        (GOLDEN_DIR / "drop_rules.yaml", 54, 15),
+        (SCENARIO_DIR / "string_instability.yaml", 216, 80),
+    ], ids=["drop_rules", "string_instability"])
+    def test_any_worker_count_gives_the_same_run(self, tmp_path, path, flags, events):
+        scenario = load_scenario(path)
+        one = simulate(scenario, workers=1)
+        assert sum(row.comparator_flag for row in one.rows) == flags
+        assert len(one.events) == events
+        trace = tmp_path / "trace.csv"
+        cli_runner.write_trace_csv(one.rows, trace)
+        for workers in (2, 3, scenario.sim.n + 5):
+            result = simulate(scenario, workers=workers)
+            _assert_no_child_left()
+            assert (result.rows, result.events, result.flags_by_step) == (
+                one.rows, one.events, one.flags_by_step)
+            assert replay_detection(trace, scenario.detection, workers=workers) == one.events
+            _assert_no_child_left()
+
+    def test_events_are_ordered_by_step_then_vehicle(self):
+        events = simulate(load_scenario(SCENARIO_DIR / "string_instability.yaml"), workers=2).events
+        keys = [(e.control_step, e.vehicle) for e in events]
+        assert keys == sorted(keys) and len(set(keys)) < len(keys)
+        for first, second in zip(events, events[1:]):
+            if (first.control_step, first.vehicle) == (second.control_step, second.vehicle):
+                assert (first.kind, second.kind) == (POS_ANOM, VEL_ANOM)
+
+    def test_header_only_trace_forks_nothing(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for an empty trace")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + "\n")
+        assert replay_detection(path, DetectionConfig(seed=0), workers=4) == []
+
+    def test_without_fork_one_process_runs_every_vehicle(self, monkeypatch):
+        scenario = load_scenario(GOLDEN_DIR / "drop_rules.yaml")
+        expected = simulate(scenario, workers=1)
+        monkeypatch.delattr(os, "fork")
+        result = simulate(scenario, workers=3)
+        assert (result.rows, result.events) == (expected.rows, expected.events)
+
+    @pytest.mark.parametrize("error", [
+        NumericalFitError("non-finite output weights (ridge=1e-06, samples=9)"),
+        DetectionError("non-finite anomaly inputs: nan, 1.0"),
+    ], ids=["numerical-fit", "detection"])
+    def test_a_child_error_reaches_the_caller(self, monkeypatch, error):
+        # With two workers, vehicles 2, 4 and 6 run in the child.
+        monkeypatch.setattr(cli_runner, "detect_step", _failing_detect_step({4: error}))
+        scenario = load_scenario(GOLDEN_DIR / "drop_rules.yaml")
+        with pytest.raises(type(error)) as caught:
+            simulate(scenario, workers=2)
+        assert str(caught.value) == str(error)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_lowest_failing_vehicle_names_the_error(self, monkeypatch, workers):
+        failures = {vehicle: DetectionError(f"vehicle {vehicle}") for vehicle in (2, 3, 5)}
+        monkeypatch.setattr(cli_runner, "detect_step", _failing_detect_step(failures))
+        with pytest.raises(DetectionError, match="^vehicle 2$"):
+            simulate(load_scenario(GOLDEN_DIR / "drop_rules.yaml"), workers=workers)
+        _assert_no_child_left()
+
+    def test_an_interrupted_parent_kills_its_children(self, monkeypatch):
+        # Vehicle 1 runs in this process and is interrupted while the
+        # children still work; they are killed, not waited for.
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        scenario = load_scenario(GOLDEN_DIR / "drop_rules.yaml")
+        monkeypatch.setattr(cli_runner, "detect_step", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            simulate(scenario, workers=3)
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    def test_a_child_that_dies_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def dies_in_the_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return detect_vehicle(*args)
+
+        monkeypatch.setattr(cli_runner, "detect_step", dies_in_the_child)
+        with pytest.raises(RuntimeError, match="ended without sending its share"):
+            simulate(load_scenario(GOLDEN_DIR / "drop_rules.yaml"), workers=2)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error, code", [
+        (NumericalFitError("non-finite output weights"), 2),
+        (DetectionError("non-finite anomaly inputs: nan, 1.0"), 1),
+    ], ids=["numerical-fit", "detection"])
+    def test_main_exit_code_for_a_child_error(self, tmp_path, capsys, monkeypatch, error, code):
+        monkeypatch.setattr(cli_runner, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli_runner, "detect_step", _failing_detect_step({2: error}))
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", str(GOLDEN_DIR / "drop_rules.yaml"), "--out", str(out)]
+        assert main(argv) == code
+        assert str(error) in capsys.readouterr().err
+        _assert_no_child_left()

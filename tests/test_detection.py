@@ -11,7 +11,6 @@ from platoonsec.detection import (
     AnomalyEvent,
     DetectionConfig,
     DetectionError,
-    DetectorState,
     NormalizationState,
     POS_ANOM,
     VEL_ANOM,
@@ -20,8 +19,9 @@ from platoonsec.detection import (
     comparator_flags,
     create_elm,
     detect_anomaly,
-    detect_step,
+    detect_vehicle,
     elm_fit,
+    forecasters,
     elm_predict,
     elm_update,
     minmax_inverse,
@@ -492,10 +492,10 @@ class TestRecursiveUpdates:
     def test_update_with_non_finite_weights_is_refused(self):
         inputs, targets = sliding_window(np.linspace(0, 1, 40), 2, 1)
         model = elm_fit(create_elm(20, random_state=2), inputs, targets)
-        assert elm_update(model, inputs[:1], targets[:1], np.array([1.0])) is not None
+        assert elm_update(model, inputs[:1], targets[:1], np.array([1.0]))
         broken = replace(model, output_weights=np.full(20, np.inf))
         with np.errstate(invalid="ignore"):
-            assert elm_update(broken, inputs[:1], targets[:1], np.array([1.0])) is None
+            assert not elm_update(broken, inputs[:1], targets[:1], np.array([1.0]))
 
     @pytest.mark.parametrize("name", ["single_target", "efficiency_degradation"])
     @pytest.mark.parametrize("ridge", [detection.UPDATE_MIN_RIDGE, 1e-12], ids=["floor", "1e-12"])
@@ -514,7 +514,7 @@ class TestRecursiveUpdates:
 
 def _pair():
     """Follower 1's (position, velocity) forecasters."""
-    return DetectorState(1, _cfg()).vehicles[0]
+    return forecasters(1, _cfg())
 
 
 def _observe(pair, flagged, position, velocity):
@@ -572,9 +572,10 @@ class TestUpdateOrFreeze:
         assert any(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
 
 
-def _benign_columns(k, n=6):
-    """front_x, front_v and comparator flags of a platoon cruising at 30 m/s."""
-    return [500.0 - 20.0 * vehicle + 3.0 * k for vehicle in range(1, n + 1)], [30.0] * n, [False] * n
+def _benign_columns(vehicle, steps=60):
+    """One follower's front_x, front_v and comparator columns while the
+    platoon cruises at 30 m/s."""
+    return [500.0 - 20.0 * vehicle + 3.0 * k for k in range(steps)], [30.0] * steps, [False] * steps
 
 
 def _benign_gaps(n=6):
@@ -583,40 +584,42 @@ def _benign_gaps(n=6):
 
 
 class TestDetectStep:
+    """detect_vehicle: one follower's forecaster stage over a whole run."""
+
     def test_benign_stream_never_flags(self):
-        state = DetectorState(6, DetectionConfig(seed=1, warmup_steps=12))
+        cfg = DetectionConfig(seed=1, warmup_steps=12)
         for k in range(60):
-            assert comparator_flags(*_benign_gaps(), state.cfg, k) == [False] * 6
-            result = detect_step(*_benign_columns(k), state, k)
+            assert comparator_flags(*_benign_gaps(), cfg, k) == [False] * 6
+        for vehicle in range(1, 7):
+            result = detect_vehicle(*_benign_columns(vehicle), vehicle, cfg)
+            assert len(result.flags) == len(result.pos_predictions) == 60
             assert not any(result.flags)
-            assert result.events == ()
+            assert result.events == []
 
     def test_front_position_jump_raises_pos_anomaly(self):
-        state = DetectorState(6, DetectionConfig(seed=1, warmup_steps=12))
-        for k in range(30):
-            detect_step(*_benign_columns(k), state, k)
-        xs, vs, comparator = _benign_columns(30)
-        xs[2] += 10.0
-        result = detect_step(xs, vs, comparator, state, 30)
-        assert result.flags[2]
-        assert any(e.kind == POS_ANOM and e.vehicle == 3 for e in result.events)
-        assert state.vehicles[2][0].frozen and state.vehicles[2][1].frozen
+        xs, vs, comparator = _benign_columns(3, 31)
+        xs[30] += 10.0
+        result = detect_vehicle(xs, vs, comparator, 3, DetectionConfig(seed=1, warmup_steps=12))
+        assert result.flags == [False] * 30 + [True]
+        assert [(e.kind, e.control_step, e.vehicle) for e in result.events] == [(POS_ANOM, 30, 3)]
+        assert result.events[0].actual == xs[30]
+        assert result.events[0].predicted == result.pos_predictions[30]
 
     def test_comparator_feeds_combined_flag(self):
-        state = DetectorState(6, DetectionConfig(seed=1, warmup_steps=12))
-        for k in range(20):
-            detect_step(*_benign_columns(k), state, k)
+        cfg = DetectionConfig(seed=1, warmup_steps=12)
         gap_front, gap_rear = _benign_gaps()
         # The front gap perceived 6 m long while the rear gap stays nominal;
         # a 2 m difference is at the threshold, which does not flag.
         gap_front[3] = 26.0
         gap_front[4] = 22.0
-        comparator = comparator_flags(gap_front, gap_rear, state.cfg, 20)
-        assert comparator == [False, False, False, True, False, False]
-        xs, vs, _ = _benign_columns(20)
-        result = detect_step(xs, vs, comparator, state, 20)
-        assert result.flags == (False, False, False, True, False, False)
-        assert result.events == ()
+        at_20 = comparator_flags(gap_front, gap_rear, cfg, 20)
+        assert at_20 == [False, False, False, True, False, False]
+        for vehicle in range(1, 7):
+            xs, vs, comparator = _benign_columns(vehicle, 21)
+            comparator[20] = at_20[vehicle - 1]
+            result = detect_vehicle(xs, vs, comparator, vehicle, cfg)
+            assert result.flags == [False] * 20 + [vehicle == 4]
+            assert result.events == []
 
     def test_last_vehicle_has_no_comparator(self):
         cfg = DetectionConfig(seed=1, warmup_steps=0)
@@ -631,45 +634,43 @@ class TestDetectStep:
         assert comparator_flags(gap_front, gap_rear, cfg, 11) == [False] * 6
         assert comparator_flags(gap_front, gap_rear, cfg, 12)[1]
         # Nor do the forecasters raise events before the warmup ends.
-        state = DetectorState(6, cfg)
-        for k in range(12):
-            xs, vs, comparator = _benign_columns(k)
-            xs[1] += 10.0 * (k == 11)
-            assert detect_step(xs, vs, comparator, state, k).events == ()
+        xs, vs, comparator = _benign_columns(2, 12)
+        xs[11] += 10.0
+        assert detect_vehicle(xs, vs, comparator, 2, cfg).events == []
 
     def test_passed_flag_freezes_its_vehicle_without_an_event(self):
         # Replay passes the comparator flags recorded in a trace: a flag
-        # freezes both forecasters of its vehicle, even during the warmup,
-        # and leaves the other vehicles training.
+        # freezes both forecasters of its vehicle, even during the warmup, so
+        # the flagged observation never trains and the forecasts part from an
+        # unflagged run's on the next step.
+        cfg = DetectionConfig(seed=1, warmup_steps=12)
+        xs = [440.0 + 3.0 * k + 0.01 * k * k for k in range(30)]
+        vs = [30.0 + 0.02 * k + 0.001 * k * k for k in range(30)]
+        clean = detect_vehicle(xs, vs, [False] * 30, 3, cfg)
+        assert not any(clean.flags)
         for flagged_step in (3, 20):
-            state = DetectorState(6, DetectionConfig(seed=1, warmup_steps=12))
-            for k in range(flagged_step):
-                detect_step(*_benign_columns(k), state, k)
-            xs, vs, comparator = _benign_columns(flagged_step)
-            comparator[2] = True
-            result = detect_step(xs, vs, comparator, state, flagged_step)
-            assert result.flags == (False, False, True, False, False, False)
-            assert result.events == ()
-            assert state.vehicles[2][0].frozen and state.vehicles[2][1].frozen
-            assert not state.vehicles[1][0].frozen and not state.vehicles[1][1].frozen
+            comparator = [k == flagged_step for k in range(30)]
+            result = detect_vehicle(xs, vs, comparator, 3, cfg)
+            assert result.flags == comparator
+            assert result.events == []
+            for predictions, unflagged in ((result.pos_predictions, clean.pos_predictions),
+                                           (result.vel_predictions, clean.vel_predictions)):
+                assert predictions[:flagged_step + 1] == unflagged[:flagged_step + 1]
+                assert predictions[flagged_step + 1] != unflagged[flagged_step + 1]
 
     def test_deterministic_given_seed(self):
         def run():
-            state = DetectorState(6, DetectionConfig(seed=42, warmup_steps=5))
-            out = []
-            for k in range(25):
-                xs, vs, comparator = _benign_columns(k)
-                if k == 20:
-                    xs[0] += 8.0
-                result = detect_step(xs, vs, comparator, state, k)
-                out.append((result.flags, result.pos_predictions, result.events))
-            return out
+            xs, vs, comparator = _benign_columns(1, 25)
+            xs[20] += 8.0
+            return detect_vehicle(xs, vs, comparator, 1, DetectionConfig(seed=42, warmup_steps=5))
 
-        assert run() == run()
+        first = run()
+        assert first.events and first == run()
 
     def test_two_models_per_vehicle_with_lag_two(self):
-        state = DetectorState(3, DetectionConfig(seed=0))
-        for position, velocity in state.vehicles:
+        cfg = DetectionConfig(seed=0)
+        for vehicle in range(1, 4):
+            position, velocity = forecasters(vehicle, cfg)
             assert position.model.input_weights.shape == (50, 2)
             assert velocity.model.input_weights.shape == (50, 2)
             assert position.cfg.step_forward == 1
