@@ -7,9 +7,9 @@ channel and never feeds back into control, so the detection pass then runs
 over the recorded channel columns; a replay is that same pass over columns
 read back from a trace.  Followers do not couple in detection, so the pass
 runs one follower at a time and deals the followers out to forked worker
-processes.  Outputs are a trace CSV, an anomaly CSV and an impact report;
-everything is deterministic given the scenario seed, whatever the number of
-workers.
+processes, one per usable CPU.  Outputs are a trace CSV, an anomaly CSV and
+an impact report; everything is deterministic given the scenario seed,
+whatever the number of workers.
 
 Exit codes: 0 ok, 1 config error, 2 numerical failure.
 """
@@ -46,10 +46,9 @@ from .detection import (
     VEL_ANOM,
     VehicleDetection,
     comparator_flags,
-    # The detection pass calls detect_vehicle once per follower through this
-    # name, so that a wrapper bound to it (perfbench's "detect" hook) sees every call.
-    detect_vehicle as detect_step,
+    detect_vehicle,
 )
+from . import detection as detection_module
 from .dynamics import step_platoon
 from .metrics import ImpactReport, build_impact_report, format_impact_report, time_headway
 from .mpc_controller import (
@@ -61,6 +60,12 @@ from .mpc_controller import (
 )
 from .platoon_model import ConfigError, SimConfig, initial_platoon
 from .v2v_channel import Direction, DropRule, V2VChannel
+
+# The detection pass calls detect_vehicle once per follower through this name,
+# so that a wrapper bound over it (perfbench's "detect" hook) sees every call.
+detect_step = detect_vehicle
+# The pass and the forecaster kernels it runs, as this package defines them.
+_OWN_DETECTION = (detect_vehicle, detection_module.elm_fit, detection_module.elm_update)
 
 
 @dataclass(frozen=True)
@@ -154,12 +159,12 @@ def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
             )
 
 
-def simulate(scenario: Scenario, workers: Optional[int] = None) -> RunResult:
+def simulate(scenario: Scenario) -> RunResult:
     """Run the whole scenario in memory.  The control pass runs each control
     step as bias generation, message exchange with injection inside the
     controller loop, headway, plant step and constraint check; the detection
     pass then reads what the channel delivered, and the rows, events and
-    impact report are built from both.  ``workers`` is ``detect_run``'s."""
+    impact report are built from both."""
     sim = scenario.sim
     n = sim.n
     platoon = initial_platoon(sim, scenario.leader.speed)
@@ -182,7 +187,7 @@ def simulate(scenario: Scenario, workers: Optional[int] = None) -> RunResult:
                   for k, o in enumerate(step_outcomes)]
     detections, events = detect_run(
         list(zip(*(o.front_x for o in step_outcomes))), list(zip(*(o.front_v for o in step_outcomes))),
-        list(zip(*comparator)), scenario.detection, workers)
+        list(zip(*comparator)), scenario.detection)
     hits = {(e.kind, e.control_step, e.vehicle) for e in events}
     rows = [TraceRow(
         k, i + 1, o.front_x[i], o.front_v[i], o.u_next[i], o.gap_front[i], headway[i], flags[i],
@@ -209,26 +214,36 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _workers() -> int:
+    """How many processes the detection pass runs in: one per usable CPU.  A
+    wrapper bound over ``detect_step`` or a forecaster kernel (a profiler's
+    hook, say) records in its own process only, so while one is bound the
+    pass stays in this process and the wrapper sees every call; so it does
+    without ``os.fork``."""
+    own = (detect_step, detection_module.elm_fit, detection_module.elm_update) == _OWN_DETECTION
+    return _usable_cpus() if own and hasattr(os, "fork") else 1
+
+
 def detect_run(
     xs: Sequence[Sequence[float]], vs: Sequence[Sequence[float]],
-    comparator: Sequence[Sequence[bool]], cfg: DetectionConfig, workers: Optional[int] = None,
+    comparator: Sequence[Sequence[bool]], cfg: DetectionConfig,
 ) -> tuple[list[VehicleDetection], list[AnomalyEvent]]:
     """The detection pass over a whole run, live or replayed: each follower's
     detection, and all events ordered by control step, then vehicle.  Entry i
     of ``xs``, ``vs`` and ``comparator`` is follower i+1's column.
 
-    The followers are dealt round-robin into ``workers`` shares (default: the
-    usable CPUs).  Share 0 runs here and each other share in a forked child,
-    which pickles its detections back through a pipe; without ``os.fork``
-    everything runs here.  A follower's detection depends on its columns
-    alone, and the error raised is the lowest-numbered failing follower's, so
-    nothing depends on ``workers``.  No child outlives the call.
+    The followers are dealt round-robin into ``_workers()`` shares.  Share 0
+    runs here and each other share in a forked child, which pickles its
+    detections back through a pipe.  A follower's detection depends on its
+    columns alone, and the error raised is the lowest-numbered failing
+    follower's, so nothing depends on the number of shares.  No child
+    outlives the call.
     """
     n = len(xs)
     if not cfg.enabled:
         steps = len(xs[0]) if n else 0
         return [VehicleDetection([False] * steps, [None] * steps, [None] * steps, [])] * n, []
-    workers = (workers or _usable_cpus()) if hasattr(os, "fork") else 1
+    workers = _workers()
     shares = [range(first, n, workers) for first in range(min(workers, n))]
 
     def detect_share(share: range) -> tuple[list[VehicleDetection], Optional[Exception]]:
@@ -661,13 +676,12 @@ def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]
     return columns
 
 
-def replay_detection(trace_path: Path, detection: DetectionConfig,
-                     workers: Optional[int] = None) -> list[AnomalyEvent]:
+def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[AnomalyEvent]:
     """Re-run the ELM stage over a recorded trace: ``detect_run`` over the x,
     v and comparator-flag columns read back from it, so the events are the
     live run's under the same detection config and seed (none when the config
     disables detection)."""
-    return detect_run(*_read_trace(trace_path), detection, workers)[1]
+    return detect_run(*_read_trace(trace_path), detection)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from platoonsec.attack_engine import ATTACK_LIST_KEYS
-from platoonsec import cli_runner
+from platoonsec import cli_runner, detection
 from platoonsec.cli_runner import (
     _INPUT_ERRORS,
     MAX_BIAS_CELLS,
@@ -864,85 +864,130 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _failing_detect_step(failures):
-    """detect_step, except that the vehicles in ``failures`` raise the
-    exception given for them."""
-    def detect(xs, vs, comparator, vehicle, cfg):
+def _failing_forecasters(failures):
+    """detection.forecasters, except that the vehicles in ``failures`` raise
+    the exception given for them.  The pass still forks with it bound: it is
+    not one of the names that keep the pass in one process."""
+    real = detection.forecasters
+
+    def make(vehicle, cfg):
         if vehicle in failures:
             raise failures[vehicle]
-        return detect_vehicle(xs, vs, comparator, vehicle, cfg)
-    return detect
+        return real(vehicle, cfg)
+    return make
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count the detection pass sees."""
+    return lambda count: monkeypatch.setattr(cli_runner, "_usable_cpus", lambda: count)
 
 
 class TestParallelDetection:
-    """The detection pass deals the followers out to forked workers; its
-    output must not depend on how many."""
+    """The detection pass deals the followers out to forked workers, one per
+    usable CPU; its output must not depend on how many."""
 
     @pytest.mark.parametrize("path, flags, events", [
         (GOLDEN_DIR / "drop_rules.yaml", 54, 15),
         (SCENARIO_DIR / "string_instability.yaml", 216, 80),
     ], ids=["drop_rules", "string_instability"])
-    def test_any_worker_count_gives_the_same_run(self, tmp_path, path, flags, events):
+    def test_any_worker_count_gives_the_same_run(self, tmp_path, cpus, path, flags, events):
         scenario = load_scenario(path)
-        one = simulate(scenario, workers=1)
+        cpus(1)
+        one = simulate(scenario)
         assert sum(row.comparator_flag for row in one.rows) == flags
         assert len(one.events) == events
         trace = tmp_path / "trace.csv"
         cli_runner.write_trace_csv(one.rows, trace)
         for workers in (2, 3, scenario.sim.n + 5):
-            result = simulate(scenario, workers=workers)
+            cpus(workers)
+            result = simulate(scenario)
             _assert_no_child_left()
             assert (result.rows, result.events, result.flags_by_step) == (
                 one.rows, one.events, one.flags_by_step)
-            assert replay_detection(trace, scenario.detection, workers=workers) == one.events
+            assert replay_detection(trace, scenario.detection) == one.events
             _assert_no_child_left()
 
-    def test_events_are_ordered_by_step_then_vehicle(self):
-        events = simulate(load_scenario(SCENARIO_DIR / "string_instability.yaml"), workers=2).events
+    def test_events_are_ordered_by_step_then_vehicle(self, cpus):
+        cpus(2)
+        events = simulate(load_scenario(SCENARIO_DIR / "string_instability.yaml")).events
         keys = [(e.control_step, e.vehicle) for e in events]
         assert keys == sorted(keys) and len(set(keys)) < len(keys)
         for first, second in zip(events, events[1:]):
             if (first.control_step, first.vehicle) == (second.control_step, second.vehicle):
                 assert (first.kind, second.kind) == (POS_ANOM, VEL_ANOM)
 
-    def test_header_only_trace_forks_nothing(self, tmp_path, monkeypatch):
+    def test_header_only_trace_forks_nothing(self, tmp_path, monkeypatch, cpus):
         def no_fork():
             raise AssertionError("forked for an empty trace")
 
         monkeypatch.setattr(os, "fork", no_fork)
+        cpus(4)
         path = tmp_path / "trace.csv"
         path.write_text(",".join(TRACE_COLUMNS) + "\n")
-        assert replay_detection(path, DetectionConfig(seed=0), workers=4) == []
+        assert replay_detection(path, DetectionConfig(seed=0)) == []
 
-    def test_without_fork_one_process_runs_every_vehicle(self, monkeypatch):
+    def test_without_fork_one_process_runs_every_vehicle(self, monkeypatch, cpus):
         scenario = load_scenario(GOLDEN_DIR / "drop_rules.yaml")
-        expected = simulate(scenario, workers=1)
+        cpus(1)
+        expected = simulate(scenario)
         monkeypatch.delattr(os, "fork")
-        result = simulate(scenario, workers=3)
+        cpus(3)
+        result = simulate(scenario)
         assert (result.rows, result.events) == (expected.rows, expected.events)
+
+    def test_a_wrapped_detect_step_sees_every_vehicle(self, monkeypatch, cpus):
+        # A profiler's wrapper records in its own process only, so the pass
+        # does not fork while one is bound.
+        scenario = load_scenario(GOLDEN_DIR / "drop_rules.yaml")
+        expected = simulate(scenario)
+        seen = []
+
+        def recording(*args):
+            seen.append(args[3])
+            return detect_vehicle(*args)
+
+        monkeypatch.setattr(cli_runner, "detect_step", recording)
+        cpus(3)
+        result = simulate(scenario)
+        assert seen == list(range(1, scenario.sim.n + 1))
+        assert (result.rows, result.events) == (expected.rows, expected.events)
+
+    @pytest.mark.parametrize("name", ["detect_step", "elm_fit", "elm_update"])
+    def test_a_bound_wrapper_keeps_the_pass_in_one_process(self, monkeypatch, cpus, name):
+        owner = cli_runner if name == "detect_step" else detection
+        kernel = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: kernel(*args))
+        cpus(3)
+        assert cli_runner._workers() == 1
+        monkeypatch.undo()
+        cpus(3)
+        assert cli_runner._workers() == 3
 
     @pytest.mark.parametrize("error", [
         NumericalFitError("non-finite output weights (ridge=1e-06, samples=9)"),
         DetectionError("non-finite anomaly inputs: nan, 1.0"),
     ], ids=["numerical-fit", "detection"])
-    def test_a_child_error_reaches_the_caller(self, monkeypatch, error):
+    def test_a_child_error_reaches_the_caller(self, monkeypatch, cpus, error):
         # With two workers, vehicles 2, 4 and 6 run in the child.
-        monkeypatch.setattr(cli_runner, "detect_step", _failing_detect_step({4: error}))
+        monkeypatch.setattr(detection, "forecasters", _failing_forecasters({4: error}))
+        cpus(2)
         scenario = load_scenario(GOLDEN_DIR / "drop_rules.yaml")
         with pytest.raises(type(error)) as caught:
-            simulate(scenario, workers=2)
+            simulate(scenario)
         assert str(caught.value) == str(error)
         _assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_the_lowest_failing_vehicle_names_the_error(self, monkeypatch, workers):
+    def test_the_lowest_failing_vehicle_names_the_error(self, monkeypatch, cpus, workers):
         failures = {vehicle: DetectionError(f"vehicle {vehicle}") for vehicle in (2, 3, 5)}
-        monkeypatch.setattr(cli_runner, "detect_step", _failing_detect_step(failures))
+        monkeypatch.setattr(detection, "forecasters", _failing_forecasters(failures))
+        cpus(workers)
         with pytest.raises(DetectionError, match="^vehicle 2$"):
-            simulate(load_scenario(GOLDEN_DIR / "drop_rules.yaml"), workers=workers)
+            simulate(load_scenario(GOLDEN_DIR / "drop_rules.yaml"))
         _assert_no_child_left()
 
-    def test_an_interrupted_parent_kills_its_children(self, monkeypatch):
+    def test_an_interrupted_parent_kills_its_children(self, monkeypatch, cpus):
         # Vehicle 1 runs in this process and is interrupted while the
         # children still work; they are killed, not waited for.
         parent = os.getpid()
@@ -953,33 +998,35 @@ class TestParallelDetection:
             time.sleep(60)
 
         scenario = load_scenario(GOLDEN_DIR / "drop_rules.yaml")
-        monkeypatch.setattr(cli_runner, "detect_step", interrupted)
+        monkeypatch.setattr(detection, "forecasters", interrupted)
+        cpus(3)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            simulate(scenario, workers=3)
+            simulate(scenario)
         assert time.monotonic() - start < 30
         _assert_no_child_left()
 
-    def test_a_child_that_dies_is_an_error(self, monkeypatch):
-        parent = os.getpid()
+    def test_a_child_that_dies_is_an_error(self, monkeypatch, cpus):
+        parent, real = os.getpid(), detection.forecasters
 
         def dies_in_the_child(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return detect_vehicle(*args)
+            return real(*args)
 
-        monkeypatch.setattr(cli_runner, "detect_step", dies_in_the_child)
+        monkeypatch.setattr(detection, "forecasters", dies_in_the_child)
+        cpus(2)
         with pytest.raises(RuntimeError, match="ended without sending its share"):
-            simulate(load_scenario(GOLDEN_DIR / "drop_rules.yaml"), workers=2)
+            simulate(load_scenario(GOLDEN_DIR / "drop_rules.yaml"))
         _assert_no_child_left()
 
     @pytest.mark.parametrize("error, code", [
         (NumericalFitError("non-finite output weights"), 2),
         (DetectionError("non-finite anomaly inputs: nan, 1.0"), 1),
     ], ids=["numerical-fit", "detection"])
-    def test_main_exit_code_for_a_child_error(self, tmp_path, capsys, monkeypatch, error, code):
-        monkeypatch.setattr(cli_runner, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli_runner, "detect_step", _failing_detect_step({2: error}))
+    def test_main_exit_code_for_a_child_error(self, tmp_path, capsys, monkeypatch, cpus, error, code):
+        cpus(2)
+        monkeypatch.setattr(detection, "forecasters", _failing_forecasters({2: error}))
         out = tmp_path / "out"
         argv = ["run", "--scenario", str(GOLDEN_DIR / "drop_rules.yaml"), "--out", str(out)]
         assert main(argv) == code
