@@ -88,14 +88,6 @@ class AttackSlot(NamedTuple):
     bias_values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class AttackCase:
-    """The slots of a validated case in document order: victim, then period,
-    then channel.  No slots is the benign case."""
-
-    slots: tuple[AttackSlot, ...] = ()
-
-
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -175,17 +167,20 @@ def _bias(kind: Any, values: Any, path: str, max_iterations: int) -> tuple[str, 
     return kind, values
 
 
-def parse_attack_case(doc: Mapping[str, Any] | None, n: int, max_iterations: int) -> AttackCase:
+def parse_attack_case(
+    doc: Mapping[str, Any] | None, n: int, max_iterations: int
+) -> tuple[AttackSlot, ...]:
     """Validate a seven-list attack description against follower count n and
-    the max_iterations rows of a control step.
+    the max_iterations rows of a control step, and return its slots in
+    document order: victim, then period, then channel.
 
     An absent/empty document, or one with all-empty lists, is the benign
-    case.  Shape mismatches, and waveforms that overflow, alone or summed
-    with the other slots of their victim and channel, are rejected with the
-    offending path or victim.
+    case: no slots.  Shape mismatches, and waveforms that overflow, alone or
+    summed with the other slots of their victim and channel, are rejected
+    with the offending path or victim.
     """
     if doc is None:
-        return AttackCase()
+        return ()
     if not isinstance(doc, Mapping):
         raise AttackCaseError(f"attack must be a mapping, got {doc!r}")
     if unknown := set(doc) - set(ATTACK_LIST_KEYS):
@@ -249,7 +244,7 @@ def parse_attack_case(doc: Mapping[str, Any] | None, n: int, max_iterations: int
                 for channel, (on, off), (kind, values) in zip(channels, windows, biases)
             )
     _check_sums(slots, max_iterations)
-    return AttackCase(tuple(slots))
+    return tuple(slots)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -333,7 +328,9 @@ def _slot_bias(slot: AttackSlot, max_iterations: int) -> np.ndarray:
     return np.where(mask, bias_waveform(slot.bias_kind, slot.bias_values, max_iterations), 0.0)
 
 
-def iter_attack_value_cal(n: int, k: int, max_iterations: int, case: AttackCase) -> BiasMatrices:
+def iter_attack_value_cal(
+    n: int, k: int, max_iterations: int, slots: Sequence[AttackSlot]
+) -> BiasMatrices:
     """Generate the four per-channel bias matrices for control step k.
 
     For every slot whose period contains k (closed interval), the masked
@@ -341,7 +338,7 @@ def iter_attack_value_cal(n: int, k: int, max_iterations: int, case: AttackCase)
     in slot order; everything else stays zero.
     """
     mats = {ch: np.zeros((max_iterations, n)) for ch in ChannelId}
-    for slot in case.slots:
+    for slot in slots:
         if slot.start <= k <= slot.end:
             mats[slot.channel][:, slot.victim - 1] += _slot_bias(slot, max_iterations)
     return BiasMatrices(**{f"{ch.value}_bias": matrix for ch, matrix in mats.items()})

@@ -23,16 +23,17 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, fields, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 import yaml
 
 from .attack_engine import (
     ATTACK_LIST_KEYS,
-    AttackCase,
     AttackCaseError,
+    AttackSlot,
     iter_attack_value_cal,
     parse_attack_case,
 )
@@ -105,7 +106,7 @@ class OutputFlags:
 class Scenario:
     sim: SimConfig
     leader: LeaderProfile
-    attack: AttackCase
+    attack: tuple[AttackSlot, ...]
     detection: DetectionConfig
     drops: tuple[DropRule, ...] = ()
     output: OutputFlags = OutputFlags()
@@ -136,7 +137,7 @@ class RunResult:
     impact: ImpactReport
     step_outcomes: list[ControlOutcome]  # one per control step
     violations: list[tuple[int, ConstraintViolation]]
-    flags_by_step: list[tuple[bool, ...]]
+    flags_by_step: list[tuple[bool, ...]]  # freeze flags: comparator flag or an event
 
 
 def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
@@ -171,17 +172,15 @@ def simulate(scenario: Scenario) -> RunResult:
     step_outcomes: list[ControlOutcome] = []
     headways: list[list[float]] = []
     violations: list[tuple[int, ConstraintViolation]] = []
-    prev_u: Sequence[float] = (0.0,) * n
     for k, leader_u in enumerate(scenario.leader.accelerations(sim.total_control_steps)):
         bias = iter_attack_value_cal(n, k, sim.max_iterations, scenario.attack)
         channel = V2VChannel(bias=bias, drops=scenario.drops)
-        outcome = run_control_step(platoon, channel, sim, leader_u, warm_start=prev_u)
+        outcome = run_control_step(platoon, channel, sim, leader_u)
         step_outcomes.append(outcome)
         headways.append([time_headway(platoon.gap(i + 1), follower.v, sim.L_veh)
                          for i, follower in enumerate(platoon.followers)])
         platoon = step_platoon(platoon, leader_u, outcome.u_next, sim.tau)
         violations.extend((k, violation) for violation in check_constraints(platoon, sim))
-        prev_u = outcome.u_next
 
     comparator = [comparator_flags(o.gap_front, o.gap_rear, scenario.detection, k)
                   for k, o in enumerate(step_outcomes)]
@@ -203,10 +202,10 @@ def simulate(scenario: Scenario) -> RunResult:
         [[row.u for row in rows[i::n]] for i in range(n)],
         warmup=min(10, sim.total_control_steps - 1),
     )
+    flagged = [row.comparator_flag or row.pos_anom or row.vel_anom for row in rows]
     return RunResult(
         rows=rows, events=events, impact=impact, step_outcomes=step_outcomes,
-        violations=violations,
-        flags_by_step=list(zip(*(detection.flags for detection in detections))),
+        violations=violations, flags_by_step=[tuple(flagged[j:j + n]) for j in range(0, len(rows), n)],
     )
 
 
@@ -242,7 +241,7 @@ def detect_run(
     n = len(xs)
     if not cfg.enabled:
         steps = len(xs[0]) if n else 0
-        return [VehicleDetection([False] * steps, [None] * steps, [None] * steps, [])] * n, []
+        return [VehicleDetection([None] * steps, [None] * steps, [])] * n, []
     workers = _workers()
     shares = [range(first, n, workers) for first in range(min(workers, n))]
 
@@ -463,13 +462,11 @@ def _check(where: str, value: Any, rule: tuple) -> Any:
     return value
 
 
-def _read_section(
-    doc: Any, where: str, table: Mapping, noun: Optional[str], widen: bool = False
-) -> dict[str, Any]:
+def _read_section(doc: Any, where: str, table: Mapping, noun: Optional[str]) -> dict[str, Any]:
     """Every key of ``table`` from the optional section ``doc`` at ``where``,
     defaults filled in.  A key outside the table is not a ``noun``; with no
-    noun, other code reads it.  ``widen`` makes ints floats where the default
-    is a float."""
+    noun, other code reads it.  An int reads as a float where the key's
+    default is a float, so ``3`` and ``3.0`` make the same run."""
     if doc is None:
         doc = {}
     if not isinstance(doc, Mapping):
@@ -481,14 +478,43 @@ def _read_section(
     values = {}
     for key, (default, rule) in table.items():
         value = _check(prefix + key, doc.get(key, default), rule)
-        values[key] = float(value) if widen and isinstance(default, float) else value
+        values[key] = float(value) if isinstance(default, float) else value
     return values
+
+
+class _DocumentLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a key repeated in one mapping is a
+    ConfigError; PyYAML alone keeps the last value and drops the others."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # Only a scalar key is hashable (the base reports the others), and
+            # a merge key's entries may be overridden, as YAML allows.
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    mark = key_node.start_mark
+                    raise ConfigError(f"{mark.name} line {mark.line + 1}: key {key!r} is repeated")
+                seen.add(key)
+        # The safe constructor's own, which yaml.CSafeLoader shares.
+        return yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
+
+
+@contextmanager
+def _open_text(path: Path) -> Iterator[TextIO]:
+    """``path`` open for reading as UTF-8; a file that is not UTF-8 is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:  # line ends as written, for csv
+            yield fh
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
 
 
 def _load_doc(path: Path, what: str) -> Mapping:
     """A YAML document that must be a mapping; an empty file reads as ``{}``."""
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    with _open_text(path) as fh:
+        doc = yaml.load(fh, _DocumentLoader)
     if doc is None:
         return {}
     if not isinstance(doc, Mapping):
@@ -501,7 +527,7 @@ def _detection_from_doc(doc: Mapping) -> DetectionConfig:
     document."""
     seed = _check("seed", doc.get("seed", 0), _NATURAL)
     section = doc.get("detection")
-    values = _read_section(section, "detection", _DETECTION_KEYS, "detection key", widen=True)
+    values = _read_section(section, "detection", _DETECTION_KEYS, "detection key")
     for rows, cols in (("hidden_count", "hidden_count"), ("norm_window", "lag"),
                        ("norm_window", "hidden_count")):
         if values[rows] * values[cols] > MAX_DETECTION_CELLS:
@@ -567,7 +593,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     _check_bias_size("sim.", sim.n, sim.max_iterations)
     leader = _read_section(doc.get("leader"), "leader", _LEADER_KEYS, "leader key")
     leader = LeaderProfile(
-        speed=float(leader["speed"]),
+        speed=leader["speed"],
         phases=tuple((start, float(accel)) for start, accel in leader["profile"]),
     )
     _leader_velocity_check(sim, leader)
@@ -604,8 +630,8 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
     table = {key: (in_sim[key], rule) for key, (_, rule) in _CASE_KEYS.items()}
     n, max_iterations = _read_section(doc, "", table, None).values()
     _check_bias_size("", n, max_iterations)
-    case = parse_attack_case(doc.get("attack"), n, max_iterations)
-    bias = iter_attack_value_cal(n, k, max_iterations, case)
+    slots = parse_attack_case(doc.get("attack"), n, max_iterations)
+    bias = iter_attack_value_cal(n, k, max_iterations, slots)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -634,7 +660,7 @@ def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]
     else is a ``TraceFormatError`` naming the line or the control step.
     """
     by_step: dict[int, dict[int, tuple[float, float, bool]]] = {}
-    with open(trace_path, newline="") as fh:
+    with _open_text(trace_path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return [], [], []
@@ -689,14 +715,14 @@ def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[Anoma
 
 
 def _cmd_run(args) -> dict[str, Path]:
-    scenario = load_scenario(Path(args.scenario))
+    """--seed and --steps stand for the document's seed and sim.total_control_steps."""
+    doc = dict(_load_doc(Path(args.scenario), "scenario document"))
     if args.seed is not None:
-        _check("--seed", args.seed, _NATURAL)
-        scenario = replace(scenario, detection=replace(scenario.detection, seed=args.seed))
-    if args.steps is not None:
-        scenario = replace(scenario, sim=scenario.sim.with_overrides(total_control_steps=args.steps))
-        _leader_velocity_check(scenario.sim, scenario.leader)
-    return run_scenario(scenario, Path(args.out))
+        doc["seed"] = args.seed
+    sim = doc.get("sim")
+    if args.steps is not None and (sim is None or isinstance(sim, Mapping)):
+        doc["sim"] = {**(sim or {}), "total_control_steps": args.steps}
+    return run_scenario(scenario_from_dict(doc), Path(args.out))
 
 
 def _cmd_generate_bias(args) -> dict[str, Path]:
@@ -741,10 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# What bad input raises; main() reports each as a config error, exit 1.
-_INPUT_ERRORS = (
-    ConfigError, AttackCaseError, DetectionError, TraceFormatError, FileNotFoundError, yaml.YAMLError
-)
+# What bad input and unreadable or unwritable paths raise: config errors, exit 1.
+_INPUT_ERRORS = (ConfigError, AttackCaseError, DetectionError, TraceFormatError, OSError, yaml.YAMLError)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

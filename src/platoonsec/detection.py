@@ -292,10 +292,8 @@ class SeriesDetector:
         self.norm: Optional[NormalizationState] = None
         self.train_diffs: list[float] = []
         self.recent: list[float] = []
+        # The last clean observation; None at first and after a flag.
         self._last_train_value: Optional[float] = None
-        # True while the last observation was flagged: nothing is fitted,
-        # and the next clean observation only re-anchors the increments.
-        self.frozen = False
         # Recursive updates since the last full refit; None when the next
         # fit must refit in full.
         self.updates: Optional[int] = None
@@ -315,17 +313,16 @@ class SeriesDetector:
     def observe(self, value: float, flagged: bool) -> None:
         """Fold in one observation; training is skipped while flagged."""
         if not flagged:
-            if self._last_train_value is not None and not self.frozen:
+            if self._last_train_value is not None:
                 self.train_diffs.append(value - self._last_train_value)
                 del self.train_diffs[: -(self.cfg.norm_window + 1)]
                 self._fit()
             self._last_train_value = value
-            self.frozen = False
         else:
             # Increments spanning an excluded window would mix clean and
             # tainted data, so the first post-freeze observation only
             # re-anchors the series.
-            self.frozen = True
+            self._last_train_value = None
             self.updates = None
         self.recent.append(value)
         del self.recent[: -(self.cfg.lag + 1)]
@@ -381,7 +378,6 @@ class VehicleDetection(NamedTuple):
     """One follower's stage-two output, one entry per control step, and its
     events in step order."""
 
-    flags: list[bool]
     pos_predictions: list[Optional[float]]
     vel_predictions: list[Optional[float]]
     events: list[AnomalyEvent]
@@ -402,7 +398,7 @@ def detect_vehicle(xs: Sequence[float], vs: Sequence[float], comparator: Sequenc
     order or in parallel.
     """
     position, velocity = forecasters(vehicle, cfg)
-    flags, pos_preds, vel_preds, events = [], [], [], []
+    pos_preds, vel_preds, events = [], [], []
     for k, (x, v, comp) in enumerate(zip(xs, vs, comparator)):
         pos_pred = position.predict_next()
         vel_pred = velocity.predict_next()
@@ -419,7 +415,6 @@ def detect_vehicle(xs: Sequence[float], vs: Sequence[float], comparator: Sequenc
         flagged = comp or len(events) > fired
         position.observe(x, flagged)
         velocity.observe(v, flagged)
-        flags.append(flagged)
         pos_preds.append(pos_pred)
         vel_preds.append(vel_pred)
-    return VehicleDetection(flags, pos_preds, vel_preds, events)
+    return VehicleDetection(pos_preds, vel_preds, events)

@@ -196,7 +196,8 @@ def run_control_step(
     the attack bias is injected), then updates all followers in a synchronized
     Jacobi sweep.  The returned accelerations are for the next control step;
     the platoon's currently applied accelerations are untouched during the
-    loop.  Deterministic: identical inputs produce bit-identical outcomes.
+    loop, and are its first candidates unless ``warm_start`` is given.
+    Deterministic: identical inputs produce bit-identical outcomes.
     """
     cfg = config
     n = platoon.n
@@ -208,7 +209,7 @@ def run_control_step(
     own = [follower_terms(f, cfg) for f in followers]
 
     leader_x, leader_v = predict(platoon.leader, leader_u, tau)
-    u = [0.0] * n if warm_start is None else list(warm_start)
+    u = [f.u for f in followers] if warm_start is None else list(warm_start)
     if len(u) != n:
         raise ValueError(f"warm_start needs {n} entries, got {len(u)}")
     u = [min(max(ui, lo), hi) for ui, (_, lo, hi) in zip(u, own)]

@@ -8,7 +8,7 @@ share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -89,13 +89,6 @@ class SimConfig:
     def safety_gap(self, v: float) -> float:
         """Minimum admissible gap at speed v (adaptive safety distance)."""
         return self.L_veh + self.p * self.tau * v
-
-    def with_overrides(self, **kwargs) -> "SimConfig":
-        known = {f.name for f in fields(self)}
-        bad = set(kwargs) - known
-        if bad:
-            raise ConfigError(f"unknown sim config keys: {sorted(bad)}")
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

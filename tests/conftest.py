@@ -1,6 +1,6 @@
 import pytest
 
-from platoonsec.attack_engine import AttackCase, parse_attack_case
+from platoonsec.attack_engine import AttackSlot, parse_attack_case
 from platoonsec.cli_runner import LeaderProfile, Scenario
 from platoonsec.detection import DetectionConfig
 from platoonsec.platoon_model import SimConfig
@@ -20,7 +20,7 @@ def single_channel_case(
     bias_params: list | None = None,
     freq_kind: str = "Continuous",
     freq_params: list | None = None,
-) -> AttackCase:
+) -> tuple[AttackSlot, ...]:
     """One victim, one period, one channel; the workhorse test case."""
     return parse_attack_case(
         {
@@ -39,7 +39,7 @@ def single_channel_case(
 
 def make_scenario(
     sim: SimConfig | None = None,
-    attack: AttackCase | None = None,
+    attack: tuple[AttackSlot, ...] = (),
     leader: LeaderProfile | None = None,
     seed: int = 1,
     **detection_overrides,
@@ -49,6 +49,6 @@ def make_scenario(
     return Scenario(
         sim=sim,
         leader=leader or LeaderProfile(30.0),
-        attack=attack or AttackCase(),
+        attack=attack,
         detection=detection,
     )

@@ -7,6 +7,7 @@ pass/fail lines.
 import math
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +120,7 @@ def test_c2_constraint_soundness():
             detection=DetectionConfig(enabled=False, seed=trial),
         )
         result = simulate(scenario)
-        windows = [(slot.start, slot.end) for slot in scenario.attack.slots]
+        windows = [(slot.start, slot.end) for slot in scenario.attack]
         for k, violation in result.violations:
             if violation.kind in ("acceleration", "velocity"):
                 accel_vel_bad.append((trial, k, violation))
@@ -158,7 +159,7 @@ def test_c3_loop_contract():
 
     # A loose tolerance exits on the first round even from the perturbed start.
     loose = run_control_step(
-        platoon, zero_bias, config.with_overrides(primal_tol=10.0), warm_start=[1.0] * config.n
+        platoon, zero_bias, replace(config, primal_tol=10.0), warm_start=[1.0] * config.n
     )
     ok = ok and loose.iterations_used == 1
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from platoonsec.attack_engine import (
     ATTACK_LIST_KEYS,
-    AttackCase,
     AttackCaseError,
     BiasMatrices,
     bias_waveform,
@@ -54,8 +53,8 @@ def one_slot_column(freq, freq_params, bias, bias_params, max_iterations=300):
 class TestParseAttackCase:
     def test_running_example_parses(self):
         # One slot per channel, in document order: victim, period, channel.
-        case = parse_attack_case(running_example_doc(), n=6, max_iterations=300)
-        assert case.slots == (
+        slots = parse_attack_case(running_example_doc(), n=6, max_iterations=300)
+        assert slots == (
             (1, 10, 20, ChannelId.X_ITE, 1, 0, "Constant", (3.0,)),
             (1, 10, 20, ChannelId.V_ITE, 1, 0, "Constant", (2.0,)),
             (1, 15, 25, ChannelId.V_ITE, 2, 8, "Constant", (4.0,)),
@@ -64,9 +63,8 @@ class TestParseAttackCase:
         )
 
     def test_empty_case_is_benign(self):
-        assert parse_attack_case(None, 6, 300) == AttackCase()
-        assert parse_attack_case({}, 6, 300) == AttackCase()
-        assert AttackCase().slots == ()
+        assert parse_attack_case(None, 6, 300) == ()
+        assert parse_attack_case({}, 6, 300) == ()
 
     def test_shape_mismatch_names_the_path(self):
         doc = running_example_doc()
@@ -95,7 +93,7 @@ class TestParseAttackCase:
     def test_discrete_is_cluster_alias(self):
         for params in ([4], [1, 4]):
             case = parse_attack_case(one_slot_doc("Discrete", params, "Constant", [1.0]), 6, 300)
-            assert [(slot.on, slot.off) for slot in case.slots] == [(1, 4)]
+            assert [(slot.on, slot.off) for slot in case] == [(1, 4)]
 
     def test_interval_sanity(self):
         doc = running_example_doc()
@@ -159,9 +157,7 @@ class TestParseAttackCase:
                 for period, window, value in slots
             ]
             # The slots of the whole case, each parsed on its own.
-            alone = AttackCase(tuple(
-                slot for doc in docs for slot in parse_attack_case(doc, 6, 10).slots
-            ))
+            alone = tuple(slot for doc in docs for slot in parse_attack_case(doc, 6, 10))
             with np.errstate(over="ignore"):
                 finite = all(
                     np.isfinite(iter_attack_value_cal(6, k, 10, alone).v_ite_bias).all()
@@ -429,7 +425,7 @@ class TestIterAttackValueCal:
             assert np.array_equal(combined.by_channel(ch), summed)
 
     def test_output_shape_fixed(self):
-        for case in (AttackCase(), parse_attack_case(running_example_doc(), 6, 77)):
+        for case in ((), parse_attack_case(running_example_doc(), 6, 77)):
             bias = iter_attack_value_cal(6, 0, 77, case)
             for ch in ChannelId:
                 assert bias.by_channel(ch).shape == (77, 6)

@@ -53,6 +53,16 @@ def scenario_doc(**overrides):
     return doc
 
 
+# Documents that write a key twice, with the line of the second and the key:
+# at the top level, in sim, in detection (twice on one line) and in a drop rule.
+REPEATED_KEYS = {
+    "top-level": ("detection: {enabled: false}\ndetection: {pos_threshold: 9.0}\n", 2, "detection"),
+    "sim": ("sim:\n  n: 6\n  total_control_steps: 40\n  n: 3\n", 4, "n"),
+    "detection": ("detection: {pos_threshold: 9.0, lag: 2, pos_threshold: 3.0}\n", 1, "pos_threshold"),
+    "drop-rule": ("sim: {n: 3}\ndrops:\n- {direction: forward, sender: 2, sender: 1}\n", 3, "sender"),
+}
+
+
 def _two_constant_slots(first, second):
     """Two Constant slots on follower 2's x_ite over control steps [0, 4]."""
     return {
@@ -84,7 +94,7 @@ class TestScenarioLoading:
         path.write_text(yaml.safe_dump(scenario_doc()))
         scenario = load_scenario(path)
         assert scenario.sim.total_control_steps == 40
-        assert not scenario.attack.slots
+        assert not scenario.attack
         assert scenario.detection == DetectionConfig(seed=3)
 
     def test_detection_section_read(self):
@@ -117,7 +127,7 @@ class TestScenarioLoading:
     def test_attack_section_mirrors_seven_lists(self):
         doc = scenario_doc(attack=_one_channel_attack(2.0))
         scenario = scenario_from_dict(doc)
-        assert [slot.victim for slot in scenario.attack.slots] == [2]
+        assert [slot.victim for slot in scenario.attack] == [2]
 
     def test_leader_accel_lookup(self):
         accels = LeaderProfile(30.0, phases=((10, -1.0), (20, 0.5))).accelerations(30)
@@ -152,7 +162,7 @@ class TestScenarioLoading:
 
 class TestRunScenario:
     def test_artifacts_written(self, tmp_path):
-        scenario = make_scenario(sim=make_scenario().sim.with_overrides(total_control_steps=30))
+        scenario = make_scenario(sim=replace(make_scenario().sim, total_control_steps=30))
         paths = run_scenario(scenario, tmp_path)
         assert set(paths) == {"trace", "anomalies", "impact", "impact_csv"}
         with open(paths["trace"], newline="") as fh:
@@ -163,15 +173,28 @@ class TestRunScenario:
     def test_deterministic_outputs_byte_identical(self, tmp_path):
         attack = single_channel_case(6, victim=3, window=(15, 20), channel="x_ite", bias_params=[6.0])
         scenario = make_scenario(
-            sim=make_scenario().sim.with_overrides(total_control_steps=35), attack=attack
+            sim=replace(make_scenario().sim, total_control_steps=35), attack=attack
         )
         paths_a = run_scenario(scenario, tmp_path / "a")
         paths_b = run_scenario(scenario, tmp_path / "b")
         for name in paths_a:
             assert paths_a[name].read_bytes() == paths_b[name].read_bytes()
 
+    def test_int_and_float_spellings_write_the_same_artifacts(self, tmp_path):
+        # a_min: -3 reads as -3.0, so the followers that brake at a_min
+        # write -3.0 in both documents' traces.
+        for name, a_min in (("int", "-3"), ("float", "-3.0")):
+            doc = tmp_path / f"{name}.yaml"
+            doc.write_text(f"sim: {{total_control_steps: 40, a_min: {a_min}, a_max: 3}}\n"
+                           "leader: {speed: 30.0, profile: [[5, -5.0], [15, 0.0]]}\nseed: 1\n")
+            assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / name)]) == 0
+        for artifact in ("trace.csv", "anomalies.csv", "impact.txt", "impact.csv"):
+            float_bytes = (tmp_path / "float" / artifact).read_bytes()
+            assert (tmp_path / "int" / artifact).read_bytes() == float_bytes, artifact
+        assert b",-3.0," in (tmp_path / "int" / "trace.csv").read_bytes()
+
     def test_benign_run_classifies_none(self, tmp_path):
-        scenario = make_scenario(sim=make_scenario().sim.with_overrides(total_control_steps=40))
+        scenario = make_scenario(sim=replace(make_scenario().sim, total_control_steps=40))
         result = simulate(scenario)
         assert all(
             v.classification.value == "None" for v in result.impact.per_vehicle
@@ -227,7 +250,7 @@ class TestReplayDetect:
     def test_replay_reproduces_live_anomalies(self, tmp_path):
         attack = single_channel_case(6, victim=4, window=(20, 24), channel="x_ite", bias_params=[8.0])
         scenario = make_scenario(
-            sim=make_scenario().sim.with_overrides(total_control_steps=40), attack=attack
+            sim=replace(make_scenario().sim, total_control_steps=40), attack=attack
         )
         paths = run_scenario(scenario, tmp_path)
         events = replay_detection(paths["trace"], scenario.detection)
@@ -270,7 +293,7 @@ class TestReplayDetect:
     def test_threshold_monotonicity(self, tmp_path):
         attack = single_channel_case(6, victim=4, window=(20, 24), channel="x_ite", bias_params=[8.0])
         scenario = make_scenario(
-            sim=make_scenario().sim.with_overrides(total_control_steps=40), attack=attack
+            sim=replace(make_scenario().sim, total_control_steps=40), attack=attack
         )
         paths = run_scenario(scenario, tmp_path)
         base = replay_detection(paths["trace"], scenario.detection)
@@ -494,6 +517,8 @@ class TestCli:
     def _argv(command, doc_path, tmp_path):
         if command == "run":
             return ["run", "--scenario", str(doc_path), "--out", str(tmp_path / "out")]
+        if command == "generate-bias":
+            return ["generate-bias", "--case", str(doc_path), "--k", "3", "--out", str(tmp_path / "out")]
         trace = tmp_path / "trace.csv"
         trace.write_text(",".join(TRACE_COLUMNS) + "\n")
         return ["replay-detect", "--trace", str(trace), "--config", str(doc_path),
@@ -516,7 +541,72 @@ class TestCli:
         scenario_path.write_text(yaml.safe_dump(scenario_doc()))
         argv = self._argv("run", scenario_path, tmp_path) + ["--seed", "-1"]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("config error: --seed must be an int >= 0")
+        assert capsys.readouterr().err == "config error: seed must be an int >= 0, got -1\n"
+
+    def test_steps_override_leaves_the_sim_section_to_the_loader(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(scenario_doc(sim=[])))
+        assert main(self._argv("run", bad, tmp_path) + ["--steps", "5"]) == 1
+        assert capsys.readouterr().err == "config error: sim must be a mapping, got []\n"
+        bare = tmp_path / "bare.yaml"
+        bare.write_text(yaml.safe_dump(scenario_doc(sim=None)))
+        assert main(self._argv("run", bare, tmp_path) + ["--steps", "5"]) == 0
+        assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 1 + 5 * 6
+
+    @pytest.mark.parametrize("command", ["run", "replay-detect", "generate-bias"])
+    @pytest.mark.parametrize("text, line, key", REPEATED_KEYS.values(), ids=list(REPEATED_KEYS))
+    def test_repeated_key_exit_code(self, tmp_path, capsys, command, text, line, key):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        assert main(self._argv(command, bad, tmp_path)) == 1
+        assert capsys.readouterr().err == f"config error: {bad} line {line}: key {key!r} is repeated\n"
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_repeated_keys_under_either_yaml_loader(self, loader):
+        if not hasattr(yaml, loader):
+            pytest.skip(f"this PyYAML has no {loader}")
+        check = {"construct_mapping": cli_runner._DocumentLoader.construct_mapping}
+        loader = type("Loader", (getattr(yaml, loader),), check)
+        for text, line, key in REPEATED_KEYS.values():
+            with pytest.raises(ConfigError, match=f"line {line}: key '{key}' is repeated"):
+                yaml.load(text, loader)
+        with pytest.raises(yaml.YAMLError, match="found unhashable key"):
+            yaml.load("{[1]: 2}", loader)
+        merged = yaml.load("base: &base {n: 6, tau: 0.2}\nsim: {<<: *base, n: 3}\n", loader)
+        assert merged["sim"] == {"n": 3, "tau": 0.2}
+
+    def test_path_and_encoding_errors_exit_code(self, tmp_path, capsys):
+        doc = tmp_path / "scenario.yaml"
+        doc.write_text(yaml.safe_dump(scenario_doc()))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        latin1 = tmp_path / "latin1.yaml"
+        latin1.write_bytes("# caf\u00e9\nseed: 1\n".encode("latin-1"))
+        header = (",".join(TRACE_COLUMNS) + "\n").encode()
+        trace, bad_trace = tmp_path / "trace.csv", tmp_path / "latin1.csv"
+        trace.write_bytes(header)
+        bad_trace.write_bytes(header + b"0,1,\xff\n")
+        out = str(tmp_path / "out")
+        cases = [
+            (["run", "--scenario", str(doc), "--out", str(taken)], str(taken)),
+            (["generate-bias", "--case", str(doc), "--k", "0", "--out", str(taken)], str(taken)),
+            (["replay-detect", "--trace", str(trace), "--config", str(doc), "--out", str(taken)],
+             str(taken)),
+            (["run", "--scenario", str(tmp_path), "--out", out], str(tmp_path)),
+            (["run", "--scenario", str(tmp_path / "absent.yaml"), "--out", out], "absent.yaml"),
+            (["run", "--scenario", str(latin1), "--out", out], f"{latin1} is not UTF-8 text"),
+            (["generate-bias", "--case", str(latin1), "--k", "0", "--out", out],
+             f"{latin1} is not UTF-8 text"),
+            (["replay-detect", "--trace", str(trace), "--config", str(latin1), "--out", out],
+             f"{latin1} is not UTF-8 text"),
+            (["replay-detect", "--trace", str(bad_trace), "--config", str(doc), "--out", out],
+             f"{bad_trace} is not UTF-8 text"),
+        ]
+        for argv, named in cases:
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and named in err, argv
+            assert err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command", ["run", "replay-detect"])
     def test_list_document_exit_code(self, tmp_path, capsys, command):
@@ -544,7 +634,7 @@ class TestCli:
             ({"v_max": float("inf")}, "sim.v_max must be a finite number, got inf"),
             ({"L_veh": "5.0"}, "sim.L_veh must be a finite number, got '5.0'"),
             ({"dual_step": False}, "sim.dual_step must be a finite number, got False"),
-            ({"tau": 0}, "sim.tau must be > 0, got 0"),
+            ({"tau": 0}, "sim.tau must be > 0, got 0.0"),
             ({"n": 0}, "sim.n must be >= 1, got 0"),
             ({"bogus": 1}, "sim.bogus is not a SimConfig field"),
             ({1: 2}, "sim.1 is not a SimConfig field"),
@@ -569,6 +659,7 @@ class TestCli:
     def test_sim_section_takes_ints_for_float_fields(self):
         scenario = scenario_from_dict(scenario_doc(sim={"tau": 1, "v_max": 40, "n": 3}))
         assert (scenario.sim.tau, scenario.sim.v_max, scenario.sim.n) == (1, 40, 3)
+        assert (type(scenario.sim.tau), type(scenario.sim.v_max)) == (float, float)
 
     @pytest.mark.parametrize(
         "case, message",

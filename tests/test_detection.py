@@ -325,11 +325,9 @@ class TestSeriesDetector:
 
         for _ in range(3):
             det.observe(1e6, flagged=True)
-            assert det.frozen
         assert (len(fits), det.train_diffs) == (fit_count, diffs)
 
         det.observe(series[10], flagged=False)  # re-anchor only
-        assert not det.frozen
         assert (len(fits), det.train_diffs) == (fit_count, diffs)
 
         det.observe(series[11], flagged=False)
@@ -536,12 +534,17 @@ class TestUpdateOrFreeze:
         w0 = self._weights(pair)
         assert w0 is not None
         _observe(pair, True, 999.0, 99.0)
-        assert pair[0].frozen and pair[1].frozen
         assert np.array_equal(self._weights(pair), w0)
         _observe(pair, True, 1234.0, 77.0)
         assert np.array_equal(self._weights(pair), w0)
+        # The first clean observation after the window only re-anchors: it
+        # adds no increment, so nothing is fitted.
+        diffs = [list(det.train_diffs) for det in pair]
         _observe(pair, False, 27.0, 30.9)
-        assert not pair[0].frozen and not pair[1].frozen
+        assert [det.train_diffs for det in pair] == diffs
+        assert np.array_equal(self._weights(pair), w0)
+        _observe(pair, False, 30.1, 31.0)
+        assert [len(det.train_diffs) for det in pair] == [len(d) + 1 for d in diffs]
 
     def test_tainted_observations_never_train(self):
         # Two runs with identical benign data but different garbage during
@@ -583,6 +586,13 @@ def _benign_gaps(n=6):
     return [20.0] * n, [20.0] * (n - 1) + [None]
 
 
+def _flags(result, comparator) -> list[bool]:
+    """Each step's combined flag, the one that freezes the forecasters: its
+    comparator flag or an event at that step."""
+    fired = {event.control_step for event in result.events}
+    return [flag or k in fired for k, flag in enumerate(comparator)]
+
+
 class TestDetectStep:
     """detect_vehicle: one follower's forecaster stage over a whole run."""
 
@@ -591,16 +601,17 @@ class TestDetectStep:
         for k in range(60):
             assert comparator_flags(*_benign_gaps(), cfg, k) == [False] * 6
         for vehicle in range(1, 7):
-            result = detect_vehicle(*_benign_columns(vehicle), vehicle, cfg)
-            assert len(result.flags) == len(result.pos_predictions) == 60
-            assert not any(result.flags)
+            columns = _benign_columns(vehicle)
+            result = detect_vehicle(*columns, vehicle, cfg)
+            assert len(result.pos_predictions) == len(result.vel_predictions) == 60
+            assert not any(_flags(result, columns[2]))
             assert result.events == []
 
     def test_front_position_jump_raises_pos_anomaly(self):
         xs, vs, comparator = _benign_columns(3, 31)
         xs[30] += 10.0
         result = detect_vehicle(xs, vs, comparator, 3, DetectionConfig(seed=1, warmup_steps=12))
-        assert result.flags == [False] * 30 + [True]
+        assert _flags(result, comparator) == [False] * 30 + [True]
         assert [(e.kind, e.control_step, e.vehicle) for e in result.events] == [(POS_ANOM, 30, 3)]
         assert result.events[0].actual == xs[30]
         assert result.events[0].predicted == result.pos_predictions[30]
@@ -618,7 +629,7 @@ class TestDetectStep:
             xs, vs, comparator = _benign_columns(vehicle, 21)
             comparator[20] = at_20[vehicle - 1]
             result = detect_vehicle(xs, vs, comparator, vehicle, cfg)
-            assert result.flags == [False] * 20 + [vehicle == 4]
+            assert _flags(result, comparator) == [False] * 20 + [vehicle == 4]
             assert result.events == []
 
     def test_last_vehicle_has_no_comparator(self):
@@ -647,11 +658,11 @@ class TestDetectStep:
         xs = [440.0 + 3.0 * k + 0.01 * k * k for k in range(30)]
         vs = [30.0 + 0.02 * k + 0.001 * k * k for k in range(30)]
         clean = detect_vehicle(xs, vs, [False] * 30, 3, cfg)
-        assert not any(clean.flags)
+        assert not any(_flags(clean, [False] * 30))
         for flagged_step in (3, 20):
             comparator = [k == flagged_step for k in range(30)]
             result = detect_vehicle(xs, vs, comparator, 3, cfg)
-            assert result.flags == comparator
+            assert _flags(result, comparator) == comparator
             assert result.events == []
             for predictions, unflagged in ((result.pos_predictions, clean.pos_predictions),
                                            (result.vel_predictions, clean.vel_predictions)):

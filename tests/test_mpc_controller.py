@@ -352,6 +352,18 @@ class TestRunControlStep:
         with pytest.raises(ValueError):
             run_control_step(platoon, V2VChannel(bias=bias), config, warm_start=[0.0])
 
+    def test_warm_start_defaults_to_the_applied_accelerations(self, config):
+        platoon = initial_platoon(config, 30.0)
+        channel = V2VChannel(bias=BiasMatrices.zeros(config.max_iterations, config.n))
+        for _ in range(3):
+            outcome = run_control_step(platoon, channel, config, -2.0)
+            platoon = step_platoon(platoon, -2.0, outcome.u_next, config.tau)
+        applied = [follower.u for follower in platoon.followers]
+        assert all(applied)
+        default = run_control_step(platoon, channel, config, -2.0)
+        assert default == run_control_step(platoon, channel, config, -2.0, warm_start=applied)
+        assert default != run_control_step(platoon, channel, config, -2.0, warm_start=[0.0] * config.n)
+
     def test_perception_records_cover_all_followers(self, config):
         # One entry per follower in each column; only the last follower has
         # no successor to report its rear gap.

@@ -30,10 +30,6 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(**{**{}, **overrides})
 
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigError):
-            SimConfig().with_overrides(bogus=1.0)
-
     def test_nominal_headway_within_safe_band(self):
         # Equilibrium spacing at 30 m/s must put the time-headway inside the
         # [0.45, 0.55] s safe band used by the impact metrics.
