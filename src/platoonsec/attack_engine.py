@@ -41,7 +41,7 @@ ATTACK_LIST_KEYS = (
 
 @dataclass(frozen=True)
 class BiasMatrices:
-    """Per-channel additive corruption, shape (max_iterations, n) each.
+    """Per-channel additive corruption, float64 (max_iterations, n) each.
 
     Row t is the bias applied at iteration t of the current control step;
     column j corrupts the outgoing channels of follower j+1.  Arrays are
@@ -57,8 +57,9 @@ class BiasMatrices:
         shape = self.x_ite_bias.shape
         for name in ("x_ite_bias", "v_ite_bias", "zx_ite_bias", "zv_ite_bias"):
             arr = getattr(self, name)
-            if arr.ndim != 2 or arr.shape != shape:
-                raise AttackCaseError(f"{name} must have shape {shape}, got {arr.shape}")
+            if arr.ndim != 2 or arr.shape != shape or arr.dtype != np.float64:
+                raise AttackCaseError(
+                    f"{name} must be float64 of shape {shape}, got {arr.dtype} {arr.shape}")
             arr.flags.writeable = False
 
     @classmethod
@@ -89,8 +90,6 @@ class AttackSlot(NamedTuple):
 
 
 def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise AttackCaseError(f"{path}: expected an integer, got {value!r}")
     return value

@@ -193,7 +193,8 @@ def run_control_step(
     """Execute the full double loop for one control step.
 
     Every iteration round passes both directions through ``channel`` (where
-    the attack bias is injected), then updates all followers in a synchronized
+    the attack bias is injected; a step the channel calls transparent skips
+    it for the same bits), then updates all followers in a synchronized
     Jacobi sweep.  The returned accelerations are for the next control step;
     the platoon's currently applied accelerations are untouched during the
     loop, and are its first candidates unless ``warm_start`` is given.
@@ -230,20 +231,31 @@ def run_control_step(
     iterations_used = 0
     converged = False
 
+    # Through a transparent channel forward is a shift plus 0.0, which only
+    # changes a -0.0.  So fx[1:], fv[1:] are never -0.0, nor are z[1:], zp[1:]
+    # (a - b is -0.0 only if a is), and backward is a plain shift.
+    transparent = channel.transparent(k)
     for t in range(cfg.max_iterations):
-        forward = channel.corrupt(Direction.FORWARD, [leader_x, *px], [leader_v, *pv], t, k)
-        for i, got in enumerate(forward):
-            if got is not None:
-                fx[i], fv[i] = got
+        if transparent:
+            fx = [leader_x, *(px[:-1] if all(px) else [x + 0.0 for x in px[:-1]])]
+            fv = [leader_v, *(pv[:-1] if all(pv) else [v + 0.0 for v in pv[:-1]])]
+        else:
+            forward = channel.corrupt(Direction.FORWARD, [leader_x, *px], [leader_v, *pv], t, k)
+            for i, got in enumerate(forward):
+                if got is not None:
+                    fx[i], fv[i] = got
 
         # spacing_error inline on the unpacked terms (the same bits), and the
         # relative speed.
         z = [fx[i] - px[i] - (L_veh + ptau * pv[i] + delta) for i in range(n)]
         zp = [fv[i] - pv[i] for i in range(n)]
-        backward = channel.corrupt(Direction.BACKWARD, [0.0, *z], [0.0, *zp], t, k)
-        for i, got in enumerate(backward):
-            if got is not None:
-                rzx[i], rzv[i] = got
+        if transparent:
+            rzx[:-1], rzv[:-1] = z[1:], zp[1:]
+        else:
+            backward = channel.corrupt(Direction.BACKWARD, [0.0, *z], [0.0, *zp], t, k)
+            for i, got in enumerate(backward):
+                if got is not None:
+                    rzx[i], rzv[i] = got
 
         # Jacobi sweep: follower i's step reads only its own (px, pv), so
         # each prediction can move on as soon as its step is taken.

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover
     from .attack_engine import BiasMatrices
 
@@ -50,12 +52,16 @@ class DropRule:
     control_steps: Optional[tuple[int, int]] = None
     iterations: Optional[tuple[int, int]] = None
 
+    def covers(self, k: int) -> bool:
+        """Whether the rule's ``control_steps`` hold control step ``k``."""
+        return self.control_steps is None or self.control_steps[0] <= k <= self.control_steps[1]
+
     def matches(self, direction: Direction, t: int, k: int) -> bool:
         """Whether the rule jams its sender in ``direction`` during iteration
         round ``t`` of control step ``k``."""
         return (
             direction is self.direction
-            and (self.control_steps is None or self.control_steps[0] <= k <= self.control_steps[1])
+            and self.covers(k)
             and (self.iterations is None or self.iterations[0] <= t <= self.iterations[1])
         )
 
@@ -66,6 +72,15 @@ class V2VChannel:
 
     bias: "BiasMatrices"
     drops: tuple[DropRule, ...] = ()
+
+    def transparent(self, k: int) -> bool:
+        """Whether ``corrupt`` would deliver every message of control step ``k``
+        as sent plus 0.0: no drop rule covers ``k``, and every bias is +0.0,
+        the one float64 whose bits are all zero."""
+        b = self.bias
+        return not any(r.covers(k) for r in self.drops) and not any(
+            np.count_nonzero(m.view(np.int64))
+            for m in (b.x_ite_bias, b.v_ite_bias, b.zx_ite_bias, b.zv_ite_bias))
 
     def corrupt(
         self,

@@ -95,6 +95,22 @@ class TestParseAttackCase:
             case = parse_attack_case(one_slot_doc("Discrete", params, "Constant", [1.0]), 6, 300)
             assert [(slot.on, slot.off) for slot in case] == [(1, 4)]
 
+    @pytest.mark.parametrize("victim, period, freq, freq_params, path", [
+        (2.0, (1, 5), "Continuous", [0], r"iter_victim_list\[0\]"),
+        (2, (1.0, 5), "Continuous", [0], r"control_attackperiod_list\[0\]\[0\]\[0\]"),
+        (2, (1, 5), "Cluster", [3.0, 7], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[0\]"),
+        (2, (1, 5), "Cluster", [3, 7.0], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[1\]"),
+        (2, (1, 5), "Discrete", [4.0], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[0\]"),
+        (2, (1, 5), "Discrete", [1.0, 4], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[0\]"),
+    ], ids=["victim", "period", "cluster_on", "cluster_off", "discrete_off", "discrete_on"])
+    def test_an_integral_float_is_not_an_int(self, victim, period, freq, freq_params, path):
+        # As in the section tables (sim: {n: 6.0}), an int spelled as a
+        # float is refused, with its path.
+        doc = one_slot_doc(freq, freq_params, "Constant", [1.0], period)
+        doc["iter_victim_list"] = [victim]
+        with pytest.raises(AttackCaseError, match=rf"^{path}: expected an integer, got "):
+            parse_attack_case(doc, 6, 300)
+
     def test_interval_sanity(self):
         doc = running_example_doc()
         doc["control_attackperiod_list"][1] = [[30, 20]]
@@ -458,3 +474,8 @@ class TestBiasMatrices:
             BiasMatrices(
                 np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((4, 3))
             )
+
+    def test_only_float64_accepted(self):
+        # V2VChannel.transparent reads each entry's bits as an int64.
+        with pytest.raises(AttackCaseError, match="zv_ite_bias must be float64 of shape"):
+            BiasMatrices(*(np.zeros((5, 3)) for _ in range(3)), np.zeros((5, 3), np.float32))

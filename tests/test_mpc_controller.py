@@ -1,9 +1,12 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from platoonsec import mpc_controller
 from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal
+from platoonsec.cli_runner import load_scenario, run_scenario
 from platoonsec.dynamics import predict, step_platoon, step_vehicle
 from platoonsec.mpc_controller import (
     NumericalError,
@@ -16,10 +19,12 @@ from platoonsec.mpc_controller import (
     run_control_step,
     spacing_error,
 )
-from platoonsec.platoon_model import VehicleState, initial_platoon
-from platoonsec.v2v_channel import ChannelId, Direction, V2VChannel
+from platoonsec.platoon_model import PlatoonState, VehicleState, initial_platoon
+from platoonsec.v2v_channel import ChannelId, Direction, DropRule, V2VChannel
 
 from conftest import single_channel_case
+
+ROOT = Path(__file__).parent.parent
 
 
 def _primal_step(measured, u, fx, fv, rear_zx, rear_zv, lam_front, lam_rear, cfg):
@@ -79,21 +84,28 @@ class TestSpacingError:
 
 def first_round_relative_speeds(config, monkeypatch, v_bias: float = 0.0) -> list[float]:
     """The relative speeds the followers of an equilibrium platoon send
-    backward in round 0, fv1's outgoing v_ite biased by ``v_bias``."""
-    payloads = []
-    corrupt = V2VChannel.corrupt
+    backward in round 0, fv1's outgoing v_ite biased by ``v_bias``, read from
+    the primal steps so that a transparent channel's rounds show them too.
+    Each report must reach the predecessor as sent."""
+    sent, received = [], []
 
-    def spy(self, direction, a, b, t, k):
-        payloads.append((direction, b))
-        return corrupt(self, direction, a, b, t, k)
+    def spy(u, px, pv, front_x, front_v, rear_zx, rear_zv, *rest):
+        sent.append(front_v - pv)
+        received.append(rear_zv)
+        return primal_step(u, px, pv, front_x, front_v, rear_zx, rear_zv, *rest)
 
-    monkeypatch.setattr(V2VChannel, "corrupt", spy)
+    monkeypatch.setattr(mpc_controller, "primal_step", spy)
     case = single_channel_case(config.n, victim=1, window=(0, 0), channel="v_ite", bias_params=[v_bias])
     bias = iter_attack_value_cal(config.n, 0, 1, case)
     run_control_step(initial_platoon(config, 30.0), V2VChannel(bias=bias), replace(config, max_iterations=1))
-    (forward, _), (backward, reports) = payloads
-    assert (forward, backward) == (Direction.FORWARD, Direction.BACKWARD)
-    return reports[1:]
+    assert len(sent) == config.n
+    assert received == [*sent[1:], None]
+    return sent
+
+
+def force_corrupt(monkeypatch) -> None:
+    """Send every round through ``V2VChannel.corrupt``."""
+    monkeypatch.setattr(V2VChannel, "transparent", lambda self, k: False)
 
 
 class TestRelativeSpeed:
@@ -101,7 +113,13 @@ class TestRelativeSpeed:
     received minus its own predicted velocity."""
 
     def test_equal_speeds(self, config, monkeypatch):
-        assert first_round_relative_speeds(config, monkeypatch) == [0.0] * config.n
+        # A zero bias leaves the channel transparent, so round 0 skips
+        # corrupt (a call would raise); forced through it, the speeds match.
+        with monkeypatch.context() as patch:
+            patch.setattr(V2VChannel, "corrupt", None)
+            skipped = first_round_relative_speeds(config, patch)
+        force_corrupt(monkeypatch)
+        assert first_round_relative_speeds(config, monkeypatch) == skipped == [0.0] * config.n
 
     def test_direct(self, config, monkeypatch):
         # fv2 receives fv1's 30.0 m/s plus the bias against its own 30.0.
@@ -435,6 +453,48 @@ class TestRunControlStep:
         bias = BiasMatrices.zeros(config.max_iterations, config.n)
         with pytest.raises(NumericalError):
             run_control_step(platoon, V2VChannel(bias=bias), replace(config, tau=float("nan")))
+
+
+class TestTransparentRounds:
+    """A step whose channel is transparent skips ``corrupt`` and must give
+    the bits the corrupt path gives."""
+
+    @pytest.mark.parametrize("doc", [
+        "tests/golden/drop_rules.yaml", "scenarios/single_target.yaml",
+        "scenarios/string_instability.yaml",
+    ])
+    def test_corrupt_path_writes_the_same_artifacts(self, doc, tmp_path, monkeypatch):
+        scenario = load_scenario(ROOT / doc)
+        skipped = run_scenario(scenario, tmp_path / "skipped")
+        force_corrupt(monkeypatch)
+        forced = run_scenario(scenario, tmp_path / "forced")
+        assert skipped.keys() == forced.keys() >= {"trace", "anomalies", "impact", "impact_csv"}
+        for key, path in skipped.items():
+            assert path.read_bytes() == forced[key].read_bytes(), key
+
+    def test_corrupt_path_gives_equal_outcomes_on_random_states(self, config, monkeypatch):
+        # A vehicle at x = v = u = -0.0 broadcasts -0.0 in round 0, which
+        # corrupt delivers as 0.0.  A one-round step returns what round 0
+        # delivered, and repr tells the two zeros apart.
+        rng = random.Random(41)
+
+        def state():
+            if rng.random() < 0.2:
+                return VehicleState(x=-0.0, v=-0.0, u=-0.0)
+            return VehicleState(x=rng.uniform(-50, 200), v=rng.uniform(-5, 38), u=rng.uniform(-5, 3))
+
+        for case in range(30):
+            cfg = replace(config, v_min=-10.0, max_iterations=rng.choice([1, 2, 300]))
+            k = rng.randrange(100)
+            drops = (DropRule(Direction.FORWARD, 2, control_steps=(k + 1, k + 9)),) if case % 2 else ()
+            channel = V2VChannel(bias=BiasMatrices.zeros(cfg.max_iterations, cfg.n), drops=drops)
+            assert channel.transparent(k)
+            platoon = PlatoonState(state(), tuple(state() for _ in range(cfg.n)), k)
+            leader_u = rng.uniform(-2, 2)
+            skipped = run_control_step(platoon, channel, cfg, leader_u)
+            with monkeypatch.context() as patch:
+                force_corrupt(patch)
+                assert repr(run_control_step(platoon, channel, cfg, leader_u)) == repr(skipped)
 
 
 class TestCheckConstraints:

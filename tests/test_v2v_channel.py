@@ -153,6 +153,39 @@ class TestDropRules:
         assert abs(outcome.u_next[3]) < 1e-6
 
 
+class TestTransparent:
+    """``transparent(k)``: whether every message of control step k arrives as
+    sent plus 0.0, so the controller may skip ``corrupt``."""
+
+    @pytest.mark.parametrize("channel", list(ChannelId))
+    @pytest.mark.parametrize("value", [1e-300, -0.0, float("nan")])
+    def test_one_entry_in_the_last_row_makes_it_opaque(self, channel, value):
+        arrays = {ch: np.zeros((10, 6)) for ch in ChannelId}
+        arrays[channel][-1, -1] = value
+        assert not V2VChannel(bias=BiasMatrices(*arrays.values())).transparent(0)
+
+    def test_drop_rules_by_control_window(self):
+        zeros = BiasMatrices.zeros(10, 6)
+        assert V2VChannel(bias=zeros).transparent(7)
+        for window in (None, (7, 7), (5, 7), (7, 9)):
+            rule = DropRule(Direction.BACKWARD, sender=2, control_steps=window, iterations=(8, 9))
+            assert not V2VChannel(bias=zeros, drops=(rule,)).transparent(7)
+        for window in ((0, 6), (8, 20)):
+            rule = DropRule(Direction.FORWARD, sender=2, control_steps=window)
+            assert V2VChannel(bias=zeros, drops=(rule,)).transparent(7)
+
+    def test_transparent_corrupt_adds_zero_to_follower_payloads(self):
+        # Only a -0.0 from a follower changes: to 0.0.  The leader's pair
+        # passes untouched.
+        channel = _clean(3)
+        assert channel.transparent(0)
+        x, v = [-0.0, -0.0, 0.0, 5.0], [-0.0, 1.0, -0.0, 2.0]
+        out = channel.corrupt(FORWARD, x, v, 0, 0)
+        assert repr(out) == repr([(-0.0, -0.0), (0.0, 1.0), (0.0, 0.0)])
+        out = channel.corrupt(BACKWARD, [0.0, 0.0, -0.0, 3.0], [0.0, 0.0, 4.0, -0.0], 0, 0)
+        assert repr(out) == repr([(0.0, 4.0), (3.0, 0.0)])
+
+
 class TestHelpers:
     def test_channel_enum_closed(self):
         assert {c.value for c in ChannelId} == {"x_ite", "v_ite", "zx_ite", "zv_ite"}
