@@ -41,7 +41,7 @@ ATTACK_LIST_KEYS = (
 
 @dataclass(frozen=True)
 class BiasMatrices:
-    """Per-channel additive corruption, float64 (max_iterations, n) each.
+    """Per-channel additive corruption, (max_iterations, n) each.
 
     Row t is the bias applied at iteration t of the current control step;
     column j corrupts the outgoing channels of follower j+1.  Arrays are
@@ -57,9 +57,8 @@ class BiasMatrices:
         shape = self.x_ite_bias.shape
         for name in ("x_ite_bias", "v_ite_bias", "zx_ite_bias", "zv_ite_bias"):
             arr = getattr(self, name)
-            if arr.ndim != 2 or arr.shape != shape or arr.dtype != np.float64:
-                raise AttackCaseError(
-                    f"{name} must be float64 of shape {shape}, got {arr.dtype} {arr.shape}")
+            if arr.ndim != 2 or arr.shape != shape:
+                raise AttackCaseError(f"{name} must have shape {shape}, got {arr.shape}")
             arr.flags.writeable = False
 
     @classmethod
@@ -87,6 +86,10 @@ class AttackSlot(NamedTuple):
     off: int
     bias_kind: str
     bias_values: tuple[float, ...]
+
+    def covers(self, k: int) -> bool:
+        """Whether the slot's period holds control step ``k``."""
+        return self.start <= k <= self.end
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -260,7 +263,7 @@ def _check_sums(slots: Sequence[AttackSlot], max_iterations: int) -> None:
         if all(a_end < b_start for (_, a_end), (b_start, _) in zip(spans, spans[1:])):
             continue  # no two slots are ever active at once
         for k in sorted({slot.start for slot in group} | {slot.end + 1 for slot in group}):
-            active = [slot for slot in group if slot.start <= k <= slot.end]
+            active = [slot for slot in group if slot.covers(k)]
             if len(active) < 2:
                 continue
             total = np.zeros(max_iterations)
@@ -338,6 +341,6 @@ def iter_attack_value_cal(
     """
     mats = {ch: np.zeros((max_iterations, n)) for ch in ChannelId}
     for slot in slots:
-        if slot.start <= k <= slot.end:
+        if slot.covers(k):
             mats[slot.channel][:, slot.victim - 1] += _slot_bias(slot, max_iterations)
     return BiasMatrices(**{f"{ch.value}_bias": matrix for ch, matrix in mats.items()})

@@ -1,15 +1,15 @@
 """End-to-end scenario orchestration and the command-line surface.
 
-A run is two passes.  The control pass walks the control steps: generate bias
-matrices for the step, run the controller's iteration loop with the corrupted
-channel, advance the plant, check constraints.  Detection only watches the
-channel and never feeds back into control, so the detection pass then runs
-over the recorded channel columns; a replay is that same pass over columns
-read back from a trace.  Followers do not couple in detection, so the pass
-runs one follower at a time and deals the followers out to forked worker
-processes, one per usable CPU.  Outputs are a trace CSV, an anomaly CSV and
-an impact report; everything is deterministic given the scenario seed,
-whatever the number of workers.
+A run is two passes.  The control pass walks the control steps: build the
+step's channel where an attack slot or a drop rule covers it, run the
+controller's iteration loop through it, advance the plant, check constraints.
+Detection only watches the channel and never feeds back into control, so the
+detection pass then runs over the recorded channel columns; a replay is that
+same pass over columns read back from a trace.  Followers do not couple in
+detection, so the pass runs one follower at a time and deals the followers
+out to forked worker processes, one per usable CPU.  Outputs are a trace CSV,
+an anomaly CSV and an impact report; everything is deterministic given the
+scenario seed, whatever the number of workers.
 
 Exit codes: 0 ok, 1 config error, 2 numerical failure.
 """
@@ -162,10 +162,10 @@ def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
 
 def simulate(scenario: Scenario) -> RunResult:
     """Run the whole scenario in memory.  The control pass runs each control
-    step as bias generation, message exchange with injection inside the
-    controller loop, headway, plant step and constraint check; the detection
-    pass then reads what the channel delivered, and the rows, events and
-    impact report are built from both."""
+    step as bias generation where a slot or drop rule covers it, message
+    exchange with injection inside the controller loop, headway, plant step
+    and constraint check; the detection pass then reads what the channel
+    delivered, and the rows, events and impact report are built from both."""
     sim = scenario.sim
     n = sim.n
     platoon = initial_platoon(sim, scenario.leader.speed)
@@ -173,8 +173,11 @@ def simulate(scenario: Scenario) -> RunResult:
     headways: list[list[float]] = []
     violations: list[tuple[int, ConstraintViolation]] = []
     for k, leader_u in enumerate(scenario.leader.accelerations(sim.total_control_steps)):
-        bias = iter_attack_value_cal(n, k, sim.max_iterations, scenario.attack)
-        channel = V2VChannel(bias=bias, drops=scenario.drops)
+        drops = tuple(rule for rule in scenario.drops if rule.covers(k))
+        channel = None
+        if drops or any(slot.covers(k) for slot in scenario.attack):
+            bias = iter_attack_value_cal(n, k, sim.max_iterations, scenario.attack)
+            channel = V2VChannel(bias, drops)
         outcome = run_control_step(platoon, channel, sim, leader_u)
         step_outcomes.append(outcome)
         headways.append([time_headway(platoon.gap(i + 1), follower.v, sim.L_veh)
@@ -435,8 +438,8 @@ _CASE_KEYS = {"n": (SimConfig.n, _COUNT), "max_iterations": (SimConfig.max_itera
 # million, and a run spends milliseconds on each: a longer run is refused first.
 MAX_CONTROL_STEPS = 1_000_000
 
-# Each control step allocates four (max_iterations x n) bias matrices of
-# float64: at this many cells each, 32 MB in all.
+# Each step a slot or drop rule covers allocates four (max_iterations x n)
+# bias matrices of float64: at this many cells each, 32 MB in all.
 MAX_BIAS_CELLS = 1_000_000
 
 # Each forecaster keeps a (hidden_count x hidden_count) P, and a refit builds

@@ -185,20 +185,21 @@ def dual_update(
 
 def run_control_step(
     platoon: PlatoonState,
-    channel: V2VChannel,
+    channel: Optional[V2VChannel],
     config: SimConfig,
     leader_u: float = 0.0,
     warm_start: Optional[Sequence[float]] = None,
 ) -> ControlOutcome:
     """Execute the full double loop for one control step.
 
-    Every iteration round passes both directions through ``channel`` (where
-    the attack bias is injected; a step the channel calls transparent skips
-    it for the same bits), then updates all followers in a synchronized
-    Jacobi sweep.  The returned accelerations are for the next control step;
-    the platoon's currently applied accelerations are untouched during the
-    loop, and are its first candidates unless ``warm_start`` is given.
-    Deterministic: identical inputs produce bit-identical outcomes.
+    Every iteration round passes both directions through ``channel``, where
+    the attack bias is injected and drop rules jam (None, for a step where
+    nothing is in force, delivers what a zero-bias channel would), then
+    updates all followers in a synchronized Jacobi sweep.  The returned
+    accelerations are for the next control step; the platoon's currently
+    applied accelerations are untouched during the loop, and are its first
+    candidates unless ``warm_start`` is given.  Deterministic: identical
+    inputs produce bit-identical outcomes.
     """
     cfg = config
     n = platoon.n
@@ -231,16 +232,16 @@ def run_control_step(
     iterations_used = 0
     converged = False
 
-    # Through a transparent channel forward is a shift plus 0.0, which only
-    # changes a -0.0.  So fx[1:], fv[1:] are never -0.0, nor are z[1:], zp[1:]
-    # (a - b is -0.0 only if a is), and backward is a plain shift.
-    transparent = channel.transparent(k)
+    # Without a channel forward is what corrupt gives with zero bias: a shift
+    # plus 0.0, which only changes a -0.0.  So fx[1:], fv[1:] are never -0.0,
+    # nor are z[1:], zp[1:] (a - b is -0.0 only if a is), and backward is a
+    # plain shift.
     for t in range(cfg.max_iterations):
-        if transparent:
+        if channel is None:
             fx = [leader_x, *(px[:-1] if all(px) else [x + 0.0 for x in px[:-1]])]
             fv = [leader_v, *(pv[:-1] if all(pv) else [v + 0.0 for v in pv[:-1]])]
         else:
-            forward = channel.corrupt(Direction.FORWARD, [leader_x, *px], [leader_v, *pv], t, k)
+            forward = channel.corrupt(Direction.FORWARD, [leader_x, *px], [leader_v, *pv], t)
             for i, got in enumerate(forward):
                 if got is not None:
                     fx[i], fv[i] = got
@@ -249,10 +250,10 @@ def run_control_step(
         # relative speed.
         z = [fx[i] - px[i] - (L_veh + ptau * pv[i] + delta) for i in range(n)]
         zp = [fv[i] - pv[i] for i in range(n)]
-        if transparent:
+        if channel is None:
             rzx[:-1], rzv[:-1] = z[1:], zp[1:]
         else:
-            backward = channel.corrupt(Direction.BACKWARD, [0.0, *z], [0.0, *zp], t, k)
+            backward = channel.corrupt(Direction.BACKWARD, [0.0, *z], [0.0, *zp], t)
             for i, got in enumerate(backward):
                 if got is not None:
                     rzx[i], rzv[i] = got

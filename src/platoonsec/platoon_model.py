@@ -117,14 +117,11 @@ class PlatoonState:
 def initial_platoon(config: SimConfig, leader_speed: float) -> PlatoonState:
     """Build an equilibrium platoon: every vehicle at leader_speed, gaps nominal.
 
-    The last follower sits at x = 0 and the column extends forward, so all
-    positions are non-negative.  Deterministic: identical inputs produce
-    bit-identical states.
+    leader_speed must lie in [config.v_min, config.v_max]; a scenario's
+    loader checks that, naming the input.  The last follower sits at x = 0
+    and the column extends forward, so all positions are non-negative.
+    Deterministic: identical inputs produce bit-identical states.
     """
-    if not (config.v_min <= leader_speed <= config.v_max):
-        raise ConfigError(
-            f"leader speed {leader_speed} outside [{config.v_min}, {config.v_max}]"
-        )
     gap = config.nominal_gap(leader_speed)
     leader = VehicleState(x=config.n * gap, v=leader_speed, u=0.0)
     followers = tuple(

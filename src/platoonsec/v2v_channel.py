@@ -7,6 +7,8 @@ terms backward to its predecessor.  The leader never receives backward
 traffic, and the leader-to-first-follower link is trusted: it is never
 biased, though a drop rule can still jam it.
 
+A ``V2VChannel`` belongs to one control step and holds what is in force
+there: that step's bias matrices and the drop rules that cover it.
 ``V2VChannel.corrupt`` delivers one whole direction of a round at a time;
 the exchange schedule and the hold-last-value bookkeeping belong to the
 control loop.
@@ -17,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attack_engine import BiasMatrices
@@ -56,31 +56,20 @@ class DropRule:
         """Whether the rule's ``control_steps`` hold control step ``k``."""
         return self.control_steps is None or self.control_steps[0] <= k <= self.control_steps[1]
 
-    def matches(self, direction: Direction, t: int, k: int) -> bool:
+    def matches(self, direction: Direction, t: int) -> bool:
         """Whether the rule jams its sender in ``direction`` during iteration
-        round ``t`` of control step ``k``."""
-        return (
-            direction is self.direction
-            and self.covers(k)
-            and (self.iterations is None or self.iterations[0] <= t <= self.iterations[1])
-        )
+        round ``t`` of a control step it covers."""
+        return direction is self.direction and (
+            self.iterations is None or self.iterations[0] <= t <= self.iterations[1])
 
 
 @dataclass(frozen=True)
 class V2VChannel:
-    """The corruption point every message passes through."""
+    """The corruption point every message of one control step passes
+    through: the step's bias and the drop rules that cover the step."""
 
     bias: "BiasMatrices"
     drops: tuple[DropRule, ...] = ()
-
-    def transparent(self, k: int) -> bool:
-        """Whether ``corrupt`` would deliver every message of control step ``k``
-        as sent plus 0.0: no drop rule covers ``k``, and every bias is +0.0,
-        the one float64 whose bits are all zero."""
-        b = self.bias
-        return not any(r.covers(k) for r in self.drops) and not any(
-            np.count_nonzero(m.view(np.int64))
-            for m in (b.x_ite_bias, b.v_ite_bias, b.zx_ite_bias, b.zv_ite_bias))
 
     def corrupt(
         self,
@@ -88,9 +77,8 @@ class V2VChannel:
         a: Sequence[float],
         b: Sequence[float],
         t: int,
-        k: int,
     ) -> list[Optional[tuple[float, float]]]:
-        """Deliver one direction of iteration round ``t`` at control step ``k``.
+        """Deliver one direction of iteration round ``t``.
 
         ``a`` and ``b`` are the senders' payloads indexed by vehicle (0 = the
         leader, followers 1..n): x_ite/v_ite forward, zx_ite/zv_ite backward.
@@ -114,6 +102,6 @@ class V2VChannel:
             for s in senders
         ]
         for rule in self.drops:
-            if rule.sender in senders and rule.matches(direction, t, k):
+            if rule.sender in senders and rule.matches(direction, t):
                 delivered[senders.index(rule.sender)] = None
         return delivered

@@ -402,6 +402,7 @@ class TestIterAttackValueCal:
         assert not is_zero(iter_attack_value_cal(6, 10, 50, case))
         assert not is_zero(iter_attack_value_cal(6, 20, 50, case))
         assert is_zero(iter_attack_value_cal(6, 21, 50, case))
+        assert [case[0].covers(k) for k in (9, 10, 20, 21)] == [False, True, True, False]
 
     def test_two_periods_sum_like_single_period_cases(self):
         base = {
@@ -474,8 +475,3 @@ class TestBiasMatrices:
             BiasMatrices(
                 np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((4, 3))
             )
-
-    def test_only_float64_accepted(self):
-        # V2VChannel.transparent reads each entry's bits as an int64.
-        with pytest.raises(AttackCaseError, match="zv_ite_bias must be float64 of shape"):
-            BiasMatrices(*(np.zeros((5, 3)) for _ in range(3)), np.zeros((5, 3), np.float32))

@@ -8,7 +8,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from platoonsec.attack_engine import ATTACK_LIST_KEYS
+from platoonsec.attack_engine import ATTACK_LIST_KEYS, iter_attack_value_cal
 from platoonsec import cli_runner, detection
 from platoonsec.cli_runner import (
     _INPUT_ERRORS,
@@ -124,6 +124,14 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError, match="leader profile"):
             scenario_from_dict(doc)
 
+    def test_leader_speed_bounds(self):
+        # The loader is where the leader's initial speed is checked.
+        sim = SimConfig()
+        assert scenario_from_dict(scenario_doc(leader={"speed": sim.v_max})).leader.speed == sim.v_max
+        for speed in (sim.v_max + 1.0, sim.v_min - 0.1):
+            with pytest.raises(ConfigError, match=r"leader speed .* outside"):
+                scenario_from_dict(scenario_doc(leader={"speed": speed}))
+
     def test_attack_section_mirrors_seven_lists(self):
         doc = scenario_doc(attack=_one_channel_attack(2.0))
         scenario = scenario_from_dict(doc)
@@ -192,6 +200,24 @@ class TestRunScenario:
             float_bytes = (tmp_path / "float" / artifact).read_bytes()
             assert (tmp_path / "int" / artifact).read_bytes() == float_bytes, artifact
         assert b",-3.0," in (tmp_path / "int" / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("doc, covered", [
+        (SCENARIO_DIR / "benign.yaml", []),
+        (SCENARIO_DIR / "single_target.yaml", list(range(40, 46))),
+        (GOLDEN_DIR / "drop_rules.yaml", list(range(20, 31))),
+    ], ids=["benign", "single_target", "drop_rules"])
+    def test_bias_matrices_built_only_for_covered_steps(self, monkeypatch, doc, covered):
+        # A step no slot or drop rule covers has no channel to build.
+        steps = []
+
+        def spy(n, k, max_iterations, slots):
+            steps.append(k)
+            return iter_attack_value_cal(n, k, max_iterations, slots)
+
+        monkeypatch.setattr(cli_runner, "iter_attack_value_cal", spy)
+        scenario = load_scenario(doc)
+        assert len(simulate(scenario).step_outcomes) == scenario.sim.total_control_steps
+        assert steps == covered
 
     def test_benign_run_classifies_none(self, tmp_path):
         scenario = make_scenario(sim=replace(make_scenario().sim, total_control_steps=40))
@@ -770,6 +796,7 @@ class TestCli:
              "[start_step >= 0, acceleration] pairs, got [[1.5, 2]]"),
             ({"leader": 5}, "leader must be a mapping, got 5"),
             ({"leader": {"speed": "fast"}}, "leader.speed must be a finite number, got 'fast'"),
+            ({"leader": {"speed": 41}}, "leader speed 41.0 outside [0.0, 40.0]"),
             ({"leader": {"speeed": 20}}, "leader.speeed is not a leader key"),
             ({"output": 5}, "output must be a mapping, got 5"),
             ({"output": {"trace": "no"}}, "output.trace must be a bool, got 'no'"),
@@ -779,7 +806,8 @@ class TestCli:
              "step 10, not after leader.profile[0]'s 10: start steps must increase"),
         ],
         ids=[
-            "short-phase", "float-start", "int-leader", "string-speed", "unknown-leader-key",
+            "short-phase", "float-start", "int-leader", "string-speed", "fast-speed",
+            "unknown-leader-key",
             "int-output", "string-flag", "decreasing-start", "repeated-start",
         ],
     )

@@ -1,12 +1,14 @@
 import random
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 import pytest
+import yaml
 
-from platoonsec import mpc_controller
+from platoonsec import cli_runner, mpc_controller
 from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal
-from platoonsec.cli_runner import load_scenario, run_scenario
+from platoonsec.cli_runner import load_scenario, run_scenario, scenario_from_dict
 from platoonsec.dynamics import predict, step_platoon, step_vehicle
 from platoonsec.mpc_controller import (
     NumericalError,
@@ -20,7 +22,7 @@ from platoonsec.mpc_controller import (
     spacing_error,
 )
 from platoonsec.platoon_model import PlatoonState, VehicleState, initial_platoon
-from platoonsec.v2v_channel import ChannelId, Direction, DropRule, V2VChannel
+from platoonsec.v2v_channel import ChannelId, Direction, V2VChannel
 
 from conftest import single_channel_case
 
@@ -82,11 +84,11 @@ class TestSpacingError:
             assert spacing_error(xp, xs, vs, config) == expected
 
 
-def first_round_relative_speeds(config, monkeypatch, v_bias: float = 0.0) -> list[float]:
+def first_round_relative_speeds(config, monkeypatch, v_bias: Optional[float] = 0.0) -> list[float]:
     """The relative speeds the followers of an equilibrium platoon send
-    backward in round 0, fv1's outgoing v_ite biased by ``v_bias``, read from
-    the primal steps so that a transparent channel's rounds show them too.
-    Each report must reach the predecessor as sent."""
+    backward in round 0, fv1's outgoing v_ite biased by ``v_bias`` (None: no
+    channel), read from the primal steps so that rounds without a channel
+    show them too.  Each report must reach the predecessor as sent."""
     sent, received = [], []
 
     def spy(u, px, pv, front_x, front_v, rear_zx, rear_zv, *rest):
@@ -95,17 +97,27 @@ def first_round_relative_speeds(config, monkeypatch, v_bias: float = 0.0) -> lis
         return primal_step(u, px, pv, front_x, front_v, rear_zx, rear_zv, *rest)
 
     monkeypatch.setattr(mpc_controller, "primal_step", spy)
-    case = single_channel_case(config.n, victim=1, window=(0, 0), channel="v_ite", bias_params=[v_bias])
-    bias = iter_attack_value_cal(config.n, 0, 1, case)
-    run_control_step(initial_platoon(config, 30.0), V2VChannel(bias=bias), replace(config, max_iterations=1))
+    channel = None
+    if v_bias is not None:
+        case = single_channel_case(config.n, victim=1, window=(0, 0), channel="v_ite",
+                                   bias_params=[v_bias])
+        channel = V2VChannel(bias=iter_attack_value_cal(config.n, 0, 1, case))
+    run_control_step(initial_platoon(config, 30.0), channel, replace(config, max_iterations=1))
     assert len(sent) == config.n
     assert received == [*sent[1:], None]
     return sent
 
 
 def force_corrupt(monkeypatch) -> None:
-    """Send every round through ``V2VChannel.corrupt``."""
-    monkeypatch.setattr(V2VChannel, "transparent", lambda self, k: False)
+    """Send every round of a run through ``V2VChannel.corrupt``: a step
+    without a channel gets a zero-bias one."""
+
+    def through_corrupt(platoon, channel, config, *rest):
+        if channel is None:
+            channel = V2VChannel(bias=BiasMatrices.zeros(config.max_iterations, platoon.n))
+        return run_control_step(platoon, channel, config, *rest)
+
+    monkeypatch.setattr(cli_runner, "run_control_step", through_corrupt)
 
 
 class TestRelativeSpeed:
@@ -113,12 +125,11 @@ class TestRelativeSpeed:
     received minus its own predicted velocity."""
 
     def test_equal_speeds(self, config, monkeypatch):
-        # A zero bias leaves the channel transparent, so round 0 skips
-        # corrupt (a call would raise); forced through it, the speeds match.
+        # Without a channel round 0 skips corrupt (a call would raise);
+        # through a zero-bias channel the speeds match.
         with monkeypatch.context() as patch:
             patch.setattr(V2VChannel, "corrupt", None)
-            skipped = first_round_relative_speeds(config, patch)
-        force_corrupt(monkeypatch)
+            skipped = first_round_relative_speeds(config, patch, None)
         assert first_round_relative_speeds(config, monkeypatch) == skipped == [0.0] * config.n
 
     def test_direct(self, config, monkeypatch):
@@ -456,8 +467,8 @@ class TestRunControlStep:
 
 
 class TestTransparentRounds:
-    """A step whose channel is transparent skips ``corrupt`` and must give
-    the bits the corrupt path gives."""
+    """A step without a channel skips ``corrupt`` and must give the bits a
+    zero-bias channel gives."""
 
     @pytest.mark.parametrize("doc", [
         "tests/golden/drop_rules.yaml", "scenarios/single_target.yaml",
@@ -472,7 +483,19 @@ class TestTransparentRounds:
         for key, path in skipped.items():
             assert path.read_bytes() == forced[key].read_bytes(), key
 
-    def test_corrupt_path_gives_equal_outcomes_on_random_states(self, config, monkeypatch):
+    def test_zero_bias_slot_writes_what_no_attack_writes(self, tmp_path):
+        # The slot covers steps 40..45, so they take the corrupt path; with
+        # no attack they have no channel.
+        doc = yaml.safe_load((ROOT / "scenarios/single_target.yaml").read_text())
+        doc["attack"]["iter_biasparavalue_list"] = [[[[0.0]]]]
+        zero = run_scenario(scenario_from_dict(doc), tmp_path / "zero")
+        del doc["attack"]
+        benign = run_scenario(scenario_from_dict(doc), tmp_path / "benign")
+        assert zero.keys() == benign.keys() >= {"trace", "anomalies", "impact", "impact_csv"}
+        for key, path in zero.items():
+            assert path.read_bytes() == benign[key].read_bytes(), key
+
+    def test_corrupt_path_gives_equal_outcomes_on_random_states(self, config):
         # A vehicle at x = v = u = -0.0 broadcasts -0.0 in round 0, which
         # corrupt delivers as 0.0.  A one-round step returns what round 0
         # delivered, and repr tells the two zeros apart.
@@ -483,18 +506,14 @@ class TestTransparentRounds:
                 return VehicleState(x=-0.0, v=-0.0, u=-0.0)
             return VehicleState(x=rng.uniform(-50, 200), v=rng.uniform(-5, 38), u=rng.uniform(-5, 3))
 
-        for case in range(30):
+        for _ in range(30):
             cfg = replace(config, v_min=-10.0, max_iterations=rng.choice([1, 2, 300]))
             k = rng.randrange(100)
-            drops = (DropRule(Direction.FORWARD, 2, control_steps=(k + 1, k + 9)),) if case % 2 else ()
-            channel = V2VChannel(bias=BiasMatrices.zeros(cfg.max_iterations, cfg.n), drops=drops)
-            assert channel.transparent(k)
+            channel = V2VChannel(bias=BiasMatrices.zeros(cfg.max_iterations, cfg.n))
             platoon = PlatoonState(state(), tuple(state() for _ in range(cfg.n)), k)
             leader_u = rng.uniform(-2, 2)
-            skipped = run_control_step(platoon, channel, cfg, leader_u)
-            with monkeypatch.context() as patch:
-                force_corrupt(patch)
-                assert repr(run_control_step(platoon, channel, cfg, leader_u)) == repr(skipped)
+            skipped = run_control_step(platoon, None, cfg, leader_u)
+            assert repr(run_control_step(platoon, channel, cfg, leader_u)) == repr(skipped)
 
 
 class TestCheckConstraints:

@@ -64,13 +64,6 @@ class TestInitialPlatoon:
         # one leader plus six followers
         assert 1 + len(platoon.followers) == 7
 
-    def test_speed_bounds(self, config):
-        initial_platoon(config, config.v_max)  # boundary is valid
-        with pytest.raises(ConfigError):
-            initial_platoon(config, config.v_max + 1.0)
-        with pytest.raises(ConfigError):
-            initial_platoon(config, config.v_min - 0.1)
-
     def test_positions_strictly_decreasing(self, config):
         platoon = initial_platoon(config, 30.0)
         xs = [platoon.leader.x] + [f.x for f in platoon.followers]

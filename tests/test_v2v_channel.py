@@ -19,9 +19,9 @@ def _payloads(n: int):
     return x, v, zx, zv
 
 
-def _round(channel: V2VChannel, n: int, t: int, k: int = 0):
+def _round(channel: V2VChannel, n: int, t: int):
     x, v, zx, zv = _payloads(n)
-    return channel.corrupt(FORWARD, x, v, t, k), channel.corrupt(BACKWARD, zx, zv, t, k)
+    return channel.corrupt(FORWARD, x, v, t), channel.corrupt(BACKWARD, zx, zv, t)
 
 
 def _clean(n: int) -> V2VChannel:
@@ -61,15 +61,25 @@ class TestApplyBias:
         channel = V2VChannel(bias=iter_attack_value_cal(6, 0, 10, case))
         x = [100.0, 80.0, 60.0, 40.0, 20.0, 0.0, -20.0]
         v = [30.0] * 7
-        out = channel.corrupt(FORWARD, x, v, 4, 0)
+        out = channel.corrupt(FORWARD, x, v, 4)
         assert out[1] == (83.0, 30.0)  # fv2 receives fv1's biased broadcast
 
     def test_leader_messages_never_biased(self):
         full = BiasMatrices(*(np.full((10, 6), 9.0) for _ in range(4)))
         x, v, _, _ = _payloads(6)
-        out = V2VChannel(bias=full).corrupt(FORWARD, x, v, 1, 0)
+        out = V2VChannel(bias=full).corrupt(FORWARD, x, v, 1)
         assert out[0] == (x[0], v[0])
         assert all(got == (x[s] + 9.0, v[s] + 9.0) for s, got in enumerate(out) if s)
+
+    def test_zero_bias_adds_zero_to_follower_payloads(self):
+        # Only a -0.0 from a follower changes: to 0.0.  The leader's pair
+        # passes untouched.
+        channel = _clean(3)
+        x, v = [-0.0, -0.0, 0.0, 5.0], [-0.0, 1.0, -0.0, 2.0]
+        out = channel.corrupt(FORWARD, x, v, 0)
+        assert repr(out) == repr([(-0.0, -0.0), (0.0, 1.0), (0.0, 0.0)])
+        out = channel.corrupt(BACKWARD, [0.0, 0.0, -0.0, 3.0], [0.0, 0.0, 4.0, -0.0], 0)
+        assert repr(out) == repr([(0.0, 4.0), (3.0, 0.0)])
 
     def test_backward_bias_leaves_forward_untouched(self):
         # Differential check over one full exchange round.
@@ -99,33 +109,39 @@ class TestApplyBias:
         bias_a = iter_attack_value_cal(6, 0, 10, a)
         bias_b = iter_attack_value_cal(6, 0, 10, b)
         x, v, _, _ = _payloads(6)
-        once = V2VChannel(bias=bias_a).corrupt(FORWARD, x, v, 0, 0)
+        once = V2VChannel(bias=bias_a).corrupt(FORWARD, x, v, 0)
         # Re-send what vehicles 0..5 delivered; vehicle 6 sends nothing forward.
         twice = V2VChannel(bias=bias_b).corrupt(
-            FORWARD, [p[0] for p in once] + [x[6]], [p[1] for p in once] + [v[6]], 0, 0
+            FORWARD, [p[0] for p in once] + [x[6]], [p[1] for p in once] + [v[6]], 0
         )
         summed = BiasMatrices(*(bias_a.by_channel(ch) + bias_b.by_channel(ch) for ch in ChannelId))
-        assert twice == V2VChannel(bias=summed).corrupt(FORWARD, x, v, 0, 0)
+        assert twice == V2VChannel(bias=summed).corrupt(FORWARD, x, v, 0)
 
 
 class TestDropRules:
     def test_drop_suppresses_matching_message(self):
-        rule = DropRule(Direction.FORWARD, sender=2, control_steps=(5, 10), iterations=(0, 3))
+        rule = DropRule(Direction.FORWARD, sender=2, iterations=(0, 3))
         channel = V2VChannel(bias=BiasMatrices.zeros(10, 6), drops=(rule,))
         x, v, zx, zv = _payloads(6)
-        hit = channel.corrupt(FORWARD, x, v, 1, 7)
+        hit = channel.corrupt(FORWARD, x, v, 1)
         assert hit[2] is None  # fv3 loses fv2's broadcast
         assert all(got is not None for i, got in enumerate(hit) if i != 2)
-        assert channel.corrupt(FORWARD, x, v, 1, 11)[2] is not None  # outside control window
-        assert channel.corrupt(FORWARD, x, v, 5, 7)[2] is not None  # outside iteration window
-        backward = channel.corrupt(BACKWARD, zx, zv, 1, 7)
+        assert channel.corrupt(FORWARD, x, v, 5)[2] is not None  # outside iteration window
+        backward = channel.corrupt(BACKWARD, zx, zv, 1)
         assert all(got is not None for got in backward)  # other direction
+
+    def test_covers_by_control_window(self):
+        # A step's channel holds only the rules that cover the step.
+        for window in (None, (7, 7), (5, 7), (7, 9)):
+            assert DropRule(Direction.BACKWARD, sender=2, control_steps=window).covers(7)
+        for window in ((0, 6), (8, 20)):
+            assert not DropRule(Direction.FORWARD, sender=2, control_steps=window).covers(7)
 
     def test_leader_link_can_be_dropped(self):
         rule = DropRule(Direction.FORWARD, sender=0)
         channel = V2VChannel(bias=BiasMatrices.zeros(10, 6), drops=(rule,))
         x, v, _, _ = _payloads(6)
-        out = channel.corrupt(FORWARD, x, v, 0, 0)
+        out = channel.corrupt(FORWARD, x, v, 0)
         assert out[0] is None
         assert out[1:] == list(zip(x[1:6], v[1:6]))
 
@@ -133,7 +149,7 @@ class TestDropRules:
         rule = DropRule(Direction.BACKWARD, sender=4)
         channel = V2VChannel(bias=BiasMatrices.zeros(10, 6), drops=(rule,))
         _, _, zx, zv = _payloads(6)
-        out = channel.corrupt(BACKWARD, zx, zv, 0, 0)
+        out = channel.corrupt(BACKWARD, zx, zv, 0)
         assert out[2] is None  # fv3 loses fv4's report
         assert all(got is not None for i, got in enumerate(out) if i != 2)
 
@@ -151,39 +167,6 @@ class TestDropRules:
         # the run still converges cleanly.
         assert outcome.converged
         assert abs(outcome.u_next[3]) < 1e-6
-
-
-class TestTransparent:
-    """``transparent(k)``: whether every message of control step k arrives as
-    sent plus 0.0, so the controller may skip ``corrupt``."""
-
-    @pytest.mark.parametrize("channel", list(ChannelId))
-    @pytest.mark.parametrize("value", [1e-300, -0.0, float("nan")])
-    def test_one_entry_in_the_last_row_makes_it_opaque(self, channel, value):
-        arrays = {ch: np.zeros((10, 6)) for ch in ChannelId}
-        arrays[channel][-1, -1] = value
-        assert not V2VChannel(bias=BiasMatrices(*arrays.values())).transparent(0)
-
-    def test_drop_rules_by_control_window(self):
-        zeros = BiasMatrices.zeros(10, 6)
-        assert V2VChannel(bias=zeros).transparent(7)
-        for window in (None, (7, 7), (5, 7), (7, 9)):
-            rule = DropRule(Direction.BACKWARD, sender=2, control_steps=window, iterations=(8, 9))
-            assert not V2VChannel(bias=zeros, drops=(rule,)).transparent(7)
-        for window in ((0, 6), (8, 20)):
-            rule = DropRule(Direction.FORWARD, sender=2, control_steps=window)
-            assert V2VChannel(bias=zeros, drops=(rule,)).transparent(7)
-
-    def test_transparent_corrupt_adds_zero_to_follower_payloads(self):
-        # Only a -0.0 from a follower changes: to 0.0.  The leader's pair
-        # passes untouched.
-        channel = _clean(3)
-        assert channel.transparent(0)
-        x, v = [-0.0, -0.0, 0.0, 5.0], [-0.0, 1.0, -0.0, 2.0]
-        out = channel.corrupt(FORWARD, x, v, 0, 0)
-        assert repr(out) == repr([(-0.0, -0.0), (0.0, 1.0), (0.0, 0.0)])
-        out = channel.corrupt(BACKWARD, [0.0, 0.0, -0.0, 3.0], [0.0, 0.0, 4.0, -0.0], 0, 0)
-        assert repr(out) == repr([(0.0, 4.0), (3.0, 0.0)])
 
 
 class TestHelpers:
