@@ -13,18 +13,13 @@ periods or repeated channels on the same victim sum.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .platoon_model import _FINITE, _INT, _LIST, ConfigError, _check
 from .v2v_channel import ChannelId
-
-
-class AttackCaseError(ValueError):
-    """Raised when an attack case violates the seven-list schema."""
-
 
 _BIAS_ARITY = {"Constant": 1, "Linear": 2, "Sinusoidal": 4}
 
@@ -58,7 +53,7 @@ class BiasMatrices:
         for name in ("x_ite_bias", "v_ite_bias", "zx_ite_bias", "zv_ite_bias"):
             arr = getattr(self, name)
             if arr.ndim != 2 or arr.shape != shape:
-                raise AttackCaseError(f"{name} must have shape {shape}, got {arr.shape}")
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             arr.flags.writeable = False
 
     @classmethod
@@ -92,78 +87,56 @@ class AttackSlot(NamedTuple):
         return self.start <= k <= self.end
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise AttackCaseError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise AttackCaseError(f"{path}: expected a number, got {value!r}")
-    if isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise AttackCaseError(f"{path}: an int too large for a float")
-    return float(value)
-
-
-def _as_seq(value: Any, path: str) -> Sequence:
-    if not isinstance(value, (list, tuple)):
-        raise AttackCaseError(f"{path}: expected a list, got {type(value).__name__}")
-    return value
-
-
 def _entries(value: Any, path: str, count: int, what: str) -> Sequence:
     """A list at ``path`` that must hold ``count`` entries (``what``)."""
-    value = _as_seq(value, path)
+    value = _check(path, value, _LIST)
     if len(value) != count:
-        raise AttackCaseError(f"{path}: expected {count} {what}, got {len(value)}")
+        raise ConfigError(f"{path}: expected {count} {what}, got {len(value)}")
     return value
 
 
 def _stealth_window(kind: Any, params: Any, path: str) -> tuple[int, int]:
     """Validate one frequency entry as its stealth window [on, off]."""
     if kind == "Discrete":
-        params = _as_seq(params, path)
-        if not (len(params) == 1 or len(params) == 2 and _as_int(params[0], f"{path}[0]") == 1):
-            raise AttackCaseError(
+        params = _check(path, params, _LIST)
+        if not (len(params) == 1 or len(params) == 2 and _check(f"{path}[0]", params[0], _INT) == 1):
+            raise ConfigError(
                 f"{path}: Discrete frequency takes [off] (or [1, off]), got {list(params)}"
             )
-        kind, params = "Cluster", (1, _as_int(params[-1], f"{path}[{len(params) - 1}]"))
+        kind, params = "Cluster", (1, _check(f"{path}[{len(params) - 1}]", params[-1], _INT))
     if kind not in ("Continuous", "Cluster"):
-        raise AttackCaseError(f"{path}: unknown frequency kind {kind!r}")
-    params = _as_seq(params, path)
+        raise ConfigError(f"{path}: unknown frequency kind {kind!r}")
+    params = _check(path, params, _LIST)
     if kind == "Continuous":
         if len(params) > 1:
-            raise AttackCaseError(f"{path}: Continuous takes [0], got {list(params)}")
+            raise ConfigError(f"{path}: Continuous takes [0], got {list(params)}")
         return 1, 0
     if len(params) != 2:
-        raise AttackCaseError(f"{path}: Cluster takes [on, off], got {list(params)}")
-    on, off = (_as_int(v, f"{path}[{q}]") for q, v in enumerate(params))
+        raise ConfigError(f"{path}: Cluster takes [on, off], got {list(params)}")
+    on, off = (_check(f"{path}[{q}]", v, _INT) for q, v in enumerate(params))
     if on < 1:
-        raise AttackCaseError(f"{path}: Cluster on-window must be >= 1, got {on}")
+        raise ConfigError(f"{path}: Cluster on-window must be >= 1, got {on}")
     if off < 0:
-        raise AttackCaseError(f"{path}: Cluster off-window must be >= 0, got {off}")
+        raise ConfigError(f"{path}: Cluster off-window must be >= 0, got {off}")
     # Like every number in the case, a window must fit in a float.
-    _as_float(on, f"{path}[0]")
-    _as_float(off, f"{path}[1]")
+    for q, v in enumerate((on, off)):
+        _check(f"{path}[{q}]", v, _FINITE)
     return on, off
 
 
 def _bias(kind: Any, values: Any, path: str, max_iterations: int) -> tuple[str, tuple[float, ...]]:
     """Validate one bias entry as its kind and parameters, whose waveform
     must stay finite over max_iterations rows."""
-    values = _as_seq(values, path)
-    values = tuple(_as_float(v, f"{path}[{q}]") for q, v in enumerate(values))
+    values = _check(path, values, _LIST)
+    values = tuple(float(_check(f"{path}[{q}]", v, _FINITE)) for q, v in enumerate(values))
     # A tuple, not the dict: a YAML kind may be an unhashable list.
     if kind not in tuple(_BIAS_ARITY):
-        raise AttackCaseError(f"{path}: unknown bias kind {kind!r}")
+        raise ConfigError(f"{path}: unknown bias kind {kind!r}")
     arity = _BIAS_ARITY[kind]
     if len(values) != arity:
-        raise AttackCaseError(f"{path}: {kind} bias takes {arity} parameter(s), got {list(values)}")
-    if not all(math.isfinite(v) for v in values):
-        raise AttackCaseError(f"{path}: non-finite bias parameters {list(values)}")
+        raise ConfigError(f"{path}: {kind} bias takes {arity} parameter(s), got {list(values)}")
     if not _finite_waveform(kind, values, max_iterations):
-        raise AttackCaseError(
+        raise ConfigError(
             f"{path}: {kind} bias {list(values)} overflows within {max_iterations} iterations"
         )
     return kind, values
@@ -184,15 +157,15 @@ def parse_attack_case(
     if doc is None:
         return ()
     if not isinstance(doc, Mapping):
-        raise AttackCaseError(f"attack must be a mapping, got {doc!r}")
+        raise ConfigError(f"attack must be a mapping, got {doc!r}")
     if unknown := set(doc) - set(ATTACK_LIST_KEYS):
-        raise AttackCaseError(f"unknown attack case keys: {sorted(unknown, key=str)}")
-    raw = {key: _as_seq(doc.get(key, []), key) for key in ATTACK_LIST_KEYS}
+        raise ConfigError(f"unknown attack case keys: {sorted(unknown, key=str)}")
+    raw = {key: _check(key, doc.get(key, []), _LIST) for key in ATTACK_LIST_KEYS}
 
-    victims = [_as_int(v, f"iter_victim_list[{i}]") for i, v in enumerate(raw["iter_victim_list"])]
+    victims = [_check(f"iter_victim_list[{i}]", v, _INT) for i, v in enumerate(raw["iter_victim_list"])]
     for i, victim in enumerate(victims):
         if not 1 <= victim <= n:
-            raise AttackCaseError(f"iter_victim_list[{i}]: victim {victim} outside 1..{n}")
+            raise ConfigError(f"iter_victim_list[{i}]: victim {victim} outside 1..{n}")
 
     for key in ATTACK_LIST_KEYS[1:]:
         _entries(raw[key], key, len(victims), "per-victim entries")
@@ -200,15 +173,15 @@ def parse_attack_case(
     slots = []
     for i, victim in enumerate(victims):
         periods = []
-        vp = _as_seq(raw["control_attackperiod_list"][i], f"control_attackperiod_list[{i}]")
+        vp = _check(f"control_attackperiod_list[{i}]", raw["control_attackperiod_list"][i], _LIST)
         for j, interval in enumerate(vp):
             path = f"control_attackperiod_list[{i}][{j}]"
-            interval = _as_seq(interval, path)
+            interval = _check(path, interval, _LIST)
             if len(interval) != 2:
-                raise AttackCaseError(f"{path}: expected [start, end], got {list(interval)}")
-            start, end = (_as_int(v, f"{path}[{q}]") for q, v in enumerate(interval))
+                raise ConfigError(f"{path}: expected [start, end], got {list(interval)}")
+            start, end = (_check(f"{path}[{q}]", v, _INT) for q, v in enumerate(interval))
             if start < 0 or start > end:
-                raise AttackCaseError(f"{path}: invalid interval [{start}, {end}]")
+                raise ConfigError(f"{path}: invalid interval [{start}, {end}]")
             periods.append((start, end))
 
         what = f"period entries for victim {victim}"
@@ -216,9 +189,9 @@ def parse_attack_case(
             _entries(raw[key][i], f"{key}[{i}]", len(periods), what) for key in ATTACK_LIST_KEYS[2:]
         ]
         for j, (start, end) in enumerate(periods):
-            ch_list = _as_seq(per_period[0][j], f"iter_malichannel_list[{i}][{j}]")
+            ch_list = _check(f"iter_malichannel_list[{i}][{j}]", per_period[0][j], _LIST)
             if not ch_list:
-                raise AttackCaseError(
+                raise ConfigError(
                     f"iter_malichannel_list[{i}][{j}]: a period needs at least one channel"
                 )
             channels = []
@@ -226,7 +199,7 @@ def parse_attack_case(
                 try:
                     channels.append(ChannelId(ch))
                 except ValueError:
-                    raise AttackCaseError(
+                    raise ConfigError(
                         f"iter_malichannel_list[{i}][{j}][{m}]: unknown channel {ch!r}"
                     ) from None
             fk, fp, bk, bp = (
@@ -270,7 +243,7 @@ def _check_sums(slots: Sequence[AttackSlot], max_iterations: int) -> None:
             for slot in active:
                 total += _slot_bias(slot, max_iterations)
             if not np.isfinite(total).all():
-                raise AttackCaseError(
+                raise ConfigError(
                     f"victim {victim}: the {len(active)} {channel.value} slots active at "
                     f"control step {k} overflow when summed"
                 )

@@ -32,7 +32,6 @@ import yaml
 
 from .attack_engine import (
     ATTACK_LIST_KEYS,
-    AttackCaseError,
     AttackSlot,
     iter_attack_value_cal,
     parse_attack_case,
@@ -59,8 +58,11 @@ from .mpc_controller import (
     check_constraints,
     run_control_step,
 )
-from .platoon_model import ConfigError, SimConfig, initial_platoon
-from .v2v_channel import Direction, DropRule, V2VChannel
+from .platoon_model import (
+    _BOOL, _COUNT, _FINITE, _INT, _NATURAL, _POSITIVE, ConfigError, SimConfig, _check, _is_finite,
+    _is_int, initial_platoon,
+)
+from .v2v_channel import ChannelId, Direction, DropRule, V2VChannel, senders
 
 # The detection pass calls detect_vehicle once per follower through this name,
 # so that a wrapper bound over it (perfbench's "detect" hook) sees every call.
@@ -75,15 +77,7 @@ class LeaderProfile:
     accelerations, each phase starting at a control step."""
 
     speed: float = 30.0
-    phases: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self):
-        for i in range(1, len(self.phases)):
-            if self.phases[i][0] <= self.phases[i - 1][0]:
-                raise ConfigError(
-                    f"leader.profile[{i}] starts at step {self.phases[i][0]}, not after "
-                    f"leader.profile[{i - 1}]'s {self.phases[i - 1][0]}: start steps must increase"
-                )
+    phases: tuple[tuple[int, float], ...] = ()  # start steps increase
 
     def accelerations(self, steps: int) -> list[float]:
         """The acceleration of each control step 0..steps-1, in one walk over
@@ -363,16 +357,6 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> dict[str, Path]:
 # input documents
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value: Any) -> bool:
-    """NaN, the infinities and ints past the float range fail."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max
-
-
 def _is_interval(value: Any) -> bool:
     return value is None or (
         isinstance(value, (list, tuple))
@@ -393,20 +377,16 @@ def _is_profile(value: Any) -> bool:
     )
 
 
-# A rule is (check, what the check requires).
-_BOOL = (lambda v: isinstance(v, bool), "a bool")
-_COUNT = (lambda v: _is_int(v) and v >= 1, "an int >= 1")
-_NATURAL = (lambda v: _is_int(v) and v >= 0, "an int >= 0")
-_FINITE = (_is_finite, "a finite number")
-_POSITIVE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
 _INTERVAL = (_is_interval, "[lo, hi] with non-negative ints lo <= hi")
 
 # The tables map a section's keys to (default, rule).  A default that fails
-# its rule makes the key required.
-_SIM_KEYS = {
-    f.name: (f.default, (_is_int, "an int") if f.type == "int" else _FINITE)
-    for f in fields(SimConfig)
+# its rule makes the key required.  Each sim key is the SimConfig field of the
+# same name, in field order; a field that _SIM_RULES does not name is _FINITE.
+_SIM_RULES = {
+    **dict.fromkeys(("n", "max_iterations", "total_control_steps"), _COUNT),
+    **dict.fromkeys(("tau", "L_veh", "Q_alpha", "Q_beta", "primal_tol", "dual_step"), _POSITIVE),
 }
+_SIM_KEYS = {f.name: (f.default, _SIM_RULES.get(f.name, _FINITE)) for f in fields(SimConfig)}
 _LEADER_KEYS = {
     "speed": (LeaderProfile.speed, _FINITE),
     "profile": ((), (_is_profile, "a list of [start_step >= 0, acceleration] pairs")),
@@ -428,7 +408,7 @@ _DETECTION_KEYS = {
 }
 _DROP_KEYS = {
     "direction": (None, (lambda v: v in ("forward", "backward"), "'forward' or 'backward'")),
-    "sender": (None, (_is_int, "an int")),
+    "sender": (None, _INT),
     "control_steps": (None, _INTERVAL),
     "iterations": (None, _INTERVAL),
 }
@@ -456,13 +436,6 @@ def _check_bias_size(prefix: str, n: int, max_iterations: int) -> None:
             f"{prefix}n x {prefix}max_iterations must be at most {MAX_BIAS_CELLS} "
             f"bias-matrix cells, got {n} x {max_iterations}"
         )
-
-
-def _check(where: str, value: Any, rule: tuple) -> Any:
-    check, requirement = rule
-    if not check(value):
-        raise ConfigError(f"{where} must be {requirement}, got {value!r}")
-    return value
 
 
 def _read_section(doc: Any, where: str, table: Mapping, noun: Optional[str]) -> dict[str, Any]:
@@ -548,8 +521,8 @@ def _detection_from_doc(doc: Mapping) -> DetectionConfig:
 
 
 def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
-    """Parse the ``drops`` list.  Senders are vehicle indices (0 = leader):
-    vehicles 0..n-1 send forward, 2..n send backward.
+    """Parse the ``drops`` list.  Senders are vehicle indices (0 = leader),
+    and a rule's sender must send in its direction (``senders``).
 
     A rule that can never change a run is rejected: one whose iterations all
     lie past the round cap, and a leader rule that starts after round 0 (the
@@ -565,11 +538,11 @@ def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
         where = f"drops[{i}]"
         rule = _read_section(entry, where, _DROP_KEYS, "drop-rule key")
         direction, sender = Direction(rule["direction"]), rule["sender"]
-        lo, hi = (0, sim.n - 1) if direction is Direction.FORWARD else (2, sim.n)
-        if not lo <= sender <= hi:
+        sent = senders(direction, sim.n)
+        if sender not in sent:
             raise ConfigError(
-                f"{where}.sender must be an int in {lo}..{hi} for a {direction.value} "
-                f"rule with n={sim.n}, got {sender!r}"
+                f"{where}.sender must be an int in {sent.start}..{sent.stop - 1} for a "
+                f"{direction.value} rule with n={sim.n}, got {sender!r}"
             )
         steps, iterations = (rule[key] and tuple(rule[key]) for key in ("control_steps", "iterations"))
         if iterations is not None and iterations[0] >= sim.max_iterations:
@@ -586,6 +559,24 @@ def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
     return tuple(rules)
 
 
+def _attack_from_doc(case: Any, sim: SimConfig) -> tuple[AttackSlot, ...]:
+    """Parse the ``attack`` section.  A slot whose victim does not send in
+    its channel's direction (``senders``) reaches no receiver, so it could
+    never change a run and is rejected, as such a drop rule is."""
+    slots = parse_attack_case(case, sim.n, sim.max_iterations)
+    # Slots come only from a mapping of well-formed lists.
+    for i, victim in enumerate(case["iter_victim_list"] if slots else ()):
+        for j, channels in enumerate(case["iter_malichannel_list"][i]):
+            for m, channel in enumerate(map(ChannelId, channels)):
+                if victim not in (sent := senders(channel.direction, sim.n)):
+                    raise ConfigError(
+                        f"iter_malichannel_list[{i}][{j}][{m}]: {channel.value} of victim "
+                        f"{victim} reaches no receiver: with n={sim.n}, only vehicles "
+                        f"{sent.start}..{sent.stop - 1} send {channel.direction.value}"
+                    )
+    return slots
+
+
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     if not isinstance(doc, Mapping):
         raise ConfigError(f"scenario document must be a mapping, got {type(doc).__name__}")
@@ -593,8 +584,19 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown, key=str)}")
     sim = SimConfig(**_read_section(doc.get("sim"), "sim", _SIM_KEYS, "SimConfig field"))
+    if not sim.a_min < sim.a_max:
+        raise ConfigError(f"need sim.a_min < sim.a_max, got [{sim.a_min}, {sim.a_max}]")
+    if not sim.v_min < sim.v_max:
+        raise ConfigError(f"need sim.v_min < sim.v_max, got [{sim.v_min}, {sim.v_max}]")
     _check_bias_size("sim.", sim.n, sim.max_iterations)
     leader = _read_section(doc.get("leader"), "leader", _LEADER_KEYS, "leader key")
+    starts = [start for start, _ in leader["profile"]]
+    for i in range(1, len(starts)):
+        if starts[i] <= starts[i - 1]:
+            raise ConfigError(
+                f"leader.profile[{i}] starts at step {starts[i]}, not after "
+                f"leader.profile[{i - 1}]'s {starts[i - 1]}: start steps must increase"
+            )
     leader = LeaderProfile(
         speed=leader["speed"],
         phases=tuple((start, float(accel)) for start, accel in leader["profile"]),
@@ -604,7 +606,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     return Scenario(
         sim=sim,
         leader=leader,
-        attack=parse_attack_case(doc.get("attack"), sim.n, sim.max_iterations),
+        attack=_attack_from_doc(doc.get("attack"), sim),
         detection=detection,
         drops=_drops_from_doc(doc.get("drops"), sim),
         output=OutputFlags(**_read_section(doc.get("output"), "output", _OUTPUT_KEYS, "output key")),
@@ -650,17 +652,13 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
 # offline detection replay
 
 
-class TraceFormatError(ValueError):
-    pass
-
-
 def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]]:
     """The x, v and comparator-flag columns of each vehicle, in vehicle order,
     each over the control steps in order.
 
     Every row must be complete and well formed, and control steps 0..K must
     each hold vehicles 1..n exactly once, as a live run writes them; anything
-    else is a ``TraceFormatError`` naming the line or the control step.
+    else is a ``ConfigError`` naming the line or the control step.
     """
     by_step: dict[int, dict[int, tuple[float, float, bool]]] = {}
     with _open_text(trace_path) as fh:
@@ -669,35 +667,35 @@ def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]
             return [], [], []
         missing = [c for c in TRACE_COLUMNS if c not in reader.fieldnames]
         if missing:
-            raise TraceFormatError(f"trace is missing columns: {missing}")
+            raise ConfigError(f"{trace_path} is missing columns: {missing}")
         for record in reader:
             where = f"{trace_path} line {reader.line_num}"
             if None in record or None in record.values():
                 fields_wanted = len(reader.fieldnames)
-                raise TraceFormatError(f"{where} does not have the header's {fields_wanted} fields")
+                raise ConfigError(f"{where} does not have the header's {fields_wanted} fields")
             try:
                 k, vehicle = int(record["control_step"]), int(record["vehicle_id"])
                 x, v, gap = float(record["x"]), float(record["v"]), float(record["gap_front"])
             except ValueError as exc:
-                raise TraceFormatError(f"{where}: {exc}") from None
+                raise ConfigError(f"{where}: {exc}") from None
             if k < 0 or vehicle < 1:
-                raise TraceFormatError(f"{where}: need control_step >= 0 and vehicle_id >= 1")
+                raise ConfigError(f"{where}: need control_step >= 0 and vehicle_id >= 1")
             if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(gap)):
-                raise TraceFormatError(f"{where}: x, v and gap_front must be finite")
+                raise ConfigError(f"{where}: x, v and gap_front must be finite")
             if record["comparator_flag"] not in ("0", "1"):
-                raise TraceFormatError(f"{where}: comparator_flag must be 0 or 1")
+                raise ConfigError(f"{where}: comparator_flag must be 0 or 1")
             step = by_step.setdefault(k, {})
             if vehicle in step:
-                raise TraceFormatError(f"{where} repeats vehicle {vehicle} of control step {k}")
+                raise ConfigError(f"{where} repeats vehicle {vehicle} of control step {k}")
             step[vehicle] = x, v, record["comparator_flag"] == "1"
     n = max((max(step) for step in by_step.values()), default=0)
     for k in range(len(by_step)):
         if k not in by_step:
-            raise TraceFormatError(f"{trace_path} has no rows for control step {k}")
+            raise ConfigError(f"{trace_path} has no rows for control step {k}")
         step = by_step[k]
         if len(step) != n:
             lacking = min(set(range(1, n + 1)) - set(step))
-            raise TraceFormatError(f"{trace_path}: control step {k} lacks vehicle {lacking}")
+            raise ConfigError(f"{trace_path}: control step {k} lacks vehicle {lacking}")
     columns: tuple[list, list, list] = ([], [], [])
     for vehicle in range(1, n + 1):
         for column, values in zip(columns, zip(*(by_step[k][vehicle] for k in range(len(by_step))))):
@@ -771,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # What bad input and unreadable or unwritable paths raise: config errors, exit 1.
-_INPUT_ERRORS = (ConfigError, AttackCaseError, DetectionError, TraceFormatError, OSError, yaml.YAMLError)
+_INPUT_ERRORS = (ConfigError, DetectionError, OSError, yaml.YAMLError)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

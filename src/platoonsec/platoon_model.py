@@ -2,17 +2,50 @@
 
 Every quantity used by the controller, plant, attack engine and detector has
 exactly one home here.  All types are immutable value objects and safe to
-share between threads.
+share between threads.  ``SimConfig`` checks nothing itself: the loaders
+check every input against the rules below and fail with a ``ConfigError``
+that names the input's path.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Any
 
 
 class ConfigError(ValueError):
-    """Raised when a configuration value violates its invariants."""
+    """Raised when an input value breaks its rule; the message names its path."""
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    """NaN, the infinities and ints past the float range fail."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
+# The input rules every loader checks through ``_check``: a rule is (check,
+# what the check requires).
+_BOOL = (lambda v: isinstance(v, bool), "a bool")
+_INT = (_is_int, "an int")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an int >= 1")
+_NATURAL = (lambda v: _is_int(v) and v >= 0, "an int >= 0")
+_FINITE = (_is_finite, "a finite number")
+_POSITIVE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
+_LIST = (lambda v: isinstance(v, (list, tuple)), "a list")
+
+
+def _check(where: str, value: Any, rule: tuple) -> Any:
+    """``value`` if it keeps ``rule``, else a ConfigError naming ``where``."""
+    check, requirement = rule
+    if not check(value):
+        raise ConfigError(f"{where} must be {requirement}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -61,26 +94,6 @@ class SimConfig:
     # Constraint tightening (m) applied inside the dual loop so the applied
     # state satisfies the raw safety gap with slack instead of at equality.
     dual_margin: float = 0.05
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"sim.n must be >= 1, got {self.n}")
-        if self.tau <= 0:
-            raise ConfigError(f"sim.tau must be > 0, got {self.tau}")
-        if self.L_veh <= 0:
-            raise ConfigError(f"sim.L_veh must be > 0, got {self.L_veh}")
-        if self.max_iterations < 1:
-            raise ConfigError(f"sim.max_iterations must be >= 1, got {self.max_iterations}")
-        if self.primal_tol <= 0:
-            raise ConfigError(f"sim.primal_tol must be > 0, got {self.primal_tol}")
-        if not self.a_min < self.a_max:
-            raise ConfigError(f"need sim.a_min < sim.a_max, got [{self.a_min}, {self.a_max}]")
-        if not self.v_min < self.v_max:
-            raise ConfigError(f"need sim.v_min < sim.v_max, got [{self.v_min}, {self.v_max}]")
-        if self.Q_alpha <= 0 or self.Q_beta <= 0:
-            raise ConfigError("sim.Q_alpha and sim.Q_beta must be > 0 (strict convexity)")
-        if self.total_control_steps < 1:
-            raise ConfigError("sim.total_control_steps must be >= 1")
 
     def nominal_gap(self, v: float) -> float:
         """Front-bumper-to-front-bumper equilibrium spacing at speed v."""

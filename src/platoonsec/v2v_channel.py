@@ -5,7 +5,8 @@ included) broadcasts its predicted position and velocity forward to its
 immediate follower, then every follower except the first sends its spacing
 terms backward to its predecessor.  The leader never receives backward
 traffic, and the leader-to-first-follower link is trusted: it is never
-biased, though a drop rule can still jam it.
+biased, though a drop rule can still jam it.  ``senders(direction, n)`` is
+the one statement of who sends in each direction.
 
 A ``V2VChannel`` belongs to one control step and holds what is in force
 there: that step's bias matrices and the drop rules that cover it.
@@ -32,10 +33,24 @@ class ChannelId(str, Enum):
     ZX_ITE = "zx_ite"
     ZV_ITE = "zv_ite"
 
+    @property
+    def direction(self) -> "Direction":
+        """The direction of the messages that carry this channel."""
+        backward = self in (ChannelId.ZX_ITE, ChannelId.ZV_ITE)
+        return Direction.BACKWARD if backward else Direction.FORWARD
+
 
 class Direction(str, Enum):
     FORWARD = "forward"    # predecessor -> follower, carries x_ite / v_ite
     BACKWARD = "backward"  # follower -> predecessor, carries zx_ite / zv_ite
+
+
+def senders(direction: Direction, n: int) -> range:
+    """The vehicles (0 = the leader, followers 1..n) that send in
+    ``direction`` each round, each to its neighbour: 0..n-1 forward, 2..n
+    backward.  The last follower has no one behind it, and the leader takes
+    no backward traffic."""
+    return range(n) if direction is Direction.FORWARD else range(2, n + 1)
 
 
 @dataclass(frozen=True)
@@ -88,20 +103,18 @@ class V2VChannel:
         outgoing channels; the leader's pair passes untouched), or None where
         a drop rule matches.
         """
-        n = len(a) - 1
+        sent = senders(direction, len(a) - 1)
         if direction is Direction.FORWARD:
-            senders = range(n)
             bias_a, bias_b = self.bias.x_ite_bias, self.bias.v_ite_bias
         else:
-            senders = range(2, n + 1)
             bias_a, bias_b = self.bias.zx_ite_bias, self.bias.zv_ite_bias
         row_a = bias_a[t].tolist()
         row_b = bias_b[t].tolist()
         delivered: list[Optional[tuple[float, float]]] = [
             (a[s], b[s]) if s == 0 else (a[s] + row_a[s - 1], b[s] + row_b[s - 1])
-            for s in senders
+            for s in sent
         ]
         for rule in self.drops:
-            if rule.sender in senders and rule.matches(direction, t):
-                delivered[senders.index(rule.sender)] = None
+            if rule.sender in sent and rule.matches(direction, t):
+                delivered[sent.index(rule.sender)] = None
         return delivered

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from platoonsec.attack_engine import (
     ATTACK_LIST_KEYS,
-    AttackCaseError,
     BiasMatrices,
     bias_waveform,
     iter_attack_value_cal,
     parse_attack_case,
     stealth_mask,
 )
+from platoonsec.platoon_model import ConfigError
 from platoonsec.v2v_channel import ChannelId
 
 
@@ -69,25 +69,25 @@ class TestParseAttackCase:
     def test_shape_mismatch_names_the_path(self):
         doc = running_example_doc()
         doc["iter_malichannel_list"][0] = [["x_ite", "v_ite"]]  # 1 period entry, 2 expected
-        with pytest.raises(AttackCaseError, match=r"iter_malichannel_list\[0\]"):
+        with pytest.raises(ConfigError, match=r"iter_malichannel_list\[0\]"):
             parse_attack_case(doc, 6, 300)
 
     def test_victim_out_of_range(self):
         doc = running_example_doc()
         doc["iter_victim_list"] = [1, 3, 7]
-        with pytest.raises(AttackCaseError, match="victim 7"):
+        with pytest.raises(ConfigError, match="victim 7"):
             parse_attack_case(doc, 6, 300)
 
     def test_parameter_arity_enforced(self):
         doc = running_example_doc()
         doc["iter_biasparavalue_list"][1] = [[[2]]]  # Linear needs [m, c]
-        with pytest.raises(AttackCaseError, match="Linear"):
+        with pytest.raises(ConfigError, match="Linear"):
             parse_attack_case(doc, 6, 300)
 
     def test_unknown_channel_rejected(self):
         doc = running_example_doc()
         doc["iter_malichannel_list"][1] = [["w_ite"]]
-        with pytest.raises(AttackCaseError, match="w_ite"):
+        with pytest.raises(ConfigError, match="w_ite"):
             parse_attack_case(doc, 6, 300)
 
     def test_discrete_is_cluster_alias(self):
@@ -108,13 +108,13 @@ class TestParseAttackCase:
         # float is refused, with its path.
         doc = one_slot_doc(freq, freq_params, "Constant", [1.0], period)
         doc["iter_victim_list"] = [victim]
-        with pytest.raises(AttackCaseError, match=rf"^{path}: expected an integer, got "):
+        with pytest.raises(ConfigError, match=rf"^{path} must be an int, got "):
             parse_attack_case(doc, 6, 300)
 
     def test_interval_sanity(self):
         doc = running_example_doc()
         doc["control_attackperiod_list"][1] = [[30, 20]]
-        with pytest.raises(AttackCaseError, match="invalid interval"):
+        with pytest.raises(ConfigError, match="invalid interval"):
             parse_attack_case(doc, 6, 300)
 
     def test_overflow_check_matches_the_waveform(self):
@@ -138,7 +138,7 @@ class TestParseAttackCase:
                 doc = one_slot_doc("Continuous", [0], kind, values)
                 try:
                     parse_attack_case(doc, 6, max_iterations)
-                except AttackCaseError as exc:
+                except ConfigError as exc:
                     assert "overflows" in str(exc)
                     assert not finite, (kind, values, max_iterations)
                     rejected += 1
@@ -184,7 +184,7 @@ class TestParseAttackCase:
             merged["iter_victim_list"] = [2]
             try:
                 assert parse_attack_case(merged, 6, 10) == alone
-            except AttackCaseError as exc:
+            except ConfigError as exc:
                 assert "overflow when summed" in str(exc)
                 assert not finite, slots
                 rejected += 1
@@ -471,7 +471,7 @@ class TestBiasMatrices:
             bias.x_ite_bias[0, 0] = 1.0
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(AttackCaseError):
+        with pytest.raises(ValueError, match="zv_ite_bias must have shape"):
             BiasMatrices(
                 np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((4, 3))
             )

@@ -226,6 +226,29 @@ class TestRunScenario:
             v.classification.value == "None" for v in result.impact.per_vehicle
         )
 
+    @pytest.mark.parametrize("flag, written", [
+        ("trace", ["anomalies", "impact", "impact_csv"]),
+        ("anomalies", ["impact", "impact_csv", "trace"]),
+        ("impact", ["anomalies", "trace"]),
+    ])
+    def test_an_output_flag_leaves_out_its_artifacts(self, tmp_path, capsys, flag, written):
+        # single_target's 60 steps hold the attack and its anomalies.
+        doc = yaml.safe_load((SCENARIO_DIR / "single_target.yaml").read_text())
+        doc["sim"]["total_control_steps"] = 60
+        full = run_scenario(scenario_from_dict(doc), tmp_path / "full")
+        assert (tmp_path / "full" / "anomalies.csv").read_text().count("\n") > 1
+        doc["output"] = {flag: False}
+        paths = run_scenario(scenario_from_dict(doc), tmp_path / "part")
+        assert sorted(paths) == written
+        assert sorted(path.name for path in (tmp_path / "part").iterdir()) == sorted(
+            full[name].name for name in written)
+        for name in written:
+            assert paths[name].read_bytes() == full[name].read_bytes(), name
+        (tmp_path / "doc.yaml").write_text(yaml.safe_dump(doc))
+        assert main(["run", "--scenario", str(tmp_path / "doc.yaml"), "--out", str(tmp_path / "cli")]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{name}: {tmp_path / 'cli' / full[name].name}\n" for name in written)
+
 
 class TestGenerateBias:
     def _case_file(self, tmp_path):
@@ -309,11 +332,9 @@ class TestReplayDetect:
         assert replay_detection(path, DetectionConfig(seed=0)) == []
 
     def test_missing_columns_rejected(self, tmp_path):
-        from platoonsec.cli_runner import TraceFormatError
-
         path = tmp_path / "trace.csv"
         path.write_text("control_step,vehicle_id\n")
-        with pytest.raises(TraceFormatError, match="missing columns"):
+        with pytest.raises(ConfigError, match="missing columns"):
             replay_detection(path, DetectionConfig(seed=0))
 
     def test_threshold_monotonicity(self, tmp_path):
@@ -652,16 +673,18 @@ class TestCli:
     @pytest.mark.parametrize(
         "sim, message",
         [
-            ({"n": "3"}, "sim.n must be an int, got '3'"),
-            ({"n": True}, "sim.n must be an int, got True"),
-            ({"max_iterations": 300.0}, "sim.max_iterations must be an int, got 300.0"),
-            ({"tau": float("nan")}, "sim.tau must be a finite number, got nan"),
+            ({"n": "3"}, "sim.n must be an int >= 1, got '3'"),
+            ({"n": True}, "sim.n must be an int >= 1, got True"),
+            ({"max_iterations": 300.0}, "sim.max_iterations must be an int >= 1, got 300.0"),
+            ({"tau": float("nan")}, "sim.tau must be a finite number > 0, got nan"),
             ({"dual_margin": float("nan")}, "sim.dual_margin must be a finite number, got nan"),
             ({"v_max": float("inf")}, "sim.v_max must be a finite number, got inf"),
-            ({"L_veh": "5.0"}, "sim.L_veh must be a finite number, got '5.0'"),
-            ({"dual_step": False}, "sim.dual_step must be a finite number, got False"),
-            ({"tau": 0}, "sim.tau must be > 0, got 0.0"),
-            ({"n": 0}, "sim.n must be >= 1, got 0"),
+            ({"L_veh": "5.0"}, "sim.L_veh must be a finite number > 0, got '5.0'"),
+            ({"dual_step": False}, "sim.dual_step must be a finite number > 0, got False"),
+            ({"dual_step": 0}, "sim.dual_step must be a finite number > 0, got 0"),
+            ({"dual_step": -1.0}, "sim.dual_step must be a finite number > 0, got -1.0"),
+            ({"tau": 0}, "sim.tau must be a finite number > 0, got 0"),
+            ({"n": 0}, "sim.n must be an int >= 1, got 0"),
             ({"bogus": 1}, "sim.bogus is not a SimConfig field"),
             ({1: 2}, "sim.1 is not a SimConfig field"),
             (0, "sim must be a mapping, got 0"),
@@ -671,7 +694,7 @@ class TestCli:
         ],
         ids=[
             "string-n", "bool-n", "float-iterations", "nan-tau", "nan-margin", "infinite-v-max",
-            "string-length", "bool-step", "zero-tau", "zero-n", "unknown-key", "int-key",
+            "string-length", "bool-step", "zero-step", "negative-step", "zero-tau", "zero-n", "unknown-key", "int-key",
             "zero-section", "list-section", "too-many-steps",
         ],
     )
@@ -826,9 +849,9 @@ class TestCli:
             (True, "attack must be a mapping, got True"),
             ({1: [], "x": []}, "unknown attack case keys: [1, 'x']"),
             (_one_channel_attack("a"),
-             "iter_biasparavalue_list[0][0][0][0]: expected a number, got 'a'"),
+             "iter_biasparavalue_list[0][0][0][0] must be a finite number, got 'a'"),
             (_one_channel_attack(10**400),
-             "iter_biasparavalue_list[0][0][0][0]: an int too large for a float"),
+             f"iter_biasparavalue_list[0][0][0][0] must be a finite number, got {10**400}"),
             (_one_channel_attack(1.0, bias_kind="Square"),
              "iter_biasparavalue_list[0][0][0]: unknown bias kind 'Square'"),
             (_one_channel_attack(1.0, freq_kind="Burst"),
@@ -838,7 +861,7 @@ class TestCli:
             (_one_channel_attack(1.0, freq_kind="Cluster", freq_params=(2, -1)),
              "iter_freqparavalue_list[0][0][0]: Cluster off-window must be >= 0, got -1"),
             (_one_channel_attack(float("nan")),
-             "iter_biasparavalue_list[0][0][0]: non-finite bias parameters [nan]"),
+             "iter_biasparavalue_list[0][0][0][0] must be a finite number, got nan"),
             (_one_channel_attack(1, 1e308, 0, 0, bias_kind="Sinusoidal"),
              "iter_biasparavalue_list[0][0][0]: Sinusoidal bias [1.0, 1e+308, 0.0, 0.0] "
              "overflows within 300 iterations"),
@@ -860,6 +883,38 @@ class TestCli:
         bad.write_text(yaml.safe_dump(scenario_doc(attack=attack)))
         assert main(self._argv("run", bad, tmp_path)) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("channel, victim, other, sent", [
+        ("x_ite", 6, "zx_ite", "0..5 send forward"),
+        ("v_ite", 6, "zv_ite", "0..5 send forward"),
+        ("zx_ite", 1, "x_ite", "2..6 send backward"),
+        ("zv_ite", 1, "v_ite", "2..6 send backward"),
+    ], ids=["x_ite", "v_ite", "zx_ite", "zv_ite"])
+    def test_attack_slot_that_reaches_no_receiver_exit_code(self, tmp_path, capsys, channel,
+                                                            victim, other, sent):
+        # The last follower sends nothing forward and fv1's backward messages
+        # go to the leader, which takes none: such a slot could never change a
+        # run.  The path names the second victim's second period's second
+        # channel; its first channel and the first victim's reach a receiver.
+        attack = {
+            "iter_victim_list": [3, victim],
+            "control_attackperiod_list": [[[0, 4]], [[0, 4], [5, 9]]],
+            "iter_malichannel_list": [[["x_ite"]], [[other], [other, channel]]],
+            "iter_freq_type_list": [[["Continuous"]], [["Continuous"], ["Continuous"] * 2]],
+            "iter_freqparavalue_list": [[[[0]]], [[[0]], [[0], [0]]]],
+            "iter_biastype_list": [[["Constant"]], [["Constant"], ["Constant"] * 2]],
+            "iter_biasparavalue_list": [[[[1.0]]], [[[1.0]], [[1.0], [1.0]]]],
+        }
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(scenario_doc(attack=attack)))
+        assert main(self._argv("run", bad, tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"config error: iter_malichannel_list[1][1][1]: {channel} of victim {victim} "
+            f"reaches no receiver: with n=6, only vehicles {sent}\n"
+        )
+        assert not (tmp_path / "out").exists()
+        attack["iter_malichannel_list"][1][1][1] = other
+        scenario_from_dict(scenario_doc(attack=attack))
 
     def test_cancelling_attack_slots_exit_code(self, tmp_path, capsys):
         # Summed in slot order, 1e308 and -1e308 cancel: the run goes ahead.

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from platoonsec.cli_runner import scenario_from_dict
 from platoonsec.platoon_model import ConfigError, SimConfig, VehicleState, initial_platoon
 
 
@@ -27,8 +28,10 @@ class TestSimConfig:
         ],
     )
     def test_invariant_violations_rejected(self, overrides):
-        with pytest.raises(ConfigError):
-            SimConfig(**{**{}, **overrides})
+        # SimConfig is a plain value: its invariants are the loader's rules,
+        # and each rejection names its sim key.
+        with pytest.raises(ConfigError, match=rf"\bsim\.{next(iter(overrides))}\b"):
+            scenario_from_dict({"sim": overrides})
 
     def test_nominal_headway_within_safe_band(self):
         # Equilibrium spacing at 30 m/s must put the time-headway inside the

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal
-from platoonsec.v2v_channel import ChannelId, Direction, DropRule, V2VChannel
+from platoonsec.v2v_channel import ChannelId, Direction, DropRule, V2VChannel, senders
 
 from conftest import single_channel_case
 
@@ -174,3 +174,16 @@ class TestHelpers:
         assert {c.value for c in ChannelId} == {"x_ite", "v_ite", "zx_ite", "zv_ite"}
         with pytest.raises(ValueError):
             ChannelId("nonsense")
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_corrupt_delivers_one_message_per_sender(self, n):
+        # senders() is the topology corrupt() and the loader's checks share:
+        # entry i of a direction's delivery comes from its i-th sender.
+        x, v, zx, zv = _payloads(n)
+        forward, backward = _round(_clean(n), n, 0)
+        assert forward == [(x[s], v[s]) for s in senders(FORWARD, n)]
+        assert backward == [(zx[s], zv[s]) for s in senders(BACKWARD, n)]
+        assert (senders(FORWARD, n), senders(BACKWARD, n)) == (range(0, n), range(2, n + 1))
+
+    def test_channel_directions(self):
+        assert [c.direction for c in ChannelId] == [FORWARD, FORWARD, BACKWARD, BACKWARD]
