@@ -458,9 +458,9 @@ def _read_section(doc: Any, where: str, table: Mapping, noun: Optional[str]) -> 
     return values
 
 
-class _DocumentLoader(yaml.SafeLoader):
-    """PyYAML's safe loader, except that a key repeated in one mapping is a
-    ConfigError; PyYAML alone keeps the last value and drops the others."""
+class _DocumentLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader, libyaml's where built, except that a key repeated
+    in one mapping is a ConfigError; PyYAML alone keeps the last value."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -489,8 +489,13 @@ def _open_text(path: Path) -> Iterator[TextIO]:
 
 def _load_doc(path: Path, what: str) -> Mapping:
     """A YAML document that must be a mapping; an empty file reads as ``{}``."""
-    with _open_text(path) as fh:
-        doc = yaml.load(fh, _DocumentLoader)
+    try:
+        with _open_text(path) as fh:
+            doc = yaml.load(fh, _DocumentLoader)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a scalar no constructor makes: an int past the digit limit
+        raise ConfigError(f"{path}: {exc}") from None
     if doc is None:
         return {}
     if not isinstance(doc, Mapping):
@@ -662,32 +667,36 @@ def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]
     """
     by_step: dict[int, dict[int, tuple[float, float, bool]]] = {}
     with _open_text(trace_path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             return [], [], []
-        missing = [c for c in TRACE_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in TRACE_COLUMNS if c not in header]
         if missing:
             raise ConfigError(f"{trace_path} is missing columns: {missing}")
-        for record in reader:
+        col = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        for row in reader:
+            if not row:  # a blank line, which csv.DictReader skips too
+                continue
             where = f"{trace_path} line {reader.line_num}"
-            if None in record or None in record.values():
-                fields_wanted = len(reader.fieldnames)
-                raise ConfigError(f"{where} does not have the header's {fields_wanted} fields")
+            if len(row) != len(header):
+                raise ConfigError(f"{where} does not have the header's {len(header)} fields")
             try:
-                k, vehicle = int(record["control_step"]), int(record["vehicle_id"])
-                x, v, gap = float(record["x"]), float(record["v"]), float(record["gap_front"])
+                k, vehicle = int(row[col["control_step"]]), int(row[col["vehicle_id"]])
+                x, v, gap = float(row[col["x"]]), float(row[col["v"]]), float(row[col["gap_front"]])
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
             if k < 0 or vehicle < 1:
                 raise ConfigError(f"{where}: need control_step >= 0 and vehicle_id >= 1")
             if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(gap)):
                 raise ConfigError(f"{where}: x, v and gap_front must be finite")
-            if record["comparator_flag"] not in ("0", "1"):
+            flag = row[col["comparator_flag"]]
+            if flag not in ("0", "1"):
                 raise ConfigError(f"{where}: comparator_flag must be 0 or 1")
             step = by_step.setdefault(k, {})
             if vehicle in step:
                 raise ConfigError(f"{where} repeats vehicle {vehicle} of control step {k}")
-            step[vehicle] = x, v, record["comparator_flag"] == "1"
+            step[vehicle] = x, v, flag == "1"
     n = max((max(step) for step in by_step.values()), default=0)
     for k in range(len(by_step)):
         if k not in by_step:

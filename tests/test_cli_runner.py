@@ -63,6 +63,37 @@ REPEATED_KEYS = {
 }
 
 
+# Every YAML document in the repository.
+YAML_DOCUMENTS = sorted(SCENARIO_DIR.glob("*.yaml")) + [GOLDEN_DIR / "drop_rules.yaml"] + sorted(
+    GOLDEN_DIR.glob("case_*/case.yaml")
+)
+
+
+def _document_loader(base):
+    """The document loader's repeated-key rule on PyYAML's loader ``base``
+    (``SafeLoader`` or ``CSafeLoader``); a test skips where it is missing."""
+    if not hasattr(yaml, base):
+        pytest.skip(f"this PyYAML has no {base}")
+    return type("Loader", (getattr(yaml, base),), {
+        "construct_mapping": cli_runner._DocumentLoader.construct_mapping,
+    })
+
+
+@pytest.fixture(params=["SafeLoader", "CSafeLoader"])
+def loader(request):
+    return _document_loader(request.param)
+
+
+def _typed(value):
+    """``value`` with the type of every node beside it, so that 3 and 3.0, or
+    1 and True, compare unequal."""
+    if isinstance(value, dict):
+        return dict, [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return list, [_typed(v) for v in value]
+    return type(value), value
+
+
 def _two_constant_slots(first, second):
     """Two Constant slots on follower 2's x_ite over control steps [0, 4]."""
     return {
@@ -401,10 +432,15 @@ class TestReplayBadTrace:
             (_edit_row(9, "v", "nan"), "line 10: x, v and gap_front must be finite"),
             (_edit_row(9, "vehicle_id", "0"), "line 10: need control_step >= 0 and vehicle_id >= 1"),
             (_edit_row(9, "comparator_flag", "2"), "line 10: comparator_flag must be 0 or 1"),
+            (lambda lines: lines[:-1] + [lines[-1].rstrip("\n") + ",\n"],
+             "line 241 does not have the header's 12 fields"),
+            (lambda lines: lines[:5] + ["\n"] + _edit_row(5, "x", "abc")(lines)[5:],
+             "line 7: could not convert string to float"),
         ],
         ids=[
             "cut-mid-row", "missing-vehicle", "duplicated-rows", "missing-step", "extra-field",
-            "text-x", "float-step", "nan-v", "vehicle-0", "flag-2",
+            "text-x", "float-step", "nan-v", "vehicle-0", "flag-2", "extra-empty-field",
+            "bad-row-after-a-blank-line",
         ],
     )
     def test_exit_code_names_line_or_step(self, tmp_path, capsys, live_trace_lines, corrupt, message):
@@ -428,6 +464,21 @@ class TestReplayBadTrace:
         assert replay_detection(shuffled, scenario.detection) == replay_detection(
             live, scenario.detection
         )
+
+    def test_columns_in_any_order_read_like_the_live_order(self, tmp_path, live_trace_lines):
+        live, reversed_columns = tmp_path / "live.csv", tmp_path / "reversed.csv"
+        live.write_text("".join(live_trace_lines))
+        reversed_columns.write_text(
+            "".join(",".join(line.rstrip("\n").split(",")[::-1]) + "\n" for line in live_trace_lines)
+        )
+        assert cli_runner._read_trace(reversed_columns) == cli_runner._read_trace(live)
+
+    def test_blank_lines_are_skipped(self, tmp_path, live_trace_lines):
+        live, blank = tmp_path / "live.csv", tmp_path / "blank.csv"
+        live.write_text("".join(live_trace_lines))
+        lines = live_trace_lines
+        blank.write_text("".join(lines[:1] + ["\n"] + lines[1:100] + ["\r\n", "\n"] + lines[100:] + ["\n"]))
+        assert cli_runner._read_trace(blank) == cli_runner._read_trace(live)
 
 
 class TestCli:
@@ -608,12 +659,7 @@ class TestCli:
         assert main(self._argv(command, bad, tmp_path)) == 1
         assert capsys.readouterr().err == f"config error: {bad} line {line}: key {key!r} is repeated\n"
 
-    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
     def test_repeated_keys_under_either_yaml_loader(self, loader):
-        if not hasattr(yaml, loader):
-            pytest.skip(f"this PyYAML has no {loader}")
-        check = {"construct_mapping": cli_runner._DocumentLoader.construct_mapping}
-        loader = type("Loader", (getattr(yaml, loader),), check)
         for text, line, key in REPEATED_KEYS.values():
             with pytest.raises(ConfigError, match=f"line {line}: key '{key}' is repeated"):
                 yaml.load(text, loader)
@@ -621,6 +667,42 @@ class TestCli:
             yaml.load("{[1]: 2}", loader)
         merged = yaml.load("base: &base {n: 6, tau: 0.2}\nsim: {<<: *base, n: 3}\n", loader)
         assert merged["sim"] == {"n": 3, "tau": 0.2}
+
+    @pytest.mark.parametrize("path", YAML_DOCUMENTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_either_yaml_loader_reads_the_same_values(self, path):
+        values = []
+        for base in ("SafeLoader", "CSafeLoader"):
+            with open(path, encoding="utf-8") as fh:
+                values.append(_typed(yaml.load(fh, _document_loader(base))))
+        assert values[0] == values[1]
+
+    def test_either_yaml_loader_names_the_file_and_line(self, tmp_path, loader):
+        unclosed, repeated = tmp_path / "unclosed.yaml", tmp_path / "repeated.yaml"
+        unclosed.write_text("seed: 1\nsim: {n: 6}\nleader: {profile: [[0, 1.0], [5, 2.0]\noutput: {}\n")
+        repeated.write_text(REPEATED_KEYS["sim"][0])
+        with open(unclosed, encoding="utf-8") as fh, pytest.raises(yaml.YAMLError) as caught:
+            yaml.load(fh, loader)
+        assert f'in "{unclosed}", line 4' in str(caught.value)  # the wording is the parser's
+        with open(repeated, encoding="utf-8") as fh, pytest.raises(ConfigError) as caught:
+            yaml.load(fh, loader)
+        assert str(caught.value) == f"{repeated} line 4: key 'n' is repeated"
+
+    @pytest.mark.parametrize("command", ["run", "replay-detect", "generate-bias"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"sim: {{n: {'9' * 5000}}}\n", "Exceeds the limit (4300 digits)"),
+            ("seed: 2020-02-30\n", "day is out of range for month"),
+        ],
+        ids=["int-past-digit-limit", "no-such-date"],
+    )
+    def test_scalar_no_constructor_can_make_exit_code(self, tmp_path, capsys, command, text,
+                                                       message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        assert main(self._argv(command, bad, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: {message}") and err.count("\n") == 1
 
     def test_path_and_encoding_errors_exit_code(self, tmp_path, capsys):
         doc = tmp_path / "scenario.yaml"
