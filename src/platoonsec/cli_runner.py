@@ -4,12 +4,13 @@ A run is two passes.  The control pass walks the control steps: build the
 step's channel where an attack slot or a drop rule covers it, run the
 controller's iteration loop through it, advance the plant, check constraints.
 Detection only watches the channel and never feeds back into control, so the
-detection pass then runs over the recorded channel columns; a replay is that
-same pass over columns read back from a trace.  Followers do not couple in
-detection, so the pass runs one follower at a time and deals the followers
-out to forked worker processes, one per usable CPU.  Outputs are a trace CSV,
-an anomaly CSV and an impact report; everything is deterministic given the
-scenario seed, whatever the number of workers.
+detection pass is fed each step's channel observations as the step ends; a
+replay runs the same detection over the columns read back from a trace.
+Followers do not couple in detection, so the pass deals the followers out to
+forked worker processes, one per usable CPU, which in a live run work
+alongside the control pass.  Outputs are a trace CSV, an anomaly CSV and an
+impact report; everything is deterministic given the scenario seed, whatever
+the number of workers.
 
 Exit codes: 0 ok, 1 config error, 2 numerical failure.
 """
@@ -47,6 +48,7 @@ from .detection import (
     VehicleDetection,
     comparator_flags,
     detect_vehicle,
+    follow_vehicle,
 )
 from . import detection as detection_module
 from .dynamics import step_platoon
@@ -157,33 +159,35 @@ def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
 def simulate(scenario: Scenario) -> RunResult:
     """Run the whole scenario in memory.  The control pass runs each control
     step as bias generation where a slot or drop rule covers it, message
-    exchange with injection inside the controller loop, headway, plant step
-    and constraint check; the detection pass then reads what the channel
-    delivered, and the rows, events and impact report are built from both."""
+    exchange with injection inside the controller loop, headway, plant step,
+    constraint check and stage-one flags; the detection pass reads what the
+    channel delivered, step by step as the control pass yields it, and the
+    rows, events and impact report are built from both."""
     sim = scenario.sim
     n = sim.n
-    platoon = initial_platoon(sim, scenario.leader.speed)
     step_outcomes: list[ControlOutcome] = []
     headways: list[list[float]] = []
     violations: list[tuple[int, ConstraintViolation]] = []
-    for k, leader_u in enumerate(scenario.leader.accelerations(sim.total_control_steps)):
-        drops = tuple(rule for rule in scenario.drops if rule.covers(k))
-        channel = None
-        if drops or any(slot.covers(k) for slot in scenario.attack):
-            bias = iter_attack_value_cal(n, k, sim.max_iterations, scenario.attack)
-            channel = V2VChannel(bias, drops)
-        outcome = run_control_step(platoon, channel, sim, leader_u)
-        step_outcomes.append(outcome)
-        headways.append([time_headway(platoon.gap(i + 1), follower.v, sim.L_veh)
-                         for i, follower in enumerate(platoon.followers)])
-        platoon = step_platoon(platoon, leader_u, outcome.u_next, sim.tau)
-        violations.extend((k, violation) for violation in check_constraints(platoon, sim))
+    comparator: list[list[bool]] = []
 
-    comparator = [comparator_flags(o.gap_front, o.gap_rear, scenario.detection, k)
-                  for k, o in enumerate(step_outcomes)]
-    detections, events = detect_run(
-        list(zip(*(o.front_x for o in step_outcomes))), list(zip(*(o.front_v for o in step_outcomes))),
-        list(zip(*comparator)), scenario.detection)
+    def control_pass() -> Iterator[tuple[Sequence[float], Sequence[float], list[bool]]]:
+        platoon = initial_platoon(sim, scenario.leader.speed)
+        for k, leader_u in enumerate(scenario.leader.accelerations(sim.total_control_steps)):
+            drops = tuple(rule for rule in scenario.drops if rule.covers(k))
+            channel = None
+            if drops or any(slot.covers(k) for slot in scenario.attack):
+                bias = iter_attack_value_cal(n, k, sim.max_iterations, scenario.attack)
+                channel = V2VChannel(bias, drops)
+            outcome = run_control_step(platoon, channel, sim, leader_u)
+            step_outcomes.append(outcome)
+            headways.append([time_headway(platoon.gap(i + 1), follower.v, sim.L_veh)
+                             for i, follower in enumerate(platoon.followers)])
+            platoon = step_platoon(platoon, leader_u, outcome.u_next, sim.tau)
+            violations.extend((k, violation) for violation in check_constraints(platoon, sim))
+            comparator.append(comparator_flags(outcome.gap_front, outcome.gap_rear, scenario.detection, k))
+            yield outcome.front_x, outcome.front_v, comparator[-1]
+
+    detections, events = detect_run(control_pass(), n, scenario.detection)
     hits = {(e.kind, e.control_step, e.vehicle) for e in events}
     rows = [TraceRow(
         k, i + 1, o.front_x[i], o.front_v[i], o.u_next[i], o.gap_front[i], headway[i], flags[i],
@@ -220,29 +224,58 @@ def _workers() -> int:
     return _usable_cpus() if own and hasattr(os, "fork") else 1
 
 
+# One control step's channel observations and stage-one flags: entry i of
+# each is follower i+1's.
+_Step = tuple[Sequence[float], Sequence[float], Sequence[bool]]
+
+_Outcome = tuple[list[VehicleDetection], Optional[Exception]]
+
+
 def detect_run(
+    steps: Iterable[_Step], n: int, cfg: DetectionConfig,
+) -> tuple[list[VehicleDetection], list[AnomalyEvent]]:
+    """The detection pass of a live run of ``n`` followers, with the result
+    and errors of ``detect_columns``: ``steps`` yields each control step as
+    soon as the control pass has run it.
+
+    With ``_workers()`` above 1, every share of followers runs in a forked
+    child started before the first step and sent its followers' part of each
+    step as the step comes (``_stream``), so detection runs alongside the
+    control pass.  Otherwise nothing is forked: the steps are gathered into
+    columns for ``detect_columns`` after the last step.  Either way an error
+    that ``steps`` raises comes first, since detection results are read only
+    after the last step, and no child outlives the call.
+    """
+    workers = _workers()
+    if cfg.enabled and workers > 1:
+        shares = _shares(n, workers)
+        return _gather(n, shares, _stream(steps, shares, cfg))
+    xs, vs, comparator = (list(zip(*kind)) for kind in zip(*steps))  # follower-major
+    return detect_columns(xs, vs, comparator, cfg)
+
+
+def detect_columns(
     xs: Sequence[Sequence[float]], vs: Sequence[Sequence[float]],
     comparator: Sequence[Sequence[bool]], cfg: DetectionConfig,
 ) -> tuple[list[VehicleDetection], list[AnomalyEvent]]:
-    """The detection pass over a whole run, live or replayed: each follower's
-    detection, and all events ordered by control step, then vehicle.  Entry i
-    of ``xs``, ``vs`` and ``comparator`` is follower i+1's column.
+    """The detection pass over a whole run whose columns all exist already,
+    a replay's or a one-worker live run's: each follower's detection, and all
+    events ordered by control step, then vehicle.  Entry i of ``xs``, ``vs``
+    and ``comparator`` is follower i+1's column.
 
-    The followers are dealt round-robin into ``_workers()`` shares.  Share 0
-    runs here and each other share in a forked child, which pickles its
-    detections back through a pipe.  A follower's detection depends on its
-    columns alone, and the error raised is the lowest-numbered failing
-    follower's, so nothing depends on the number of shares.  No child
-    outlives the call.
+    Share 0 runs here and each other share in a forked child, which inherits
+    the columns and pickles its detections back through a pipe.  A
+    follower's detection depends on its columns alone, and the error raised
+    is the lowest-numbered failing follower's, so nothing depends on the
+    number of shares.  No child outlives the call.
     """
     n = len(xs)
     if not cfg.enabled:
         steps = len(xs[0]) if n else 0
         return [VehicleDetection([None] * steps, [None] * steps, [])] * n, []
-    workers = _workers()
-    shares = [range(first, n, workers) for first in range(min(workers, n))]
+    shares = _shares(n, _workers())
 
-    def detect_share(share: range) -> tuple[list[VehicleDetection], Optional[Exception]]:
+    def detect_share(share: range) -> _Outcome:
         """The share's detections up to its first error, and that error."""
         found = []
         try:
@@ -252,23 +285,28 @@ def detect_run(
             return found, error
         return found, None
 
-    children, payloads = [], []
+    children = []
     try:
         for share in shares[1:]:
             children.append(_fork(detect_share, share))
         outcomes = [detect_share(share) for share in shares[:1]]
-        for _, pipe in children:
-            with open(pipe, "rb", closefd=False) as reader:
-                payloads.append(reader.read())
+        return _gather(n, shares, outcomes + _collect(children))
     finally:
-        for pid, pipe in children:  # killing one whose payload was read is harmless
-            os.close(pipe)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for payload in payloads:
-        if not payload:
-            raise RuntimeError("a detection worker ended without sending its share")
-        outcomes.append(pickle.loads(payload))
+        _reap(children)
+
+
+def _shares(n: int, workers: int) -> list[range]:
+    """The followers' indices dealt round-robin into ``workers`` shares,
+    never more than ``n``."""
+    return [range(first, n, workers) for first in range(min(workers, n))]
+
+
+def _gather(n: int, shares: Sequence[range], outcomes: Sequence[_Outcome],
+            ) -> tuple[list[VehicleDetection], list[AnomalyEvent]]:
+    """Each follower's detection, and all events ordered by control step,
+    then vehicle, from each share's detections up to its first failing
+    follower and that follower's error; the lowest-numbered failing
+    follower's error is raised."""
     failures = [(share[len(found)], error)
                 for share, (found, error) in zip(shares, outcomes) if error is not None]
     if failures:
@@ -281,9 +319,98 @@ def detect_run(
     return detections, events
 
 
-def _fork(work, share: range) -> tuple[int, int]:
-    """Start a child that runs ``work(share)`` and writes the pickled result
-    to a pipe: (the child's pid, the pipe's read end)."""
+def _stream(steps: Iterable[_Step], shares: Sequence[range], cfg: DetectionConfig) -> list[_Outcome]:
+    """Run each share in a forked worker fed one step at a time: each share's
+    detections up to its first failing follower, and that follower's error.
+
+    A step is pickled to each worker with one unbuffered write, holding only
+    its share's entries.  A worker that stops reading (it failed or died) is
+    sent nothing more.  While the steps come, the workers may run on every
+    usable CPU but one, which is left to the caller's control pass; after
+    the last step they may run on all.  Then the pipes are closed, which ends
+    every worker's steps, and each share is read back.  The workers are
+    killed and reaped whatever happens, an interrupt included."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    spare = cpus[1:]  # what the workers may use while the steps come
+    workers, writers = [], []
+    try:
+        for share in shares:
+            steps_read, steps_write = os.pipe()
+            writers.append(open(steps_write, "wb", buffering=0))
+            inherited = [*writers, *(reader for _, reader in workers)]
+            workers.append(_fork(_follow_pipe, share, cfg, steps_read, inherited))
+            os.close(steps_read)
+            if spare:
+                os.sched_setaffinity(workers[-1][0], spare)
+        sending = [(writer, slice(share.start, None, share.step)) for writer, share in zip(writers, shares)]
+        for x, v, flags in steps:
+            sending = [(writer, part) for writer, part in sending
+                       if _send(writer, pickle.dumps((x[part], v[part], flags[part])))]
+        for (pid, _), writer in zip(workers, writers):
+            if spare:
+                os.sched_setaffinity(pid, cpus)
+            writer.close()
+        return _collect(workers)
+    finally:
+        for writer in writers:
+            writer.close()
+        _reap(workers)
+
+
+def _send(writer, payload: bytes) -> bool:
+    """Write all of ``payload`` to a worker's pipe; False once the worker has
+    closed its end."""
+    try:
+        while payload:  # a signal handler can cut a write short
+            payload = payload[writer.write(payload):]
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _follow_pipe(share: range, cfg: DetectionConfig, steps_read: int, inherited: Sequence) -> _Outcome:
+    """In a worker: the followers ``share`` indexes, each through
+    ``follow_vehicle``, over the steps pickled to the pipe ``steps_read``
+    until it ends; a step is its x, v and comparator-flag entries of the
+    share.  A follower that fails drops out with every later one of the
+    share, so the detections kept are those before the lowest-numbered
+    failing follower.
+
+    The worker first closes ``inherited``, its own steps pipe's writer and
+    the earlier workers' pipe ends, so that each steps pipe ends when the
+    parent closes it."""
+    for end in inherited:
+        end.close()
+    followers, found, error = [], [], None
+    try:
+        for i in share:
+            follower = follow_vehicle(i + 1, cfg)
+            found.append(next(follower))
+            followers.append(follower)
+    except Exception as exc:
+        error = exc
+    # Buffered: a pickle larger than the pipe's atomic write size can arrive
+    # in parts, and a buffered read waits for all of it.  The pipe is closed
+    # before the outcome is sent, so a parent still writing to it gets EPIPE
+    # instead of waiting on a full pipe.
+    with open(steps_read, "rb") as reader:
+        while followers:
+            try:
+                step = pickle.load(reader)
+            except EOFError:
+                break
+            try:
+                for j, (follower, entry) in enumerate(zip(followers, zip(*step))):
+                    follower.send(entry)
+            except Exception as exc:
+                del followers[j:], found[j:]
+                error = exc
+    return found, error
+
+
+def _fork(work, *args) -> tuple[int, Any]:
+    """Start a child that runs ``work(*args)`` and writes the pickled result
+    to a pipe: (the child's pid, the pipe's reader)."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -291,12 +418,31 @@ def _fork(work, share: range) -> tuple[int, int]:
         # the parent's cleanup (atexit handlers, buffered output).
         try:
             os.close(read_end)
+            result = work(*args)
             with open(write_end, "wb") as writer:
-                writer.write(pickle.dumps(work(share)))
+                writer.write(pickle.dumps(result))
         finally:
             os._exit(0)
     os.close(write_end)
-    return pid, read_end
+    return pid, open(read_end, "rb")
+
+
+def _collect(children: Sequence[tuple[int, Any]]) -> list[_Outcome]:
+    """Each child's unpickled result, read in turn."""
+    payloads = [reader.read() for _, reader in children]
+    if not all(payloads):
+        raise RuntimeError("a detection worker ended without sending its share")
+    return [pickle.loads(payload) for payload in payloads]
+
+
+def _reap(children: Sequence[tuple[int, Any]]) -> None:
+    """Close each child's pipe, kill it and wait for it.  Killing one whose
+    result was read is harmless."""
+    for pid, reader in children:
+        reader.close()
+        os.kill(pid, signal.SIGKILL)
+    for pid, _ in children:  # after every kill, so that the exits overlap
+        os.waitpid(pid, 0)
 
 
 def _fmt(value) -> str:
@@ -713,11 +859,11 @@ def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]
 
 
 def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[AnomalyEvent]:
-    """Re-run the ELM stage over a recorded trace: ``detect_run`` over the x,
+    """Re-run the ELM stage over a recorded trace: ``detect_columns`` over the x,
     v and comparator-flag columns read back from it, so the events are the
     live run's under the same detection config and seed (none when the config
     disables detection)."""
-    return detect_run(*_read_trace(trace_path), detection)[1]
+    return detect_columns(*_read_trace(trace_path), detection)[1]
 
 
 # ---------------------------------------------------------------------------

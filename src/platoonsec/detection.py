@@ -18,9 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Generator, NamedTuple, Optional, Sequence
 
 import numpy as np
+# Imported with the module, not on first use (numpy loads its random package
+# lazily, ~20 ms): detection workers are forked before their first forecaster
+# is built, and each would otherwise load it again.
+from numpy.random import default_rng
 
 
 class DetectionError(ValueError):
@@ -93,7 +97,7 @@ class ElmModel:
 
 
 def create_elm(hidden_count: int, random_state: int, lag: int = 2) -> ElmModel:
-    rng = np.random.default_rng(random_state)
+    rng = default_rng(random_state)
     return ElmModel(
         input_weights=rng.uniform(-1.0, 1.0, size=(hidden_count, lag)),
         hidden_biases=rng.uniform(-1.0, 1.0, size=hidden_count),
@@ -383,11 +387,11 @@ class VehicleDetection(NamedTuple):
     events: list[AnomalyEvent]
 
 
-def detect_vehicle(xs: Sequence[float], vs: Sequence[float], comparator: Sequence[bool],
-                   vehicle: int, cfg: DetectionConfig) -> VehicleDetection:
-    """Run the forecaster stage over a whole run for one follower: entry k of
-    ``xs``, ``vs`` and ``comparator`` is its channel observations and its
-    stage-one flag at control step k.
+def follow_vehicle(vehicle: int, cfg: DetectionConfig) -> Generator[VehicleDetection, tuple, None]:
+    """Follower ``vehicle``'s forecaster stage, one control step at a time.
+    The first ``next`` builds its forecasters and gives its VehicleDetection,
+    empty; each ``send((x, v, comparator))`` then folds in the next step's
+    channel observations and stage-one flag, appending to that detection.
 
     A step is flagged when its comparator flag is set or one of the two
     forecasters fires; the combined flag drives freeze-on-attack.  The
@@ -395,11 +399,14 @@ def detect_vehicle(xs: Sequence[float], vs: Sequence[float], comparator: Sequenc
     computed them or a replay read them from a trace.  During the warmup
     window the forecasters raise no events while the models train.  No
     follower's output depends on another's, so followers may run in any
-    order or in parallel.
+    order, interleaved or in parallel.
     """
     position, velocity = forecasters(vehicle, cfg)
-    pos_preds, vel_preds, events = [], [], []
-    for k, (x, v, comp) in enumerate(zip(xs, vs, comparator)):
+    detection = VehicleDetection([], [], [])
+    pos_preds, vel_preds, events = detection
+    k = 0
+    while True:
+        x, v, comp = yield detection
         pos_pred = position.predict_next()
         vel_pred = velocity.predict_next()
         fired = len(events)
@@ -417,4 +424,16 @@ def detect_vehicle(xs: Sequence[float], vs: Sequence[float], comparator: Sequenc
         velocity.observe(v, flagged)
         pos_preds.append(pos_pred)
         vel_preds.append(vel_pred)
-    return VehicleDetection(pos_preds, vel_preds, events)
+        k += 1
+
+
+def detect_vehicle(xs: Sequence[float], vs: Sequence[float], comparator: Sequence[bool],
+                   vehicle: int, cfg: DetectionConfig) -> VehicleDetection:
+    """``follow_vehicle`` over a whole run for one follower: entry k of
+    ``xs``, ``vs`` and ``comparator`` is its channel observations and its
+    stage-one flag at control step k."""
+    follower = follow_vehicle(vehicle, cfg)
+    detection = next(follower)
+    for step in zip(xs, vs, comparator):
+        follower.send(step)
+    return detection

@@ -1,5 +1,7 @@
 import csv
 import os
+import pickle
+import threading
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -35,6 +37,7 @@ from platoonsec.detection import (
     NumericalFitError,
     detect_vehicle,
 )
+from platoonsec.mpc_controller import NumericalError
 from platoonsec.platoon_model import ConfigError, SimConfig
 
 from conftest import make_scenario, single_channel_case
@@ -1244,22 +1247,167 @@ class TestParallelDetection:
         _assert_no_child_left()
 
     def test_an_interrupted_parent_kills_its_children(self, monkeypatch, cpus):
-        # Vehicle 1 runs in this process and is interrupted while the
-        # children still work; they are killed, not waited for.
-        parent = os.getpid()
+        # The control pass is interrupted at step 5 while the children still
+        # build their forecasters; they are killed, not waited for.
+        parent, real = os.getpid(), cli_runner.run_control_step
+        calls = []
+
+        def sleeps_in_the_child(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
 
         def interrupted(*args):
-            if os.getpid() == parent:
+            calls.append(args)
+            if len(calls) == 6:
                 raise KeyboardInterrupt
-            time.sleep(60)
+            return real(*args)
 
         scenario = load_scenario(GOLDEN_DIR / "drop_rules.yaml")
-        monkeypatch.setattr(detection, "forecasters", interrupted)
+        monkeypatch.setattr(detection, "forecasters", sleeps_in_the_child)
+        monkeypatch.setattr(cli_runner, "run_control_step", interrupted)
         cpus(3)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             simulate(scenario)
         assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_workers_run_alongside_the_control_pass(self, monkeypatch, cpus, workers):
+        # The children exist from the first control step on: each is fed the
+        # steps as they come.  On one CPU nothing is forked.
+        scenario = load_scenario(GOLDEN_DIR / "drop_rules.yaml")
+        cpus(1)
+        expected = simulate(scenario)
+        real, first = cli_runner.run_control_step, []
+
+        def spy(*args):
+            if not first:
+                try:
+                    first.append(os.waitpid(-1, os.WNOHANG))
+                except ChildProcessError:
+                    first.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(cli_runner, "run_control_step", spy)
+        cpus(workers)
+        result = simulate(scenario)
+        assert first == [(0, 0) if workers > 1 else None]
+        assert (result.rows, result.events, result.flags_by_step) == (
+            expected.rows, expected.events, expected.flags_by_step)
+        _assert_no_child_left()
+
+    def test_the_workers_keep_off_one_cpu_while_the_steps_come(self, monkeypatch, cpus):
+        # The control pass has one CPU to itself; once it has ended, the
+        # workers may use every usable CPU.  The calls are recorded only.
+        calls, steps, real = [], [], cli_runner.run_control_step
+
+        def spy(*args):
+            steps.append(len(calls))
+            return real(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 0, 1})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, list(cpus))))
+        monkeypatch.setattr(cli_runner, "run_control_step", spy)
+        cpus(2)
+        simulate(load_scenario(GOLDEN_DIR / "drop_rules.yaml"))
+        first, second = (pid for pid, _ in calls[:2])
+        assert calls == [(first, [1, 2]), (second, [1, 2]), (first, [0, 1, 2]), (second, [0, 1, 2])]
+        assert set(steps) == {2}
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_control_error_comes_before_a_worker_error(self, tmp_path, capsys, monkeypatch, cpus,
+                                                         workers):
+        # Vehicle 2's forecasters fail at once, in a child when there are
+        # workers, but the control pass fails at step 5 and its error is the
+        # one raised: detection results are read only after the last step.
+        real, calls = cli_runner.run_control_step, []
+
+        def fails_at_step_5(*args):
+            calls.append(args)
+            if len(calls) == 6:
+                raise NumericalError("follower 3, control step 5: non-finite gradient")
+            return real(*args)
+
+        monkeypatch.setattr(detection, "forecasters",
+                            _failing_forecasters({2: DetectionError("vehicle 2")}))
+        monkeypatch.setattr(cli_runner, "run_control_step", fails_at_step_5)
+        cpus(workers)
+        with pytest.raises(NumericalError, match="control step 5"):
+            simulate(load_scenario(GOLDEN_DIR / "drop_rules.yaml"))
+        _assert_no_child_left()
+        calls.clear()
+        argv = ["run", "--scenario", str(GOLDEN_DIR / "drop_rules.yaml"), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "numerical failure: follower 3, control step 5" in capsys.readouterr().err
+        _assert_no_child_left()
+
+    def test_a_run_without_detection_forks_nothing(self, tmp_path, monkeypatch, cpus):
+        def no_fork():
+            raise AssertionError("forked with detection disabled")
+
+        doc = yaml.safe_load((SCENARIO_DIR / "single_target.yaml").read_text())
+        scenario = scenario_from_dict({**doc, "detection": {"enabled": False}})
+        expected = simulate(scenario)
+        monkeypatch.setattr(os, "fork", no_fork)
+        cpus(4)
+        result = simulate(scenario)
+        assert (result.rows, result.events) == (expected.rows, expected.events)
+        assert result.events == [] and not any(any(flags) for flags in result.flags_by_step)
+        trace = tmp_path / "trace.csv"
+        cli_runner.write_trace_csv(result.rows, trace)
+        assert replay_detection(trace, scenario.detection) == []
+
+    def test_a_step_that_arrives_in_parts_is_read_whole(self):
+        # A pipe may deliver a write larger than its atomic size in parts, if
+        # the worker drains the pipe while the parent is still writing.  Here
+        # each step's second half comes late.
+        cfg, share = DetectionConfig(seed=3), range(1, 6, 2)
+        xs = [[0.5 * k - 8.0 * i for k in range(20)] for i in range(6)]
+        vs = [[20.0 + 0.01 * (k * i % 7) for k in range(20)] for i in range(6)]
+        comparator = [[k % 9 == 4 for k in range(20)] for i in range(6)]
+        read_end, write_end = os.pipe()
+
+        def send_in_parts():
+            with open(write_end, "wb", buffering=0) as writer:
+                for k in range(20):
+                    step = pickle.dumps(tuple([column[i][k] for i in share]
+                                              for column in (xs, vs, comparator)))
+                    writer.write(step[:len(step) // 2])
+                    time.sleep(0.005)
+                    writer.write(step[len(step) // 2:])
+
+        sender = threading.Thread(target=send_in_parts)
+        sender.start()
+        found, error = cli_runner._follow_pipe(share, cfg, read_end, [])
+        sender.join(timeout=30)
+        assert not sender.is_alive() and error is None
+        assert found == [detect_vehicle(xs[i], vs[i], comparator[i], i + 1, cfg) for i in share]
+
+    def test_a_step_larger_than_an_atomic_pipe_write_is_read_whole(self, monkeypatch, cpus):
+        # 600 followers give each of two workers a 300-follower share, whose
+        # step pickle (~5.7 KB) exceeds the pipe's 4 KiB atomic write.  The
+        # workers are held back while the parent fills their pipes, as when
+        # they lag; whether a step then arrives in parts depends on timing,
+        # which the test above takes out.
+        n, cfg = 600, DetectionConfig(seed=3)
+        steps = [([0.5 * k - 8.0 * i for i in range(n)],
+                  [20.0 + 0.01 * (k * i % 7) for i in range(n)], [k % 9 == 4] * n)
+                 for k in range(30)]
+        cpus(1)
+        expected = cli_runner.detect_run(iter(steps), n, cfg)
+        parent, real, held = os.getpid(), detection.forecasters, []
+
+        def held_back(*args):
+            if os.getpid() != parent and not held:
+                held.append(args)
+                time.sleep(0.5)
+            return real(*args)
+
+        monkeypatch.setattr(detection, "forecasters", held_back)
+        cpus(2)
+        assert cli_runner.detect_run(iter(steps), n, cfg) == expected
         _assert_no_child_left()
 
     def test_a_child_that_dies_is_an_error(self, monkeypatch, cpus):

@@ -20,6 +20,7 @@ from platoonsec.detection import (
     create_elm,
     detect_anomaly,
     detect_vehicle,
+    follow_vehicle,
     elm_fit,
     forecasters,
     elm_predict,
@@ -677,6 +678,24 @@ class TestDetectStep:
 
         first = run()
         assert first.events and first == run()
+
+    def test_followers_interleaved_step_by_step_match_whole_runs(self):
+        # A detection worker advances each of its followers by one step as
+        # the step arrives; what each holds after step k is detect_vehicle's
+        # over steps 0..k.
+        cfg = DetectionConfig(seed=1, warmup_steps=12)
+        columns = {vehicle: _benign_columns(vehicle, 40) for vehicle in (2, 5)}
+        columns[5][0][30] += 10.0
+        followers = {vehicle: follow_vehicle(vehicle, cfg) for vehicle in columns}
+        held = {vehicle: next(follower) for vehicle, follower in followers.items()}
+        for k in range(40):
+            for vehicle, follower in followers.items():
+                follower.send(tuple(column[k] for column in columns[vehicle]))
+            if k in (11, 30, 39):
+                for vehicle, (xs, vs, comparator) in columns.items():
+                    assert held[vehicle] == detect_vehicle(
+                        xs[:k + 1], vs[:k + 1], comparator[:k + 1], vehicle, cfg)
+        assert [(e.kind, e.control_step) for e in held[5].events][:1] == [(POS_ANOM, 30)]
 
     def test_two_models_per_vehicle_with_lag_two(self):
         cfg = DetectionConfig(seed=0)
