@@ -13,7 +13,6 @@ periods or repeated channels on the same victim sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -32,36 +31,6 @@ ATTACK_LIST_KEYS = (
     "iter_biastype_list",
     "iter_biasparavalue_list",
 )
-
-
-@dataclass(frozen=True)
-class BiasMatrices:
-    """Per-channel additive corruption, (max_iterations, n) each.
-
-    Row t is the bias applied at iteration t of the current control step;
-    column j corrupts the outgoing channels of follower j+1.  Arrays are
-    flagged read-only; treat instances as values.
-    """
-
-    x_ite_bias: np.ndarray
-    v_ite_bias: np.ndarray
-    zx_ite_bias: np.ndarray
-    zv_ite_bias: np.ndarray
-
-    def __post_init__(self):
-        shape = self.x_ite_bias.shape
-        for name in ("x_ite_bias", "v_ite_bias", "zx_ite_bias", "zv_ite_bias"):
-            arr = getattr(self, name)
-            if arr.ndim != 2 or arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            arr.flags.writeable = False
-
-    @classmethod
-    def zeros(cls, max_iterations: int, n: int) -> "BiasMatrices":
-        return cls(*(np.zeros((max_iterations, n)) for _ in range(4)))
-
-    def by_channel(self, channel: ChannelId) -> np.ndarray:
-        return getattr(self, f"{channel.value}_bias")
 
 
 class AttackSlot(NamedTuple):
@@ -305,15 +274,20 @@ def _slot_bias(slot: AttackSlot, max_iterations: int) -> np.ndarray:
 
 def iter_attack_value_cal(
     n: int, k: int, max_iterations: int, slots: Sequence[AttackSlot]
-) -> BiasMatrices:
-    """Generate the four per-channel bias matrices for control step k.
+) -> dict[ChannelId, np.ndarray]:
+    """Generate the four per-channel bias matrices for control step k, each
+    (max_iterations, n) and flagged read-only.
 
-    For every slot whose period contains k (closed interval), the masked
-    waveform is added into the victim's column of the slot's channel matrix,
-    in slot order; everything else stays zero.
+    Row t is the bias applied at iteration t of the step; column j corrupts
+    the outgoing channels of follower j+1.  For every slot whose period
+    contains k (closed interval), the masked waveform is added into the
+    victim's column of the slot's channel matrix, in slot order; everything
+    else stays zero.
     """
     mats = {ch: np.zeros((max_iterations, n)) for ch in ChannelId}
     for slot in slots:
         if slot.covers(k):
             mats[slot.channel][:, slot.victim - 1] += _slot_bias(slot, max_iterations)
-    return BiasMatrices(**{f"{ch.value}_bias": matrix for ch, matrix in mats.items()})
+    for matrix in mats.values():
+        matrix.flags.writeable = False
+    return mats

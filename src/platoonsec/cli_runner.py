@@ -52,7 +52,7 @@ from .detection import (
 )
 from . import detection as detection_module
 from .dynamics import step_platoon
-from .metrics import ImpactReport, build_impact_report, format_impact_report, time_headway
+from .metrics import SAFE_HEADWAY, ImpactReport, build_impact_report, format_impact_report, time_headway
 from .mpc_controller import (
     ConstraintViolation,
     ControlOutcome,
@@ -473,7 +473,7 @@ def write_anomaly_csv(events: Sequence[AnomalyEvent], path: Path) -> None:
 
 
 def write_impact_csv(result: RunResult, path: Path) -> None:
-    lo, hi = result.impact.safe_lo, result.impact.safe_hi
+    lo, hi = SAFE_HEADWAY
     header = ("control_step", "vehicle", "headway", "acceleration", "safe_lo", "safe_hi")
     rows = ((r.control_step, r.vehicle_id, r.headway, r.u, lo, hi) for r in result.rows)
     _write_csv(path, header, rows)
@@ -538,20 +538,16 @@ _LEADER_KEYS = {
     "profile": ((), (_is_profile, "a list of [start_step >= 0, acceleration] pairs")),
 }
 _OUTPUT_KEYS = {f.name: (f.default, _BOOL) for f in fields(OutputFlags)}
-# Each key is the DetectionConfig field of the same name; seed is read apart.
-_DETECTION_KEYS = {
-    "enabled": (DetectionConfig.enabled, _BOOL),
-    "comparator_threshold": (DetectionConfig.comparator_threshold, _POSITIVE),
-    "nominal_diff": (DetectionConfig.nominal_diff, _FINITE),
-    "pos_threshold": (DetectionConfig.pos_threshold, _POSITIVE),
-    "vel_threshold": (DetectionConfig.vel_threshold, _POSITIVE),
-    "hidden_count": (DetectionConfig.hidden_count, _COUNT),
-    "ridge": (DetectionConfig.ridge, _POSITIVE),
-    "lag": (DetectionConfig.lag, _COUNT),
-    "step_forward": (DetectionConfig.step_forward, _COUNT),
-    "norm_window": (DetectionConfig.norm_window, _COUNT),
-    "warmup_steps": (DetectionConfig.warmup_steps, _NATURAL),
+# Each detection key is the DetectionConfig field of the same name, in field
+# order, and is _FINITE unless _DETECTION_RULES names it; seed is read apart.
+_DETECTION_RULES = {
+    "enabled": _BOOL,
+    **dict.fromkeys(("comparator_threshold", "pos_threshold", "vel_threshold", "ridge"), _POSITIVE),
+    **dict.fromkeys(("hidden_count", "lag", "step_forward", "norm_window"), _COUNT),
+    "warmup_steps": _NATURAL,
 }
+_DETECTION_KEYS = {f.name: (f.default, _DETECTION_RULES.get(f.name, _FINITE))
+                   for f in fields(DetectionConfig) if f.name != "seed"}
 _DROP_KEYS = {
     "direction": (None, (lambda v: v in ("forward", "backward"), "'forward' or 'backward'")),
     "sender": (None, _INT),
@@ -792,10 +788,10 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     header = [f"fv{i}" for i in range(1, n + 1)]
-    for name in ("x_ite", "v_ite", "zx_ite", "zv_ite"):
-        paths[name] = out_dir / f"{name}_bias.csv"
+    for channel, matrix in bias.items():
+        paths[channel.value] = out_dir / f"{channel.value}_bias.csv"
         # tolist() gives Python floats, which _fmt writes as repr does.
-        _write_csv(paths[name], header, getattr(bias, f"{name}_bias").tolist())
+        _write_csv(paths[channel.value], header, matrix.tolist())
     return paths
 
 

@@ -12,6 +12,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+# The time-headway band a follower should keep (s), and the band of
+# accelerations a benign run stays in (m/s^2).
+SAFE_HEADWAY = (0.45, 0.55)
+BENIGN_ACCEL = (-1.5, 1.0)
+
 
 class ImpactClass(str, Enum):
     NONE = "None"
@@ -31,10 +36,6 @@ class VehicleImpact:
 @dataclass(frozen=True)
 class ImpactReport:
     per_vehicle: tuple[VehicleImpact, ...]
-    safe_lo: float
-    safe_hi: float
-    accel_lo: float
-    accel_hi: float
     warmup: int
 
     def classification_of(self, vehicle: int) -> ImpactClass:
@@ -109,10 +110,6 @@ def _out_of_band_intervals(
 def build_impact_report(
     headway_by_vehicle: Sequence[Sequence[float]],
     accel_by_vehicle: Sequence[Sequence[float]],
-    safe_lo: float = 0.45,
-    safe_hi: float = 0.55,
-    accel_lo: float = -1.5,
-    accel_hi: float = 1.0,
     warmup: int = 10,
 ) -> ImpactReport:
     per_vehicle = []
@@ -122,30 +119,23 @@ def build_impact_report(
         per_vehicle.append(
             VehicleImpact(
                 vehicle=idx,
-                classification=classify_impact(headways, safe_lo, safe_hi, warmup),
+                classification=classify_impact(headways, *SAFE_HEADWAY, warmup),
                 headway_violations=_out_of_band_intervals(
-                    headways, safe_lo, safe_hi, start=warmup
+                    headways, *SAFE_HEADWAY, start=warmup
                 ),
                 accel_violations=_out_of_band_intervals(
-                    accels, accel_lo, accel_hi, start=warmup
+                    accels, *BENIGN_ACCEL, start=warmup
                 ),
             )
         )
-    return ImpactReport(
-        per_vehicle=tuple(per_vehicle),
-        safe_lo=safe_lo,
-        safe_hi=safe_hi,
-        accel_lo=accel_lo,
-        accel_hi=accel_hi,
-        warmup=warmup,
-    )
+    return ImpactReport(per_vehicle=tuple(per_vehicle), warmup=warmup)
 
 
 def format_impact_report(report: ImpactReport) -> str:
     lines = [
         "impact report",
-        f"safe headway band: [{report.safe_lo}, {report.safe_hi}] s, "
-        f"benign acceleration band: [{report.accel_lo}, {report.accel_hi}] m/s^2, "
+        f"safe headway band: [{SAFE_HEADWAY[0]}, {SAFE_HEADWAY[1]}] s, "
+        f"benign acceleration band: [{BENIGN_ACCEL[0]}, {BENIGN_ACCEL[1]}] m/s^2, "
         f"warmup: {report.warmup} steps",
         "",
     ]

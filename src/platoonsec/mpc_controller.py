@@ -188,7 +188,6 @@ def run_control_step(
     channel: Optional[V2VChannel],
     config: SimConfig,
     leader_u: float = 0.0,
-    warm_start: Optional[Sequence[float]] = None,
 ) -> ControlOutcome:
     """Execute the full double loop for one control step.
 
@@ -198,8 +197,8 @@ def run_control_step(
     updates all followers in a synchronized Jacobi sweep.  The returned
     accelerations are for the next control step; the platoon's currently
     applied accelerations are untouched during the loop, and are its first
-    candidates unless ``warm_start`` is given.  Deterministic: identical
-    inputs produce bit-identical outcomes.
+    candidates.  Deterministic: identical inputs produce bit-identical
+    outcomes.
     """
     cfg = config
     n = platoon.n
@@ -211,10 +210,7 @@ def run_control_step(
     own = [follower_terms(f, cfg) for f in followers]
 
     leader_x, leader_v = predict(platoon.leader, leader_u, tau)
-    u = [f.u for f in followers] if warm_start is None else list(warm_start)
-    if len(u) != n:
-        raise ValueError(f"warm_start needs {n} entries, got {len(u)}")
-    u = [min(max(ui, lo), hi) for ui, (_, lo, hi) in zip(u, own)]
+    u = [min(max(f.u, lo), hi) for f, (_, lo, hi) in zip(followers, own)]
 
     px = [0.0] * n
     pv = [0.0] * n

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .attack_engine import BiasMatrices
+    import numpy as np
 
 
 class ChannelId(str, Enum):
@@ -36,13 +36,19 @@ class ChannelId(str, Enum):
     @property
     def direction(self) -> "Direction":
         """The direction of the messages that carry this channel."""
-        backward = self in (ChannelId.ZX_ITE, ChannelId.ZV_ITE)
-        return Direction.BACKWARD if backward else Direction.FORWARD
+        return Direction.BACKWARD if self in CARRIES[Direction.BACKWARD] else Direction.FORWARD
 
 
 class Direction(str, Enum):
-    FORWARD = "forward"    # predecessor -> follower, carries x_ite / v_ite
-    BACKWARD = "backward"  # follower -> predecessor, carries zx_ite / zv_ite
+    FORWARD = "forward"    # predecessor -> follower
+    BACKWARD = "backward"  # follower -> predecessor
+
+
+# The two channels each direction's messages carry, as (a, b) payload pairs.
+CARRIES = {
+    Direction.FORWARD: (ChannelId.X_ITE, ChannelId.V_ITE),
+    Direction.BACKWARD: (ChannelId.ZX_ITE, ChannelId.ZV_ITE),
+}
 
 
 def senders(direction: Direction, n: int) -> range:
@@ -81,9 +87,10 @@ class DropRule:
 @dataclass(frozen=True)
 class V2VChannel:
     """The corruption point every message of one control step passes
-    through: the step's bias and the drop rules that cover the step."""
+    through: the step's bias, each channel's matrix as built by
+    ``iter_attack_value_cal``, and the drop rules that cover the step."""
 
-    bias: "BiasMatrices"
+    bias: Mapping[ChannelId, np.ndarray]
     drops: tuple[DropRule, ...] = ()
 
     def corrupt(
@@ -95,21 +102,18 @@ class V2VChannel:
     ) -> list[Optional[tuple[float, float]]]:
         """Deliver one direction of iteration round ``t``.
 
-        ``a`` and ``b`` are the senders' payloads indexed by vehicle (0 = the
-        leader, followers 1..n): x_ite/v_ite forward, zx_ite/zv_ite backward.
-        Entry i of the result is what follower i+1 receives, from vehicle i
-        forward (n entries) or from vehicle i+2 backward (n-1 entries).  It is
-        the sender's pair plus its bias (bias column j corrupts follower j+1's
+        ``a`` and ``b`` are the senders' payloads on ``CARRIES[direction]``,
+        indexed by vehicle (0 = the leader, followers 1..n).  Entry i of the
+        result is what follower i+1 receives, from vehicle i forward (n
+        entries) or from vehicle i+2 backward (n-1 entries).  It is the
+        sender's pair plus its bias (bias column j corrupts follower j+1's
         outgoing channels; the leader's pair passes untouched), or None where
         a drop rule matches.
         """
         sent = senders(direction, len(a) - 1)
-        if direction is Direction.FORWARD:
-            bias_a, bias_b = self.bias.x_ite_bias, self.bias.v_ite_bias
-        else:
-            bias_a, bias_b = self.bias.zx_ite_bias, self.bias.zv_ite_bias
-        row_a = bias_a[t].tolist()
-        row_b = bias_b[t].tolist()
+        channel_a, channel_b = CARRIES[direction]
+        row_a = self.bias[channel_a][t].tolist()
+        row_b = self.bias[channel_b][t].tolist()
         delivered: list[Optional[tuple[float, float]]] = [
             (a[s], b[s]) if s == 0 else (a[s] + row_a[s - 1], b[s] + row_b[s - 1])
             for s in sent

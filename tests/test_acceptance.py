@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal, parse_attack_case
+from platoonsec.attack_engine import iter_attack_value_cal, parse_attack_case
 from platoonsec.cli_runner import (
     LeaderProfile,
     Scenario,
@@ -148,19 +148,18 @@ def test_c3_loop_contract():
 
     config = SimConfig()
     platoon = initial_platoon(config, 30.0)
-    zero_bias = V2VChannel(bias=BiasMatrices.zeros(config.max_iterations, config.n))
+    zero_bias = V2VChannel(bias=iter_attack_value_cal(config.n, 0, config.max_iterations, ()))
     equilibrium = run_control_step(platoon, zero_bias, config)
     ok = ok and equilibrium.converged and equilibrium.iterations_used == 1
 
-    # Perturbed start: the first update moves more than the tolerance, so the
-    # loop must run extra rounds before exiting.
-    perturbed = run_control_step(platoon, zero_bias, config, warm_start=[1.0] * config.n)
+    # Perturbed start, followers that applied u = 1.0: the first update moves
+    # more than the tolerance, so the loop must run extra rounds before exiting.
+    pushed = replace(platoon, followers=tuple(replace(f, u=1.0) for f in platoon.followers))
+    perturbed = run_control_step(pushed, zero_bias, config)
     ok = ok and perturbed.converged and 2 <= perturbed.iterations_used <= 300
 
     # A loose tolerance exits on the first round even from the perturbed start.
-    loose = run_control_step(
-        platoon, zero_bias, replace(config, primal_tol=10.0), warm_start=[1.0] * config.n
-    )
+    loose = run_control_step(pushed, zero_bias, replace(config, primal_tol=10.0))
     ok = ok and loose.iterations_used == 1
 
     case = single_channel_case(6, victim=4, window=(0, 5), channel="x_ite", bias_params=[-50.0])
@@ -198,7 +197,7 @@ def test_c4_bias_generator_oracle_equivalence():
             got = iter_attack_value_cal(n, k, max_iter, case)
             expected = oracle_bias_matrices(n, k, max_iter, doc)
             for ch, matrix in expected.items():
-                if not np.array_equal(got.by_channel(ch), matrix):
+                if not np.array_equal(got[ch], matrix):
                     mismatches += 1
     elapsed = time.monotonic() - start
     _verdict(

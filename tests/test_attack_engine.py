@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from platoonsec.attack_engine import (
     ATTACK_LIST_KEYS,
-    BiasMatrices,
     bias_waveform,
     iter_attack_value_cal,
     parse_attack_case,
@@ -47,7 +46,7 @@ def one_slot_doc(freq, freq_params, bias, bias_params, period=(0, 5)):
 def one_slot_column(freq, freq_params, bias, bias_params, max_iterations=300):
     """The bias vector a one-slot case puts on its channel at control step 0."""
     case = parse_attack_case(one_slot_doc(freq, freq_params, bias, bias_params), 6, max_iterations)
-    return iter_attack_value_cal(6, 0, max_iterations, case).v_ite_bias[:, 1]
+    return iter_attack_value_cal(6, 0, max_iterations, case)[ChannelId.V_ITE][:, 1]
 
 
 class TestParseAttackCase:
@@ -176,7 +175,7 @@ class TestParseAttackCase:
             alone = tuple(slot for doc in docs for slot in parse_attack_case(doc, 6, 10))
             with np.errstate(over="ignore"):
                 finite = all(
-                    np.isfinite(iter_attack_value_cal(6, k, 10, alone).v_ite_bias).all()
+                    np.isfinite(iter_attack_value_cal(6, k, 10, alone)[ChannelId.V_ITE]).all()
                     for k in range(14)
                 )
             merged = {key: [[entry for doc in docs for entry in doc[key][0]]]
@@ -345,7 +344,7 @@ def random_attack_doc(rng: random.Random, n: int) -> dict:
 
 
 def is_zero(bias) -> bool:
-    return not any(bias.by_channel(ch).any() for ch in ChannelId)
+    return not any(bias[ch].any() for ch in ChannelId)
 
 
 class TestIterAttackValueCal:
@@ -359,26 +358,26 @@ class TestIterAttackValueCal:
         bias = iter_attack_value_cal(6, 15, 300, case)
         # fv1 under both of its periods: x_ite carries the constant 3,
         # v_ite carries constant 2 plus the clustered constant 4.
-        assert bias.x_ite_bias[:, 0].tolist() == [3.0] * 300
+        assert bias[ChannelId.X_ITE][:, 0].tolist() == [3.0] * 300
         mask = stealth_mask(2, 8, 300)
         expected_v = 2.0 + 4.0 * mask
-        assert np.array_equal(bias.v_ite_bias[:, 0], expected_v)
+        assert np.array_equal(bias[ChannelId.V_ITE][:, 0], expected_v)
         # fv3 and fv5 periods do not contain 15.
-        assert not bias.zx_ite_bias.any()
-        assert not bias.zv_ite_bias.any()
+        assert not bias[ChannelId.ZX_ITE].any()
+        assert not bias[ChannelId.ZV_ITE].any()
         # non-victim columns all zero
         for ch in ChannelId:
-            matrix = bias.by_channel(ch)
+            matrix = bias[ch]
             assert not matrix[:, [1, 3, 5]].any()
 
     def test_running_example_at_step_25(self):
         case = parse_attack_case(running_example_doc(), 6, 300)
         bias = iter_attack_value_cal(6, 25, 300, case)
         # only fv1's second period ([15, 25], v_ite) and fv3's ([20, 30], zx_ite)
-        assert not bias.x_ite_bias.any()
-        assert bias.v_ite_bias[:, 0].any()
-        assert bias.zx_ite_bias[:, 2].any()
-        assert not bias.zv_ite_bias.any()
+        assert not bias[ChannelId.X_ITE].any()
+        assert bias[ChannelId.V_ITE][:, 0].any()
+        assert bias[ChannelId.ZX_ITE][:, 2].any()
+        assert not bias[ChannelId.ZV_ITE].any()
 
     def test_matches_enumeration_oracle_on_random_cases(self):
         rng = random.Random(2024)
@@ -392,7 +391,7 @@ class TestIterAttackValueCal:
                 got = iter_attack_value_cal(n, k, max_iter, case)
                 expected = oracle_bias_matrices(n, k, max_iter, doc)
                 for ch in ChannelId:
-                    assert np.array_equal(got.by_channel(ch), expected[ch]), (
+                    assert np.array_equal(got[ch], expected[ch]), (
                         f"trial {trial}, k={k}, channel {ch}"
                     )
 
@@ -438,14 +437,14 @@ class TestIterAttackValueCal:
             6, 12, 60, single([10, 20], [["v_ite"]], [["Continuous"]], [[[0]]], [["Linear"]], [[[0.1, 1.0]]])
         )
         for ch in ChannelId:
-            summed = first.by_channel(ch) + second.by_channel(ch)
-            assert np.array_equal(combined.by_channel(ch), summed)
+            summed = first[ch] + second[ch]
+            assert np.array_equal(combined[ch], summed)
 
     def test_output_shape_fixed(self):
         for case in ((), parse_attack_case(running_example_doc(), 6, 77)):
             bias = iter_attack_value_cal(6, 0, 77, case)
             for ch in ChannelId:
-                assert bias.by_channel(ch).shape == (77, 6)
+                assert bias[ch].shape == (77, 6)
 
     @given(st.integers(0, 120))
     @settings(max_examples=25, deadline=None)
@@ -458,7 +457,7 @@ class TestIterAttackValueCal:
             if any(s <= k <= e for s, e in periods)
         }
         for ch in ChannelId:
-            matrix = bias.by_channel(ch)
+            matrix = bias[ch]
             for col in range(6):
                 if (col + 1) not in active:
                     assert not matrix[:, col].any()
@@ -466,12 +465,9 @@ class TestIterAttackValueCal:
 
 class TestBiasMatrices:
     def test_arrays_read_only(self):
-        bias = BiasMatrices.zeros(10, 3)
-        with pytest.raises(ValueError):
-            bias.x_ite_bias[0, 0] = 1.0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="zv_ite_bias must have shape"):
-            BiasMatrices(
-                np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((4, 3))
-            )
+        for case in ((), parse_attack_case(running_example_doc(), 6, 300)):
+            bias = iter_attack_value_cal(6, 15, 300, case)
+            assert set(bias) == set(ChannelId)
+            for matrix in bias.values():
+                with pytest.raises(ValueError):
+                    matrix[0, 0] = 1.0

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from platoonsec.metrics import (
+    BENIGN_ACCEL,
+    SAFE_HEADWAY,
     ImpactClass,
     build_impact_report,
     classify_impact,
@@ -19,7 +21,8 @@ class TestTimeHeadway:
 
     def test_nominal_spacing_in_safe_band(self, config):
         gap = config.nominal_gap(30.0)
-        assert 0.45 <= time_headway(gap, 30.0, config.L_veh) <= 0.55
+        lo, hi = SAFE_HEADWAY
+        assert lo <= time_headway(gap, 30.0, config.L_veh) <= hi
 
     def test_formula_oracle(self):
         rng = random.Random(2)
@@ -76,10 +79,10 @@ class TestClassifyImpact:
             classify_impact([0.5] * 10, 0.45, 0.55, 10)
 
 
-def acceleration_envelope(series, lo=-1.5, hi=1.0):
+def acceleration_envelope(series):
     """The acceleration intervals an impact report gives one vehicle with
-    no warmup."""
-    report = build_impact_report([[0.5] * len(series)], [series], accel_lo=lo, accel_hi=hi, warmup=0)
+    no warmup, outside BENIGN_ACCEL."""
+    report = build_impact_report([[0.5] * len(series)], [series], warmup=0)
     return report.per_vehicle[0].accel_violations
 
 
@@ -95,8 +98,9 @@ class TestAccelerationEnvelope:
         rng = random.Random(6)
         for _ in range(50):
             series = [rng.choice([0.0, 0.5, 2.0, -3.0]) for _ in range(60)]
-            intervals = acceleration_envelope(series, -1.5, 1.0)
-            outside = [i for i, u in enumerate(series) if u < -1.5 or u > 1.0]
+            intervals = acceleration_envelope(series)
+            lo, hi = BENIGN_ACCEL
+            outside = [i for i, u in enumerate(series) if u < lo or u > hi]
             covered = sorted(
                 i for (s, e) in intervals for i in range(s, e + 1)
             )
@@ -123,6 +127,7 @@ class TestImpactReport:
         assert report.per_vehicle[1].headway_violations == ((30, 34),)
         assert report.per_vehicle[1].accel_violations == ((30, 34),)
         text = format_impact_report(report)
+        assert "safe headway band: [0.45, 0.55] s, benign acceleration band: [-1.5, 1.0] m/s^2" in text
         assert "fv2: SafetyDegradation" in text
         assert "fv1: None" in text
         with pytest.raises(KeyError):

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from platoonsec import cli_runner, mpc_controller
-from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal
+from platoonsec.attack_engine import iter_attack_value_cal
 from platoonsec.cli_runner import load_scenario, run_scenario, scenario_from_dict
 from platoonsec.dynamics import predict, step_platoon, step_vehicle
 from platoonsec.mpc_controller import (
@@ -114,7 +114,7 @@ def force_corrupt(monkeypatch) -> None:
 
     def through_corrupt(platoon, channel, config, *rest):
         if channel is None:
-            channel = V2VChannel(bias=BiasMatrices.zeros(config.max_iterations, platoon.n))
+            channel = V2VChannel(bias=iter_attack_value_cal(platoon.n, 0, config.max_iterations, ()))
         return run_control_step(platoon, channel, config, *rest)
 
     monkeypatch.setattr(cli_runner, "run_control_step", through_corrupt)
@@ -313,7 +313,7 @@ class TestDualUpdate:
 class TestRunControlStep:
     def test_equilibrium_converges_immediately(self, config):
         platoon = initial_platoon(config, 30.0)
-        bias = BiasMatrices.zeros(config.max_iterations, config.n)
+        bias = iter_attack_value_cal(config.n, 0, config.max_iterations, ())
         outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
         assert outcome.converged
         assert outcome.iterations_used <= 5
@@ -321,15 +321,13 @@ class TestRunControlStep:
 
     def test_leader_deceleration_respects_constraints(self, config):
         platoon = initial_platoon(config, 30.0)
-        channel = V2VChannel(bias=BiasMatrices.zeros(config.max_iterations, config.n))
-        prev = (0.0,) * config.n
+        channel = V2VChannel(bias=iter_attack_value_cal(config.n, 0, config.max_iterations, ()))
         for step in range(30):
             leader_u = -2.0 if step < 15 else 0.0
-            outcome = run_control_step(platoon, channel, config, leader_u, warm_start=prev)
+            outcome = run_control_step(platoon, channel, config, leader_u)
             assert all(config.a_min <= u <= config.a_max for u in outcome.u_next)
             platoon = step_platoon(platoon, leader_u, outcome.u_next, config.tau)
             assert check_constraints(platoon, config) == []
-            prev = outcome.u_next
 
     def test_unsatisfiable_bias_exits_at_iteration_cap(self, config):
         platoon = initial_platoon(config, 30.0)
@@ -375,29 +373,24 @@ class TestRunControlStep:
         b = run_control_step(platoon, V2VChannel(bias=bias), config)
         assert a == b
 
-    def test_warm_start_length_checked(self, config):
-        platoon = initial_platoon(config, 30.0)
-        bias = BiasMatrices.zeros(config.max_iterations, config.n)
-        with pytest.raises(ValueError):
-            run_control_step(platoon, V2VChannel(bias=bias), config, warm_start=[0.0])
-
     def test_warm_start_defaults_to_the_applied_accelerations(self, config):
+        # The loop starts from each follower's applied u: two platoons that
+        # differ only in u give different outcomes.
         platoon = initial_platoon(config, 30.0)
-        channel = V2VChannel(bias=BiasMatrices.zeros(config.max_iterations, config.n))
+        channel = V2VChannel(bias=iter_attack_value_cal(config.n, 0, config.max_iterations, ()))
         for _ in range(3):
             outcome = run_control_step(platoon, channel, config, -2.0)
             platoon = step_platoon(platoon, -2.0, outcome.u_next, config.tau)
-        applied = [follower.u for follower in platoon.followers]
-        assert all(applied)
-        default = run_control_step(platoon, channel, config, -2.0)
-        assert default == run_control_step(platoon, channel, config, -2.0, warm_start=applied)
-        assert default != run_control_step(platoon, channel, config, -2.0, warm_start=[0.0] * config.n)
+        assert all(follower.u for follower in platoon.followers)
+        at_rest = replace(platoon, followers=tuple(replace(f, u=0.0) for f in platoon.followers))
+        applied = run_control_step(platoon, channel, config, -2.0)
+        assert applied != run_control_step(at_rest, channel, config, -2.0)
 
     def test_perception_records_cover_all_followers(self, config):
         # One entry per follower in each column; only the last follower has
         # no successor to report its rear gap.
         platoon = initial_platoon(config, 30.0)
-        bias = BiasMatrices.zeros(config.max_iterations, config.n)
+        bias = iter_attack_value_cal(config.n, 0, config.max_iterations, ())
         outcome = run_control_step(platoon, V2VChannel(bias=bias), config)
         for column in (outcome.front_x, outcome.front_v, outcome.gap_front, outcome.gap_rear):
             assert len(column) == config.n
@@ -450,9 +443,8 @@ class TestRunControlStep:
             config.n, victim=4, window=(0, 5), channel="x_ite", bias_params=[-50.0]
         )
         clean = iter_attack_value_cal(config.n, 4, config.max_iterations, case)
-        arrays = {ch: clean.by_channel(ch).copy() for ch in ChannelId}
-        arrays[ChannelId(channel)][7, column] = float("nan")
-        bias = BiasMatrices(*arrays.values())
+        bias = {ch: clean[ch].copy() for ch in ChannelId}
+        bias[ChannelId(channel)][7, column] = float("nan")
         assert run_control_step(platoon, V2VChannel(bias=clean), config).iterations_used > 7
         with pytest.raises(
             NumericalError, match=rf"^follower {receiver}, control step 4, iteration 7: "
@@ -461,7 +453,7 @@ class TestRunControlStep:
 
     def test_nan_tau_raises_instead_of_returning_nan(self, config):
         platoon = initial_platoon(config, 30.0)
-        bias = BiasMatrices.zeros(config.max_iterations, config.n)
+        bias = iter_attack_value_cal(config.n, 0, config.max_iterations, ())
         with pytest.raises(NumericalError):
             run_control_step(platoon, V2VChannel(bias=bias), replace(config, tau=float("nan")))
 
@@ -509,7 +501,7 @@ class TestTransparentRounds:
         for _ in range(30):
             cfg = replace(config, v_min=-10.0, max_iterations=rng.choice([1, 2, 300]))
             k = rng.randrange(100)
-            channel = V2VChannel(bias=BiasMatrices.zeros(cfg.max_iterations, cfg.n))
+            channel = V2VChannel(bias=iter_attack_value_cal(cfg.n, 0, cfg.max_iterations, ()))
             platoon = PlatoonState(state(), tuple(state() for _ in range(cfg.n)), k)
             leader_u = rng.uniform(-2, 2)
             skipped = run_control_step(platoon, None, cfg, leader_u)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from platoonsec.attack_engine import BiasMatrices, iter_attack_value_cal
+from platoonsec.attack_engine import iter_attack_value_cal
 from platoonsec.v2v_channel import ChannelId, Direction, DropRule, V2VChannel, senders
 
 from conftest import single_channel_case
@@ -25,7 +25,7 @@ def _round(channel: V2VChannel, n: int, t: int):
 
 
 def _clean(n: int) -> V2VChannel:
-    return V2VChannel(bias=BiasMatrices.zeros(10, n))
+    return V2VChannel(bias=iter_attack_value_cal(n, 0, 10, ()))
 
 
 class TestExchange:
@@ -65,11 +65,22 @@ class TestApplyBias:
         assert out[1] == (83.0, 30.0)  # fv2 receives fv1's biased broadcast
 
     def test_leader_messages_never_biased(self):
-        full = BiasMatrices(*(np.full((10, 6), 9.0) for _ in range(4)))
+        full = {ch: np.full((10, 6), 9.0) for ch in ChannelId}
         x, v, _, _ = _payloads(6)
         out = V2VChannel(bias=full).corrupt(FORWARD, x, v, 1)
         assert out[0] == (x[0], v[0])
         assert all(got == (x[s] + 9.0, v[s] + 9.0) for s, got in enumerate(out) if s)
+
+    def test_each_direction_carries_only_its_two_channels(self):
+        # A distinct bias in each channel: forward deliveries pick up only
+        # x_ite and v_ite, backward ones only zx_ite and zv_ite.
+        offsets = {ChannelId.X_ITE: 1.0, ChannelId.V_ITE: 20.0,
+                   ChannelId.ZX_ITE: 300.0, ChannelId.ZV_ITE: 4000.0}
+        bias = {ch: np.full((10, 6), offset) for ch, offset in offsets.items()}
+        x, v, zx, zv = _payloads(6)
+        forward, backward = _round(V2VChannel(bias=bias), 6, 2)
+        assert forward == [(x[0], v[0])] + [(x[s] + 1.0, v[s] + 20.0) for s in range(1, 6)]
+        assert backward == [(zx[s] + 300.0, zv[s] + 4000.0) for s in range(2, 7)]
 
     def test_zero_bias_adds_zero_to_follower_payloads(self):
         # Only a -0.0 from a follower changes: to 0.0.  The leader's pair
@@ -114,14 +125,14 @@ class TestApplyBias:
         twice = V2VChannel(bias=bias_b).corrupt(
             FORWARD, [p[0] for p in once] + [x[6]], [p[1] for p in once] + [v[6]], 0
         )
-        summed = BiasMatrices(*(bias_a.by_channel(ch) + bias_b.by_channel(ch) for ch in ChannelId))
+        summed = {ch: bias_a[ch] + bias_b[ch] for ch in ChannelId}
         assert twice == V2VChannel(bias=summed).corrupt(FORWARD, x, v, 0)
 
 
 class TestDropRules:
     def test_drop_suppresses_matching_message(self):
         rule = DropRule(Direction.FORWARD, sender=2, iterations=(0, 3))
-        channel = V2VChannel(bias=BiasMatrices.zeros(10, 6), drops=(rule,))
+        channel = V2VChannel(bias=iter_attack_value_cal(6, 0, 10, ()), drops=(rule,))
         x, v, zx, zv = _payloads(6)
         hit = channel.corrupt(FORWARD, x, v, 1)
         assert hit[2] is None  # fv3 loses fv2's broadcast
@@ -139,7 +150,7 @@ class TestDropRules:
 
     def test_leader_link_can_be_dropped(self):
         rule = DropRule(Direction.FORWARD, sender=0)
-        channel = V2VChannel(bias=BiasMatrices.zeros(10, 6), drops=(rule,))
+        channel = V2VChannel(bias=iter_attack_value_cal(6, 0, 10, ()), drops=(rule,))
         x, v, _, _ = _payloads(6)
         out = channel.corrupt(FORWARD, x, v, 0)
         assert out[0] is None
@@ -147,7 +158,7 @@ class TestDropRules:
 
     def test_backward_drop_hits_the_senders_receiver(self):
         rule = DropRule(Direction.BACKWARD, sender=4)
-        channel = V2VChannel(bias=BiasMatrices.zeros(10, 6), drops=(rule,))
+        channel = V2VChannel(bias=iter_attack_value_cal(6, 0, 10, ()), drops=(rule,))
         _, _, zx, zv = _payloads(6)
         out = channel.corrupt(BACKWARD, zx, zv, 0)
         assert out[2] is None  # fv3 loses fv4's report
@@ -161,7 +172,7 @@ class TestDropRules:
 
         platoon = initial_platoon(config, 30.0)
         rule = DropRule(Direction.FORWARD, sender=3, iterations=(1, 400))
-        channel = V2VChannel(bias=BiasMatrices.zeros(config.max_iterations, config.n), drops=(rule,))
+        channel = V2VChannel(bias=iter_attack_value_cal(config.n, 0, config.max_iterations, ()), drops=(rule,))
         outcome = run_control_step(platoon, channel, config)
         # At equilibrium the first-round broadcast equals the live value, so
         # the run still converges cleanly.
