@@ -116,11 +116,11 @@ class TraceRow(NamedTuple):
     u: float
     gap_front: float
     headway: float
-    comparator_flag: bool
+    comparator_flag: int  # the flags are 0 or 1, as the file holds them
     elm_pos_pred: Optional[float]
     elm_vel_pred: Optional[float]
-    pos_anom: bool
-    vel_anom: bool
+    pos_anom: int
+    vel_anom: int
 
 
 TRACE_COLUMNS = TraceRow._fields
@@ -133,7 +133,7 @@ class RunResult:
     impact: ImpactReport
     step_outcomes: list[ControlOutcome]  # one per control step
     violations: list[tuple[int, ConstraintViolation]]
-    flags_by_step: list[tuple[bool, ...]]  # freeze flags: comparator flag or an event
+    flags_by_step: list[tuple[int, ...]]  # freeze flags, 0 or 1: comparator flag or an event
 
 
 def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
@@ -190,9 +190,9 @@ def simulate(scenario: Scenario) -> RunResult:
     detections, events = detect_run(control_pass(), n, scenario.detection)
     hits = {(e.kind, e.control_step, e.vehicle) for e in events}
     rows = [TraceRow(
-        k, i + 1, o.front_x[i], o.front_v[i], o.u_next[i], o.gap_front[i], headway[i], flags[i],
+        k, i + 1, o.front_x[i], o.front_v[i], o.u_next[i], o.gap_front[i], headway[i], int(flags[i]),
         detections[i].pos_predictions[k], detections[i].vel_predictions[k],
-        (POS_ANOM, k, i + 1) in hits, (VEL_ANOM, k, i + 1) in hits,
+        int((POS_ANOM, k, i + 1) in hits), int((VEL_ANOM, k, i + 1) in hits),
     ) for k, (o, headway, flags) in enumerate(zip(step_outcomes, headways, comparator))
         for i in range(n)]
 
@@ -445,22 +445,14 @@ def _reap(children: Sequence[tuple[int, Any]]) -> None:
         os.waitpid(pid, 0)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A header line, then one line per row with every cell through _fmt."""
+    """A header line, then one line per row, each cell as csv writes it: None
+    as an empty cell, anything else through ``str``, which gives a float's
+    shortest round-trip form."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
+        writer.writerows(rows)
 
 
 def write_trace_csv(rows: Sequence[TraceRow], path: Path) -> None:
@@ -790,7 +782,6 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
     header = [f"fv{i}" for i in range(1, n + 1)]
     for channel, matrix in bias.items():
         paths[channel.value] = out_dir / f"{channel.value}_bias.csv"
-        # tolist() gives Python floats, which _fmt writes as repr does.
         _write_csv(paths[channel.value], header, matrix.tolist())
     return paths
 
@@ -810,42 +801,45 @@ def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]
     by_step: dict[int, dict[int, tuple[float, float, bool]]] = {}
     with _open_text(trace_path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return [], [], []
-        missing = [c for c in TRACE_COLUMNS if c not in header]
-        if missing:
-            raise ConfigError(f"{trace_path} is missing columns: {missing}")
-        col = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-        for row in reader:
-            if not row:  # a blank line, which csv.DictReader skips too
-                continue
-            where = f"{trace_path} line {reader.line_num}"
-            if len(row) != len(header):
-                raise ConfigError(f"{where} does not have the header's {len(header)} fields")
-            try:
-                k, vehicle = int(row[col["control_step"]]), int(row[col["vehicle_id"]])
-                x, v, gap = float(row[col["x"]]), float(row[col["v"]]), float(row[col["gap_front"]])
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            if k < 0 or vehicle < 1:
-                raise ConfigError(f"{where}: need control_step >= 0 and vehicle_id >= 1")
-            if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(gap)):
-                raise ConfigError(f"{where}: x, v and gap_front must be finite")
-            flag = row[col["comparator_flag"]]
-            if flag not in ("0", "1"):
-                raise ConfigError(f"{where}: comparator_flag must be 0 or 1")
-            step = by_step.setdefault(k, {})
-            if vehicle in step:
-                raise ConfigError(f"{where} repeats vehicle {vehicle} of control step {k}")
-            step[vehicle] = x, v, flag == "1"
+        try:
+            header = next(reader, None)
+            if header is None:
+                return [], [], []
+            missing = [c for c in TRACE_COLUMNS if c not in header]
+            if missing:
+                raise ConfigError(f"{trace_path} is missing columns: {missing}")
+            col = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+            for row in reader:
+                if not row:  # a blank line, which csv.DictReader skips too
+                    continue
+                where = f"{trace_path} line {reader.line_num}"
+                if len(row) != len(header):
+                    raise ConfigError(f"{where} does not have the header's {len(header)} fields")
+                try:
+                    k, vehicle = int(row[col["control_step"]]), int(row[col["vehicle_id"]])
+                    x, v, gap = float(row[col["x"]]), float(row[col["v"]]), float(row[col["gap_front"]])
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
+                if k < 0 or vehicle < 1:
+                    raise ConfigError(f"{where}: need control_step >= 0 and vehicle_id >= 1")
+                if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(gap)):
+                    raise ConfigError(f"{where}: x, v and gap_front must be finite")
+                flag = row[col["comparator_flag"]]
+                if flag not in ("0", "1"):
+                    raise ConfigError(f"{where}: comparator_flag must be 0 or 1")
+                step = by_step.setdefault(k, {})
+                if vehicle in step:
+                    raise ConfigError(f"{where} repeats vehicle {vehicle} of control step {k}")
+                step[vehicle] = x, v, flag == "1"
+        except csv.Error as exc:  # such as a field over csv's size limit
+            raise ConfigError(f"{trace_path} line {reader.line_num}: {exc}") from None
     n = max((max(step) for step in by_step.values()), default=0)
     for k in range(len(by_step)):
         if k not in by_step:
             raise ConfigError(f"{trace_path} has no rows for control step {k}")
         step = by_step[k]
         if len(step) != n:
-            lacking = min(set(range(1, n + 1)) - set(step))
+            lacking = next(i for i in range(1, n + 1) if i not in step)
             raise ConfigError(f"{trace_path}: control step {k} lacks vehicle {lacking}")
     columns: tuple[list, list, list] = ([], [], [])
     for vehicle in range(1, n + 1):

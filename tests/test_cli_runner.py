@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import pickle
 import threading
@@ -6,6 +7,7 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +21,7 @@ from platoonsec.cli_runner import (
     MAX_DETECTION_CELLS,
     LeaderProfile,
     TRACE_COLUMNS,
+    TraceRow,
     generate_bias_files,
     load_scenario,
     main,
@@ -27,11 +30,13 @@ from platoonsec.cli_runner import (
     scenario_from_dict,
     simulate,
     write_anomaly_csv,
+    write_trace_csv,
 )
 from platoonsec.detection import (
     ANOMALY_CSV_COLUMNS,
     POS_ANOM,
     VEL_ANOM,
+    AnomalyEvent,
     DetectionConfig,
     DetectionError,
     NumericalFitError,
@@ -284,6 +289,32 @@ class TestRunScenario:
             f"{name}: {tmp_path / 'cli' / full[name].name}\n" for name in written)
 
 
+_ROW = TraceRow(7, 2, 120.5, 25.0, -0.5, 19.75, 0.8, 0, None, None, 0, 0)
+
+
+class TestCellFormats:
+    # csv writes every cell: None as an empty cell, anything else through
+    # str, so a float, numpy's too, in its shortest round-trip form.
+    @pytest.mark.parametrize("write, record, line", [
+        (write_trace_csv, _ROW, "7,2,120.5,25.0,-0.5,19.75,0.8,0,,,0,0"),
+        (write_trace_csv, _ROW._replace(comparator_flag=1, elm_pos_pred=120.25, pos_anom=1, vel_anom=1),
+         "7,2,120.5,25.0,-0.5,19.75,0.8,1,120.25,,1,1"),
+        (write_trace_csv, _ROW._replace(x=-0.0, v=math.nan, u=math.inf, gap_front=1e-300),
+         "7,2,-0.0,nan,inf,1e-300,0.8,0,,,0,0"),
+        (write_trace_csv, _ROW._replace(headway=np.float64(0.1), elm_vel_pred=np.float64(-2.5e-08)),
+         "7,2,120.5,25.0,-0.5,19.75,0.1,0,,-2.5e-08,0,0"),
+        (write_anomaly_csv, AnomalyEvent(POS_ANOM, 12, 3, 41.0, -0.0), f"{POS_ANOM},12,3,41.0,-0.0"),
+        (write_anomaly_csv, AnomalyEvent(VEL_ANOM, 0, 6, math.inf, np.float64(1e-300)),
+         f"{VEL_ANOM},0,6,inf,1e-300"),
+    ], ids=["none-and-0-flags", "1-flags", "signed-zero-nan-inf-tiny", "numpy-float64",
+            "anomaly", "anomaly-numpy-float64"])
+    def test_exact_text(self, tmp_path, write, record, line):
+        path = tmp_path / "out.csv"
+        write([record], path)
+        header = TRACE_COLUMNS if write is write_trace_csv else ANOMALY_CSV_COLUMNS
+        assert path.read_bytes() == f"{','.join(header)}\r\n{line}\r\n".encode()
+
+
 class TestGenerateBias:
     def _case_file(self, tmp_path):
         from test_attack_engine import running_example_doc
@@ -439,11 +470,15 @@ class TestReplayBadTrace:
              "line 241 does not have the header's 12 fields"),
             (lambda lines: lines[:5] + ["\n"] + _edit_row(5, "x", "abc")(lines)[5:],
              "line 7: could not convert string to float"),
+            (_edit_row(9, "x", "1" * (csv.field_size_limit() + 1)),
+             "line 10: field larger than field limit (131072)"),
+            # The lacking vehicle is named without building the ids 1..10**12.
+            (_edit_row(1, "vehicle_id", str(10**12)), "control step 0 lacks vehicle 1"),
         ],
         ids=[
             "cut-mid-row", "missing-vehicle", "duplicated-rows", "missing-step", "extra-field",
             "text-x", "float-step", "nan-v", "vehicle-0", "flag-2", "extra-empty-field",
-            "bad-row-after-a-blank-line",
+            "bad-row-after-a-blank-line", "oversized-field", "vehicle-10**12",
         ],
     )
     def test_exit_code_names_line_or_step(self, tmp_path, capsys, live_trace_lines, corrupt, message):
