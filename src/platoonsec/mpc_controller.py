@@ -105,12 +105,12 @@ def newton_terms(config: SimConfig) -> tuple[float, ...]:
             config.delta, hess_front, hess_rear)
 
 
-def follower_terms(measured: VehicleState, config: SimConfig) -> tuple[float, float, float]:
+def follower_terms(measured: VehicleState, config: SimConfig) -> tuple[float, float, float, float]:
     """A follower's Newton-step terms fixed for a control step: ``x + v*tau``,
-    its predicted position at zero input, and ``lo, hi``, its acceleration
-    box joined with the velocity bounds on the predicted next step.  The
-    velocity-derived edges are pulled in by a hair so the predicted velocity
-    stays inside [v_min, v_max] after floating-point rounding.
+    its predicted position at zero input, ``v``, and ``lo, hi``, its
+    acceleration box joined with the velocity bounds on the predicted next
+    step.  The velocity-derived edges are pulled in by a hair so the predicted
+    velocity stays inside [v_min, v_max] after floating-point rounding.
     """
     v = measured.v
     guard = 1e-9
@@ -118,45 +118,63 @@ def follower_terms(measured: VehicleState, config: SimConfig) -> tuple[float, fl
     hi = min(config.a_max, (config.v_max - v) / config.tau - guard)
     if lo > hi:  # degenerate box from an out-of-bounds velocity; stay put
         lo = hi = min(max((lo + hi) / 2.0, config.a_min), config.a_max)
-    return measured.x + v * config.tau, lo, hi
+    return measured.x + v * config.tau, v, lo, hi
 
 
-def primal_step(
-    u: float, px: float, pv: float,
-    front_x: float, front_v: float,
-    rear_zx: Optional[float], rear_zv: Optional[float],
-    lam_front: float, lam_rear: float,
-    own: tuple[float, float, float], terms: tuple[float, ...],
-) -> float:
-    """One follower's new candidate acceleration: the full Newton step on its
-    local Lagrangian clipped to the admissible box, which for this convex
-    quadratic in u is the exact minimiser over the box.
+def primal_sweep(
+    u: list[float], px: list[float], pv: list[float],
+    fx: Sequence[float], fv: Sequence[float],
+    rzx: Sequence[Optional[float]], rzv: Sequence[Optional[float]],
+    lam: Sequence[float], own: Sequence[tuple[float, float, float, float]],
+    terms: tuple[float, ...], k: int, t: int,
+) -> list[float]:
+    """One Jacobi round of primal steps: each follower's full Newton step on
+    its local Lagrangian clipped to the admissible box, which for this convex
+    quadratic in u is the exact minimiser over the box.  Returns each
+    follower's change in u, for ``primal_exit``.
 
-    ``(px, pv)`` is the follower's broadcast prediction for ``u``, ``own``
-    its ``follower_terms`` and ``terms`` the ``newton_terms``.  ``rear_zx``/
-    ``rear_zv`` are the successor's last backward report, None for the last
-    follower.  Raises NumericalError on a non-finite gradient.
+    Entry i of each list is follower i's: ``u`` its candidate and ``(px, pv)``
+    its broadcast prediction, all three replaced in place by the step; ``fx``/
+    ``fv`` what it received forward; ``rzx``/``rzv`` its successor's last
+    backward report, None without one; ``own`` its ``follower_terms``; and
+    ``lam[i]``, ``lam[i + 1]`` its front and rear pairs' multipliers, the rear
+    one read only with a report.  A step reads only its own entries, so the
+    sweep is Jacobi though it writes as it goes.  A non-finite gradient raises
+    NumericalError naming the follower, control step ``k`` and round ``t``.
     """
-    tau, tau2, dpx, dz, q_alpha, q2b, ptau, L_veh, delta, hess, hess_rear = terms
-    base_x, lo, hi = own
-    # u*dpx rounds differently from the broadcast's u*tau*tau/2.0; the
-    # velocity v + u*tau is the broadcast one exactly.
-    x_u = base_x + u * dpx
-    z = front_x - x_u - (L_veh + ptau * pv + delta)
-    zp = front_v - pv
-    grad = q_alpha * z * dz + q2b * zp * -tau + tau2 * u + lam_front * -dz
-    if rear_zx is not None:
-        # Shift the report, made against the broadcast, by this candidate's
-        # motion; the velocity shift is 0.0, added so -0.0 still becomes 0.0.
-        rzx = rear_zx + (x_u - px)
-        rzv = rear_zv + 0.0
-        grad += q_alpha * rzx * dpx + q2b * rzv * tau + lam_rear * -dpx
-        hess = hess_rear
-    if not -math.inf < grad < math.inf:
-        raise NumericalError(f"non-finite gradient {grad} at u={u}, front=({front_x}, {front_v})")
-    # min(max(step, lo), hi) in value, as lo <= hi, without two builtin calls.
-    step = u + -grad / hess
-    return lo if step < lo else hi if step > hi else step
+    tau, tau2, dpx, dz, q_alpha, q2b, ptau, L_veh, delta, hess_front, hess_rear = terms
+    inf = math.inf
+    deltas = [0.0] * len(own)
+    for i, (base_x, v, lo, hi) in enumerate(own):
+        ui = u[i]
+        pvi = pv[i]
+        # ui*dpx rounds differently from the broadcast's ui*tau*tau/2.0; the
+        # velocity v + ui*tau is the broadcast one exactly.
+        x_u = base_x + ui * dpx
+        z = fx[i] - x_u - (L_veh + ptau * pvi + delta)
+        zp = fv[i] - pvi
+        grad = q_alpha * z * dz - q2b * zp * tau + tau2 * ui - lam[i] * dz
+        rear_zx = rzx[i]
+        if rear_zx is None:
+            hess = hess_front
+        else:
+            # Shift the report, made against the broadcast, by this candidate's
+            # motion; the velocity shift is 0.0, added so -0.0 still becomes 0.0.
+            rear_zx += x_u - px[i]
+            grad += q_alpha * rear_zx * dpx + q2b * (rzv[i] + 0.0) * tau - lam[i + 1] * dpx
+            hess = hess_rear
+        if not -inf < grad < inf:
+            raise NumericalError(f"follower {i + 1}, control step {k}, iteration {t}: "
+                                 f"non-finite gradient {grad} at u={ui}, front=({fx[i]}, {fv[i]})")
+        # min(max(step, lo), hi) in value, as lo <= hi, without two builtin calls.
+        step = ui - grad / hess
+        step = lo if step < lo else hi if step > hi else step
+        deltas[i] = step - ui
+        u[i] = step
+        # dynamics.predict's operations in its order, on x + v*tau.
+        px[i] = base_x + step * tau * tau / 2.0
+        pv[i] = v + step * tau
+    return deltas
 
 
 def dual_update(
@@ -172,14 +190,13 @@ def dual_update(
     raised proportionally to the violation; slack pairs decay toward zero.
     Multipliers never go negative.
     """
+    step, decay = config.dual_step, config.dual_decay
     updated = []
     for lam, gap, safety in zip(multipliers, predicted_gaps, safety_gaps):
         violation = safety - gap
-        if violation > 0.0:
-            lam = lam + config.dual_step * violation
-        else:
-            lam = lam * config.dual_decay
-        updated.append(max(lam, 0.0))
+        lam = lam + step * violation if violation > 0.0 else lam * decay
+        # max(lam, 0.0) in value and sign, without the builtin call.
+        updated.append(0.0 if 0.0 > lam else lam)
     return updated
 
 
@@ -206,16 +223,15 @@ def run_control_step(
     k = platoon.control_step
     followers = platoon.followers
     terms = newton_terms(cfg)
+    safety_gap, margin = cfg.safety_gap, cfg.dual_margin
     ptau, L_veh, delta = terms[6:9]
     own = [follower_terms(f, cfg) for f in followers]
 
     leader_x, leader_v = predict(platoon.leader, leader_u, tau)
-    u = [min(max(f.u, lo), hi) for f, (_, lo, hi) in zip(followers, own)]
+    u = [min(max(f.u, lo), hi) for f, (_, _, lo, hi) in zip(followers, own)]
 
-    px = [0.0] * n
-    pv = [0.0] * n
-    for i in range(n):
-        px[i], pv[i] = predict(followers[i], u[i], tau)
+    broadcast = [predict(f, ui, tau) for f, ui in zip(followers, u)]
+    px, pv = [x for x, _ in broadcast], [v for _, v in broadcast]
 
     # Last received values per follower (index 0 = fv1), kept on a drop; at
     # first the benign expectation forward, 0.0 backward (last follower: None).
@@ -254,28 +270,11 @@ def run_control_step(
                 if got is not None:
                     rzx[i], rzv[i] = got
 
-        # Jacobi sweep: follower i's step reads only its own (px, pv), so
-        # each prediction can move on as soon as its step is taken.
-        deltas = [0.0] * n
-        for i in range(n):
-            lam_rear = lam[i + 1] if i < n - 1 else 0.0
-            try:
-                step = primal_step(
-                    u[i], px[i], pv[i], fx[i], fv[i], rzx[i], rzv[i], lam[i], lam_rear,
-                    own[i], terms,
-                )
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"follower {i + 1}, control step {k}, iteration {t}: {exc}"
-                ) from exc
-            deltas[i] = step - u[i]
-            u[i] = step
-            px[i], pv[i] = predict(followers[i], step, tau)
+        deltas = primal_sweep(u, px, pv, fx, fv, rzx, rzv, lam, own, terms, k, t)
         iterations_used = t + 1
-
         if primal_exit(deltas, cfg.primal_tol):
             gaps = [fx[i] - px[i] for i in range(n)]
-            safeties = [cfg.safety_gap(pv[i]) + cfg.dual_margin for i in range(n)]
+            safeties = [safety_gap(v) + margin for v in pv]
             if all(gap >= safety for gap, safety in zip(gaps, safeties)):
                 converged = True
                 break

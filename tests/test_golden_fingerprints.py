@@ -1,7 +1,8 @@
 """Frozen end-to-end fingerprints of the controller and of detection.
 
-For every shipped scenario, plus a drop-rule document kept under
-``tests/golden/``, this pins:
+For every shipped scenario, plus two documents kept under ``tests/golden/``
+(a drop-rule document and perfbench's n=48 ``wide_platoon`` at seed 1), this
+pins:
 
 - the total V2V round count, the number of control steps that hit the round
   cap, and the sha256 of the controller columns of ``trace.csv``;
@@ -65,6 +66,9 @@ FINGERPRINTS = {
     "tests/golden/drop_rules.yaml": (
         4596, 15, "63f7c9a7bc7f0d4408cebc691e650421b561989e506bb229f33a403690ed1a61",
     ),
+    "tests/golden/wide_48.yaml": (
+        2366, 4, "499b8e9332b13dec47766f34b60354e5dbb65b82acf9ed5d3c82ed85da2d1978",
+    ),
 }
 
 # path -> (sha256 of the impact files, sha256 of the detection output)
@@ -97,6 +101,10 @@ OUTPUT_FINGERPRINTS = {
         "672f8413ea3bd79b80b139e4cd8aeecbbfb28feff6ae572bbcc9723beb65fbc4",
         "c0ab8374921f346db359a89c7264c711ca41d442472795b2c8af281ff5396f4c",
     ),
+    "tests/golden/wide_48.yaml": (
+        "087b54f9dfd0ebee6bad21d94811772150f241528ebea2c9b3c2dcaf1b7c7578",
+        "6222403f3e91a005a3bf5228bbc07dfc050b13c6f76cb40a0a2b7adde66a2690",
+    ),
 }
 
 # path -> (violation count, sha256 of the violations)
@@ -121,6 +129,9 @@ VIOLATION_FINGERPRINTS = {
     ),
     "tests/golden/drop_rules.yaml": (
         5, "2ebfbfab89d8cd484a94730bdb4da7501ec3df39baa65ec81b30dcbf2613fef8",
+    ),
+    "tests/golden/wide_48.yaml": (
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
 

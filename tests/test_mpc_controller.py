@@ -17,7 +17,7 @@ from platoonsec.mpc_controller import (
     follower_terms,
     newton_terms,
     primal_exit,
-    primal_step,
+    primal_sweep,
     run_control_step,
     spacing_error,
 )
@@ -30,13 +30,16 @@ ROOT = Path(__file__).parent.parent
 
 
 def _primal_step(measured, u, fx, fv, rear_zx, rear_zv, lam_front, lam_rear, cfg):
-    """The kernel on one follower, fed the per-step terms run_control_step
-    builds for it and its broadcast prediction of ``u``."""
+    """The sweep on a one-follower round, fed the per-step terms
+    run_control_step builds for it and its broadcast prediction of ``u``;
+    returns its new ``u``."""
     px, pv = predict(measured, u, cfg.tau)
-    return primal_step(
-        u, px, pv, fx, fv, rear_zx, rear_zv, lam_front, lam_rear,
-        follower_terms(measured, cfg), newton_terms(cfg),
+    u = [u]
+    primal_sweep(
+        u, [px], [pv], [fx], [fv], [rear_zx], [rear_zv], [lam_front, lam_rear],
+        [follower_terms(measured, cfg)], newton_terms(cfg), 0, 0,
     )
+    return u[0]
 
 
 class TestPredict:
@@ -87,16 +90,16 @@ class TestSpacingError:
 def first_round_relative_speeds(config, monkeypatch, v_bias: Optional[float] = 0.0) -> list[float]:
     """The relative speeds the followers of an equilibrium platoon send
     backward in round 0, fv1's outgoing v_ite biased by ``v_bias`` (None: no
-    channel), read from the primal steps so that rounds without a channel
+    channel), read from the primal sweep so that rounds without a channel
     show them too.  Each report must reach the predecessor as sent."""
     sent, received = [], []
 
-    def spy(u, px, pv, front_x, front_v, rear_zx, rear_zv, *rest):
-        sent.append(front_v - pv)
-        received.append(rear_zv)
-        return primal_step(u, px, pv, front_x, front_v, rear_zx, rear_zv, *rest)
+    def spy(u, px, pv, fx, fv, rzx, rzv, *rest):
+        sent.extend(front_v - own_v for front_v, own_v in zip(fv, pv))
+        received.extend(rzv)
+        return primal_sweep(u, px, pv, fx, fv, rzx, rzv, *rest)
 
-    monkeypatch.setattr(mpc_controller, "primal_step", spy)
+    monkeypatch.setattr(mpc_controller, "primal_sweep", spy)
     channel = None
     if v_bias is not None:
         case = single_channel_case(config.n, victim=1, window=(0, 0), channel="v_ite",
@@ -181,7 +184,7 @@ class TestPrimalStep:
             fv = measured.v + rng.uniform(-3, 3)
             lam = rng.uniform(0, 2)
             u = _primal_step(measured, 0.0, fx, fv, None, None, lam, 0.0, config)
-            lo, hi = follower_terms(measured, config)[1:]
+            lo, hi = follower_terms(measured, config)[2:]
             grid = [lo + i * 1e-3 for i in range(int((hi - lo) / 1e-3) + 1)]
             best = min(
                 grid,
@@ -197,7 +200,7 @@ class TestPrimalStep:
             measured = VehicleState(x=rng.uniform(0, 100), v=rng.uniform(5, 39))
             fx = measured.x + rng.uniform(5, 40)
             fv = measured.v + rng.uniform(-5, 5)
-            lo, hi = follower_terms(measured, config)[1:]
+            lo, hi = follower_terms(measured, config)[2:]
             u0 = rng.uniform(lo, hi)
             rear = (rng.uniform(-5, 5), rng.uniform(-3, 3))
             lam_f, lam_r = rng.uniform(0, 3), rng.uniform(0, 3)
@@ -216,7 +219,7 @@ class TestPrimalStep:
             measured = VehicleState(x=rng.uniform(0, 100), v=rng.uniform(5, 39))
             fx = measured.x + rng.uniform(5, 40)
             fv = measured.v + rng.uniform(-5, 5)
-            lo, hi = follower_terms(measured, config)[1:]
+            lo, hi = follower_terms(measured, config)[2:]
             u0 = rng.uniform(lo, hi)
             rear = (rng.uniform(-5, 5), rng.uniform(-3, 3))
             lam_f, lam_r = rng.uniform(0, 3), rng.uniform(0, 3)
@@ -259,6 +262,53 @@ class TestPrimalStep:
             _primal_step(measured, 0.0, float("inf"), 30.0, None, None, 0.0, 0.0, config)
         with pytest.raises(NumericalError):
             _primal_step(measured, 0.0, 20.0, 30.0, float("nan"), 0.0, 0.0, 0.0, config)
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+class TestPrimalSweep:
+    def test_each_follower_steps_as_if_alone(self, config):
+        # Jacobi: a follower's step reads only its own entries, so sweeping
+        # a whole round gives each follower what sweeping it alone gives.
+        rng = random.Random(77)
+        terms = newton_terms(config)
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            states = [VehicleState(x=rng.uniform(0, 500), v=rng.uniform(5, 39)) for _ in range(n)]
+            own = [follower_terms(s, config) for s in states]
+            u = [rng.uniform(lo, hi) for _, _, lo, hi in own]
+            px, pv = (list(c) for c in zip(*(predict(s, a, config.tau) for s, a in zip(states, u))))
+            fx = [x + rng.uniform(5, 40) for x in px]
+            fv = [v + rng.uniform(-5, 5) for v in pv]
+            reports = rng.random() < 0.8
+            rzx = [rng.uniform(-5, 5) if reports and rng.random() < 0.9 else None for _ in range(n)]
+            rzv = [None if x is None else rng.uniform(-3, 3) for x in rzx]
+            lam = [rng.choice([0.0, rng.uniform(0, 3)]) for _ in range(n + 1)]
+            whole = [list(u), list(px), list(pv)]
+            primal_sweep(*whole, fx, fv, rzx, rzv, lam, own, terms, 0, 0)
+            for i in range(n):
+                alone = [[u[i]], [px[i]], [pv[i]]]
+                primal_sweep(*alone, [fx[i]], [fv[i]], [rzx[i]], [rzv[i]], lam[i:i + 2],
+                             [own[i]], terms, 0, 0)
+                assert _bits(c[0] for c in alone) == _bits(c[i] for c in whole)
+
+    def test_broadcast_equals_predict_on_random_inputs(self, config):
+        # The sweep's broadcast prediction is dynamics.predict's formula on
+        # follower_terms' x + v*tau, bit for bit.  A box of one point makes
+        # the step land on the drawn acceleration.
+        rng = random.Random(123)
+        for _ in range(1000):
+            state = VehicleState(x=rng.uniform(-500, 500), v=rng.uniform(0, 40))
+            a = rng.uniform(-5, 3)
+            cfg = replace(config, tau=rng.uniform(0.01, 1.0))
+            base_x, v, _, _ = follower_terms(state, cfg)
+            u, px, pv = [0.0], [state.x], [state.v]
+            primal_sweep(u, px, pv, [state.x + 20.0], [state.v], [None], [None], [0.0],
+                         [(base_x, v, a, a)], newton_terms(cfg), 0, 0)
+            assert u == [a]
+            assert _bits([*px, *pv]) == _bits(predict(state, a, cfg.tau))
 
 
 class TestPrimalExit:
