@@ -17,10 +17,17 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .platoon_model import _FINITE, _INT, _LIST, ConfigError, _check
+from .platoon_model import (
+    _COUNT, _FINITE, _INT, _LIST, _MAPPING, _NATURAL, ConfigError, _check, _check_interval, _int_in,
+    _one_of,
+)
 from .v2v_channel import ChannelId
 
 _BIAS_ARITY = {"Constant": 1, "Linear": 2, "Sinusoidal": 4}
+_BIAS_KINDS = _one_of(*_BIAS_ARITY)
+_FREQ_KINDS = _one_of("Continuous", "Cluster", "Discrete")
+_CHANNELS = _one_of(*(channel.value for channel in ChannelId))
+_CHANNEL_LIST = (lambda v: isinstance(v, (list, tuple)) and len(v) > 0, "a non-empty list")
 
 ATTACK_LIST_KEYS = (
     "iter_victim_list",
@@ -64,43 +71,38 @@ def _entries(value: Any, path: str, count: int, what: str) -> Sequence:
     return value
 
 
-def _stealth_window(kind: Any, params: Any, path: str) -> tuple[int, int]:
-    """Validate one frequency entry as its stealth window [on, off]."""
-    if kind == "Discrete":
-        params = _check(path, params, _LIST)
-        if not (len(params) == 1 or len(params) == 2 and _check(f"{path}[0]", params[0], _INT) == 1):
-            raise ConfigError(
-                f"{path}: Discrete frequency takes [off] (or [1, off]), got {list(params)}"
-            )
-        kind, params = "Cluster", (1, _check(f"{path}[{len(params) - 1}]", params[-1], _INT))
-    if kind not in ("Continuous", "Cluster"):
-        raise ConfigError(f"{path}: unknown frequency kind {kind!r}")
+def _stealth_window(kind: Any, params: Any, where: str) -> tuple[int, int]:
+    """Validate the frequency entry at ``where`` ([i][j][m]) as its stealth
+    window [on, off]; Discrete [off] is [1, off]."""
+    _check(f"iter_freq_type_list{where}", kind, _FREQ_KINDS)
+    path = f"iter_freqparavalue_list{where}"
     params = _check(path, params, _LIST)
     if kind == "Continuous":
         if len(params) > 1:
             raise ConfigError(f"{path}: Continuous takes [0], got {list(params)}")
         return 1, 0
-    if len(params) != 2:
+    if kind == "Discrete":
+        if not (len(params) == 1 or len(params) == 2 and _check(f"{path}[0]", params[0], _INT) == 1):
+            raise ConfigError(
+                f"{path}: Discrete frequency takes [off] (or [1, off]), got {list(params)}"
+            )
+    elif len(params) != 2:
         raise ConfigError(f"{path}: Cluster takes [on, off], got {list(params)}")
-    on, off = (_check(f"{path}[{q}]", v, _INT) for q, v in enumerate(params))
-    if on < 1:
-        raise ConfigError(f"{path}: Cluster on-window must be >= 1, got {on}")
-    if off < 0:
-        raise ConfigError(f"{path}: Cluster off-window must be >= 0, got {off}")
+    rules = (_COUNT, _NATURAL)[-len(params):]  # [on, off], or a Discrete [off]
+    window = [_check(f"{path}[{q}]", v, rule) for q, (v, rule) in enumerate(zip(params, rules))]
     # Like every number in the case, a window must fit in a float.
-    for q, v in enumerate((on, off)):
+    for q, v in enumerate(window):
         _check(f"{path}[{q}]", v, _FINITE)
-    return on, off
+    return (1, *window)[-2:]
 
 
-def _bias(kind: Any, values: Any, path: str, max_iterations: int) -> tuple[str, tuple[float, ...]]:
-    """Validate one bias entry as its kind and parameters, whose waveform
-    must stay finite over max_iterations rows."""
+def _bias(kind: Any, values: Any, where: str, max_iterations: int) -> tuple[str, tuple[float, ...]]:
+    """Validate the bias entry at ``where`` ([i][j][m]) as its kind and
+    parameters, whose waveform must stay finite over max_iterations rows."""
+    path = f"iter_biasparavalue_list{where}"
     values = _check(path, values, _LIST)
     values = tuple(float(_check(f"{path}[{q}]", v, _FINITE)) for q, v in enumerate(values))
-    # A tuple, not the dict: a YAML kind may be an unhashable list.
-    if kind not in tuple(_BIAS_ARITY):
-        raise ConfigError(f"{path}: unknown bias kind {kind!r}")
+    _check(f"iter_biastype_list{where}", kind, _BIAS_KINDS)
     arity = _BIAS_ARITY[kind]
     if len(values) != arity:
         raise ConfigError(f"{path}: {kind} bias takes {arity} parameter(s), got {list(values)}")
@@ -125,64 +127,37 @@ def parse_attack_case(
     """
     if doc is None:
         return ()
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"attack must be a mapping, got {doc!r}")
+    _check("attack", doc, _MAPPING)
     if unknown := set(doc) - set(ATTACK_LIST_KEYS):
         raise ConfigError(f"unknown attack case keys: {sorted(unknown, key=str)}")
     raw = {key: _check(key, doc.get(key, []), _LIST) for key in ATTACK_LIST_KEYS}
 
-    victims = [_check(f"iter_victim_list[{i}]", v, _INT) for i, v in enumerate(raw["iter_victim_list"])]
-    for i, victim in enumerate(victims):
-        if not 1 <= victim <= n:
-            raise ConfigError(f"iter_victim_list[{i}]: victim {victim} outside 1..{n}")
+    victims = [_check(f"iter_victim_list[{i}]", v, _int_in(range(1, n + 1)))
+               for i, v in enumerate(raw["iter_victim_list"])]
 
     for key in ATTACK_LIST_KEYS[1:]:
         _entries(raw[key], key, len(victims), "per-victim entries")
 
     slots = []
     for i, victim in enumerate(victims):
-        periods = []
         vp = _check(f"control_attackperiod_list[{i}]", raw["control_attackperiod_list"][i], _LIST)
-        for j, interval in enumerate(vp):
-            path = f"control_attackperiod_list[{i}][{j}]"
-            interval = _check(path, interval, _LIST)
-            if len(interval) != 2:
-                raise ConfigError(f"{path}: expected [start, end], got {list(interval)}")
-            start, end = (_check(f"{path}[{q}]", v, _INT) for q, v in enumerate(interval))
-            if start < 0 or start > end:
-                raise ConfigError(f"{path}: invalid interval [{start}, {end}]")
-            periods.append((start, end))
+        periods = [_check_interval(f"control_attackperiod_list[{i}][{j}]", pair)
+                   for j, pair in enumerate(vp)]
 
         what = f"period entries for victim {victim}"
         per_period = [
             _entries(raw[key][i], f"{key}[{i}]", len(periods), what) for key in ATTACK_LIST_KEYS[2:]
         ]
         for j, (start, end) in enumerate(periods):
-            ch_list = _check(f"iter_malichannel_list[{i}][{j}]", per_period[0][j], _LIST)
-            if not ch_list:
-                raise ConfigError(
-                    f"iter_malichannel_list[{i}][{j}]: a period needs at least one channel"
-                )
-            channels = []
-            for m, ch in enumerate(ch_list):
-                try:
-                    channels.append(ChannelId(ch))
-                except ValueError:
-                    raise ConfigError(
-                        f"iter_malichannel_list[{i}][{j}][{m}]: unknown channel {ch!r}"
-                    ) from None
+            ch_list = _check(f"iter_malichannel_list[{i}][{j}]", per_period[0][j], _CHANNEL_LIST)
+            channels = [ChannelId(_check(f"iter_malichannel_list[{i}][{j}][{m}]", ch, _CHANNELS))
+                        for m, ch in enumerate(ch_list)]
             fk, fp, bk, bp = (
                 _entries(entries[j], f"{key}[{i}][{j}]", len(channels), "channel entries")
                 for key, entries in zip(ATTACK_LIST_KEYS[3:], per_period[1:])
             )
-            windows = [
-                _stealth_window(fk[m], fp[m], f"iter_freqparavalue_list[{i}][{j}][{m}]")
-                for m in range(len(channels))
-            ]
-            biases = [
-                _bias(bk[m], bp[m], f"iter_biasparavalue_list[{i}][{j}][{m}]", max_iterations)
-                for m in range(len(channels))
-            ]
+            windows = [_stealth_window(fk[m], fp[m], f"[{i}][{j}][{m}]") for m in range(len(channels))]
+            biases = [_bias(bk[m], bp[m], f"[{i}][{j}][{m}]", max_iterations) for m in range(len(channels))]
             slots.extend(
                 AttackSlot(victim, start, end, channel, on, off, kind, values)
                 for channel, (on, off), (kind, values) in zip(channels, windows, biases)

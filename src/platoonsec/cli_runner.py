@@ -26,6 +26,7 @@ import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO
 
@@ -61,8 +62,8 @@ from .mpc_controller import (
     run_control_step,
 )
 from .platoon_model import (
-    _BOOL, _COUNT, _FINITE, _INT, _NATURAL, _POSITIVE, ConfigError, SimConfig, _check, _is_finite,
-    _is_int, initial_platoon,
+    _BOOL, _COUNT, _FINITE, _INT, _LIST, _MAPPING, _NATURAL, _POSITIVE, ConfigError, SimConfig,
+    _check, _check_interval, _int_in, _is_finite, _is_int, _one_of, initial_platoon,
 )
 from .v2v_channel import ChannelId, Direction, DropRule, V2VChannel, senders
 
@@ -133,20 +134,22 @@ class RunResult:
     impact: ImpactReport
     step_outcomes: list[ControlOutcome]  # one per control step
     violations: list[tuple[int, ConstraintViolation]]
-    flags_by_step: list[tuple[int, ...]]  # freeze flags, 0 or 1: comparator flag or an event
+
+    @property
+    def flags_by_step(self) -> list[tuple[int, ...]]:
+        """Each control step's freeze flags by follower: 1 for a comparator flag or an event."""
+        return [tuple(row.comparator_flag or row.pos_anom or row.vel_anom for row in step)
+                for _, step in groupby(self.rows, key=lambda row: row.control_step)]
 
 
 def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
     """Walk the leader's speed over every control step of the run, after
-    checking that the run is at most MAX_CONTROL_STEPS long."""
-    if sim.total_control_steps > MAX_CONTROL_STEPS:
-        raise ConfigError(
-            f"sim.total_control_steps must be at most {MAX_CONTROL_STEPS}, "
-            f"got {sim.total_control_steps}"
-        )
-    v = leader.speed
-    if not sim.v_min <= v <= sim.v_max:
-        raise ConfigError(f"leader speed {v} outside [{sim.v_min}, {sim.v_max}]")
+    checking that the run is at most MAX_CONTROL_STEPS long and that the
+    speed starts in [v_min, v_max]."""
+    _check("sim.total_control_steps", sim.total_control_steps,
+           (lambda steps: steps <= MAX_CONTROL_STEPS, f"at most {MAX_CONTROL_STEPS}"))
+    v = _check("leader.speed", leader.speed,
+               (lambda speed: sim.v_min <= speed <= sim.v_max, f"in [{sim.v_min}, {sim.v_max}]"))
     for k, accel in enumerate(leader.accelerations(sim.total_control_steps)):
         v += accel * sim.tau
         if not sim.v_min <= v <= sim.v_max:
@@ -203,11 +206,7 @@ def simulate(scenario: Scenario) -> RunResult:
         [[row.u for row in rows[i::n]] for i in range(n)],
         warmup=min(10, sim.total_control_steps - 1),
     )
-    flagged = [row.comparator_flag or row.pos_anom or row.vel_anom for row in rows]
-    return RunResult(
-        rows=rows, events=events, impact=impact, step_outcomes=step_outcomes,
-        violations=violations, flags_by_step=[tuple(flagged[j:j + n]) for j in range(0, len(rows), n)],
-    )
+    return RunResult(rows, events, impact, step_outcomes, violations)
 
 
 def _usable_cpus() -> int:
@@ -495,15 +494,6 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> dict[str, Path]:
 # input documents
 
 
-def _is_interval(value: Any) -> bool:
-    return value is None or (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(_is_int(v) and v >= 0 for v in value)
-        and value[0] <= value[1]
-    )
-
-
 def _is_profile(value: Any) -> bool:
     return isinstance(value, (list, tuple)) and all(
         isinstance(phase, (list, tuple))
@@ -515,7 +505,6 @@ def _is_profile(value: Any) -> bool:
     )
 
 
-_INTERVAL = (_is_interval, "[lo, hi] with non-negative ints lo <= hi")
 
 # The tables map a section's keys to (default, rule).  A default that fails
 # its rule makes the key required.  Each sim key is the SimConfig field of the
@@ -541,10 +530,10 @@ _DETECTION_RULES = {
 _DETECTION_KEYS = {f.name: (f.default, _DETECTION_RULES.get(f.name, _FINITE))
                    for f in fields(DetectionConfig) if f.name != "seed"}
 _DROP_KEYS = {
-    "direction": (None, (lambda v: v in ("forward", "backward"), "'forward' or 'backward'")),
+    "direction": (None, _one_of("forward", "backward")),
     "sender": (None, _INT),
-    "control_steps": (None, _INTERVAL),
-    "iterations": (None, _INTERVAL),
+    # None, the default, or an interval that _check_interval checks.
+    **dict.fromkeys(("control_steps", "iterations"), (None, (lambda v: True, "anything"))),
 }
 _CASE_KEYS = {"n": (SimConfig.n, _COUNT), "max_iterations": (SimConfig.max_iterations, _COUNT)}
 
@@ -562,14 +551,11 @@ MAX_BIAS_CELLS = 1_000_000
 MAX_DETECTION_CELLS = 1_000_000
 
 
-def _check_bias_size(prefix: str, n: int, max_iterations: int) -> None:
-    """Reject sizes whose bias matrices would pass MAX_BIAS_CELLS, before
-    anything of that size is allocated."""
-    if n * max_iterations > MAX_BIAS_CELLS:
-        raise ConfigError(
-            f"{prefix}n x {prefix}max_iterations must be at most {MAX_BIAS_CELLS} "
-            f"bias-matrix cells, got {n} x {max_iterations}"
-        )
+def _check_cells(where: str, rows: int, cols: int, limit: int, noun: str) -> None:
+    """Reject a (rows x cols) array of more than ``limit`` cells, before
+    anything of that size is allocated; ``where`` names both sizes."""
+    if rows * cols > limit:
+        raise ConfigError(f"{where} must be at most {limit} {noun}, got {rows} x {cols}")
 
 
 def _read_section(doc: Any, where: str, table: Mapping, noun: Optional[str]) -> dict[str, Any]:
@@ -577,10 +563,7 @@ def _read_section(doc: Any, where: str, table: Mapping, noun: Optional[str]) -> 
     defaults filled in.  A key outside the table is not a ``noun``; with no
     noun, other code reads it.  An int reads as a float where the key's
     default is a float, so ``3`` and ``3.0`` make the same run."""
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"{where} must be a mapping, got {doc!r}")
+    doc = _check(where, {} if doc is None else doc, _MAPPING)
     prefix = f"{where}." if where else ""
     for key in doc:
         if noun is not None and key not in table:
@@ -645,11 +628,8 @@ def _detection_from_doc(doc: Mapping) -> DetectionConfig:
     values = _read_section(section, "detection", _DETECTION_KEYS, "detection key")
     for rows, cols in (("hidden_count", "hidden_count"), ("norm_window", "lag"),
                        ("norm_window", "hidden_count")):
-        if values[rows] * values[cols] > MAX_DETECTION_CELLS:
-            raise ConfigError(
-                f"detection.{rows} x detection.{cols} must be at most {MAX_DETECTION_CELLS} "
-                f"cells, got {values[rows]} x {values[cols]}"
-            )
+        _check_cells(f"detection.{rows} x detection.{cols}", values[rows], values[cols],
+                     MAX_DETECTION_CELLS, "cells")
     least = values["lag"] + values["step_forward"] + 1
     if values["norm_window"] < least:
         raise ConfigError(
@@ -668,22 +648,15 @@ def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
     leader's prediction is fixed within a control step, so holding it from a
     later round holds the live value).  Control steps past the end of the run
     are accepted, because ``--steps`` may shorten a run."""
-    if entries is None:
-        return ()
-    if not isinstance(entries, (list, tuple)):
-        raise ConfigError(f"drops must be a list, got {entries!r}")
     rules = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_check("drops", () if entries is None else entries, _LIST)):
         where = f"drops[{i}]"
         rule = _read_section(entry, where, _DROP_KEYS, "drop-rule key")
+        steps, iterations = (None if rule[key] is None else _check_interval(f"{where}.{key}", rule[key])
+                             for key in ("control_steps", "iterations"))
         direction, sender = Direction(rule["direction"]), rule["sender"]
-        sent = senders(direction, sim.n)
-        if sender not in sent:
-            raise ConfigError(
-                f"{where}.sender must be an int in {sent.start}..{sent.stop - 1} for a "
-                f"{direction.value} rule with n={sim.n}, got {sender!r}"
-            )
-        steps, iterations = (rule[key] and tuple(rule[key]) for key in ("control_steps", "iterations"))
+        _check(f"{where}.sender", sender,
+               _int_in(senders(direction, sim.n), f" for a {direction.value} rule with n={sim.n}"))
         if iterations is not None and iterations[0] >= sim.max_iterations:
             raise ConfigError(
                 f"{where}.iterations {list(iterations)} starts at or past "
@@ -727,7 +700,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
         raise ConfigError(f"need sim.a_min < sim.a_max, got [{sim.a_min}, {sim.a_max}]")
     if not sim.v_min < sim.v_max:
         raise ConfigError(f"need sim.v_min < sim.v_max, got [{sim.v_min}, {sim.v_max}]")
-    _check_bias_size("sim.", sim.n, sim.max_iterations)
+    _check_cells("sim.n x sim.max_iterations", sim.n, sim.max_iterations, MAX_BIAS_CELLS, "bias-matrix cells")
     leader = _read_section(doc.get("leader"), "leader", _LEADER_KEYS, "leader key")
     starts = [start for start, _ in leader["profile"]]
     for i in range(1, len(starts)):
@@ -773,7 +746,7 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
     in_sim = _read_section(doc.get("sim"), "sim", _CASE_KEYS, None)
     table = {key: (in_sim[key], rule) for key, (_, rule) in _CASE_KEYS.items()}
     n, max_iterations = _read_section(doc, "", table, None).values()
-    _check_bias_size("", n, max_iterations)
+    _check_cells("n x max_iterations", n, max_iterations, MAX_BIAS_CELLS, "bias-matrix cells")
     slots = parse_attack_case(doc.get("attack"), n, max_iterations)
     bias = iter_attack_value_cal(n, k, max_iterations, slots)
     out_dir = Path(out_dir)

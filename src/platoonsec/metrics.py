@@ -52,13 +52,9 @@ def time_headway(gap: float, v: float, L_veh: float) -> float:
     return (gap - L_veh) / v
 
 
-def classify_impact(
-    headway_series: Sequence[float],
-    safe_lo: float,
-    safe_hi: float,
-    warmup: int = 10,
-) -> ImpactClass:
-    """Classify one vehicle's run from its headway excursions after warmup.
+def classify_impact(headway_series: Sequence[float], warmup: int = 10) -> ImpactClass:
+    """Classify one vehicle's run from its headway excursions out of
+    SAFE_HEADWAY after warmup.
 
     NaN entries (undefined headway) are excluded.  Values inside the warmup
     window never influence the result.
@@ -67,6 +63,7 @@ def classify_impact(
         raise ValueError(
             f"series of length {len(headway_series)} not longer than warmup {warmup}"
         )
+    safe_lo, safe_hi = SAFE_HEADWAY
     below = False
     above = False
     for h in headway_series[warmup:]:
@@ -119,7 +116,7 @@ def build_impact_report(
         per_vehicle.append(
             VehicleImpact(
                 vehicle=idx,
-                classification=classify_impact(headways, *SAFE_HEADWAY, warmup),
+                classification=classify_impact(headways, warmup),
                 headway_violations=_out_of_band_intervals(
                     headways, *SAFE_HEADWAY, start=warmup
                 ),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 
 class ConfigError(ValueError):
@@ -38,6 +38,19 @@ _NATURAL = (lambda v: _is_int(v) and v >= 0, "an int >= 0")
 _FINITE = (_is_finite, "a finite number")
 _POSITIVE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
 _LIST = (lambda v: isinstance(v, (list, tuple)), "a list")
+_PAIR = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2, "a [start, end] pair")
+_MAPPING = (lambda v: isinstance(v, Mapping), "a mapping")
+
+
+def _one_of(*choices: Any) -> tuple:
+    """The rule that a value is one of ``choices``."""
+    *others, last = map(repr, choices)
+    return (lambda v: v in choices, f"{', '.join(others)} or {last}")
+
+
+def _int_in(span: range, context: str = "") -> tuple:
+    """The rule that a value is an int in ``span``."""
+    return (lambda v: _is_int(v) and v in span, f"an int in {span.start}..{span.stop - 1}{context}")
 
 
 def _check(where: str, value: Any, rule: tuple) -> Any:
@@ -46,6 +59,16 @@ def _check(where: str, value: Any, rule: tuple) -> Any:
     if not check(value):
         raise ConfigError(f"{where} must be {requirement}, got {value!r}")
     return value
+
+
+def _check_interval(where: str, value: Any) -> tuple[int, int]:
+    """``value`` as a [start, end] pair of ints >= 0 with start <= end, each
+    int checked at its own path."""
+    pair = _check(where, value, _PAIR)
+    start, end = (_check(f"{where}[{q}]", v, _NATURAL) for q, v in enumerate(pair))
+    if start > end:
+        raise ConfigError(f"{where}: invalid interval [{start}, {end}]")
+    return start, end
 
 
 @dataclass(frozen=True)

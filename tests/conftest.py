@@ -11,6 +11,19 @@ def config():
     return SimConfig()
 
 
+def running_example_doc():
+    """Three victims with mixed channels, frequencies and waveforms."""
+    return {
+        "iter_victim_list": [1, 3, 5],
+        "control_attackperiod_list": [[[10, 20], [15, 25]], [[20, 30]], [[40, 60]]],
+        "iter_malichannel_list": [[["x_ite", "v_ite"], ["v_ite"]], [["zx_ite"]], [["zv_ite"]]],
+        "iter_freq_type_list": [[["Continuous", "Continuous"], ["Cluster"]], [["Continuous"]], [["Cluster"]]],
+        "iter_freqparavalue_list": [[[[0], [0]], [[2, 8]]], [[[0]]], [[[1, 10]]]],
+        "iter_biastype_list": [[["Constant", "Constant"], ["Constant"]], [["Linear"]], [["Sinusoidal"]]],
+        "iter_biasparavalue_list": [[[[3], [2]], [[4]]], [[[2, 5]]], [[[10, 0.5, 0, 5]]]],
+    }
+
+
 def single_channel_case(
     n: int,
     victim: int,

@@ -16,18 +16,7 @@ from platoonsec.attack_engine import (
 from platoonsec.platoon_model import ConfigError
 from platoonsec.v2v_channel import ChannelId
 
-
-def running_example_doc():
-    """Three victims with mixed channels, frequencies and waveforms."""
-    return {
-        "iter_victim_list": [1, 3, 5],
-        "control_attackperiod_list": [[[10, 20], [15, 25]], [[20, 30]], [[40, 60]]],
-        "iter_malichannel_list": [[["x_ite", "v_ite"], ["v_ite"]], [["zx_ite"]], [["zv_ite"]]],
-        "iter_freq_type_list": [[["Continuous", "Continuous"], ["Cluster"]], [["Continuous"]], [["Cluster"]]],
-        "iter_freqparavalue_list": [[[[0], [0]], [[2, 8]]], [[[0]]], [[[1, 10]]]],
-        "iter_biastype_list": [[["Constant", "Constant"], ["Constant"]], [["Linear"]], [["Sinusoidal"]]],
-        "iter_biasparavalue_list": [[[[3], [2]], [[4]]], [[[2, 5]]], [[[10, 0.5, 0, 5]]]],
-    }
+from conftest import running_example_doc
 
 
 def one_slot_doc(freq, freq_params, bias, bias_params, period=(0, 5)):
@@ -74,7 +63,7 @@ class TestParseAttackCase:
     def test_victim_out_of_range(self):
         doc = running_example_doc()
         doc["iter_victim_list"] = [1, 3, 7]
-        with pytest.raises(ConfigError, match="victim 7"):
+        with pytest.raises(ConfigError, match=r"^iter_victim_list\[2\] must be an int in 1\.\.6, got 7$"):
             parse_attack_case(doc, 6, 300)
 
     def test_parameter_arity_enforced(self):
@@ -94,20 +83,20 @@ class TestParseAttackCase:
             case = parse_attack_case(one_slot_doc("Discrete", params, "Constant", [1.0]), 6, 300)
             assert [(slot.on, slot.off) for slot in case] == [(1, 4)]
 
-    @pytest.mark.parametrize("victim, period, freq, freq_params, path", [
-        (2.0, (1, 5), "Continuous", [0], r"iter_victim_list\[0\]"),
-        (2, (1.0, 5), "Continuous", [0], r"control_attackperiod_list\[0\]\[0\]\[0\]"),
-        (2, (1, 5), "Cluster", [3.0, 7], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[0\]"),
-        (2, (1, 5), "Cluster", [3, 7.0], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[1\]"),
-        (2, (1, 5), "Discrete", [4.0], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[0\]"),
-        (2, (1, 5), "Discrete", [1.0, 4], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[0\]"),
+    @pytest.mark.parametrize("victim, period, freq, freq_params, path, requirement", [
+        (2.0, (1, 5), "Continuous", [0], r"iter_victim_list\[0\]", r"an int in 1\.\.6"),
+        (2, (1.0, 5), "Continuous", [0], r"control_attackperiod_list\[0\]\[0\]\[0\]", "an int >= 0"),
+        (2, (1, 5), "Cluster", [3.0, 7], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[0\]", "an int >= 1"),
+        (2, (1, 5), "Cluster", [3, 7.0], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[1\]", "an int >= 0"),
+        (2, (1, 5), "Discrete", [4.0], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[0\]", "an int >= 0"),
+        (2, (1, 5), "Discrete", [1.0, 4], r"iter_freqparavalue_list\[0\]\[0\]\[0\]\[0\]", "an int"),
     ], ids=["victim", "period", "cluster_on", "cluster_off", "discrete_off", "discrete_on"])
-    def test_an_integral_float_is_not_an_int(self, victim, period, freq, freq_params, path):
+    def test_an_integral_float_is_not_an_int(self, victim, period, freq, freq_params, path, requirement):
         # As in the section tables (sim: {n: 6.0}), an int spelled as a
         # float is refused, with its path.
         doc = one_slot_doc(freq, freq_params, "Constant", [1.0], period)
         doc["iter_victim_list"] = [victim]
-        with pytest.raises(ConfigError, match=rf"^{path} must be an int, got "):
+        with pytest.raises(ConfigError, match=rf"^{path} must be {requirement}, got "):
             parse_attack_case(doc, 6, 300)
 
     def test_interval_sanity(self):

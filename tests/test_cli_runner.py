@@ -1,3 +1,4 @@
+import copy
 import csv
 import math
 import os
@@ -45,7 +46,7 @@ from platoonsec.detection import (
 from platoonsec.mpc_controller import NumericalError
 from platoonsec.platoon_model import ConfigError, SimConfig
 
-from conftest import make_scenario, single_channel_case
+from conftest import make_scenario, running_example_doc, single_channel_case
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
@@ -127,7 +128,49 @@ def _one_channel_attack(*bias, bias_kind="Constant", freq_kind="Continuous", fre
     }
 
 
+def _leaves(value, path, keys):
+    """(path, keys) of every scalar under ``value``, which sits at ``path``
+    and which ``keys`` reach from the document, through lists and mappings."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}", key, item) for key, item in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{q}]", q, item) for q, item in enumerate(value)]
+    else:
+        return [(path, keys)]
+    return [leaf for where, key, item in items for leaf in _leaves(item, where, (*keys, key))]
+
+
+# Every leaf of the running-example attack case and of a drop rule.  The
+# Continuous entries' [0] parameters are left out: nothing reads them.
+_LEAF_DOC = {
+    "attack": running_example_doc(),
+    "drops": [{"direction": "backward", "sender": 3, "control_steps": [10, 30], "iterations": [0, 50]}],
+}
+_UNREAD = {"iter_freqparavalue_list[0][0][0][0]", "iter_freqparavalue_list[0][0][1][0]",
+           "iter_freqparavalue_list[1][0][0][0]"}
+_LEAVES = [leaf for key, lists in _LEAF_DOC["attack"].items()
+           for leaf in _leaves(lists, key, ("attack", key)) if leaf[0] not in _UNREAD]
+_LEAVES += _leaves(_LEAF_DOC["drops"], "drops", ("drops",))
+
+
 class TestScenarioLoading:
+    def test_leaf_doc_loads(self):
+        scenario = scenario_from_dict(scenario_doc(**copy.deepcopy(_LEAF_DOC)))
+        assert (len(scenario.attack), len(scenario.drops)) == (5, 1)
+
+    @pytest.mark.parametrize("path, keys", _LEAVES, ids=[path for path, _ in _LEAVES])
+    def test_every_bad_leaf_is_named(self, path, keys):
+        # Each check on one value names that value's own path, in one form.
+        doc = copy.deepcopy(_LEAF_DOC)
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = "bogus"
+        with pytest.raises(ConfigError) as error:
+            scenario_from_dict(scenario_doc(**doc))
+        assert str(error.value).startswith(f"{path} must be "), str(error.value)
+
     def test_minimal_document(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(scenario_doc()))
@@ -168,7 +211,7 @@ class TestScenarioLoading:
         sim = SimConfig()
         assert scenario_from_dict(scenario_doc(leader={"speed": sim.v_max})).leader.speed == sim.v_max
         for speed in (sim.v_max + 1.0, sim.v_min - 0.1):
-            with pytest.raises(ConfigError, match=r"leader speed .* outside"):
+            with pytest.raises(ConfigError, match=r"^leader\.speed must be in \[0\.0, 40\.0\], got "):
                 scenario_from_dict(scenario_doc(leader={"speed": speed}))
 
     def test_attack_section_mirrors_seven_lists(self):
@@ -939,7 +982,7 @@ class TestCli:
              "[start_step >= 0, acceleration] pairs, got [[1.5, 2]]"),
             ({"leader": 5}, "leader must be a mapping, got 5"),
             ({"leader": {"speed": "fast"}}, "leader.speed must be a finite number, got 'fast'"),
-            ({"leader": {"speed": 41}}, "leader speed 41.0 outside [0.0, 40.0]"),
+            ({"leader": {"speed": 41}}, "leader.speed must be in [0.0, 40.0], got 41.0"),
             ({"leader": {"speeed": 20}}, "leader.speeed is not a leader key"),
             ({"output": 5}, "output must be a mapping, got 5"),
             ({"output": {"trace": "no"}}, "output.trace must be a bool, got 'no'"),
@@ -973,13 +1016,13 @@ class TestCli:
             (_one_channel_attack(10**400),
              f"iter_biasparavalue_list[0][0][0][0] must be a finite number, got {10**400}"),
             (_one_channel_attack(1.0, bias_kind="Square"),
-             "iter_biasparavalue_list[0][0][0]: unknown bias kind 'Square'"),
+             "iter_biastype_list[0][0][0] must be 'Constant', 'Linear' or 'Sinusoidal', got 'Square'"),
             (_one_channel_attack(1.0, freq_kind="Burst"),
-             "iter_freqparavalue_list[0][0][0]: unknown frequency kind 'Burst'"),
+             "iter_freq_type_list[0][0][0] must be 'Continuous', 'Cluster' or 'Discrete', got 'Burst'"),
             (_one_channel_attack(1.0, freq_kind="Cluster", freq_params=(0, 5)),
-             "iter_freqparavalue_list[0][0][0]: Cluster on-window must be >= 1, got 0"),
+             "iter_freqparavalue_list[0][0][0][0] must be an int >= 1, got 0"),
             (_one_channel_attack(1.0, freq_kind="Cluster", freq_params=(2, -1)),
-             "iter_freqparavalue_list[0][0][0]: Cluster off-window must be >= 0, got -1"),
+             "iter_freqparavalue_list[0][0][0][1] must be an int >= 0, got -1"),
             (_one_channel_attack(float("nan")),
              "iter_biasparavalue_list[0][0][0][0] must be a finite number, got nan"),
             (_one_channel_attack(1, 1e308, 0, 0, bias_kind="Sinusoidal"),

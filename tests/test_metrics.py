@@ -50,33 +50,33 @@ class TestTimeHeadway:
 class TestClassifyImpact:
     def test_dip_below_is_safety_degradation(self):
         series = [0.5] * 40 + [0.40] * 5 + [0.5] * 40
-        assert classify_impact(series, 0.45, 0.55, 10) is ImpactClass.SAFETY_DEGRADATION
+        assert classify_impact(series, 10) is ImpactClass.SAFETY_DEGRADATION
 
     def test_rise_above_is_efficiency_degradation(self):
         series = [0.5] * 40 + [0.60] * 5 + [0.5] * 40
-        assert classify_impact(series, 0.45, 0.55, 10) is ImpactClass.EFFICIENCY_DEGRADATION
+        assert classify_impact(series, 10) is ImpactClass.EFFICIENCY_DEGRADATION
 
     def test_oscillation_is_string_instability(self):
         series = [0.5 + 0.15 * math.sin(t / 3.0) for t in range(80)]
-        assert classify_impact(series, 0.45, 0.55, 10) is ImpactClass.STRING_INSTABILITY
+        assert classify_impact(series, 10) is ImpactClass.STRING_INSTABILITY
 
     def test_in_band_is_none(self):
-        assert classify_impact([0.5] * 50, 0.45, 0.55, 10) is ImpactClass.NONE
+        assert classify_impact([0.5] * 50, 10) is ImpactClass.NONE
 
     def test_warmup_excursions_ignored(self):
         series = [0.2] * 10 + [0.5] * 40
-        assert classify_impact(series, 0.45, 0.55, 10) is ImpactClass.NONE
+        assert classify_impact(series, 10) is ImpactClass.NONE
         # identical apart from the warmup content
         noisy = [99.0] * 10 + [0.5] * 40
-        assert classify_impact(noisy, 0.45, 0.55, 10) == classify_impact(series, 0.45, 0.55, 10)
+        assert classify_impact(noisy, 10) == classify_impact(series, 10)
 
     def test_nan_entries_excluded(self):
         series = [0.5] * 20 + [math.nan] * 3 + [0.5] * 20
-        assert classify_impact(series, 0.45, 0.55, 10) is ImpactClass.NONE
+        assert classify_impact(series, 10) is ImpactClass.NONE
 
     def test_series_must_outlast_warmup(self):
         with pytest.raises(ValueError):
-            classify_impact([0.5] * 10, 0.45, 0.55, 10)
+            classify_impact([0.5] * 10, 10)
 
 
 def acceleration_envelope(series):
