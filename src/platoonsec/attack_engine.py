@@ -78,8 +78,9 @@ def _stealth_window(kind: Any, params: Any, where: str) -> tuple[int, int]:
     path = f"iter_freqparavalue_list{where}"
     params = _check(path, params, _LIST)
     if kind == "Continuous":
-        if len(params) > 1:
+        if len(params) != 1:
             raise ConfigError(f"{path}: Continuous takes [0], got {list(params)}")
+        _check(f"{path}[0]", params[0], _int_in(range(1)))
         return 1, 0
     if kind == "Discrete":
         if not (len(params) == 1 or len(params) == 2 and _check(f"{path}[0]", params[0], _INT) == 1):

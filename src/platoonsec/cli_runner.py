@@ -524,7 +524,7 @@ _OUTPUT_KEYS = {f.name: (f.default, _BOOL) for f in fields(OutputFlags)}
 _DETECTION_RULES = {
     "enabled": _BOOL,
     **dict.fromkeys(("comparator_threshold", "pos_threshold", "vel_threshold", "ridge"), _POSITIVE),
-    **dict.fromkeys(("hidden_count", "lag", "step_forward", "norm_window"), _COUNT),
+    **dict.fromkeys(("hidden_count", "lag", "norm_window"), _COUNT),
     "warmup_steps": _NATURAL,
 }
 _DETECTION_KEYS = {f.name: (f.default, _DETECTION_RULES.get(f.name, _FINITE))
@@ -535,7 +535,6 @@ _DROP_KEYS = {
     # None, the default, or an interval that _check_interval checks.
     **dict.fromkeys(("control_steps", "iterations"), (None, (lambda v: True, "anything"))),
 }
-_CASE_KEYS = {"n": (SimConfig.n, _COUNT), "max_iterations": (SimConfig.max_iterations, _COUNT)}
 
 # Loading walks the leader over every control step, a fraction of a second per
 # million, and a run spends milliseconds on each: a longer run is refused first.
@@ -558,19 +557,18 @@ def _check_cells(where: str, rows: int, cols: int, limit: int, noun: str) -> Non
         raise ConfigError(f"{where} must be at most {limit} {noun}, got {rows} x {cols}")
 
 
-def _read_section(doc: Any, where: str, table: Mapping, noun: Optional[str]) -> dict[str, Any]:
+def _read_section(doc: Any, where: str, table: Mapping, noun: str) -> dict[str, Any]:
     """Every key of ``table`` from the optional section ``doc`` at ``where``,
-    defaults filled in.  A key outside the table is not a ``noun``; with no
-    noun, other code reads it.  An int reads as a float where the key's
-    default is a float, so ``3`` and ``3.0`` make the same run."""
+    defaults filled in.  A key outside the table is not a ``noun``.  An int
+    reads as a float where the key's default is a float, so ``3`` and ``3.0``
+    make the same run."""
     doc = _check(where, {} if doc is None else doc, _MAPPING)
-    prefix = f"{where}." if where else ""
     for key in doc:
-        if noun is not None and key not in table:
-            raise ConfigError(f"{prefix}{key} is not a {noun}")
+        if key not in table:
+            raise ConfigError(f"{where}.{key} is not a {noun}")
     values = {}
     for key, (default, rule) in table.items():
-        value = _check(prefix + key, doc.get(key, default), rule)
+        value = _check(f"{where}.{key}", doc.get(key, default), rule)
         values[key] = float(value) if isinstance(default, float) else value
     return values
 
@@ -630,10 +628,10 @@ def _detection_from_doc(doc: Mapping) -> DetectionConfig:
                        ("norm_window", "hidden_count")):
         _check_cells(f"detection.{rows} x detection.{cols}", values[rows], values[cols],
                      MAX_DETECTION_CELLS, "cells")
-    least = values["lag"] + values["step_forward"] + 1
+    least = values["lag"] + 2
     if values["norm_window"] < least:
         raise ConfigError(
-            f"detection.norm_window must be at least lag + step_forward + 1 = {least}, "
+            f"detection.norm_window must be at least lag + 2 = {least}, "
             f"got {values['norm_window']}: a shorter window never holds two training pairs"
         )
     return DetectionConfig(**values, seed=seed)
@@ -743,9 +741,11 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
     doc = _load_doc(case_path, "case document")
     if misplaced := [key for key in ATTACK_LIST_KEYS if key in doc]:
         raise ConfigError(f"{misplaced[0]} must be under attack:, not at the top level")
-    in_sim = _read_section(doc.get("sim"), "sim", _CASE_KEYS, None)
-    table = {key: (in_sim[key], rule) for key, (_, rule) in _CASE_KEYS.items()}
-    n, max_iterations = _read_section(doc, "", table, None).values()
+    sim = doc.get("sim")
+    sim = _check("sim", {} if sim is None else sim, _MAPPING)
+    in_sim = {key: _check(f"sim.{key}", sim.get(key, getattr(SimConfig, key)), _COUNT)
+              for key in ("n", "max_iterations")}
+    n, max_iterations = (_check(key, doc.get(key, value), _COUNT) for key, value in in_sim.items())
     _check_cells("n x max_iterations", n, max_iterations, MAX_BIAS_CELLS, "bias-matrix cells")
     slots = parse_attack_case(doc.get("attack"), n, max_iterations)
     bias = iter_attack_value_cal(n, k, max_iterations, slots)

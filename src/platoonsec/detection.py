@@ -55,7 +55,6 @@ class DetectionConfig:
     hidden_count: int = 50
     ridge: float = 1e-6
     lag: int = 2
-    step_forward: int = 1
     norm_window: int = 200
     # Flags and events are suppressed while the models accumulate data.
     warmup_steps: int = 12
@@ -150,24 +149,18 @@ def minmax_inverse(state: NormalizationState, values):  # a float or a float arr
     return values * (state.data_max - state.data_min) + state.data_min
 
 
-def sliding_window(
-    series: Sequence[float], lag: int, step_forward: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lagged input windows paired with the value step_forward ahead.
-
-    inputs[i] = series[i : i+lag], targets[i] = series[i + lag + step_forward - 1],
-    giving len(series) - lag - step_forward + 1 pairs.
+def sliding_window(series: Sequence[float], lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each run of lag + 1 consecutive values as one training pair:
+    inputs[i] = series[i : i+lag], targets[i] = series[i + lag], giving
+    len(series) - lag pairs.
     """
     data = np.asarray(series, dtype=float)
-    count = data.size - lag - step_forward + 1
+    count = data.size - lag
     if count < 1:
-        raise DetectionError(
-            f"series of length {data.size} too short for lag={lag}, "
-            f"step_forward={step_forward}"
-        )
+        raise DetectionError(f"series of length {data.size} too short for lag={lag}")
     # Row i gathers data[i : i + lag] into a new C-contiguous array.
     inputs = data[np.arange(count)[:, None] + np.arange(lag)]
-    return inputs, data[lag + step_forward - 1 :].copy()
+    return inputs, data[lag:].copy()
 
 
 class NumericalFitError(RuntimeError):
@@ -342,9 +335,9 @@ class SeriesDetector:
         updates in a row refit in full with elm_fit.  A flag or a constant
         window sets ``updates`` to None, so the stored P is not used again.
         """
-        diffs, lag, ahead = self.train_diffs, self.cfg.lag, self.cfg.step_forward
+        diffs, lag = self.train_diffs, self.cfg.lag
         window = diffs[-self.cfg.norm_window:]
-        if len(window) < lag + ahead + 1:
+        if len(window) < lag + 2:
             return
         lo, hi = min(window), max(window)
         if not hi > lo:
@@ -355,16 +348,16 @@ class SeriesDetector:
                 and self.model.gram_inverse is not None
                 and lo == norm.data_min and hi == norm.data_max):
             end = len(diffs)
-            starts = [end - lag - ahead]  # the pair that joins
+            starts = [end - lag - 1]  # the pair that joins
             if end > self.cfg.norm_window:
                 starts.append(end - 1 - self.cfg.norm_window)  # the pair that leaves
-            pairs = [diffs[j:j + lag] + [diffs[j + lag + ahead - 1]] for j in starts]
+            pairs = [diffs[j:j + lag + 1] for j in starts]
             rows = minmax_transform(norm, pairs)
             if elm_update(self.model, rows[:, :lag], rows[:, lag], _JOIN_LEAVE[:len(starts)]):
                 self.updates += 1
                 return
         norm = NormalizationState(lo, hi)
-        inputs, targets = sliding_window(minmax_transform(norm, window), lag, ahead)
+        inputs, targets = sliding_window(minmax_transform(norm, window), lag)
         self.model = elm_fit(self.model, inputs, targets, self.cfg.ridge)
         self.norm = norm
         self.updates = 0

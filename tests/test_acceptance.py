@@ -272,7 +272,7 @@ def test_c8_elm_correctness():
     )
 
     series = [0.01 * t for t in range(102)]
-    inputs, targets = sliding_window(series, 2, 1)
+    inputs, targets = sliding_window(series, 2)
     fitted = elm_fit(create_elm(50, random_state=7), inputs, targets)
     rmse = math.sqrt(np.mean((np.array([elm_predict(fitted, w) for w in inputs]) - targets) ** 2))
     ramp_ok = rmse < 1e-3

@@ -140,16 +140,13 @@ def _leaves(value, path, keys):
     return [leaf for where, key, item in items for leaf in _leaves(item, where, (*keys, key))]
 
 
-# Every leaf of the running-example attack case and of a drop rule.  The
-# Continuous entries' [0] parameters are left out: nothing reads them.
+# Every leaf of the running-example attack case and of a drop rule.
 _LEAF_DOC = {
     "attack": running_example_doc(),
     "drops": [{"direction": "backward", "sender": 3, "control_steps": [10, 30], "iterations": [0, 50]}],
 }
-_UNREAD = {"iter_freqparavalue_list[0][0][0][0]", "iter_freqparavalue_list[0][0][1][0]",
-           "iter_freqparavalue_list[1][0][0][0]"}
 _LEAVES = [leaf for key, lists in _LEAF_DOC["attack"].items()
-           for leaf in _leaves(lists, key, ("attack", key)) if leaf[0] not in _UNREAD]
+           for leaf in _leaves(lists, key, ("attack", key))]
 _LEAVES += _leaves(_LEAF_DOC["drops"], "drops", ("drops",))
 
 
@@ -171,6 +168,20 @@ class TestScenarioLoading:
             scenario_from_dict(scenario_doc(**doc))
         assert str(error.value).startswith(f"{path} must be "), str(error.value)
 
+    @pytest.mark.parametrize("params, message", [
+        ([5], "[0] must be an int in 0..0, got 5"),
+        (["bogus"], "[0] must be an int in 0..0, got 'bogus'"),
+        ([False], "[0] must be an int in 0..0, got False"),
+        ([0.0], "[0] must be an int in 0..0, got 0.0"),
+        ([], ": Continuous takes [0], got []"),
+        ([0, 0], ": Continuous takes [0], got [0, 0]"),
+    ], ids=["five", "string", "bool", "float", "empty", "two-entries"])
+    def test_continuous_takes_exactly_zero(self, params, message):
+        doc = scenario_doc(attack=_one_channel_attack(3.0, freq_params=params))
+        with pytest.raises(ConfigError) as error:
+            scenario_from_dict(doc)
+        assert str(error.value) == f"iter_freqparavalue_list[0][0][0]{message}"
+
     def test_minimal_document(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(scenario_doc()))
@@ -185,7 +196,7 @@ class TestScenarioLoading:
         section = {
             "enabled": False, "comparator_threshold": 3, "nominal_diff": 1, "pos_threshold": 3,
             "vel_threshold": 2.5, "hidden_count": 20, "ridge": 1.0e-4, "lag": 3,
-            "step_forward": 2, "norm_window": 100, "warmup_steps": 5,
+            "norm_window": 100, "warmup_steps": 5,
         }
         defaults = DetectionConfig()
         assert set(section) == {f.name for f in fields(DetectionConfig)} - {"seed"}
@@ -653,7 +664,7 @@ class TestCli:
             ({"pos_thresh": 3.0}, "detection.pos_thresh"),
             ({"hidden_count": 0}, "detection.hidden_count"),
             ({"lag": 0}, "detection.lag"),
-            ({"step_forward": True}, "detection.step_forward"),
+            ({"lag": True}, "detection.lag"),
             ({"norm_window": 200.0}, "detection.norm_window"),
             ({"warmup_steps": -1}, "detection.warmup_steps"),
             ({"comparator_threshold": 0}, "detection.comparator_threshold"),
@@ -668,13 +679,15 @@ class TestCli:
             ({"hidden_count": 10**12}, "detection.hidden_count x detection.hidden_count"),
             ({"lag": 10**11}, "detection.norm_window x detection.lag"),
             ({"norm_window": 10**5}, "detection.norm_window x detection.hidden_count"),
-            ({"norm_window": 4, "step_forward": 2}, "detection.norm_window must be at least"),
+            ({"norm_window": 3}, "detection.norm_window must be at least lag + 2 = 4, got 3"),
+            ({"step_forward": 1}, "detection.step_forward is not a detection key"),
         ],
         ids=[
-            "unknown-key", "zero-hidden", "zero-lag", "bool-step", "float-window",
+            "unknown-key", "zero-hidden", "zero-lag", "bool-lag", "float-window",
             "negative-warmup", "zero-comparator", "infinite-threshold", "string-threshold",
             "nan-ridge", "infinite-nominal", "int-enabled", "list-section", "zero-section",
             "int-past-float-range", "huge-hidden", "huge-lag", "huge-window", "window-without-pairs",
+            "removed-step-forward",
         ],
     )
     def test_bad_detection_section_exit_code(self, tmp_path, capsys, command, section, field):
@@ -954,13 +967,22 @@ class TestCli:
 
     def test_detection_size_limits_are_inclusive(self):
         side = int(MAX_DETECTION_CELLS**0.5)
-        detection = {"hidden_count": side, "norm_window": side, "lag": side - 2, "step_forward": 1}
+        detection = {"hidden_count": side, "norm_window": side, "lag": side - 2}
         read = scenario_from_dict(scenario_doc(detection=detection)).detection
         assert (read.hidden_count, read.norm_window) == (side, side)
         with pytest.raises(ConfigError, match="detection.hidden_count x detection.hidden_count"):
             scenario_from_dict(scenario_doc(detection={**detection, "hidden_count": side + 1}))
         with pytest.raises(ConfigError, match="detection.norm_window must be at least"):
             scenario_from_dict(scenario_doc(detection={**detection, "lag": side - 1}))
+
+    def test_shortest_detection_window_is_fitted(self, monkeypatch):
+        # norm_window = lag + 2 increments hold two training pairs.
+        fits = []
+        fit = detection.elm_fit
+        monkeypatch.setattr(detection, "elm_fit", lambda *args: fits.append(args) or fit(*args))
+        leader = {"speed": 30.0, "profile": [[5, 1.0], [15, -1.0]]}
+        simulate(scenario_from_dict(scenario_doc(leader=leader, detection={"lag": 2, "norm_window": 4})))
+        assert fits
 
     def test_bias_size_limit_is_inclusive(self):
         sim = {"n": 1000, "max_iterations": MAX_BIAS_CELLS // 1000}

@@ -82,7 +82,7 @@ class TestMinMax:
 
 class TestSlidingWindow:
     def test_direct_enumeration(self):
-        inputs, targets = sliding_window([1, 2, 3, 4], lag=2, step_forward=1)
+        inputs, targets = sliding_window([1, 2, 3, 4], lag=2)
         assert inputs.tolist() == [[1, 2], [2, 3]]
         assert targets.tolist() == [3, 4]
 
@@ -91,22 +91,21 @@ class TestSlidingWindow:
         for _ in range(50):
             length = rng.randint(2, 60)
             lag = rng.randint(1, 5)
-            sf = rng.randint(1, 3)
             series = [rng.random() for _ in range(length)]
-            expected = length - lag - sf + 1
+            expected = length - lag
             if expected < 1:
                 with pytest.raises(DetectionError):
-                    sliding_window(series, lag, sf)
+                    sliding_window(series, lag)
                 continue
-            inputs, targets = sliding_window(series, lag, sf)
+            inputs, targets = sliding_window(series, lag)
             assert len(inputs) == len(targets) == expected
             for i in range(expected):
                 assert inputs[i].tolist() == series[i : i + lag]
-                assert targets[i] == series[i + lag + sf - 1]
+                assert targets[i] == series[i + lag]
 
     def test_lag_two_window_is_last_two_values(self):
         series = [10.0, 11.0, 12.0, 13.0]
-        inputs, targets = sliding_window(series, lag=2, step_forward=1)
+        inputs, targets = sliding_window(series, lag=2)
         assert inputs[-1].tolist() == series[-3:-1]
         assert targets[-1] == series[-1]
 
@@ -130,7 +129,7 @@ class TestElm:
 
     def test_noiseless_ramp_in_sample_rmse(self):
         series = [0.01 * t for t in range(102)]
-        inputs, targets = sliding_window(series, lag=2, step_forward=1)
+        inputs, targets = sliding_window(series, lag=2)
         model = create_elm(50, random_state=7)
         fitted = elm_fit(model, inputs, targets, ridge=1e-6)
         preds = [elm_predict(fitted, w) for w in inputs]
@@ -165,7 +164,7 @@ class TestElm:
         series = [30.0 + 0.001 * math.sin(t) for t in range(60)]
         norm = minmax_of(series)
         normalized = minmax_transform(norm, series)
-        inputs, targets = sliding_window(normalized, 2, 1)
+        inputs, targets = sliding_window(normalized, 2)
         fitted = elm_fit(create_elm(50, random_state=2), inputs, targets)
         pred = minmax_inverse(norm, elm_predict(fitted, normalized[-3:-1]))
         assert pred == pytest.approx(30.0, abs=1e-2)
@@ -175,10 +174,9 @@ def _ref_sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-def _ref_windows(data, lag, step_forward):
-    count = data.size - lag - step_forward + 1
-    inputs = np.lib.stride_tricks.sliding_window_view(data, lag)[:count].copy()
-    return inputs, data[lag + step_forward - 1 :].copy()
+def _ref_windows(data, lag):
+    inputs = np.lib.stride_tricks.sliding_window_view(data, lag)[:-1].copy()
+    return inputs, data[lag:].copy()
 
 
 def _ref_weights(model, inputs, targets, ridge):
@@ -198,17 +196,17 @@ class TestKernelsMatchReferenceFormulas:
     """The fit and forecast kernels give exactly the bits of the plain
     formulas kept above, for every training size the detector meets."""
 
-    @pytest.mark.parametrize("lag, step_forward", [(2, 1), (2, 2), (3, 1), (3, 2)])
-    def test_windows_weights_and_forecasts_bit_identical(self, lag, step_forward):
-        rng = np.random.default_rng(100 * lag + step_forward)
-        model = create_elm(50, random_state=lag + step_forward, lag=lag)
+    @pytest.mark.parametrize("lag", [2, 3])
+    def test_windows_weights_and_forecasts_bit_identical(self, lag):
+        rng = np.random.default_rng(100 * lag + 1)
+        model = create_elm(50, random_state=lag + 1, lag=lag)
         for rows in range(3, 201):
-            increments = 3.0 + 0.05 * rng.standard_normal(rows + lag + step_forward - 1)
+            increments = 3.0 + 0.05 * rng.standard_normal(rows + lag)
             norm = minmax_of(increments)
             series = minmax_transform(norm, increments)
 
-            inputs, targets = sliding_window(series, lag, step_forward)
-            ref_inputs, ref_targets = _ref_windows(series, lag, step_forward)
+            inputs, targets = sliding_window(series, lag)
+            ref_inputs, ref_targets = _ref_windows(series, lag)
             assert inputs.shape == (rows, lag) and inputs.flags.c_contiguous
             assert not np.shares_memory(inputs, series)
             assert np.array_equal(inputs, ref_inputs)
@@ -222,7 +220,7 @@ class TestKernelsMatchReferenceFormulas:
     def test_forecast_far_outside_unit_range_is_clipped(self):
         # A window of raw increments after a level jump: |inputs @ W.T + b|
         # passes 500, so only the clip keeps exp from overflowing.
-        model = elm_fit(create_elm(50, random_state=4), *sliding_window(np.linspace(0, 1, 40), 2, 1))
+        model = elm_fit(create_elm(50, random_state=4), *sliding_window(np.linspace(0, 1, 40), 2))
         window = np.array([900.0, -900.0])
         assert np.abs(window @ model.input_weights.T + model.hidden_biases).max() > 500.0
         with np.errstate(over="raise"):
@@ -354,10 +352,10 @@ def _record_fits(monkeypatch) -> list:
 
 def _full_refit_prediction(det: SeriesDetector) -> float:
     """The detector's next-value forecast from a fresh elm_fit on its window."""
-    lag, ahead = det.cfg.lag, det.cfg.step_forward
+    lag = det.cfg.lag
     window = np.asarray(det.train_diffs[-det.cfg.norm_window:])
     norm = minmax_of(window)
-    model = elm_fit(det.model, *sliding_window(minmax_transform(norm, window), lag, ahead), det.cfg.ridge)
+    model = elm_fit(det.model, *sliding_window(minmax_transform(norm, window), lag), det.cfg.ridge)
     diffs = np.diff(det.recent[-lag - 1:])
     return det.recent[-1] + minmax_inverse(norm, elm_predict(model, minmax_transform(norm, diffs)))
 
@@ -489,7 +487,7 @@ class TestRecursiveUpdates:
         assert det.predict_next() == _full_refit_prediction(det)
 
     def test_update_with_non_finite_weights_is_refused(self):
-        inputs, targets = sliding_window(np.linspace(0, 1, 40), 2, 1)
+        inputs, targets = sliding_window(np.linspace(0, 1, 40), 2)
         model = elm_fit(create_elm(20, random_state=2), inputs, targets)
         assert elm_update(model, inputs[:1], targets[:1], np.array([1.0]))
         broken = replace(model, output_weights=np.full(20, np.inf))
@@ -703,5 +701,4 @@ class TestDetectStep:
             position, velocity = forecasters(vehicle, cfg)
             assert position.model.input_weights.shape == (50, 2)
             assert velocity.model.input_weights.shape == (50, 2)
-            assert position.cfg.step_forward == 1
             assert not np.array_equal(position.model.input_weights, velocity.model.input_weights)
