@@ -512,6 +512,7 @@ def _is_profile(value: Any) -> bool:
 _SIM_RULES = {
     **dict.fromkeys(("n", "max_iterations", "total_control_steps"), _COUNT),
     **dict.fromkeys(("tau", "L_veh", "Q_alpha", "Q_beta", "primal_tol", "dual_step"), _POSITIVE),
+    "dual_decay": (lambda v: _is_finite(v) and 0 <= v <= 1, "a number in [0, 1]"),
 }
 _SIM_KEYS = {f.name: (f.default, _SIM_RULES.get(f.name, _FINITE)) for f in fields(SimConfig)}
 _LEADER_KEYS = {

@@ -18,12 +18,12 @@ changes is computed once per control step: ``newton_terms`` and
 ``follower_terms``.  A round computes only predictions, received values,
 backward spacing terms and gradients.
 
-The primal phase stops once every follower's successive candidates differ by
-at most ``primal_tol``; the dual phase then checks that all perceived gaps
-clear the adaptive safety gap (tightened by ``dual_margin``), raising
-multipliers on violated pairs by projected gradient ascent and decaying slack
-ones.  A combined cap of ``max_iterations`` rounds per control step bounds
-the loop whether or not the stop conditions were met.
+The sweep returns its largest change to any u; the primal phase stops once
+that is at most ``primal_tol``.  The dual phase, ``dual_update``, is then one
+pass over the pairs: it checks that all perceived gaps clear the adaptive
+safety gap (tightened by ``dual_margin``), and takes the multipliers' projected
+gradient ascent in place, raising violated pairs' and decaying slack ones'.
+A cap of ``max_iterations`` rounds per control step bounds the loop.
 
 Corrupted channel values flow through all of this untouched: a vehicle has no
 way to tell a biased message from a truthful one, which is exactly the attack
@@ -82,11 +82,6 @@ def spacing_error(
     return x_pred_prev - x_pred_self - config.nominal_gap(v_pred_self)
 
 
-def primal_exit(u_deltas: Sequence[float], primal_tol: float) -> bool:
-    """Primal stop: every follower's successive candidates differ by <= tol."""
-    return max(map(abs, u_deltas)) <= primal_tol
-
-
 def newton_terms(config: SimConfig) -> tuple[float, ...]:
     """The Newton-step terms the config fixes for every follower: ``(tau,
     tau^2, dpx, dz, Q_alpha, 2*Q_beta, p*tau, L_veh, delta, hess_front,
@@ -127,11 +122,12 @@ def primal_sweep(
     rzx: Sequence[Optional[float]], rzv: Sequence[Optional[float]],
     lam: Sequence[float], own: Sequence[tuple[float, float, float, float]],
     terms: tuple[float, ...], k: int, t: int,
-) -> list[float]:
+) -> float:
     """One Jacobi round of primal steps: each follower's full Newton step on
     its local Lagrangian clipped to the admissible box, which for this convex
-    quadratic in u is the exact minimiser over the box.  Returns each
-    follower's change in u, for ``primal_exit``.
+    quadratic in u is the exact minimiser over the box.  Returns the largest
+    ``|change|`` in any follower's u, which the primal stop compares with
+    ``primal_tol``.
 
     Entry i of each list is follower i's: ``u`` its candidate and ``(px, pv)``
     its broadcast prediction, all three replaced in place by the step; ``fx``/
@@ -144,7 +140,7 @@ def primal_sweep(
     """
     tau, tau2, dpx, dz, q_alpha, q2b, ptau, L_veh, delta, hess_front, hess_rear = terms
     inf = math.inf
-    deltas = [0.0] * len(own)
+    largest = 0.0
     for i, (base_x, v, lo, hi) in enumerate(own):
         ui = u[i]
         pvi = pv[i]
@@ -169,35 +165,42 @@ def primal_sweep(
         # min(max(step, lo), hi) in value, as lo <= hi, without two builtin calls.
         step = ui - grad / hess
         step = lo if step < lo else hi if step > hi else step
-        deltas[i] = step - ui
+        change = step - ui if step > ui else ui - step
+        if change > largest:
+            largest = change
         u[i] = step
         # dynamics.predict's operations in its order, on x + v*tau.
         px[i] = base_x + step * tau * tau / 2.0
         pv[i] = v + step * tau
-    return deltas
+    return largest
 
 
 def dual_update(
-    multipliers: Sequence[float],
-    predicted_gaps: Sequence[float],
-    safety_gaps: Sequence[float],
+    lam: list[float], fx: Sequence[float], px: Sequence[float], pv: Sequence[float],
     config: SimConfig,
-) -> list[float]:
-    """Projected gradient ascent on the safety-gap multipliers, one per
-    adjacent pair (pair i fronts follower i+1).
+) -> bool:
+    """The dual phase, in one pass over the adjacent pairs (pair i fronts
+    follower i+1, which received ``fx[i]`` and predicts ``(px[i], pv[i])``).
+    Returns whether every perceived gap ``fx[i] - px[i]`` clears the safety
+    gap at ``pv[i]`` tightened by ``dual_margin``; a NaN gap does not.
 
-    Violated pairs (gap below the tightened safety gap) get their multiplier
-    raised proportionally to the violation; slack pairs decay toward zero.
-    Multipliers never go negative.
+    Each multiplier in ``lam`` takes a step of projected gradient ascent in
+    place: violated pairs have it raised in proportion to the violation,
+    slack ones (and a NaN gap) decay it toward zero by ``dual_decay``, and it
+    never goes negative.
     """
     step, decay = config.dual_step, config.dual_decay
-    updated = []
-    for lam, gap, safety in zip(multipliers, predicted_gaps, safety_gaps):
+    safety_gap, margin = config.safety_gap, config.dual_margin
+    feasible = True
+    for i, x in enumerate(px):
+        gap = fx[i] - x
+        safety = safety_gap(pv[i]) + margin
+        feasible = feasible and gap >= safety
         violation = safety - gap
-        lam = lam + step * violation if violation > 0.0 else lam * decay
-        # max(lam, 0.0) in value and sign, without the builtin call.
-        updated.append(0.0 if 0.0 > lam else lam)
-    return updated
+        multiplier = lam[i] + step * violation if violation > 0.0 else lam[i] * decay
+        # max(multiplier, 0.0) in value and sign, without the builtin call.
+        lam[i] = 0.0 if 0.0 > multiplier else multiplier
+    return feasible
 
 
 def run_control_step(
@@ -214,7 +217,8 @@ def run_control_step(
     updates all followers in a synchronized Jacobi sweep.  The returned
     accelerations are for the next control step; the platoon's currently
     applied accelerations are untouched during the loop, and are its first
-    candidates.  Deterministic: identical inputs produce bit-identical
+    candidates.  ``config.max_iterations`` must be at least 1, as the loader
+    requires.  Deterministic: identical inputs produce bit-identical
     outcomes.
     """
     cfg = config
@@ -223,7 +227,7 @@ def run_control_step(
     k = platoon.control_step
     followers = platoon.followers
     terms = newton_terms(cfg)
-    safety_gap, margin = cfg.safety_gap, cfg.dual_margin
+    primal_tol = cfg.primal_tol
     ptau, L_veh, delta = terms[6:9]
     own = [follower_terms(f, cfg) for f in followers]
 
@@ -241,7 +245,6 @@ def run_control_step(
     rzv: list[Optional[float]] = [0.0] * (n - 1) + [None]
 
     lam = [0.0] * n
-    iterations_used = 0
     converged = False
 
     # Without a channel forward is what corrupt gives with zero bias: a shift
@@ -270,15 +273,11 @@ def run_control_step(
                 if got is not None:
                     rzx[i], rzv[i] = got
 
-        deltas = primal_sweep(u, px, pv, fx, fv, rzx, rzv, lam, own, terms, k, t)
-        iterations_used = t + 1
-        if primal_exit(deltas, cfg.primal_tol):
-            gaps = [fx[i] - px[i] for i in range(n)]
-            safeties = [safety_gap(v) + margin for v in pv]
-            if all(gap >= safety for gap, safety in zip(gaps, safeties)):
-                converged = True
-                break
-            lam = dual_update(lam, gaps, safeties, cfg)
+        if (primal_sweep(u, px, pv, fx, fv, rzx, rzv, lam, own, terms, k, t) <= primal_tol
+                and dual_update(lam, fx, px, pv, cfg)):
+            converged = True
+            break
+    iterations_used = t + 1
 
     gap_front = [fx[i] - px[i] for i in range(n)]
     gap_rear = [

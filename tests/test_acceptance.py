@@ -33,12 +33,13 @@ from platoonsec.detection import (
     sliding_window,
 )
 from platoonsec.metrics import ImpactClass
-from platoonsec.mpc_controller import primal_exit, run_control_step
+from platoonsec.mpc_controller import run_control_step
 from platoonsec.platoon_model import SimConfig, initial_platoon
 from platoonsec.v2v_channel import V2VChannel
 
 from conftest import single_channel_case
 from test_attack_engine import oracle_bias_matrices, random_attack_doc
+from test_mpc_controller import stops_after_one_round
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
@@ -137,16 +138,16 @@ def test_c2_constraint_soundness():
     )
 
 
-def test_c3_loop_contract():
+def test_c3_loop_contract(monkeypatch):
     """C3: primal exit tracks the 0.01 threshold, iterations never exceed 300,
     and an unsatisfiable bias exits at exactly the cap, unconverged."""
+    config = SimConfig()
     ok = (
-        primal_exit([0.009], 0.01)
-        and primal_exit([0.01], 0.01)
-        and not primal_exit([0.011], 0.01)
+        stops_after_one_round(0.009, config, monkeypatch)
+        and stops_after_one_round(0.01, config, monkeypatch)
+        and not stops_after_one_round(0.011, config, monkeypatch)
     )
 
-    config = SimConfig()
     platoon = initial_platoon(config, 30.0)
     zero_bias = V2VChannel(bias=iter_attack_value_cal(config.n, 0, config.max_iterations, ()))
     equilibrium = run_control_step(platoon, zero_bias, config)

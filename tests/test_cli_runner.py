@@ -859,6 +859,9 @@ class TestCli:
             ({"dual_step": False}, "sim.dual_step must be a finite number > 0, got False"),
             ({"dual_step": 0}, "sim.dual_step must be a finite number > 0, got 0"),
             ({"dual_step": -1.0}, "sim.dual_step must be a finite number > 0, got -1.0"),
+            ({"dual_decay": 1.5}, "sim.dual_decay must be a number in [0, 1], got 1.5"),
+            ({"dual_decay": -0.1}, "sim.dual_decay must be a number in [0, 1], got -0.1"),
+            ({"dual_decay": 1e200}, "sim.dual_decay must be a number in [0, 1], got 1e+200"),
             ({"tau": 0}, "sim.tau must be a finite number > 0, got 0"),
             ({"n": 0}, "sim.n must be an int >= 1, got 0"),
             ({"bogus": 1}, "sim.bogus is not a SimConfig field"),
@@ -870,7 +873,8 @@ class TestCli:
         ],
         ids=[
             "string-n", "bool-n", "float-iterations", "nan-tau", "nan-margin", "infinite-v-max",
-            "string-length", "bool-step", "zero-step", "negative-step", "zero-tau", "zero-n", "unknown-key", "int-key",
+            "string-length", "bool-step", "zero-step", "negative-step", "big-decay",
+            "negative-decay", "huge-decay", "zero-tau", "zero-n", "unknown-key", "int-key",
             "zero-section", "list-section", "too-many-steps",
         ],
     )
@@ -880,6 +884,12 @@ class TestCli:
         assert main(self._argv("run", bad, tmp_path)) == 1
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("decay", [0, 1])
+    def test_dual_decay_takes_its_bounds(self, decay):
+        scenario = scenario_from_dict(scenario_doc(sim={"dual_decay": decay}))
+        assert scenario.sim.dual_decay == decay
+        assert type(scenario.sim.dual_decay) is float
 
     def test_sim_section_takes_ints_for_float_fields(self):
         scenario = scenario_from_dict(scenario_doc(sim={"tau": 1, "v_max": 40, "n": 3}))

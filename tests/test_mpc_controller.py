@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +9,7 @@ import pytest
 import yaml
 
 from platoonsec import cli_runner, mpc_controller
-from platoonsec.attack_engine import iter_attack_value_cal
+from platoonsec.attack_engine import AttackSlot, iter_attack_value_cal
 from platoonsec.cli_runner import load_scenario, run_scenario, scenario_from_dict
 from platoonsec.dynamics import predict, step_platoon, step_vehicle
 from platoonsec.mpc_controller import (
@@ -16,13 +18,12 @@ from platoonsec.mpc_controller import (
     dual_update,
     follower_terms,
     newton_terms,
-    primal_exit,
     primal_sweep,
     run_control_step,
     spacing_error,
 )
-from platoonsec.platoon_model import PlatoonState, VehicleState, initial_platoon
-from platoonsec.v2v_channel import ChannelId, Direction, V2VChannel
+from platoonsec.platoon_model import PlatoonState, SimConfig, VehicleState, initial_platoon
+from platoonsec.v2v_channel import ChannelId, Direction, DropRule, V2VChannel
 
 from conftest import single_channel_case
 
@@ -310,29 +311,108 @@ class TestPrimalSweep:
             assert u == [a]
             assert _bits([*px, *pv]) == _bits(predict(state, a, cfg.tau))
 
+    def test_returns_the_largest_absolute_change(self, config):
+        # On random rounds the sweep returns max |new u - old u|.  In half of
+        # them every follower's box is one point below its candidate, so
+        # every change is a decrease.
+        rng = random.Random(58)
+        terms = newton_terms(config)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            states = [VehicleState(x=rng.uniform(0, 500), v=rng.uniform(5, 39)) for _ in range(n)]
+            own = [follower_terms(s, config) for s in states]
+            decreasing = rng.random() < 0.5
+            if decreasing:
+                points = [rng.uniform(lo, hi) for _, _, lo, hi in own]
+                u = [hi + rng.uniform(1e-3, 2.0) for _, _, _, hi in own]
+                own = [(base_x, v, a, a) for (base_x, v, _, _), a in zip(own, points)]
+            else:
+                u = [rng.uniform(lo, hi) for _, _, lo, hi in own]
+            px, pv = (list(c) for c in zip(*(predict(s, a, config.tau) for s, a in zip(states, u))))
+            fx = [x + rng.uniform(5, 40) for x in px]
+            fv = [v + rng.uniform(-5, 5) for v in pv]
+            rzx = [rng.uniform(-5, 5) for _ in range(n - 1)] + [None]
+            rzv = [rng.uniform(-3, 3) for _ in range(n - 1)] + [None]
+            lam = [rng.uniform(0, 3) for _ in range(n)]
+            old = list(u)
+            largest = primal_sweep(u, px, pv, fx, fv, rzx, rzv, lam, own, terms, 0, 0)
+            changes = [new - before for new, before in zip(u, old)]
+            if decreasing:
+                assert max(changes) < 0.0
+            assert _bits([largest]) == _bits([max(abs(change) for change in changes)])
+
+
+def stops_after_one_round(largest, config, monkeypatch):
+    """Whether a control step whose sweeps each report ``largest`` as the
+    largest change in u ends at its first round.  The sweep is replaced, so
+    the equilibrium platoon stays put and clears every safety gap: the step
+    ends there exactly when the primal stop lets round 0 through to the dual
+    phase."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mpc_controller, "primal_sweep", lambda *args: largest)
+        outcome = run_control_step(initial_platoon(config, 30.0), None, config)
+    return outcome.converged and outcome.iterations_used == 1
+
 
 class TestPrimalExit:
-    def test_threshold_semantics(self):
-        assert primal_exit([0.009], 0.01)
-        assert primal_exit([0.01], 0.01)
-        assert not primal_exit([0.011], 0.01)
-        assert not primal_exit([0.0, -0.02], 0.01)
+    def test_threshold_semantics(self, config, monkeypatch):
+        assert config.primal_tol == 0.01
+        assert stops_after_one_round(0.009, config, monkeypatch)
+        assert stops_after_one_round(0.01, config, monkeypatch)
+        assert not stops_after_one_round(0.011, config, monkeypatch)
+        # A decrease of 0.02 counts by its size: one-point boxes move two
+        # followers by 0.0 and -0.02, and the sweep reports 0.02.
+        u = [0.0, 0.02]
+        largest = primal_sweep(u, [0.0, 0.0], [30.0, 30.0], [20.0, 20.0], [30.0, 30.0],
+                               [None, None], [None, None], [0.0, 0.0],
+                               [(0.0, 30.0, 0.0, 0.0)] * 2, newton_terms(config), 0, 0)
+        assert (u, largest) == ([0.0, 0.0], 0.02)
+        assert not stops_after_one_round(largest, config, monkeypatch)
+
+
+def _pairs(config, gaps, v=30.0):
+    """``(fx, px, pv)`` for pairs whose followers predict speed ``v`` and
+    perceive ``safety + gaps[i]``, ``safety`` being the tightened safety gap
+    at ``v``: gaps[i] > 0 is slack, gaps[i] < 0 a violation of -gaps[i]."""
+    safety = config.safety_gap(v) + config.dual_margin
+    return [safety + gap for gap in gaps], [0.0] * len(gaps), [v] * len(gaps)
+
+
+def _reference_dual_update(lam, fx, px, pv, config):
+    """The dual phase in separate passes: the gaps, the tightened safety
+    gaps, the verdict, then, unless every pair is feasible, a new list of
+    multipliers.  Returns (verdict, multipliers or None)."""
+    gaps = [fx[i] - px[i] for i in range(len(px))]
+    safeties = [config.safety_gap(v) + config.dual_margin for v in pv]
+    if all(gap >= safety for gap, safety in zip(gaps, safeties)):
+        return True, None
+    updated = []
+    for multiplier, gap, safety in zip(lam, gaps, safeties):
+        violation = safety - gap
+        if violation > 0.0:
+            multiplier = multiplier + config.dual_step * violation
+        else:
+            multiplier = multiplier * config.dual_decay
+        updated.append(0.0 if 0.0 > multiplier else multiplier)
+    return False, updated
 
 
 class TestDualUpdate:
     def test_slack_pairs_decay_toward_zero(self, config):
-        updated = dual_update([1.0, 0.5], [25.0, 25.0], [20.0, 20.0], config)
-        assert updated == [1.0 * config.dual_decay, 0.5 * config.dual_decay]
+        lam = [1.0, 0.5]
+        assert dual_update(lam, *_pairs(config, [5.0, 5.0]), config)
+        assert lam == [1.0 * config.dual_decay, 0.5 * config.dual_decay]
 
     def test_violated_pair_strictly_increases(self, config):
-        updated = dual_update([0.0, 0.2], [18.0, 25.0], [20.0, 20.0], config)
-        assert updated[0] > 0.0
-        assert updated[1] < 0.2
+        lam = [0.0, 0.2]
+        assert not dual_update(lam, *_pairs(config, [-2.0, 5.0]), config)
+        assert lam[0] > 0.0
+        assert lam[1] < 0.2
 
     def test_never_negative(self, config):
         lam = [1e-12]
         for _ in range(100):
-            lam = dual_update(lam, [30.0], [20.0], config)
+            assert dual_update(lam, *_pairs(config, [10.0]), config)
             assert lam[0] >= 0.0
 
     def test_repeated_updates_drive_primal_toward_feasibility(self, config):
@@ -355,9 +435,44 @@ class TestDualUpdate:
             gap = fx - x_next
             safety = config.safety_gap(v_next) + config.dual_margin
             violations.append(safety - gap)
-            lam = dual_update(lam, [gap], [safety], config)
+            dual_update(lam, [fx], [x_next], [v_next], config)
         assert violations[-1] <= violations[0] + 1e-9
         assert max(violations[10:]) <= violations[0] + 1e-9
+
+    def test_matches_the_separate_passes_bit_for_bit(self, config):
+        # Same verdict as the reference, and, when some pair is not
+        # feasible, the same multipliers bit for bit.  Entries may be NaN,
+        # +-inf or -0.0: a NaN gap is neither feasible nor a violation, so it
+        # decays.  Some draws make every pair slack but one whose gap is NaN.
+        rng = random.Random(64)
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+
+        def value(low, high):
+            return rng.choice(special) if rng.random() < 0.1 else rng.uniform(low, high)
+
+        verdicts = set()
+        for _ in range(3000):
+            cfg = replace(config, dual_step=value(0.0, 5.0), dual_decay=value(0.0, 1.0),
+                          dual_margin=value(0.0, 2.0), L_veh=rng.uniform(1.0, 10.0),
+                          p=rng.uniform(0.5, 6.0), tau=rng.uniform(0.01, 1.0))
+            n = rng.randint(1, 8)
+            pv = [value(-5.0, 40.0) for _ in range(n)]
+            px = [value(-100.0, 100.0) for _ in range(n)]
+            if rng.random() < 0.5:
+                fx = [px[i] + value(-10.0, 40.0) for i in range(n)]
+            else:
+                fx = [px[i] + cfg.safety_gap(pv[i]) + cfg.dual_margin + rng.uniform(0.0, 3.0)
+                      for i in range(n)]
+                if rng.random() < 0.5:
+                    fx[rng.randrange(n)] = math.nan
+            lam = [value(0.0, 3.0) for _ in range(n)]
+            verdict, reference = _reference_dual_update(list(lam), fx, px, pv, cfg)
+            got = list(lam)
+            assert dual_update(got, fx, px, pv, cfg) is verdict
+            if not verdict:
+                assert _bits(got) == _bits(reference)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestRunControlStep:
@@ -556,6 +671,98 @@ class TestTransparentRounds:
             leader_u = rng.uniform(-2, 2)
             skipped = run_control_step(platoon, None, cfg, leader_u)
             assert repr(run_control_step(platoon, channel, cfg, leader_u)) == repr(skipped)
+
+
+def _random_steps(count):
+    """Seeded random control steps as ``(config, platoon, channel,
+    leader_u)``: 1 to 9 followers, loop settings and dual parameters drawn
+    per step, vehicles perturbed off equilibrium (some at x = v = u = -0.0,
+    many with a nonzero applied u), and no channel, a random bias, forward
+    and backward drop rules, or both; one channel in ten carries a
+    non-finite bias entry."""
+    rng = random.Random(2510)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        cfg = replace(
+            SimConfig(), n=n, v_min=-10.0,
+            max_iterations=rng.choice([1, 2, 7, 40, 300, 300]),
+            primal_tol=rng.choice([0.01, rng.uniform(1e-4, 0.1)]),
+            dual_step=rng.choice([0.5, rng.uniform(0.01, 5.0)]),
+            dual_decay=rng.choice([0.9, 0.0, 1.0, rng.random()]),
+            dual_margin=rng.choice([0.05, 0.0, rng.uniform(0.0, 2.0)]),
+        )
+        base = initial_platoon(cfg, rng.uniform(5.0, 38.0))
+        k = rng.randrange(200)
+        scale = rng.choice([0.0, 0.05, 0.5, 1.0])
+
+        def vehicle(state):
+            if rng.random() < 0.1:
+                return VehicleState(x=-0.0, v=-0.0, u=-0.0)
+            return VehicleState(
+                x=state.x + scale * rng.uniform(-4.0, 4.0), v=state.v + scale * rng.uniform(-3.0, 3.0),
+                u=rng.choice([0.0, -0.0, scale * rng.uniform(-6.0, 4.0)]))
+
+        platoon = PlatoonState(vehicle(base.leader), tuple(map(vehicle, base.followers)), k)
+        kind = rng.choice(["none", "bias", "drops", "both"])
+        channel = None
+        if kind != "none":
+            slots = []
+            if kind in ("bias", "both"):
+                for _ in range(rng.randint(1, 3)):
+                    bias_kind = rng.choice(["Constant", "Linear", "Sinusoidal"])
+                    values = {
+                        "Constant": lambda: (rng.uniform(-20, 20),),
+                        "Linear": lambda: (rng.uniform(-0.5, 0.5), rng.uniform(-5, 5)),
+                        "Sinusoidal": lambda: (rng.uniform(0, 10), rng.uniform(0, 1),
+                                               rng.uniform(0, 6), rng.uniform(-3, 3)),
+                    }[bias_kind]()
+                    on, off = rng.choice([(1, 0), (rng.randint(1, 5), rng.randint(1, 5))])
+                    slots.append(AttackSlot(rng.randint(1, n), k - rng.randint(0, 3), k + rng.randint(0, 3),
+                                            rng.choice(list(ChannelId)), on, off, bias_kind, values))
+            bias = iter_attack_value_cal(n, k, cfg.max_iterations, slots)
+            if rng.random() < 0.1:
+                bias = {ch: matrix.copy() for ch, matrix in bias.items()}
+                bias[rng.choice(list(ChannelId))][rng.randrange(cfg.max_iterations), rng.randrange(n)] = (
+                    rng.choice([float("nan"), float("inf"), -float("inf")]))
+            drops = []
+            if kind in ("drops", "both"):
+                for _ in range(rng.randint(1, 3)):
+                    if n > 1 and rng.random() < 0.5:
+                        direction, sender = Direction.BACKWARD, rng.randint(2, n)
+                    else:
+                        direction, sender = Direction.FORWARD, rng.randrange(n)
+                    first = rng.randrange(cfg.max_iterations)
+                    iterations = rng.choice([None, (first, first + rng.randint(0, 50))])
+                    drops.append(DropRule(direction, sender, None, iterations))
+            channel = V2VChannel(bias=bias, drops=tuple(drops))
+        yield cfg, platoon, channel, rng.uniform(-3.0, 3.0)
+
+
+# The sha256 of the 400 steps' outcomes, as written by the two-pass dual
+# phase (separate gap, safety and multiplier lists) that the one-pass
+# dual_update replaced.
+RANDOM_STEP_DIGEST = "ecc16fc560f821abaea851f113430896d57455c426b515341165f3c2266d98e3"
+
+
+class TestRandomSteps:
+    def test_outcomes_match_the_pinned_digest(self):
+        # Each step's outcome repr, or its NumericalError text, one line
+        # each.  Of the 400 steps 86 converge, 13 raise and the rest stop at
+        # their round cap.
+        digest = hashlib.sha256()
+        kinds = {"converged": 0, "cap": 0, "error": 0}
+        for cfg, platoon, channel, leader_u in _random_steps(400):
+            try:
+                outcome = run_control_step(platoon, channel, cfg, leader_u)
+            except NumericalError as exc:
+                line = f"NumericalError: {exc}"
+                kinds["error"] += 1
+            else:
+                line = repr(outcome)
+                kinds["converged" if outcome.converged else "cap"] += 1
+            digest.update(line.encode() + b"\n")
+        assert kinds == {"converged": 86, "cap": 301, "error": 13}
+        assert digest.hexdigest() == RANDOM_STEP_DIGEST
 
 
 class TestCheckConstraints:
