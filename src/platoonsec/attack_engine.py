@@ -19,7 +19,7 @@ import numpy as np
 
 from .platoon_model import (
     _COUNT, _FINITE, _INT, _LIST, _MAPPING, _NATURAL, ConfigError, _check, _check_interval, _int_in,
-    _one_of,
+    _one_of, _shown,
 )
 from .v2v_channel import ChannelId
 
@@ -79,16 +79,16 @@ def _stealth_window(kind: Any, params: Any, where: str) -> tuple[int, int]:
     params = _check(path, params, _LIST)
     if kind == "Continuous":
         if len(params) != 1:
-            raise ConfigError(f"{path}: Continuous takes [0], got {list(params)}")
+            raise ConfigError(f"{path}: Continuous takes [0], got {_shown(list(params))}")
         _check(f"{path}[0]", params[0], _int_in(range(1)))
         return 1, 0
     if kind == "Discrete":
         if not (len(params) == 1 or len(params) == 2 and _check(f"{path}[0]", params[0], _INT) == 1):
             raise ConfigError(
-                f"{path}: Discrete frequency takes [off] (or [1, off]), got {list(params)}"
+                f"{path}: Discrete frequency takes [off] (or [1, off]), got {_shown(list(params))}"
             )
     elif len(params) != 2:
-        raise ConfigError(f"{path}: Cluster takes [on, off], got {list(params)}")
+        raise ConfigError(f"{path}: Cluster takes [on, off], got {_shown(list(params))}")
     rules = (_COUNT, _NATURAL)[-len(params):]  # [on, off], or a Discrete [off]
     window = [_check(f"{path}[{q}]", v, rule) for q, (v, rule) in enumerate(zip(params, rules))]
     # Like every number in the case, a window must fit in a float.
@@ -106,10 +106,10 @@ def _bias(kind: Any, values: Any, where: str, max_iterations: int) -> tuple[str,
     _check(f"iter_biastype_list{where}", kind, _BIAS_KINDS)
     arity = _BIAS_ARITY[kind]
     if len(values) != arity:
-        raise ConfigError(f"{path}: {kind} bias takes {arity} parameter(s), got {list(values)}")
+        raise ConfigError(f"{path}: {kind} bias takes {arity} parameter(s), got {_shown(list(values))}")
     if not _finite_waveform(kind, values, max_iterations):
         raise ConfigError(
-            f"{path}: {kind} bias {list(values)} overflows within {max_iterations} iterations"
+            f"{path}: {kind} bias {_shown(list(values))} overflows within {max_iterations} iterations"
         )
     return kind, values
 
@@ -130,7 +130,7 @@ def parse_attack_case(
         return ()
     _check("attack", doc, _MAPPING)
     if unknown := set(doc) - set(ATTACK_LIST_KEYS):
-        raise ConfigError(f"unknown attack case keys: {sorted(unknown, key=str)}")
+        raise ConfigError(f"unknown attack case keys: {_shown(sorted(unknown, key=str))}")
     raw = {key: _check(key, doc.get(key, []), _LIST) for key in ATTACK_LIST_KEYS}
 
     victims = [_check(f"iter_victim_list[{i}]", v, _int_in(range(1, n + 1)))

@@ -62,8 +62,8 @@ from .mpc_controller import (
     run_control_step,
 )
 from .platoon_model import (
-    _BOOL, _COUNT, _FINITE, _INT, _LIST, _MAPPING, _NATURAL, _POSITIVE, ConfigError, SimConfig,
-    _check, _check_interval, _int_in, _is_finite, _is_int, _one_of, initial_platoon,
+    _BOOL, _COUNT, _FINITE, _INT, _LIST, _MAPPING, _NATURAL, _PAIR, _POSITIVE, ConfigError, SimConfig,
+    _check, _check_interval, _int_in, _is_finite, _is_int, _one_of, _shown, initial_platoon,
 )
 from .v2v_channel import ChannelId, Direction, DropRule, V2VChannel, senders
 
@@ -88,7 +88,7 @@ class LeaderProfile:
         starts = [start for start, _ in self.phases] + [steps]
         accels = [0.0] * min(starts[0], steps)
         for (start, accel), end in zip(self.phases, starts[1:]):
-            accels += [accel] * (min(end, steps) - start)
+            accels += [accel] * max(0, min(end, steps) - start)  # a phase past the run adds none
         return accels
 
 
@@ -140,23 +140,6 @@ class RunResult:
         """Each control step's freeze flags by follower: 1 for a comparator flag or an event."""
         return [tuple(row.comparator_flag or row.pos_anom or row.vel_anom for row in step)
                 for _, step in groupby(self.rows, key=lambda row: row.control_step)]
-
-
-def _leader_velocity_check(sim: SimConfig, leader: LeaderProfile) -> None:
-    """Walk the leader's speed over every control step of the run, after
-    checking that the run is at most MAX_CONTROL_STEPS long and that the
-    speed starts in [v_min, v_max]."""
-    _check("sim.total_control_steps", sim.total_control_steps,
-           (lambda steps: steps <= MAX_CONTROL_STEPS, f"at most {MAX_CONTROL_STEPS}"))
-    v = _check("leader.speed", leader.speed,
-               (lambda speed: sim.v_min <= speed <= sim.v_max, f"in [{sim.v_min}, {sim.v_max}]"))
-    for k, accel in enumerate(leader.accelerations(sim.total_control_steps)):
-        v += accel * sim.tau
-        if not sim.v_min <= v <= sim.v_max:
-            raise ConfigError(
-                f"leader profile drives velocity to {v:.3f} at step {k + 1}, "
-                f"outside [{sim.v_min}, {sim.v_max}]"
-            )
 
 
 def simulate(scenario: Scenario) -> RunResult:
@@ -494,18 +477,6 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> dict[str, Path]:
 # input documents
 
 
-def _is_profile(value: Any) -> bool:
-    return isinstance(value, (list, tuple)) and all(
-        isinstance(phase, (list, tuple))
-        and len(phase) == 2
-        and _is_int(phase[0])
-        and phase[0] >= 0
-        and _is_finite(phase[1])
-        for phase in value
-    )
-
-
-
 # The tables map a section's keys to (default, rule).  A default that fails
 # its rule makes the key required.  Each sim key is the SimConfig field of the
 # same name, in field order; a field that _SIM_RULES does not name is _FINITE.
@@ -517,8 +488,9 @@ _SIM_RULES = {
 _SIM_KEYS = {f.name: (f.default, _SIM_RULES.get(f.name, _FINITE)) for f in fields(SimConfig)}
 _LEADER_KEYS = {
     "speed": (LeaderProfile.speed, _FINITE),
-    "profile": ((), (_is_profile, "a list of [start_step >= 0, acceleration] pairs")),
+    "profile": ((), _LIST),
 }
+_PHASE = (_PAIR[0], "a [start_step, acceleration] pair")
 _OUTPUT_KEYS = {f.name: (f.default, _BOOL) for f in fields(OutputFlags)}
 # Each detection key is the DetectionConfig field of the same name, in field
 # order, and is _FINITE unless _DETECTION_RULES names it; seed is read apart.
@@ -555,7 +527,7 @@ def _check_cells(where: str, rows: int, cols: int, limit: int, noun: str) -> Non
     """Reject a (rows x cols) array of more than ``limit`` cells, before
     anything of that size is allocated; ``where`` names both sizes."""
     if rows * cols > limit:
-        raise ConfigError(f"{where} must be at most {limit} {noun}, got {rows} x {cols}")
+        raise ConfigError(f"{where} must be at most {limit} {noun}, got {_shown(rows)} x {_shown(cols)}")
 
 
 def _read_section(doc: Any, where: str, table: Mapping, noun: str) -> dict[str, Any]:
@@ -566,7 +538,7 @@ def _read_section(doc: Any, where: str, table: Mapping, noun: str) -> dict[str, 
     doc = _check(where, {} if doc is None else doc, _MAPPING)
     for key in doc:
         if key not in table:
-            raise ConfigError(f"{where}.{key} is not a {noun}")
+            raise ConfigError(f"{where}.{_shown(key, str)} is not a {noun}")
     values = {}
     for key, (default, rule) in table.items():
         value = _check(f"{where}.{key}", doc.get(key, default), rule)
@@ -587,7 +559,7 @@ class _DocumentLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                 key = self.construct_object(key_node)
                 if key in seen:
                     mark = key_node.start_mark
-                    raise ConfigError(f"{mark.name} line {mark.line + 1}: key {key!r} is repeated")
+                    raise ConfigError(f"{mark.name} line {mark.line + 1}: key {_shown(key)} is repeated")
                 seen.add(key)
         # The safe constructor's own, which yaml.CSafeLoader shares.
         return yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
@@ -638,6 +610,32 @@ def _detection_from_doc(doc: Mapping) -> DetectionConfig:
     return DetectionConfig(**values, seed=seed)
 
 
+def _leader_from_doc(section: Any, sim: SimConfig) -> LeaderProfile:
+    """Parse the ``leader`` section in one walk that checks each phase at its
+    own path; then the velocity, built up step by step as ``simulate`` does,
+    must stay in [v_min, v_max] over a run of at most MAX_CONTROL_STEPS."""
+    steps = _check("sim.total_control_steps", sim.total_control_steps,
+                   (lambda steps: steps <= MAX_CONTROL_STEPS, f"at most {MAX_CONTROL_STEPS}"))
+    leader = _read_section(section, "leader", _LEADER_KEYS, "leader key")
+    bounds = f"[{sim.v_min}, {sim.v_max}]"
+    v = _check("leader.speed", leader["speed"], (lambda v: sim.v_min <= v <= sim.v_max, f"in {bounds}"))
+    phases: list[tuple[int, float]] = []
+    for i, phase in enumerate(leader["profile"]):
+        where = f"leader.profile[{i}]"
+        start, accel = _check(where, phase, _PHASE)
+        after = phases[-1][0] + 1 if phases else 0  # each phase starts after the one before
+        _check(f"{where}[0]", start, (lambda s: _is_int(s) and s >= after, f"an int >= {_shown(after)}"))
+        phases.append((start, float(_check(f"{where}[1]", accel, _FINITE))))
+    profile = LeaderProfile(v, tuple(phases))
+    for k, accel in enumerate(profile.accelerations(steps)):
+        v += accel * sim.tau
+        if not sim.v_min <= v <= sim.v_max:
+            in_force = sum(start <= k for start, _ in phases) - 1
+            raise ConfigError(f"leader.profile[{in_force}] drives the leader's velocity to "
+                              f"{_shown(f'{v:.3f}', str)} at step {k + 1}, outside {bounds}")
+    return profile
+
+
 def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
     """Parse the ``drops`` list.  Senders are vehicle indices (0 = leader),
     and a rule's sender must send in its direction (``senders``).
@@ -658,13 +656,13 @@ def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
                _int_in(senders(direction, sim.n), f" for a {direction.value} rule with n={sim.n}"))
         if iterations is not None and iterations[0] >= sim.max_iterations:
             raise ConfigError(
-                f"{where}.iterations {list(iterations)} starts at or past "
+                f"{where}.iterations {_shown(list(iterations))} starts at or past "
                 f"max_iterations={sim.max_iterations}, so the rule never fires"
             )
         if sender == 0 and iterations is not None and iterations[0] != 0:
             raise ConfigError(
                 f"{where}.iterations must start at 0 for a leader rule, got "
-                f"{list(iterations)}: the leader's prediction is fixed within a control step"
+                f"{_shown(list(iterations))}: the leader's prediction is fixed within a control step"
             )
         rules.append(DropRule(direction, sender, control_steps=steps, iterations=iterations))
     return tuple(rules)
@@ -693,30 +691,16 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
         raise ConfigError(f"scenario document must be a mapping, got {type(doc).__name__}")
     unknown = set(doc) - {"sim", "leader", "attack", "drops", "detection", "seed", "output"}
     if unknown:
-        raise ConfigError(f"unknown scenario keys: {sorted(unknown, key=str)}")
+        raise ConfigError(f"unknown scenario keys: {_shown(sorted(unknown, key=str))}")
     sim = SimConfig(**_read_section(doc.get("sim"), "sim", _SIM_KEYS, "SimConfig field"))
-    if not sim.a_min < sim.a_max:
-        raise ConfigError(f"need sim.a_min < sim.a_max, got [{sim.a_min}, {sim.a_max}]")
-    if not sim.v_min < sim.v_max:
-        raise ConfigError(f"need sim.v_min < sim.v_max, got [{sim.v_min}, {sim.v_max}]")
+    for name, low, high in (("a", sim.a_min, sim.a_max), ("v", sim.v_min, sim.v_max)):
+        if not low < high:
+            raise ConfigError(f"need sim.{name}_min < sim.{name}_max, got [{low}, {high}]")
     _check_cells("sim.n x sim.max_iterations", sim.n, sim.max_iterations, MAX_BIAS_CELLS, "bias-matrix cells")
-    leader = _read_section(doc.get("leader"), "leader", _LEADER_KEYS, "leader key")
-    starts = [start for start, _ in leader["profile"]]
-    for i in range(1, len(starts)):
-        if starts[i] <= starts[i - 1]:
-            raise ConfigError(
-                f"leader.profile[{i}] starts at step {starts[i]}, not after "
-                f"leader.profile[{i - 1}]'s {starts[i - 1]}: start steps must increase"
-            )
-    leader = LeaderProfile(
-        speed=leader["speed"],
-        phases=tuple((start, float(accel)) for start, accel in leader["profile"]),
-    )
-    _leader_velocity_check(sim, leader)
     detection = _detection_from_doc(doc)
     return Scenario(
         sim=sim,
-        leader=leader,
+        leader=_leader_from_doc(doc.get("leader"), sim),
         attack=_attack_from_doc(doc.get("attack"), sim),
         detection=detection,
         drops=_drops_from_doc(doc.get("drops"), sim),
@@ -793,7 +777,7 @@ def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]
                     k, vehicle = int(row[col["control_step"]]), int(row[col["vehicle_id"]])
                     x, v, gap = float(row[col["x"]]), float(row[col["v"]]), float(row[col["gap_front"]])
                 except ValueError as exc:
-                    raise ConfigError(f"{where}: {exc}") from None
+                    raise ConfigError(f"{where}: {_shown(exc, str)}") from None
                 if k < 0 or vehicle < 1:
                     raise ConfigError(f"{where}: need control_step >= 0 and vehicle_id >= 1")
                 if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(gap)):

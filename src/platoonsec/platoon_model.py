@@ -53,11 +53,20 @@ def _int_in(span: range, context: str = "") -> tuple:
     return (lambda v: _is_int(v) and v in span, f"an int in {span.start}..{span.stop - 1}{context}")
 
 
+def _shown(value: Any, form=repr) -> str:
+    """``form(value)`` as a message shows an input value, cut to about 80 characters."""
+    try:
+        text = form(value)
+    except ValueError:  # an int past str's digit limit, or a list holding one
+        text = f"<{type(value).__name__} too long to print>"
+    return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _check(where: str, value: Any, rule: tuple) -> Any:
     """``value`` if it keeps ``rule``, else a ConfigError naming ``where``."""
     check, requirement = rule
     if not check(value):
-        raise ConfigError(f"{where} must be {requirement}, got {value!r}")
+        raise ConfigError(f"{where} must be {requirement}, got {_shown(value)}")
     return value
 
 
@@ -67,7 +76,7 @@ def _check_interval(where: str, value: Any) -> tuple[int, int]:
     pair = _check(where, value, _PAIR)
     start, end = (_check(f"{where}[{q}]", v, _NATURAL) for q, v in enumerate(pair))
     if start > end:
-        raise ConfigError(f"{where}: invalid interval [{start}, {end}]")
+        raise ConfigError(f"{where}: invalid interval {_shown([start, end])}")
     return start, end
 
 

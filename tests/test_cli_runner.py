@@ -3,6 +3,8 @@ import csv
 import math
 import os
 import pickle
+import random
+import re
 import threading
 import time
 from dataclasses import fields, replace
@@ -21,6 +23,7 @@ from platoonsec.cli_runner import (
     MAX_CONTROL_STEPS,
     MAX_DETECTION_CELLS,
     LeaderProfile,
+    OutputFlags,
     TRACE_COLUMNS,
     TraceRow,
     generate_bias_files,
@@ -140,30 +143,56 @@ def _leaves(value, path, keys):
     return [leaf for where, key, item in items for leaf in _leaves(item, where, (*keys, key))]
 
 
-# Every leaf of the running-example attack case and of a drop rule.
+def _set_leaf(doc, keys, value):
+    """Put ``value`` at the node that ``keys`` reach from ``doc``."""
+    *parents, last = keys
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+# Every leaf of every scenario section: each sim, detection and output key, the
+# leader's speed and each phase's start and acceleration, the running-example
+# attack case, a drop rule and the seed.
 _LEAF_DOC = {
+    "sim": {**{f.name: f.default for f in fields(SimConfig)}, "total_control_steps": 40},
+    "leader": {"speed": 30.0, "profile": [[5, 0.1], [15, -0.1]]},
     "attack": running_example_doc(),
     "drops": [{"direction": "backward", "sender": 3, "control_steps": [10, 30], "iterations": [0, 50]}],
+    "detection": {f.name: f.default for f in fields(DetectionConfig) if f.name != "seed"},
+    "output": {f.name: f.default for f in fields(OutputFlags)},
+    "seed": 3,
 }
 _LEAVES = [leaf for key, lists in _LEAF_DOC["attack"].items()
            for leaf in _leaves(lists, key, ("attack", key))]
-_LEAVES += _leaves(_LEAF_DOC["drops"], "drops", ("drops",))
+_LEAVES += [leaf for section in ("drops", "sim", "leader", "detection", "output", "seed")
+            for leaf in _leaves(_LEAF_DOC[section], section, (section,))]
+# Every leaf of a replay config and of a generate-bias case, which main reads.
+_CONFIG_DOCS = {
+    "replay-detect": {"detection": _LEAF_DOC["detection"], "seed": 3},
+    "generate-bias": {"n": 6, "max_iterations": 300, "sim": {"n": 6, "max_iterations": 300},
+                      "attack": running_example_doc()},
+}
+_CONFIG_LEAVES = [(command, *leaf) for command, doc in _CONFIG_DOCS.items()
+                  for key, value in doc.items() if key != "attack" for leaf in _leaves(value, key, (key,))]
+_CONFIG_LEAVES += [("generate-bias", *leaf) for leaf in _LEAVES if leaf[1][0] == "attack"]
+
+
+# 10**400 as a message shows it: its first 60 digits and its length.
+_BIG = f"1{'0' * 59}... (401 characters)"
 
 
 class TestScenarioLoading:
     def test_leaf_doc_loads(self):
         scenario = scenario_from_dict(scenario_doc(**copy.deepcopy(_LEAF_DOC)))
         assert (len(scenario.attack), len(scenario.drops)) == (5, 1)
+        assert scenario.leader == LeaderProfile(30.0, ((5, 0.1), (15, -0.1)))
 
     @pytest.mark.parametrize("path, keys", _LEAVES, ids=[path for path, _ in _LEAVES])
     def test_every_bad_leaf_is_named(self, path, keys):
         # Each check on one value names that value's own path, in one form.
         doc = copy.deepcopy(_LEAF_DOC)
-        *parents, last = keys
-        target = doc
-        for key in parents:
-            target = target[key]
-        target[last] = "bogus"
+        _set_leaf(doc, keys, "bogus")
         with pytest.raises(ConfigError) as error:
             scenario_from_dict(scenario_doc(**doc))
         assert str(error.value).startswith(f"{path} must be "), str(error.value)
@@ -212,10 +241,12 @@ class TestScenarioLoading:
 
     def test_leader_profile_velocity_validated(self):
         # -9 m/s^2 sustained from step 5 drives the leader below v_min well
-        # inside the 40-step horizon.
+        # inside the 40-step horizon; the message names the phase in force.
         doc = scenario_doc(leader={"speed": 30.0, "profile": [[5, -9.0]]})
-        with pytest.raises(ConfigError, match="leader profile"):
+        with pytest.raises(ConfigError) as error:
             scenario_from_dict(doc)
+        assert str(error.value) == (
+            "leader.profile[0] drives the leader's velocity to -0.600 at step 39, outside [0.0, 40.0]")
 
     def test_leader_speed_bounds(self):
         # The loader is where the leader's initial speed is checked.
@@ -240,12 +271,15 @@ class TestScenarioLoading:
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
-        phases=st.dictionaries(st.integers(0, 60), st.floats(-3.0, 3.0), max_size=8),
+        phases=st.dictionaries(st.integers(0, 60) | st.sampled_from([2**63, 2**70, 10**400]),
+                               st.floats(-3.0, 3.0), max_size=8),
         steps=st.integers(0, 50),
     )
     @example(phases={}, steps=20)
     @example(phases={0: -1.0, 5: 0.5}, steps=10)
     @example(phases={3: 1.0, 40: -2.0, 41: 2.0}, steps=30)
+    @example(phases={5: 0.1, 2**70: 1.0}, steps=40)
+    @example(phases={2**70: 1.0}, steps=40)
     def test_accelerations_match_a_linear_scan(self, phases, steps):
         """Each step's acceleration is the last phase started by then, 0.0
         before the first; phases past the end of the run change nothing."""
@@ -652,6 +686,40 @@ class TestCli:
         assert err.startswith("config error: ") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", _CONFIG_DOCS)
+    def test_config_leaf_docs_run(self, tmp_path, command):
+        good = tmp_path / "good.yaml"
+        good.write_text(yaml.safe_dump(_CONFIG_DOCS[command]))
+        assert main(self._argv(command, good, tmp_path)) == 0
+
+    @pytest.mark.parametrize("command, path, keys", _CONFIG_LEAVES,
+                             ids=[f"{command}-{path}" for command, path, _ in _CONFIG_LEAVES])
+    def test_every_bad_leaf_of_a_config_or_case_is_named(self, tmp_path, capsys, command, path, keys):
+        # Through main, as for the scenario's leaves: the message names the
+        # leaf's own path, in one form.
+        doc = copy.deepcopy(_CONFIG_DOCS[command])
+        _set_leaf(doc, keys, "bogus")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert main(self._argv(command, bad, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path} must be "), err
+
+    def test_a_phase_past_the_run_changes_nothing(self, tmp_path):
+        # A phase that starts after the run, even 2**70 steps after it, is
+        # accepted, as drop-rule steps past the run are, and leaves the run
+        # as it was.
+        profiles = {"huge": f"[[5, 0.1], [{2**70}, 1.0]]", "past": "[[5, 0.1], [40, 1.0], [41, -1.0]]",
+                    "short": "[[5, 0.1]]"}
+        for name, profile in profiles.items():
+            doc = tmp_path / f"{name}.yaml"
+            doc.write_text(f"sim: {{total_control_steps: 40}}\nleader: {{speed: 30.0, profile: {profile}}}\n")
+            assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / name)]) == 0
+        for artifact in ("trace.csv", "anomalies.csv", "impact.txt", "impact.csv"):
+            short = (tmp_path / "short" / artifact).read_bytes()
+            assert (tmp_path / "huge" / artifact).read_bytes() == short, artifact
+            assert (tmp_path / "past" / artifact).read_bytes() == short, artifact
+
     def test_drop_rule_past_the_run_is_accepted(self):
         rule = {"direction": "backward", "sender": 3, "control_steps": [90, 100]}
         scenario = scenario_from_dict(scenario_doc(drops=[rule]))
@@ -936,7 +1004,7 @@ class TestCli:
              "most 1000000 bias-matrix cells, got 100000000000 x 300"),
             ("run", "sim", {"n": 6, "max_iterations": 10**400},
              f"sim.n x sim.max_iterations must be at most 1000000 bias-matrix cells, "
-             f"got 6 x {10**400}"),
+             f"got 6 x 1{'0' * 59}... (401 characters)"),
             ("generate-bias", None, {"n": 100_000_000_000}, "n x max_iterations must be at "
              "most 1000000 bias-matrix cells, got 100000000000 x 300"),
             ("generate-bias", "sim", {"n": 3334, "max_iterations": 300}, "n x max_iterations "
@@ -998,6 +1066,59 @@ class TestCli:
         sim = {"n": 1000, "max_iterations": MAX_BIAS_CELLS // 1000}
         assert scenario_from_dict(scenario_doc(sim=sim)).sim.n == 1000
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"sim": {"n": 10**400}}, f"sim.n x sim.max_iterations must be at most 1000000 bias-matrix "
+         f"cells, got {_BIG} x 300"),
+        ({"sim": {10**400: 1}}, f"sim.{_BIG} is not a SimConfig field"),
+        ({"drops": [{"direction": "forward", "sender": 2, "iterations": [10**400, 10**400]}]},
+         f"drops[0].iterations [1{'0' * 58}... (806 characters) starts at or past "
+         "max_iterations=300, so the rule never fires"),
+        ({"drops": [{"direction": "forward", "sender": 10**400}]},
+         f"drops[0].sender must be an int in 0..5 for a forward rule with n=6, got {_BIG}"),
+        ({"drops": [{"direction": "forward", "sender": 2, "control_steps": [10**400, 0]}]},
+         f"drops[0].control_steps: invalid interval [1{'0' * 58}... (406 characters)"),
+        ({"detection": {"hidden_count": 10**400}}, f"detection.hidden_count x detection.hidden_count "
+         f"must be at most 1000000 cells, got {_BIG} x {_BIG}"),
+        ({10**400: 1}, f"unknown scenario keys: [1{'0' * 58}... (403 characters)"),
+        ({"attack": _one_channel_attack(1.0, freq_kind="Cluster", freq_params=(1, 10**400))},
+         f"iter_freqparavalue_list[0][0][0][1] must be a finite number, got {_BIG}"),
+        ({"attack": {**_one_channel_attack(1.0), "iter_victim_list": [10**400]}},
+         f"iter_victim_list[0] must be an int in 1..6, got {_BIG}"),
+        ({"attack": {**_one_channel_attack(1.0), "x" * 100: []}},
+         f"unknown attack case keys: ['{'x' * 58}... (104 characters)"),
+        ({"attack": _one_channel_attack(1.0, freq_params=[0] * 100)},
+         f"iter_freqparavalue_list[0][0][0]: Continuous takes [0], got [{'0, ' * 19}0,... "
+         "(300 characters)"),
+        ({"seed": -10**400}, f"seed must be an int >= 0, got -{_BIG[:59]}... (402 characters)"),
+        ({"leader": {"profile": [[10**400, 0.1], [5, 0.1]]}},
+         f"leader.profile[1][0] must be an int >= {_BIG}, got 5"),
+        ({"leader": {"profile": [[0, 1e308]]}}, "leader.profile[0] drives the leader's velocity to "
+         f"{f'{30 + 1e308 * 0.1:.3f}'[:60]}... (312 characters) at step 1, outside [0.0, 40.0]"),
+    ], ids=["cells", "sim-key", "drop-iterations", "drop-sender", "interval", "detection-cells",
+            "top-level-key", "cluster-window", "victim", "attack-key", "continuous-list", "seed",
+            "phase-start", "velocity"])
+    def test_a_long_value_is_shown_cut(self, tmp_path, capsys, overrides, message):
+        # Whatever its size, a bad value is shown in about 80 characters.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({**scenario_doc(), **overrides}))
+        assert main(self._argv("run", bad, tmp_path)) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_a_long_key_or_trace_field_is_shown_cut(self, tmp_path, capsys):
+        repeated = tmp_path / "repeated.yaml"
+        repeated.write_text(f"sim: {{{'n' * 100}: 1, {'n' * 100}: 2}}\n")
+        assert main(self._argv("run", repeated, tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {repeated} line 1: key '{'n' * 59}... (102 characters) is repeated\n")
+        trace, config = tmp_path / "trace.csv", tmp_path / "config.yaml"
+        trace.write_text(",".join(TRACE_COLUMNS) + "\n0,1," + "x" * 1000 + ",1,0,1,1,0,,,0,0\n")
+        config.write_text("seed: 1\n")
+        argv = ["replay-detect", "--trace", str(trace), "--config", str(config),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"config error: {trace} line 2: could not convert string to "
+                                           f"float: '{'x' * 24}... (1037 characters)\n")
+
     def test_negative_k_exit_code(self, tmp_path, capsys):
         case = Path(__file__).parent.parent / "scenarios" / "single_target.yaml"
         argv = ["generate-bias", "--case", str(case), "--k", "-1", "--out", str(tmp_path / "bias")]
@@ -1008,20 +1129,19 @@ class TestCli:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"leader": {"profile": [[1]]}}, "leader.profile must be a list of "
-             "[start_step >= 0, acceleration] pairs, got [[1]]"),
-            ({"leader": {"profile": [[1.5, 2]]}}, "leader.profile must be a list of "
-             "[start_step >= 0, acceleration] pairs, got [[1.5, 2]]"),
+            ({"leader": {"profile": [[1]]}},
+             "leader.profile[0] must be a [start_step, acceleration] pair, got [1]"),
+            ({"leader": {"profile": [[1.5, 2]]}}, "leader.profile[0][0] must be an int >= 0, got 1.5"),
             ({"leader": 5}, "leader must be a mapping, got 5"),
             ({"leader": {"speed": "fast"}}, "leader.speed must be a finite number, got 'fast'"),
             ({"leader": {"speed": 41}}, "leader.speed must be in [0.0, 40.0], got 41.0"),
             ({"leader": {"speeed": 20}}, "leader.speeed is not a leader key"),
             ({"output": 5}, "output must be a mapping, got 5"),
             ({"output": {"trace": "no"}}, "output.trace must be a bool, got 'no'"),
-            ({"leader": {"profile": [[50, 1.0], [0, -1.0]]}}, "leader.profile[1] starts at "
-             "step 0, not after leader.profile[0]'s 50: start steps must increase"),
-            ({"leader": {"profile": [[10, 1.0], [10, -1.0]]}}, "leader.profile[1] starts at "
-             "step 10, not after leader.profile[0]'s 10: start steps must increase"),
+            ({"leader": {"profile": [[50, 1.0], [0, -1.0]]}},
+             "leader.profile[1][0] must be an int >= 51, got 0"),
+            ({"leader": {"profile": [[10, 1.0], [10, -1.0]]}},
+             "leader.profile[1][0] must be an int >= 11, got 10"),
         ],
         ids=[
             "short-phase", "float-start", "int-leader", "string-speed", "fast-speed",
@@ -1046,7 +1166,8 @@ class TestCli:
             (_one_channel_attack("a"),
              "iter_biasparavalue_list[0][0][0][0] must be a finite number, got 'a'"),
             (_one_channel_attack(10**400),
-             f"iter_biasparavalue_list[0][0][0][0] must be a finite number, got {10**400}"),
+             f"iter_biasparavalue_list[0][0][0][0] must be a finite number, got 1{'0' * 59}... "
+             "(401 characters)"),
             (_one_channel_attack(1.0, bias_kind="Square"),
              "iter_biastype_list[0][0][0] must be 'Constant', 'Linear' or 'Sinusoidal', got 'Square'"),
             (_one_channel_attack(1.0, freq_kind="Burst"),
@@ -1194,9 +1315,112 @@ def _documents(*top_level_keys):
     return st.dictionaries(st.sampled_from(top_level_keys), _VALUES, max_size=len(top_level_keys))
 
 
+# The mutation fuzzer's pools: a replaced int takes one of _INT_POOL, which
+# holds valid ints past int64 and past the float range; anything else takes
+# one of either pool.
+_INT_POOL = (-1, 0, 1, 3, 40, 2**63, 2**70, 10**400)
+_VALUE_POOL = (None, True, "bogus", -0.5, 0.1, 2.5, 1e308, math.nan, math.inf, [], {}, [0], [1, 2],
+               [[0, 0.1]])
+# What a message may start with in place of a path: keys in relation, and
+# keys or victims that the document does not name one by one.
+_CROSS_KEY_FORMS = ("need sim.a_min < sim.a_max", "need sim.v_min < sim.v_max",
+                    "unknown scenario keys", "unknown attack case keys", "victim ")
+_MESSAGE_PATH = re.compile(r"[A-Za-z_]\w*(?:\.[^\s.\[\]:]+|\[\d+\])*(?=[\s:]|$)")
+
+
+def _nodes(value, keys):
+    """(keys, node) of ``value``, which ``keys`` reach, and of every node under it."""
+    yield keys, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _nodes(item, (*keys, key))
+
+
+def _mutated(doc, rng, profiles):
+    """``doc`` after one to three seeded mutations: a node replaced from the
+    pools, a key removed, an unknown key added or, where ``profiles``, a
+    leader profile set whose last start may come from _INT_POOL."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("replace", "replace", "remove", "add") + ("profile",) * profiles)
+        if kind == "profile":
+            starts = sorted(rng.sample(range(60), rng.randint(0, 2)))
+            starts += [rng.choice(_INT_POOL)] * rng.randint(0, 1)
+            leader = doc.get("leader") if isinstance(doc.get("leader"), dict) else {}
+            doc["leader"] = {**leader, "profile": [[start, rng.choice((-0.5, 0.0, 0.3))] for start in starts]}
+            continue
+        section = rng.choice(sorted(doc))
+        keys, node = rng.choice(list(_nodes(doc[section], (section,))))
+        if kind == "replace":
+            is_int = isinstance(node, int) and not isinstance(node, bool)
+            pool = _INT_POOL if is_int else _VALUE_POOL + _INT_POOL
+            _set_leaf(doc, keys, rng.choice(pool))
+        elif kind == "add" and isinstance(node, dict):
+            node["bogus"] = 1
+        elif kind == "remove" and isinstance(node, dict) and node:
+            del node[rng.choice(sorted(node, key=str))]
+    return doc
+
+
+def _names_a_path(message, doc, top_level_keys):
+    """Whether ``message`` starts with a path into ``doc``: a top-level key, or
+    an attack list, then keys and in-range indices.  A key that a mapping
+    leaves out, or a section left out, still resolves, since it reads as its
+    default."""
+    match = _MESSAGE_PATH.match(message)
+    first, *steps = re.findall(r"[^.\[\]]+|\[\d+\]", match.group()) if match else [None]
+    if first not in top_level_keys:
+        return False
+    node = doc.get("attack") if first in ATTACK_LIST_KEYS else doc
+    for step in (first, *steps):
+        if node is None:
+            node = {}
+        if isinstance(node, dict) and not step.startswith("["):
+            node = next((value for key, value in node.items() if str(key) == step), None)
+        elif isinstance(node, list) and step.startswith("[") and int(step[1:-1]) < len(node):
+            node = node[int(step[1:-1])]
+        else:
+            return False
+    return True
+
+
+def _assert_named(error, doc, top_level_keys):
+    """``error`` is a ConfigError whose short message names a path into
+    ``doc`` or keys in relation."""
+    assert isinstance(error, ConfigError), (doc, error)
+    message = str(error)
+    assert len(message) <= 300, message
+    assert _names_a_path(message, doc, top_level_keys) or message.startswith(_CROSS_KEY_FORMS), message
+
+
 class TestAnyDocument:
     """Whatever a document holds, reading it loads or raises an error that
     main() reports as a config error (exit 1), never a traceback."""
+
+    def test_mutated_documents_load_or_name_their_path(self, tmp_path):
+        # Seeded mutations of every scenario in the repository and of the
+        # golden bias cases.  A scenario that loads runs; a case that loads
+        # writes its matrices.
+        rng = random.Random(26)
+        path = tmp_path / "doc.yaml"
+        for source in YAML_DOCUMENTS:
+            case = source.name == "case.yaml"
+            original = yaml.safe_load(source.read_text())
+            for _ in range(12 if case else 40):
+                doc = _mutated(original, rng, profiles=not case)
+                path.write_text(yaml.safe_dump(doc))
+                try:
+                    if case:
+                        generate_bias_files(path, 5, tmp_path / "bias")
+                    else:
+                        scenario_from_dict(doc)
+                except Exception as error:
+                    _assert_named(error, doc, ("n", "max_iterations", "sim", "attack", *ATTACK_LIST_KEYS)
+                                  if case else (*SCENARIO_KEYS, *ATTACK_LIST_KEYS))
+                    continue
+                if not case:
+                    argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out"), "--steps", "3"]
+                    assert main(argv) in (0, 2), doc
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(doc=_documents(*SCENARIO_KEYS))

@@ -1,9 +1,10 @@
 import math
+import sys
 
 import pytest
 
 from platoonsec.cli_runner import scenario_from_dict
-from platoonsec.platoon_model import ConfigError, SimConfig, VehicleState, initial_platoon
+from platoonsec.platoon_model import ConfigError, SimConfig, VehicleState, _check, _shown, initial_platoon
 
 
 class TestSimConfig:
@@ -41,6 +42,31 @@ class TestSimConfig:
         headway = (gap - cfg.L_veh) / 30.0
         assert 0.45 <= headway <= 0.55
         assert headway == pytest.approx(0.5, abs=1e-12)
+
+
+class TestShown:
+    @pytest.mark.parametrize("value, form, shown", [
+        ("fast", repr, "'fast'"),
+        ("fast", str, "fast"),
+        ([1, 2.5], repr, "[1, 2.5]"),
+        ("x" * 78, repr, "'" + "x" * 78 + "'"),
+        ("x" * 79, repr, "'" + "x" * 59 + "... (81 characters)"),
+        (10**400, repr, "1" + "0" * 59 + "... (401 characters)"),
+        (-(10**400), str, "-1" + "0" * 58 + "... (402 characters)"),
+    ], ids=["string", "string-as-str", "list", "80-characters", "81-characters", "big-int", "big-int-as-str"])
+    def test_a_value_is_shown_in_about_80_characters(self, value, form, shown):
+        assert _shown(value, form) == shown
+        assert len(shown) <= 80
+
+    def test_an_int_past_the_digit_limit_is_shown_without_raising(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python prints ints of any length")
+        huge = 10 ** (limit + 1)
+        assert _shown(huge) == _shown(huge, str) == "<int too long to print>"
+        assert _shown([1, huge]) == "<list too long to print>"
+        with pytest.raises(ConfigError, match=r"^seed must be an int >= 0, got <int too long to print>$"):
+            _check("seed", -huge, (lambda v: v >= 0, "an int >= 0"))
 
 
 class TestVehicleState:
