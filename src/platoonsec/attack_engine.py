@@ -130,7 +130,8 @@ def parse_attack_case(
         return ()
     _check("attack", doc, _MAPPING)
     if unknown := set(doc) - set(ATTACK_LIST_KEYS):
-        raise ConfigError(f"unknown attack case keys: {_shown(sorted(unknown, key=str))}")
+        keys = sorted(unknown, key=lambda key: _shown(key, str))  # str raises past its digit limit
+        raise ConfigError(f"unknown attack case keys: {_shown(keys)}")
     raw = {key: _check(key, doc.get(key, []), _LIST) for key in ATTACK_LIST_KEYS}
 
     victims = [_check(f"iter_victim_list[{i}]", v, _int_in(range(1, n + 1)))

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import math
 import os
 import pickle
@@ -390,9 +392,35 @@ def _follow_pipe(share: range, cfg: DetectionConfig, steps_read: int, inherited:
     return found, error
 
 
+# OpenBLAS's thread-count setter: in numpy >= 2's wheels, numpy 1.x's, then system builds.
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads")
+
+
+@functools.cache
+def _one_blas_thread() -> None:
+    """Set each OpenBLAS this process has loaded to one thread, once, before
+    its first fork.  A fork shuts OpenBLAS's thread pool down, and the next
+    threaded call on either side restarts it, each new thread spinning ~0.12 s
+    of CPU; at one thread no call is threaded.  The setter, too, restarts a
+    pool that a fork shut down, so it is called neither again nor in a child."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+        libraries = [ctypes.CDLL(path) for path in paths]
+    except OSError:  # no /proc, or a library that cannot be opened again
+        return
+    for library in libraries:
+        setter = next((getattr(library, name) for name in _BLAS_SETTERS if hasattr(library, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def _fork(work, *args) -> tuple[int, Any]:
     """Start a child that runs ``work(*args)`` and writes the pickled result
     to a pipe: (the child's pid, the pipe's reader)."""
+    _one_blas_thread()
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -691,7 +719,8 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
         raise ConfigError(f"scenario document must be a mapping, got {type(doc).__name__}")
     unknown = set(doc) - {"sim", "leader", "attack", "drops", "detection", "seed", "output"}
     if unknown:
-        raise ConfigError(f"unknown scenario keys: {_shown(sorted(unknown, key=str))}")
+        keys = sorted(unknown, key=lambda key: _shown(key, str))  # str raises past its digit limit
+        raise ConfigError(f"unknown scenario keys: {_shown(keys)}")
     sim = SimConfig(**_read_section(doc.get("sim"), "sim", _SIM_KEYS, "SimConfig field"))
     for name, low, high in (("a", sim.a_min, sim.a_max), ("v", sim.v_min, sim.v_max)):
         if not low < high:

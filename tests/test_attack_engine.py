@@ -54,6 +54,11 @@ class TestParseAttackCase:
         assert parse_attack_case(None, 6, 300) == ()
         assert parse_attack_case({}, 6, 300) == ()
 
+    def test_an_unknown_key_past_the_digit_limit_is_a_config_error(self):
+        # str() of such an int raises; YAML cannot write one, Python can.
+        with pytest.raises(ConfigError, match=r"^unknown attack case keys: <list too long to print>$"):
+            parse_attack_case({10**5000: 1}, 6, 300)
+
     def test_shape_mismatch_names_the_path(self):
         doc = running_example_doc()
         doc["iter_malichannel_list"][0] = [["x_ite", "v_ite"]]  # 1 period entry, 2 expected

@@ -1,10 +1,13 @@
 import copy
 import csv
+import ctypes
 import math
 import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import fields, replace
@@ -238,6 +241,11 @@ class TestScenarioLoading:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown scenario keys"):
             scenario_from_dict(scenario_doc(bogus={}))
+
+    def test_an_unknown_key_past_the_digit_limit_is_a_config_error(self):
+        # str() of such an int raises; YAML cannot write one, Python can.
+        with pytest.raises(ConfigError, match=r"^unknown scenario keys: <list too long to print>$"):
+            scenario_from_dict({10**5000: 1})
 
     def test_leader_profile_velocity_validated(self):
         # -9 m/s^2 sustained from step 5 drives the leader below v_min well
@@ -1476,16 +1484,67 @@ def cpus(monkeypatch):
     return lambda count: monkeypatch.setattr(cli_runner, "_usable_cpus", lambda: count)
 
 
+# A benign 260-step drive whose leader speeds up and slows down in turn.  Its
+# forecasters fit up to 198 training pairs (norm_window 200, lag 2), past the
+# 173 from which OpenBLAS threads a refit's 50x50 Gram product.
+LONG_DRIVE = (
+    "sim: {n: 4, total_control_steps: 260}\n"
+    "leader: {speed: 30.0, profile: [[0, 0.2], [30, 0.0], [50, -0.2], [80, 0.0], [100, 0.2], "
+    "[130, 0.0], [150, -0.2], [180, 0.0], [200, 0.2], [230, 0.0]]}\n"
+    "seed: 3\n"
+)
+
+
+def _openblas() -> tuple[str, str]:
+    """The path of an OpenBLAS this process has loaded and the name of its
+    thread-count setter; the test is skipped where there is none."""
+    maps = Path("/proc/self/maps")
+    paths = {line.split(maxsplit=5)[5] for line in maps.read_text().splitlines()
+             if "openblas" in line} if maps.exists() else set()
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for name in cli_runner._BLAS_SETTERS:
+            if hasattr(library, name):
+                return path, name
+    pytest.skip("no OpenBLAS is loaded")
+
+
+# In a new process: set OpenBLAS to two threads, run drop_rules.yaml's pass
+# seeing the given usable CPUs, and print the thread count after.
+_BLAS_PASS = """
+import ctypes, sys
+from pathlib import Path
+from platoonsec import cli_runner
+library, name, cpus = ctypes.CDLL(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+getattr(library, name)(2)
+cli_runner._usable_cpus = lambda: cpus
+cli_runner.simulate(cli_runner.load_scenario(Path(sys.argv[4])))
+print(getattr(library, name.replace("set", "get", 1))())
+"""
+
+
+def _blas_threads_after_a_pass(cpus: int) -> int:
+    path, name = _openblas()
+    argv = [sys.executable, "-c", _BLAS_PASS, path, name, str(cpus), str(GOLDEN_DIR / "drop_rules.yaml")]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_runner.__file__).parents[1])}
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    return int(done.stdout)
+
+
 class TestParallelDetection:
     """The detection pass deals the followers out to forked workers, one per
     usable CPU; its output must not depend on how many."""
 
-    @pytest.mark.parametrize("path, flags, events", [
+    @pytest.mark.parametrize("document, flags, events", [
         (GOLDEN_DIR / "drop_rules.yaml", 54, 15),
         (SCENARIO_DIR / "string_instability.yaml", 216, 80),
-    ], ids=["drop_rules", "string_instability"])
-    def test_any_worker_count_gives_the_same_run(self, tmp_path, cpus, path, flags, events):
-        scenario = load_scenario(path)
+        (LONG_DRIVE, 0, 0),
+    ], ids=["drop_rules", "string_instability", "long_drive"])
+    def test_any_worker_count_gives_the_same_run(self, tmp_path, cpus, document, flags, events):
+        if not isinstance(document, Path):  # the document's text
+            (tmp_path / "document.yaml").write_text(document)
+            document = tmp_path / "document.yaml"
+        scenario = load_scenario(document)
         cpus(1)
         one = simulate(scenario)
         assert sum(row.comparator_flag for row in one.rows) == flags
@@ -1500,6 +1559,14 @@ class TestParallelDetection:
                 one.rows, one.events, one.flags_by_step)
             assert replay_detection(trace, scenario.detection) == one.events
             _assert_no_child_left()
+
+    def test_a_forked_pass_leaves_openblas_at_one_thread(self):
+        # Set before the first fork and never restored, so that no process
+        # restarts a thread pool that the fork shut down.
+        assert _blas_threads_after_a_pass(cpus=2) == 1
+
+    def test_a_one_cpu_pass_leaves_openblas_as_it_was(self):
+        assert _blas_threads_after_a_pass(cpus=1) == 2
 
     def test_events_are_ordered_by_step_then_vehicle(self, cpus):
         cpus(2)
