@@ -18,8 +18,8 @@ from typing import Any, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .platoon_model import (
-    _COUNT, _FINITE, _INT, _LIST, _MAPPING, _NATURAL, ConfigError, _check, _check_interval, _int_in,
-    _one_of, _shown,
+    _COUNT, _FINITE, _INT, _LIST, _MAPPING, _NATURAL, ConfigError, _check, _check_interval, _check_keys,
+    _int_in, _one_of, _shown,
 )
 from .v2v_channel import ChannelId
 
@@ -129,9 +129,7 @@ def parse_attack_case(
     if doc is None:
         return ()
     _check("attack", doc, _MAPPING)
-    if unknown := set(doc) - set(ATTACK_LIST_KEYS):
-        keys = sorted(unknown, key=lambda key: _shown(key, str))  # str raises past its digit limit
-        raise ConfigError(f"unknown attack case keys: {_shown(keys)}")
+    _check_keys(doc, ATTACK_LIST_KEYS, "attack case")
     raw = {key: _check(key, doc.get(key, []), _LIST) for key in ATTACK_LIST_KEYS}
 
     victims = [_check(f"iter_victim_list[{i}]", v, _int_in(range(1, n + 1)))

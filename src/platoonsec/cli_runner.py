@@ -61,11 +61,12 @@ from .mpc_controller import (
     ControlOutcome,
     NumericalError,
     check_constraints,
+    newton_terms,
     run_control_step,
 )
 from .platoon_model import (
     _BOOL, _COUNT, _FINITE, _INT, _LIST, _MAPPING, _NATURAL, _PAIR, _POSITIVE, ConfigError, SimConfig,
-    _check, _check_interval, _int_in, _is_finite, _is_int, _one_of, _shown, initial_platoon,
+    _check, _check_interval, _check_keys, _int_in, _is_finite, _is_int, _one_of, _shown, initial_platoon,
 )
 from .v2v_channel import ChannelId, Direction, DropRule, V2VChannel, senders
 
@@ -212,8 +213,6 @@ def _workers() -> int:
 # each is follower i+1's.
 _Step = tuple[Sequence[float], Sequence[float], Sequence[bool]]
 
-_Outcome = tuple[list[VehicleDetection], Optional[Exception]]
-
 
 def detect_run(
     steps: Iterable[_Step], n: int, cfg: DetectionConfig,
@@ -249,9 +248,8 @@ def detect_columns(
 
     Share 0 runs here and each other share in a forked child, which inherits
     the columns and pickles its detections back through a pipe.  A
-    follower's detection depends on its columns alone, and the error raised
-    is the lowest-numbered failing follower's, so nothing depends on the
-    number of shares.  No child outlives the call.
+    follower's detection, its error included, depends on its columns alone,
+    so nothing depends on the number of shares.  No child outlives the call.
     """
     n = len(xs)
     if not cfg.enabled:
@@ -259,22 +257,15 @@ def detect_columns(
         return [VehicleDetection([None] * steps, [None] * steps, [])] * n, []
     shares = _shares(n, _workers())
 
-    def detect_share(share: range) -> _Outcome:
-        """The share's detections up to its first error, and that error."""
-        found = []
-        try:
-            for i in share:
-                found.append(detect_step(xs[i], vs[i], comparator[i], i + 1, cfg))
-        except Exception as error:
-            return found, error
-        return found, None
+    def detect_share(share: range) -> list[VehicleDetection]:
+        return [detect_step(xs[i], vs[i], comparator[i], i + 1, cfg) for i in share]
 
     children = []
     try:
         for share in shares[1:]:
             children.append(_fork(detect_share, share))
-        outcomes = [detect_share(share) for share in shares[:1]]
-        return _gather(n, shares, outcomes + _collect(children))
+        found = [detect_share(share) for share in shares[:1]]
+        return _gather(n, shares, found + _collect(children))
     finally:
         _reap(children)
 
@@ -285,35 +276,32 @@ def _shares(n: int, workers: int) -> list[range]:
     return [range(first, n, workers) for first in range(min(workers, n))]
 
 
-def _gather(n: int, shares: Sequence[range], outcomes: Sequence[_Outcome],
+def _gather(n: int, shares: Sequence[range], found: Sequence[list[VehicleDetection]],
             ) -> tuple[list[VehicleDetection], list[AnomalyEvent]]:
     """Each follower's detection, and all events ordered by control step,
-    then vehicle, from each share's detections up to its first failing
-    follower and that follower's error; the lowest-numbered failing
+    then vehicle, from each share's detections; the lowest-numbered failing
     follower's error is raised."""
-    failures = [(share[len(found)], error)
-                for share, (found, error) in zip(shares, outcomes) if error is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
     detections: list = [None] * n
-    for share, (found, _) in zip(shares, outcomes):
-        detections[share.start::share.step] = found
+    for share, detected in zip(shares, found):
+        detections[share.start::share.step] = detected
+    if errors := [detection.error for detection in detections if detection.error is not None]:
+        raise errors[0]
     events = sorted((e for detection in detections for e in detection.events),
                     key=lambda e: (e.control_step, e.vehicle))
     return detections, events
 
 
-def _stream(steps: Iterable[_Step], shares: Sequence[range], cfg: DetectionConfig) -> list[_Outcome]:
+def _stream(steps: Iterable[_Step], shares: Sequence[range], cfg: DetectionConfig) -> list:
     """Run each share in a forked worker fed one step at a time: each share's
-    detections up to its first failing follower, and that follower's error.
+    detections.
 
     A step is pickled to each worker with one unbuffered write, holding only
-    its share's entries.  A worker that stops reading (it failed or died) is
-    sent nothing more.  While the steps come, the workers may run on every
-    usable CPU but one, which is left to the caller's control pass; after
-    the last step they may run on all.  Then the pipes are closed, which ends
-    every worker's steps, and each share is read back.  The workers are
-    killed and reaped whatever happens, an interrupt included."""
+    its share's entries.  A worker that has died is sent nothing more.
+    While the steps come, the workers may run on every usable CPU but one,
+    which is left to the caller's control pass; after the last step they may
+    run on all.  Then the pipes are closed, which ends every worker's steps,
+    and each share is read back.  The workers are killed and reaped
+    whatever happens, an interrupt included."""
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     spare = cpus[1:]  # what the workers may use while the steps come
     workers, writers = [], []
@@ -352,44 +340,29 @@ def _send(writer, payload: bytes) -> bool:
     return True
 
 
-def _follow_pipe(share: range, cfg: DetectionConfig, steps_read: int, inherited: Sequence) -> _Outcome:
-    """In a worker: the followers ``share`` indexes, each through
-    ``follow_vehicle``, over the steps pickled to the pipe ``steps_read``
-    until it ends; a step is its x, v and comparator-flag entries of the
-    share.  A follower that fails drops out with every later one of the
-    share, so the detections kept are those before the lowest-numbered
-    failing follower.
+def _follow_pipe(share: range, cfg: DetectionConfig, steps_read: int, inherited: Sequence) -> list:
+    """In a worker: the detections of the followers ``share`` indexes, each
+    through ``follow_vehicle``, over the steps pickled to the pipe
+    ``steps_read`` until it ends; a step is its x, v and comparator-flag
+    entries of the share.
 
     The worker first closes ``inherited``, its own steps pipe's writer and
     the earlier workers' pipe ends, so that each steps pipe ends when the
     parent closes it."""
     for end in inherited:
         end.close()
-    followers, found, error = [], [], None
-    try:
-        for i in share:
-            follower = follow_vehicle(i + 1, cfg)
-            found.append(next(follower))
-            followers.append(follower)
-    except Exception as exc:
-        error = exc
+    followers = [follow_vehicle(i + 1, cfg) for i in share]
+    found = [next(follower) for follower in followers]
     # Buffered: a pickle larger than the pipe's atomic write size can arrive
-    # in parts, and a buffered read waits for all of it.  The pipe is closed
-    # before the outcome is sent, so a parent still writing to it gets EPIPE
-    # instead of waiting on a full pipe.
+    # in parts, and a buffered read waits for all of it.
     with open(steps_read, "rb") as reader:
-        while followers:
+        while True:
             try:
                 step = pickle.load(reader)
             except EOFError:
-                break
-            try:
-                for j, (follower, entry) in enumerate(zip(followers, zip(*step))):
-                    follower.send(entry)
-            except Exception as exc:
-                del followers[j:], found[j:]
-                error = exc
-    return found, error
+                return found
+            for follower, entry in zip(followers, zip(*step)):
+                follower.send(entry)
 
 
 # OpenBLAS's thread-count setter: in numpy >= 2's wheels, numpy 1.x's, then system builds.
@@ -437,7 +410,7 @@ def _fork(work, *args) -> tuple[int, Any]:
     return pid, open(read_end, "rb")
 
 
-def _collect(children: Sequence[tuple[int, Any]]) -> list[_Outcome]:
+def _collect(children: Sequence[tuple[int, Any]]) -> list:
     """Each child's unpickled result, read in turn."""
     payloads = [reader.read() for _, reader in children]
     if not all(payloads):
@@ -647,6 +620,9 @@ def _leader_from_doc(section: Any, sim: SimConfig) -> LeaderProfile:
     leader = _read_section(section, "leader", _LEADER_KEYS, "leader key")
     bounds = f"[{sim.v_min}, {sim.v_max}]"
     v = _check("leader.speed", leader["speed"], (lambda v: sim.v_min <= v <= sim.v_max, f"in {bounds}"))
+    if not math.isfinite(leader_x := sim.n * sim.nominal_gap(v)):  # where initial_platoon puts it
+        raise ConfigError("need a finite leader start, sim.n * (sim.L_veh + sim.p * sim.tau * leader.speed "
+                          f"+ sim.delta), got {leader_x}")
     phases: list[tuple[int, float]] = []
     for i, phase in enumerate(leader["profile"]):
         where = f"leader.profile[{i}]"
@@ -660,7 +636,7 @@ def _leader_from_doc(section: Any, sim: SimConfig) -> LeaderProfile:
         if not sim.v_min <= v <= sim.v_max:
             in_force = sum(start <= k for start, _ in phases) - 1
             raise ConfigError(f"leader.profile[{in_force}] drives the leader's velocity to "
-                              f"{_shown(f'{v:.3f}', str)} at step {k + 1}, outside {bounds}")
+                              f"{_shown(v)} at step {k + 1}, outside {bounds}")
     return profile
 
 
@@ -717,14 +693,16 @@ def _attack_from_doc(case: Any, sim: SimConfig) -> tuple[AttackSlot, ...]:
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     if not isinstance(doc, Mapping):
         raise ConfigError(f"scenario document must be a mapping, got {type(doc).__name__}")
-    unknown = set(doc) - {"sim", "leader", "attack", "drops", "detection", "seed", "output"}
-    if unknown:
-        keys = sorted(unknown, key=lambda key: _shown(key, str))  # str raises past its digit limit
-        raise ConfigError(f"unknown scenario keys: {_shown(keys)}")
+    _check_keys(doc, ("sim", "leader", "attack", "drops", "detection", "seed", "output"), "scenario")
     sim = SimConfig(**_read_section(doc.get("sim"), "sim", _SIM_KEYS, "SimConfig field"))
     for name, low, high in (("a", sim.a_min, sim.a_max), ("v", sim.v_min, sim.v_max)):
         if not low < high:
             raise ConfigError(f"need sim.{name}_min < sim.{name}_max, got [{low}, {high}]")
+    try:
+        newton_terms(sim)
+    except NumericalError as exc:
+        raise ConfigError(f"need sim.tau, sim.p, sim.Q_alpha and sim.Q_beta that give finite "
+                          f"Newton Hessians > 0: {exc}") from None
     _check_cells("sim.n x sim.max_iterations", sim.n, sim.max_iterations, MAX_BIAS_CELLS, "bias-matrix cells")
     detection = _detection_from_doc(doc)
     return Scenario(

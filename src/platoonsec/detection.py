@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, NamedTuple, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 # Imported with the module, not on first use (numpy loads its random package
@@ -371,13 +371,16 @@ def forecasters(vehicle: int, cfg: DetectionConfig) -> tuple[SeriesDetector, Ser
                  for seed in (base, base + 1))
 
 
-class VehicleDetection(NamedTuple):
+@dataclass
+class VehicleDetection:
     """One follower's stage-two output, one entry per control step, and its
-    events in step order."""
+    events in step order; ``error`` is what stopped its forecasters, if
+    anything did."""
 
     pos_predictions: list[Optional[float]]
     vel_predictions: list[Optional[float]]
     events: list[AnomalyEvent]
+    error: Optional[Exception] = None
 
 
 def follow_vehicle(vehicle: int, cfg: DetectionConfig) -> Generator[VehicleDetection, tuple, None]:
@@ -393,31 +396,40 @@ def follow_vehicle(vehicle: int, cfg: DetectionConfig) -> Generator[VehicleDetec
     window the forecasters raise no events while the models train.  No
     follower's output depends on another's, so followers may run in any
     order, interleaved or in parallel.
+
+    An exception raised while the forecasters are built or a step is taken
+    is kept as the detection's ``error``, and every later step leaves the
+    detection as it is, so one follower's failure stops no other.
     """
-    position, velocity = forecasters(vehicle, cfg)
-    detection = VehicleDetection([], [], [])
-    pos_preds, vel_preds, events = detection
-    k = 0
+    pos_preds, vel_preds, events = [], [], []
+    detection = VehicleDetection(pos_preds, vel_preds, events)
+    try:
+        position, velocity = forecasters(vehicle, cfg)
+        k = 0
+        while True:
+            x, v, comp = yield detection
+            pos_pred = position.predict_next()
+            vel_pred = velocity.predict_next()
+            fired = len(events)
+            if k >= cfg.warmup_steps:
+                for kind, actual, predicted, threshold in (
+                    (POS_ANOM, x, pos_pred, cfg.pos_threshold),
+                    (VEL_ANOM, v, vel_pred, cfg.vel_threshold),
+                ):
+                    if predicted is not None:
+                        event = detect_anomaly(kind, k, vehicle, actual, predicted, threshold)
+                        if event:
+                            events.append(event)
+            flagged = comp or len(events) > fired
+            position.observe(x, flagged)
+            velocity.observe(v, flagged)
+            pos_preds.append(pos_pred)
+            vel_preds.append(vel_pred)
+            k += 1
+    except Exception as error:
+        detection.error = error
     while True:
-        x, v, comp = yield detection
-        pos_pred = position.predict_next()
-        vel_pred = velocity.predict_next()
-        fired = len(events)
-        if k >= cfg.warmup_steps:
-            for kind, actual, predicted, threshold in (
-                (POS_ANOM, x, pos_pred, cfg.pos_threshold),
-                (VEL_ANOM, v, vel_pred, cfg.vel_threshold),
-            ):
-                if predicted is not None:
-                    event = detect_anomaly(kind, k, vehicle, actual, predicted, threshold)
-                    if event:
-                        events.append(event)
-        flagged = comp or len(events) > fired
-        position.observe(x, flagged)
-        velocity.observe(v, flagged)
-        pos_preds.append(pos_pred)
-        vel_preds.append(vel_pred)
-        k += 1
+        yield detection
 
 
 def detect_vehicle(xs: Sequence[float], vs: Sequence[float], comparator: Sequence[bool],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 
 class ConfigError(ValueError):
@@ -53,13 +53,23 @@ def _int_in(span: range, context: str = "") -> tuple:
     return (lambda v: _is_int(v) and v in span, f"an int in {span.start}..{span.stop - 1}{context}")
 
 
-def _shown(value: Any, form=repr) -> str:
-    """``form(value)`` as a message shows an input value, cut to about 80 characters."""
+def _shown(value: Any, form=repr, width: float = 80) -> str:
+    """``form(value)`` as a message shows an input value: past ``width``
+    characters, its first 60 and its length, about 80 characters in all."""
     try:
         text = form(value)
     except ValueError:  # an int past str's digit limit, or a list holding one
         text = f"<{type(value).__name__} too long to print>"
-    return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters)"
+    return text if len(text) <= width else f"{text[:60]}... ({len(text)} characters)"
+
+
+def _check_keys(doc: Mapping, known: Iterable, what: str) -> None:
+    """A ConfigError listing the keys of ``doc`` outside ``known``, each shown
+    uncut on its own, so that one too long to print hides no other."""
+    if unknown := set(doc) - set(known):
+        keys = sorted(unknown, key=lambda key: _shown(key, str))
+        listed = ", ".join(_shown(key, width=math.inf) for key in keys)
+        raise ConfigError(f"unknown {what} keys: {_shown(f'[{listed}]', str)}")
 
 
 def _check(where: str, value: Any, rule: tuple) -> Any:

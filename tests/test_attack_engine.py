@@ -56,8 +56,12 @@ class TestParseAttackCase:
 
     def test_an_unknown_key_past_the_digit_limit_is_a_config_error(self):
         # str() of such an int raises; YAML cannot write one, Python can.
-        with pytest.raises(ConfigError, match=r"^unknown attack case keys: <list too long to print>$"):
+        # It hides none of the other unknown keys.
+        with pytest.raises(ConfigError, match=r"^unknown attack case keys: \[<int too long to print>\]$"):
             parse_attack_case({10**5000: 1}, 6, 300)
+        with pytest.raises(ConfigError,
+                           match=r"^unknown attack case keys: \[1, <int too long to print>, 'x'\]$"):
+            parse_attack_case({1: 1, "x": 2, 10**5000: 3}, 6, 300)
 
     def test_shape_mismatch_names_the_path(self):
         doc = running_example_doc()

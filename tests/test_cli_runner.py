@@ -244,8 +244,11 @@ class TestScenarioLoading:
 
     def test_an_unknown_key_past_the_digit_limit_is_a_config_error(self):
         # str() of such an int raises; YAML cannot write one, Python can.
-        with pytest.raises(ConfigError, match=r"^unknown scenario keys: <list too long to print>$"):
+        # It hides none of the other unknown keys.
+        with pytest.raises(ConfigError, match=r"^unknown scenario keys: \[<int too long to print>\]$"):
             scenario_from_dict({10**5000: 1})
+        with pytest.raises(ConfigError, match=r"^unknown scenario keys: \[1, <int too long to print>, 'x'\]$"):
+            scenario_from_dict({1: 1, "x": 2, 10**5000: 3})
 
     def test_leader_profile_velocity_validated(self):
         # -9 m/s^2 sustained from step 5 drives the leader below v_min well
@@ -254,7 +257,17 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError) as error:
             scenario_from_dict(doc)
         assert str(error.value) == (
-            "leader.profile[0] drives the leader's velocity to -0.600 at step 39, outside [0.0, 40.0]")
+            "leader.profile[0] drives the leader's velocity to -0.599999999999983 at step 39, "
+            "outside [0.0, 40.0]")
+        # The velocity is shown as computed: rounded to three decimals,
+        # 28.999999999999986 would read 29.000, inside [29.0, 31.0].
+        doc = scenario_doc(sim={"v_min": 29.0, "v_max": 31.0, "total_control_steps": 50},
+                           leader={"speed": 30.0, "profile": [[0, 0.5], [10, -0.5]]})
+        with pytest.raises(ConfigError) as error:
+            scenario_from_dict(doc)
+        assert str(error.value) == (
+            "leader.profile[1] drives the leader's velocity to 28.999999999999986 at step 40, "
+            "outside [29.0, 31.0]")
 
     def test_leader_speed_bounds(self):
         # The loader is where the leader's initial speed is checked.
@@ -263,6 +276,33 @@ class TestScenarioLoading:
         for speed in (sim.v_max + 1.0, sim.v_min - 0.1):
             with pytest.raises(ConfigError, match=r"^leader\.speed must be in \[0\.0, 40\.0\], got "):
                 scenario_from_dict(scenario_doc(leader={"speed": speed}))
+
+    @pytest.mark.parametrize("sim, leader", [
+        ({"L_veh": 3.0e307}, {}), ({"delta": 1.0e308}, {}), ({"v_max": 1.5e308}, {"speed": 1.0e308}),
+    ], ids=["L_veh", "delta", "speed"])
+    def test_a_platoon_that_cannot_start_is_rejected(self, sim, leader):
+        # The leader starts n nominal gaps ahead of the last follower.
+        with pytest.raises(ConfigError, match=(
+                r"^need a finite leader start, sim\.n \* \(sim\.L_veh \+ sim\.p \* sim\.tau "
+                r"\* leader\.speed \+ sim\.delta\), got inf$")):
+            scenario_from_dict(scenario_doc(sim=sim, leader=leader))
+        assert scenario_from_dict(scenario_doc(sim={"L_veh": 2.9e307})).sim.L_veh == 2.9e307
+
+    @pytest.mark.parametrize("sim, hessians", [
+        ({"tau": 1.0e-320}, "0.0, 0.0"), ({"p": 1.0e300}, "inf, inf"), ({"Q_alpha": 1.0e308, "tau": 10.0}, "inf, inf"),
+        ({"Q_beta": 1.0e308, "tau": 10.0}, "inf, inf"),
+    ], ids=["tau", "p", "Q_alpha", "Q_beta"])
+    def test_a_degenerate_newton_hessian_is_a_config_error(self, tmp_path, capsys, sim, hessians):
+        # The sim alone fixes the controller's Hessians, so loading checks them.
+        message = (f"need sim.tau, sim.p, sim.Q_alpha and sim.Q_beta that give finite Newton Hessians "
+                   f"> 0: degenerate Newton Hessian {hessians}")
+        with pytest.raises(ConfigError) as error:
+            scenario_from_dict(scenario_doc(sim=sim))
+        assert str(error.value) == message
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(scenario_doc(sim=sim)))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_attack_section_mirrors_seven_lists(self):
         doc = scenario_doc(attack=_one_channel_attack(2.0))
@@ -1101,7 +1141,7 @@ class TestCli:
         ({"leader": {"profile": [[10**400, 0.1], [5, 0.1]]}},
          f"leader.profile[1][0] must be an int >= {_BIG}, got 5"),
         ({"leader": {"profile": [[0, 1e308]]}}, "leader.profile[0] drives the leader's velocity to "
-         f"{f'{30 + 1e308 * 0.1:.3f}'[:60]}... (312 characters) at step 1, outside [0.0, 40.0]"),
+         "1.0000000000000001e+307 at step 1, outside [0.0, 40.0]"),
     ], ids=["cells", "sim-key", "drop-iterations", "drop-sender", "interval", "detection-cells",
             "top-level-key", "cluster-window", "victim", "attack-key", "continuous-list", "seed",
             "phase-start", "velocity"])
@@ -1332,6 +1372,7 @@ _VALUE_POOL = (None, True, "bogus", -0.5, 0.1, 2.5, 1e308, math.nan, math.inf, [
 # What a message may start with in place of a path: keys in relation, and
 # keys or victims that the document does not name one by one.
 _CROSS_KEY_FORMS = ("need sim.a_min < sim.a_max", "need sim.v_min < sim.v_max",
+                    "need sim.tau, sim.p, sim.Q_alpha and sim.Q_beta", "need a finite leader start",
                     "unknown scenario keys", "unknown attack case keys", "victim ")
 _MESSAGE_PATH = re.compile(r"[A-Za-z_]\w*(?:\.[^\s.\[\]:]+|\[\d+\])*(?=[\s:]|$)")
 
@@ -1647,6 +1688,34 @@ class TestParallelDetection:
             simulate(load_scenario(GOLDEN_DIR / "drop_rules.yaml"))
         _assert_no_child_left()
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_a_lower_numbered_follower_that_fails_later_names_the_error(self, tmp_path, monkeypatch, cpus,
+                                                                        workers):
+        # Vehicle 5 fails first, at step 15, then vehicle 2 at step 40 and
+        # vehicle 3 at step 60: the error raised is vehicle 2's, whichever
+        # shares they run in, in a live run and in a replay.
+        doc = yaml.safe_load((GOLDEN_DIR / "drop_rules.yaml").read_text())
+        doc["sim"]["total_control_steps"] = 80
+        scenario = scenario_from_dict(doc)
+        cpus(1)
+        trace = tmp_path / "trace.csv"
+        cli_runner.write_trace_csv(simulate(scenario).rows, trace)
+        real = detection.detect_anomaly
+
+        def fails(kind, control_step, vehicle, *args):
+            if (vehicle, control_step) in {(5, 15), (2, 40), (3, 60)}:
+                raise DetectionError(f"vehicle {vehicle} at {control_step}")
+            return real(kind, control_step, vehicle, *args)
+
+        monkeypatch.setattr(detection, "detect_anomaly", fails)
+        cpus(workers)
+        with pytest.raises(DetectionError, match="^vehicle 2 at 40$"):
+            simulate(scenario)
+        _assert_no_child_left()
+        with pytest.raises(DetectionError, match="^vehicle 2 at 40$"):
+            replay_detection(trace, scenario.detection)
+        _assert_no_child_left()
+
     def test_an_interrupted_parent_kills_its_children(self, monkeypatch, cpus):
         # The control pass is interrupted at step 5 while the children still
         # build their forecasters; they are killed, not waited for.
@@ -1781,9 +1850,9 @@ class TestParallelDetection:
 
         sender = threading.Thread(target=send_in_parts)
         sender.start()
-        found, error = cli_runner._follow_pipe(share, cfg, read_end, [])
+        found = cli_runner._follow_pipe(share, cfg, read_end, [])
         sender.join(timeout=30)
-        assert not sender.is_alive() and error is None
+        assert not sender.is_alive() and all(detection.error is None for detection in found)
         assert found == [detect_vehicle(xs[i], vs[i], comparator[i], i + 1, cfg) for i in share]
 
     def test_a_step_larger_than_an_atomic_pipe_write_is_read_whole(self, monkeypatch, cpus):

@@ -12,9 +12,11 @@ from platoonsec.detection import (
     DetectionConfig,
     DetectionError,
     NormalizationState,
+    NumericalFitError,
     POS_ANOM,
     VEL_ANOM,
     SeriesDetector,
+    VehicleDetection,
     comparator_check,
     comparator_flags,
     create_elm,
@@ -694,6 +696,46 @@ class TestDetectStep:
                     assert held[vehicle] == detect_vehicle(
                         xs[:k + 1], vs[:k + 1], comparator[:k + 1], vehicle, cfg)
         assert [(e.kind, e.control_step) for e in held[5].events][:1] == [(POS_ANOM, 30)]
+
+    def test_an_error_building_the_forecasters_is_kept(self, monkeypatch):
+        error = NumericalFitError("non-finite output weights")
+
+        def fails(vehicle, cfg):
+            raise error
+
+        monkeypatch.setattr(detection, "forecasters", fails)
+        follower = follow_vehicle(3, DetectionConfig(seed=1))
+        held = next(follower)
+        for step in zip(*_benign_columns(3, 20)):
+            follower.send(step)
+        assert held == VehicleDetection([], [], [], error)
+
+    def test_an_error_in_a_step_is_kept_and_later_steps_change_nothing(self, monkeypatch):
+        # Vehicle 3's step 25 fails; its events from the jump at step 15 are
+        # kept, and the jump at step 30 raises none.
+        cfg = DetectionConfig(seed=1, warmup_steps=12)
+        xs, vs, comparator = _benign_columns(3, 40)
+        xs[15] += 10.0
+        xs[30] += 10.0
+        real = detection.detect_anomaly
+
+        def fails_at_25(kind, control_step, *args):
+            if control_step == 25:
+                raise DetectionError("step 25")
+            return real(kind, control_step, *args)
+
+        monkeypatch.setattr(detection, "detect_anomaly", fails_at_25)
+        follower = follow_vehicle(3, cfg)
+        held = next(follower)
+        for k, step in enumerate(zip(xs, vs, comparator)):
+            follower.send(step)
+            if k == 25:
+                at_error = (list(held.pos_predictions), list(held.vel_predictions), list(held.events))
+        assert str(held.error) == "step 25" and isinstance(held.error, DetectionError)
+        assert (held.pos_predictions, held.vel_predictions, held.events) == at_error
+        clean = detect_vehicle(xs[:25], vs[:25], comparator[:25], 3, cfg)
+        assert at_error == (clean.pos_predictions, clean.vel_predictions, clean.events)
+        assert held.events and {e.control_step for e in held.events} <= set(range(15, 25))
 
     def test_two_models_per_vehicle_with_lag_two(self):
         cfg = DetectionConfig(seed=0)
