@@ -247,7 +247,8 @@ class TestScenarioLoading:
         # It hides none of the other unknown keys.
         with pytest.raises(ConfigError, match=r"^unknown scenario keys: \[<int too long to print>\]$"):
             scenario_from_dict({10**5000: 1})
-        with pytest.raises(ConfigError, match=r"^unknown scenario keys: \[1, <int too long to print>, 'x'\]$"):
+        with pytest.raises(ConfigError,
+                           match=r"^unknown scenario keys: \[1, <int too long to print>, 'x'\]$"):
             scenario_from_dict({1: 1, "x": 2, 10**5000: 3})
 
     def test_leader_profile_velocity_validated(self):
@@ -289,8 +290,8 @@ class TestScenarioLoading:
         assert scenario_from_dict(scenario_doc(sim={"L_veh": 2.9e307})).sim.L_veh == 2.9e307
 
     @pytest.mark.parametrize("sim, hessians", [
-        ({"tau": 1.0e-320}, "0.0, 0.0"), ({"p": 1.0e300}, "inf, inf"), ({"Q_alpha": 1.0e308, "tau": 10.0}, "inf, inf"),
-        ({"Q_beta": 1.0e308, "tau": 10.0}, "inf, inf"),
+        ({"tau": 1.0e-320}, "0.0, 0.0"), ({"p": 1.0e300}, "inf, inf"),
+        ({"Q_alpha": 1.0e308, "tau": 10.0}, "inf, inf"), ({"Q_beta": 1.0e308, "tau": 10.0}, "inf, inf"),
     ], ids=["tau", "p", "Q_alpha", "Q_beta"])
     def test_a_degenerate_newton_hessian_is_a_config_error(self, tmp_path, capsys, sim, hessians):
         # The sim alone fixes the controller's Hessians, so loading checks them.
