@@ -484,6 +484,8 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> dict[str, Path]:
 _SIM_RULES = {
     **dict.fromkeys(("n", "max_iterations", "total_control_steps"), _COUNT),
     **dict.fromkeys(("tau", "L_veh", "Q_alpha", "Q_beta", "primal_tol", "dual_step"), _POSITIVE),
+    # p = 0 is constant spacing; a negative p or delta makes the gaps negative.
+    **dict.fromkeys(("p", "delta"), (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0")),
     "dual_decay": (lambda v: _is_finite(v) and 0 <= v <= 1, "a number in [0, 1]"),
 }
 _SIM_KEYS = {f.name: (f.default, _SIM_RULES.get(f.name, _FINITE)) for f in fields(SimConfig)}
@@ -658,16 +660,14 @@ def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
         direction, sender = Direction(rule["direction"]), rule["sender"]
         _check(f"{where}.sender", sender,
                _int_in(senders(direction, sim.n), f" for a {direction.value} rule with n={sim.n}"))
-        if iterations is not None and iterations[0] >= sim.max_iterations:
-            raise ConfigError(
-                f"{where}.iterations {_shown(list(iterations))} starts at or past "
-                f"max_iterations={sim.max_iterations}, so the rule never fires"
-            )
-        if sender == 0 and iterations is not None and iterations[0] != 0:
-            raise ConfigError(
-                f"{where}.iterations must start at 0 for a leader rule, got "
-                f"{_shown(list(iterations))}: the leader's prediction is fixed within a control step"
-            )
+        if iterations is not None:
+            shown = f"[{_shown(iterations[0])}, {_shown(iterations[1])}]"
+            if iterations[0] >= sim.max_iterations:
+                raise ConfigError(f"{where}.iterations {shown} starts at or past "
+                                  f"max_iterations={sim.max_iterations}, so the rule never fires")
+            if sender == 0 and iterations[0] != 0:
+                raise ConfigError(f"{where}.iterations must start at 0 for a leader rule, got {shown}: "
+                                  "the leader's prediction is fixed within a control step")
         rules.append(DropRule(direction, sender, control_steps=steps, iterations=iterations))
     return tuple(rules)
 
@@ -755,62 +755,52 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
 # offline detection replay
 
 
-def _read_trace(trace_path: Path) -> tuple[list[tuple], list[tuple], list[tuple]]:
+def _read_trace(trace_path: Path) -> tuple[list[list], list[list], list[list]]:
     """The x, v and comparator-flag columns of each vehicle, in vehicle order,
     each over the control steps in order.
 
-    Every row must be complete and well formed, and control steps 0..K must
-    each hold vehicles 1..n exactly once, as a live run writes them; anything
-    else is a ``ConfigError`` naming the line or the control step.
+    The trace must be as a live run writes it: the header ``TRACE_COLUMNS``,
+    then one well-formed row for each control step 0..K and vehicle 1..n in
+    turn, n being the vehicles of step 0.  Anything else is a ``ConfigError``
+    naming the first line out of place, or the last step if it is incomplete.
     """
-    by_step: dict[int, dict[int, tuple[float, float, bool]]] = {}
+    rows: list[tuple[float, float, bool]] = []  # in file order
+    n = 0  # unknown until step 1 begins
     with _open_text(trace_path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
                 return [], [], []
-            missing = [c for c in TRACE_COLUMNS if c not in header]
-            if missing:
-                raise ConfigError(f"{trace_path} is missing columns: {missing}")
-            col = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+            if header != list(TRACE_COLUMNS):
+                raise ConfigError(f"{trace_path} line {reader.line_num}: expected the header "
+                                  f"{','.join(TRACE_COLUMNS)}, got {_shown(','.join(header))}")
             for row in reader:
-                if not row:  # a blank line, which csv.DictReader skips too
-                    continue
                 where = f"{trace_path} line {reader.line_num}"
-                if len(row) != len(header):
-                    raise ConfigError(f"{where} does not have the header's {len(header)} fields")
+                if len(row) != len(TRACE_COLUMNS):
+                    raise ConfigError(f"{where} does not have the header's {len(TRACE_COLUMNS)} fields")
+                k, vehicle, x, v, _, gap, _, flag, *_ = row
                 try:
-                    k, vehicle = int(row[col["control_step"]]), int(row[col["vehicle_id"]])
-                    x, v, gap = float(row[col["x"]]), float(row[col["v"]]), float(row[col["gap_front"]])
+                    k, vehicle, x, v, gap = int(k), int(vehicle), float(x), float(v), float(gap)
                 except ValueError as exc:
                     raise ConfigError(f"{where}: {_shown(exc, str)}") from None
-                if k < 0 or vehicle < 1:
-                    raise ConfigError(f"{where}: need control_step >= 0 and vehicle_id >= 1")
+                if not n and rows and (k, vehicle) == (1, 1):
+                    n = len(rows)
+                step, i = divmod(len(rows), n) if n else (0, len(rows))
+                if (k, vehicle) != (step, i + 1):
+                    raise ConfigError(f"{where}: expected control step {step}, vehicle {i + 1}, "
+                                      f"got control step {_shown(k)}, vehicle {_shown(vehicle)}")
                 if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(gap)):
                     raise ConfigError(f"{where}: x, v and gap_front must be finite")
-                flag = row[col["comparator_flag"]]
                 if flag not in ("0", "1"):
                     raise ConfigError(f"{where}: comparator_flag must be 0 or 1")
-                step = by_step.setdefault(k, {})
-                if vehicle in step:
-                    raise ConfigError(f"{where} repeats vehicle {vehicle} of control step {k}")
-                step[vehicle] = x, v, flag == "1"
+                rows.append((x, v, flag == "1"))
         except csv.Error as exc:  # such as a field over csv's size limit
             raise ConfigError(f"{trace_path} line {reader.line_num}: {exc}") from None
-    n = max((max(step) for step in by_step.values()), default=0)
-    for k in range(len(by_step)):
-        if k not in by_step:
-            raise ConfigError(f"{trace_path} has no rows for control step {k}")
-        step = by_step[k]
-        if len(step) != n:
-            lacking = next(i for i in range(1, n + 1) if i not in step)
-            raise ConfigError(f"{trace_path}: control step {k} lacks vehicle {lacking}")
-    columns: tuple[list, list, list] = ([], [], [])
-    for vehicle in range(1, n + 1):
-        for column, values in zip(columns, zip(*(by_step[k][vehicle] for k in range(len(by_step))))):
-            column.append(values)
-    return columns
+    n = n or len(rows)
+    if n and len(rows) % n:
+        raise ConfigError(f"{trace_path}: control step {len(rows) // n} lacks vehicle {len(rows) % n + 1}")
+    return tuple([[row[c] for row in rows[i::n]] for i in range(n)] for c in range(3))
 
 
 def replay_detection(trace_path: Path, detection: DetectionConfig) -> list[AnomalyEvent]:

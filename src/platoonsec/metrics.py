@@ -67,8 +67,6 @@ def classify_impact(headway_series: Sequence[float], warmup: int = 10) -> Impact
     below = False
     above = False
     for h in headway_series[warmup:]:
-        if math.isnan(h):
-            continue
         if h < safe_lo:
             below = True
         elif h > safe_hi:
@@ -93,7 +91,7 @@ def _out_of_band_intervals(
     open_start: Optional[int] = None
     for idx in range(start, len(values)):
         value = values[idx]
-        outside = not math.isnan(value) and (value < lo or value > hi)
+        outside = value < lo or value > hi
         if outside and open_start is None:
             open_start = idx
         elif not outside and open_start is not None:

@@ -86,7 +86,7 @@ def _check_interval(where: str, value: Any) -> tuple[int, int]:
     pair = _check(where, value, _PAIR)
     start, end = (_check(f"{where}[{q}]", v, _NATURAL) for q, v in enumerate(pair))
     if start > end:
-        raise ConfigError(f"{where}: invalid interval {_shown([start, end])}")
+        raise ConfigError(f"{where}: invalid interval [{_shown(start)}, {_shown(end)}]")
     return start, end
 
 

@@ -251,6 +251,22 @@ class TestScenarioLoading:
                            match=r"^unknown scenario keys: \[1, <int too long to print>, 'x'\]$"):
             scenario_from_dict({1: 1, "x": 2, 10**5000: 3})
 
+    @pytest.mark.parametrize("doc, message", [
+        (scenario_doc(drops=[{"direction": "forward", "sender": 2, "control_steps": [10**5000, 0]}]),
+         "drops[0].control_steps: invalid interval [<int too long to print>, 0]"),
+        (scenario_doc(drops=[{"direction": "forward", "sender": 2, "iterations": [10**5000, 10**5000]}]),
+         "drops[0].iterations [<int too long to print>, <int too long to print>] starts at or past "
+         "max_iterations=300, so the rule never fires"),
+        (scenario_doc(attack={**_one_channel_attack(1.0), "control_attackperiod_list": [[[10**5000, 3]]]}),
+         "control_attackperiod_list[0][0]: invalid interval [<int too long to print>, 3]"),
+    ], ids=["control-steps", "iterations", "attack-period"])
+    def test_an_interval_shows_each_bound_on_its_own(self, doc, message):
+        # A bound past str's digit limit no longer hides the other bound.
+        # YAML cannot write such an int; Python can.
+        with pytest.raises(ConfigError) as error:
+            scenario_from_dict(doc)
+        assert str(error.value) == message
+
     def test_leader_profile_velocity_validated(self):
         # -9 m/s^2 sustained from step 5 drives the leader below v_min well
         # inside the 40-step horizon; the message names the phase in force.
@@ -536,7 +552,7 @@ class TestReplayDetect:
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("control_step,vehicle_id\n")
-        with pytest.raises(ConfigError, match="missing columns"):
+        with pytest.raises(ConfigError, match="line 1: expected the header control_step,vehicle_id,x,v,u,"):
             replay_detection(path, DetectionConfig(seed=0))
 
     def test_threshold_monotonicity(self, tmp_path):
@@ -579,6 +595,11 @@ def _drop_step_7(lines):
     return [line for line in lines if not line.startswith("7,")]
 
 
+def _repeat_x_column(lines):
+    """A second x column, of 999s, after the last: it would hide the first."""
+    return [lines[0].rstrip("\n") + ",x\n"] + [line.rstrip("\n") + ",999\n" for line in lines[1:]]
+
+
 def _edit_row(row, column, value):
     def edit(lines):
         fields = lines[row].rstrip("\n").split(",")
@@ -593,67 +614,77 @@ class TestReplayBadTrace:
         "corrupt, message",
         [
             (_cut_mid_row, "line 241 does not have the header's 12 fields"),
-            (_drop_vehicle_1_of_step_5, "control step 5 lacks vehicle 1"),
-            (_duplicate_step_0, "line 242 repeats vehicle 1 of control step 0"),
-            (_drop_step_7, "has no rows for control step 7"),
+            (_drop_vehicle_1_of_step_5,
+             "line 32: expected control step 5, vehicle 1, got control step 5, vehicle 2"),
+            (_duplicate_step_0,
+             "line 242: expected control step 40, vehicle 1, got control step 0, vehicle 1"),
+            (_drop_step_7, "line 44: expected control step 7, vehicle 1, got control step 8, vehicle 1"),
             (lambda lines: lines[:3] + [lines[3].rstrip("\n") + ",1\n"] + lines[4:],
              "line 4 does not have the header's 12 fields"),
             (_edit_row(9, "x", "abc"), "line 10: could not convert string to float"),
             (_edit_row(9, "control_step", "1.5"), "line 10: invalid literal for int()"),
             (_edit_row(9, "v", "nan"), "line 10: x, v and gap_front must be finite"),
-            (_edit_row(9, "vehicle_id", "0"), "line 10: need control_step >= 0 and vehicle_id >= 1"),
+            (_edit_row(9, "vehicle_id", "0"),
+             "line 10: expected control step 1, vehicle 3, got control step 1, vehicle 0"),
             (_edit_row(9, "comparator_flag", "2"), "line 10: comparator_flag must be 0 or 1"),
             (lambda lines: lines[:-1] + [lines[-1].rstrip("\n") + ",\n"],
              "line 241 does not have the header's 12 fields"),
             (lambda lines: lines[:5] + ["\n"] + _edit_row(5, "x", "abc")(lines)[5:],
-             "line 7: could not convert string to float"),
+             "line 6 does not have the header's 12 fields"),
             (_edit_row(9, "x", "1" * (csv.field_size_limit() + 1)),
              "line 10: field larger than field limit (131072)"),
-            # The lacking vehicle is named without building the ids 1..10**12.
-            (_edit_row(1, "vehicle_id", str(10**12)), "control step 0 lacks vehicle 1"),
+            (_edit_row(1, "vehicle_id", str(10**12)),
+             "line 2: expected control step 0, vehicle 1, got control step 0, vehicle 1000000000000"),
+            # Only an incomplete last step is found after the last line.
+            (lambda lines: lines[:-1], "trace.csv: control step 39 lacks vehicle 6"),
+            # Step 0 fixes n: without its vehicle 6, step 1's vehicle 6 is out of place.
+            (lambda lines: lines[:6] + lines[7:],
+             "line 12: expected control step 2, vehicle 1, got control step 1, vehicle 6"),
+            (_repeat_x_column, "line 1: expected the header control_step,vehicle_id,x,v,u,gap_front,"),
         ],
         ids=[
             "cut-mid-row", "missing-vehicle", "duplicated-rows", "missing-step", "extra-field",
             "text-x", "float-step", "nan-v", "vehicle-0", "flag-2", "extra-empty-field",
-            "bad-row-after-a-blank-line", "oversized-field", "vehicle-10**12",
+            "bad-row-after-a-blank-line", "oversized-field", "vehicle-10**12", "incomplete-last-step",
+            "step-0-lacks-its-last-vehicle", "repeated-x-column",
         ],
     )
     def test_exit_code_names_line_or_step(self, tmp_path, capsys, live_trace_lines, corrupt, message):
-        trace = tmp_path / "trace.csv"
-        trace.write_text("".join(corrupt(live_trace_lines)))
-        config = tmp_path / "config.yaml"
-        config.write_text(yaml.safe_dump(scenario_doc()))
-        argv = ["replay-detect", "--trace", str(trace), "--config", str(config),
-                "--out", str(tmp_path / "out")]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {trace}") and message in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        _assert_replay_names(tmp_path, capsys, corrupt(live_trace_lines), message)
 
-    def test_rows_in_any_order_replay_like_the_live_order(self, tmp_path, live_trace_lines):
-        scenario = scenario_from_dict(scenario_doc())
-        live, shuffled = tmp_path / "live.csv", tmp_path / "shuffled.csv"
-        live.write_text("".join(live_trace_lines))
-        shuffled.write_text("".join(live_trace_lines[:1] + live_trace_lines[:0:-1]))
-        assert replay_detection(shuffled, scenario.detection) == replay_detection(
-            live, scenario.detection
-        )
+    def test_rows_out_of_order_are_rejected(self, tmp_path, capsys, live_trace_lines):
+        reversed_rows = live_trace_lines[:1] + live_trace_lines[:0:-1]
+        _assert_replay_names(tmp_path, capsys, reversed_rows,
+                             "line 2: expected control step 0, vehicle 1, got control step 39, vehicle 6")
 
-    def test_columns_in_any_order_read_like_the_live_order(self, tmp_path, live_trace_lines):
-        live, reversed_columns = tmp_path / "live.csv", tmp_path / "reversed.csv"
-        live.write_text("".join(live_trace_lines))
-        reversed_columns.write_text(
-            "".join(",".join(line.rstrip("\n").split(",")[::-1]) + "\n" for line in live_trace_lines)
-        )
-        assert cli_runner._read_trace(reversed_columns) == cli_runner._read_trace(live)
+    def test_columns_out_of_order_are_rejected(self, tmp_path, capsys, live_trace_lines):
+        reversed_columns = [",".join(line.rstrip("\n").split(",")[::-1]) + "\n" for line in live_trace_lines]
+        _assert_replay_names(tmp_path, capsys, reversed_columns,
+                             "line 1: expected the header control_step,vehicle_id,x,v,u,gap_front,headway,"
+                             "comparator_flag,elm_pos_pred,elm_vel_pred,pos_anom,vel_anom, got 'vel_anom,")
 
-    def test_blank_lines_are_skipped(self, tmp_path, live_trace_lines):
-        live, blank = tmp_path / "live.csv", tmp_path / "blank.csv"
-        live.write_text("".join(live_trace_lines))
+    def test_blank_lines_are_rejected(self, tmp_path, capsys, live_trace_lines):
         lines = live_trace_lines
-        blank.write_text("".join(lines[:1] + ["\n"] + lines[1:100] + ["\r\n", "\n"] + lines[100:] + ["\n"]))
-        assert cli_runner._read_trace(blank) == cli_runner._read_trace(live)
+        blank = lines[:1] + ["\n"] + lines[1:100] + ["\r\n", "\n"] + lines[100:] + ["\n"]
+        _assert_replay_names(tmp_path, capsys, blank, "line 2 does not have the header's 12 fields")
+        _assert_replay_names(tmp_path, capsys, lines + ["\n"],
+                             "line 242 does not have the header's 12 fields")
+
+
+def _assert_replay_names(tmp_path, capsys, lines, message):
+    """Replaying the trace ``lines`` exits 1 with a config error that names
+    the trace and holds ``message``, and writes nothing."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(lines))
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(scenario_doc()))
+    argv = ["replay-detect", "--trace", str(trace), "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {trace}") and message in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestCli:
@@ -979,6 +1010,8 @@ class TestCli:
             ({"dual_decay": 1.5}, "sim.dual_decay must be a number in [0, 1], got 1.5"),
             ({"dual_decay": -0.1}, "sim.dual_decay must be a number in [0, 1], got -0.1"),
             ({"dual_decay": 1e200}, "sim.dual_decay must be a number in [0, 1], got 1e+200"),
+            ({"p": -1.0}, "sim.p must be a finite number >= 0, got -1.0"),
+            ({"delta": -20.0}, "sim.delta must be a finite number >= 0, got -20.0"),
             ({"tau": 0}, "sim.tau must be a finite number > 0, got 0"),
             ({"n": 0}, "sim.n must be an int >= 1, got 0"),
             ({"bogus": 1}, "sim.bogus is not a SimConfig field"),
@@ -991,8 +1024,8 @@ class TestCli:
         ids=[
             "string-n", "bool-n", "float-iterations", "nan-tau", "nan-margin", "infinite-v-max",
             "string-length", "bool-step", "zero-step", "negative-step", "big-decay",
-            "negative-decay", "huge-decay", "zero-tau", "zero-n", "unknown-key", "int-key",
-            "zero-section", "list-section", "too-many-steps",
+            "negative-decay", "huge-decay", "negative-p", "negative-delta", "zero-tau", "zero-n",
+            "unknown-key", "int-key", "zero-section", "list-section", "too-many-steps",
         ],
     )
     def test_bad_sim_section_exit_code(self, tmp_path, capsys, sim, message):
@@ -1007,6 +1040,13 @@ class TestCli:
         scenario = scenario_from_dict(scenario_doc(sim={"dual_decay": decay}))
         assert scenario.sim.dual_decay == decay
         assert type(scenario.sim.dual_decay) is float
+
+    @pytest.mark.parametrize("key", ["p", "delta"])
+    def test_spacing_terms_take_zero(self, key):
+        # p = 0 is constant spacing.
+        scenario = scenario_from_dict(scenario_doc(sim={key: 0}))
+        assert getattr(scenario.sim, key) == 0
+        assert type(getattr(scenario.sim, key)) is float
 
     def test_sim_section_takes_ints_for_float_fields(self):
         scenario = scenario_from_dict(scenario_doc(sim={"tau": 1, "v_max": 40, "n": 3}))
@@ -1120,12 +1160,12 @@ class TestCli:
          f"cells, got {_BIG} x 300"),
         ({"sim": {10**400: 1}}, f"sim.{_BIG} is not a SimConfig field"),
         ({"drops": [{"direction": "forward", "sender": 2, "iterations": [10**400, 10**400]}]},
-         f"drops[0].iterations [1{'0' * 58}... (806 characters) starts at or past "
+         f"drops[0].iterations [{_BIG}, {_BIG}] starts at or past "
          "max_iterations=300, so the rule never fires"),
         ({"drops": [{"direction": "forward", "sender": 10**400}]},
          f"drops[0].sender must be an int in 0..5 for a forward rule with n=6, got {_BIG}"),
         ({"drops": [{"direction": "forward", "sender": 2, "control_steps": [10**400, 0]}]},
-         f"drops[0].control_steps: invalid interval [1{'0' * 58}... (406 characters)"),
+         f"drops[0].control_steps: invalid interval [{_BIG}, 0]"),
         ({"detection": {"hidden_count": 10**400}}, f"detection.hidden_count x detection.hidden_count "
          f"must be at most 1000000 cells, got {_BIG} x {_BIG}"),
         ({10**400: 1}, f"unknown scenario keys: [1{'0' * 58}... (403 characters)"),
@@ -1167,6 +1207,11 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err == (f"config error: {trace} line 2: could not convert string to "
                                            f"float: '{'x' * 24}... (1037 characters)\n")
+        trace.write_text(",".join(TRACE_COLUMNS) + "\n0," + "9" * 1000 + ",1,1,0,1,1,0,,,0,0\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"config error: {trace} line 2: expected control step 0, "
+                                           f"vehicle 1, got control step 0, vehicle {'9' * 60}... "
+                                           "(1000 characters)\n")
 
     def test_negative_k_exit_code(self, tmp_path, capsys):
         case = Path(__file__).parent.parent / "scenarios" / "single_target.yaml"
@@ -1499,6 +1544,84 @@ class TestAnyDocument:
         argv = ["replay-detect", "--trace", str(trace), "--config", str(config),
                 "--out", str(folder / "out")]
         assert main(argv) in (0, 1)
+
+
+# The trace columns a replay reads; text or nan in any other cell changes no
+# replay.
+_READ_COLUMNS = {TRACE_COLUMNS.index(name) for name in
+                 ("control_step", "vehicle_id", "x", "v", "gap_front", "comparator_flag")}
+
+
+def _mutated_trace(lines, rng):
+    """One seeded mutation of a trace's lines: the mutated text, and whether
+    a replay must reject it.  Only text or nan in a cell that a replay does
+    not read may leave the trace readable."""
+    rows = [line.rstrip("\n").split(",") for line in lines]
+    data = range(1, len(rows))
+    kind = rng.choice(["swap", "drop", "duplicate", "reverse-columns", "repeat-column", "drop-column",
+                       "blank", "text", "nan", "oversized", "cut-last"])
+    must_fail = True
+    if kind == "swap":
+        i, j = rng.sample(data, 2)
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == "drop":
+        del rows[rng.choice(data)]
+    elif kind == "duplicate":
+        i = rng.choice(data)
+        rows.insert(i, rows[i])
+    elif kind == "reverse-columns":
+        rows = [row[::-1] for row in rows]
+    elif kind == "repeat-column":
+        column, at = rng.randrange(len(TRACE_COLUMNS)), rng.randrange(len(TRACE_COLUMNS) + 1)
+        rows = [row[:at] + [row[column]] + row[at:] for row in rows]
+    elif kind == "drop-column":
+        column = rng.randrange(len(TRACE_COLUMNS))
+        rows = [row[:column] + row[column + 1:] for row in rows]
+    elif kind == "blank":
+        rows.insert(rng.randrange(len(rows) + 1), [])
+    elif kind == "cut-last":  # somewhere before its last comma, so a field is lost
+        last = ",".join(rows[-1])
+        rows[-1] = last[:rng.randrange(last.rindex(","))].split(",")
+    else:
+        i, column = rng.randrange(len(rows)), rng.randrange(len(TRACE_COLUMNS))
+        rows[i] = rows[i][:column] + [{"text": "bogus", "nan": "nan"}.get(
+            kind, "1" * (csv.field_size_limit() + 1))] + rows[i][column + 1:]
+        must_fail = i == 0 or column in _READ_COLUMNS or kind == "oversized"
+    return "".join(",".join(row) + "\n" for row in rows), must_fail
+
+
+@pytest.fixture(scope="module")
+def attacked_run(tmp_path_factory):
+    """single_target's first 50 steps: the trace's lines and anomalies.csv,
+    which holds 2 events."""
+    doc = yaml.safe_load((SCENARIO_DIR / "single_target.yaml").read_text())
+    doc["sim"]["total_control_steps"] = 50
+    paths = run_scenario(scenario_from_dict(doc), tmp_path_factory.mktemp("attacked"))
+    return paths["trace"].read_text().splitlines(keepends=True), paths["anomalies"].read_bytes()
+
+
+class TestAnyTrace:
+    def test_mutated_traces_name_their_line_or_replay_the_live_run(self, tmp_path, capsys, attacked_run):
+        # Seeded mutations of a live trace, replayed through main: each exits
+        # 1 naming the line or the control step, or, if only a cell the
+        # replay does not read changed, exits 0 with the live run's events.
+        lines, live = attacked_run
+        assert len(live.splitlines()) == 3
+        rng = random.Random(29)
+        trace, out = tmp_path / "trace.csv", tmp_path / "out"
+        argv = ["replay-detect", "--trace", str(trace), "--config", str(SCENARIO_DIR / "single_target.yaml"),
+                "--out", str(out)]
+        named = re.compile(rf"config error: {re.escape(str(trace))}( line \d+|: control step \d+ lacks)")
+        for _ in range(150):
+            text, must_fail = _mutated_trace(lines, rng)
+            trace.write_text(text)
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if code == 0:
+                assert not must_fail and (out / "anomalies.csv").read_bytes() == live, text
+            else:
+                assert code == 1 and named.match(err), err
 
 
 def _assert_no_child_left():
