@@ -71,6 +71,12 @@ def _entries(value: Any, path: str, count: int, what: str) -> Sequence:
     return value
 
 
+def _shown_each(params: Sequence) -> str:
+    """``params`` as a message shows a list, each element through ``_shown``,
+    so that one too long to print hides neither the others nor the length."""
+    return _shown(f"[{', '.join(map(_shown, params))}]", str)
+
+
 def _stealth_window(kind: Any, params: Any, where: str) -> tuple[int, int]:
     """Validate the frequency entry at ``where`` ([i][j][m]) as its stealth
     window [on, off]; Discrete [off] is [1, off]."""
@@ -79,16 +85,16 @@ def _stealth_window(kind: Any, params: Any, where: str) -> tuple[int, int]:
     params = _check(path, params, _LIST)
     if kind == "Continuous":
         if len(params) != 1:
-            raise ConfigError(f"{path}: Continuous takes [0], got {_shown(list(params))}")
+            raise ConfigError(f"{path}: Continuous takes [0], got {_shown_each(params)}")
         _check(f"{path}[0]", params[0], _int_in(range(1)))
         return 1, 0
     if kind == "Discrete":
         if not (len(params) == 1 or len(params) == 2 and _check(f"{path}[0]", params[0], _INT) == 1):
             raise ConfigError(
-                f"{path}: Discrete frequency takes [off] (or [1, off]), got {_shown(list(params))}"
+                f"{path}: Discrete frequency takes [off] (or [1, off]), got {_shown_each(params)}"
             )
     elif len(params) != 2:
-        raise ConfigError(f"{path}: Cluster takes [on, off], got {_shown(list(params))}")
+        raise ConfigError(f"{path}: Cluster takes [on, off], got {_shown_each(params)}")
     rules = (_COUNT, _NATURAL)[-len(params):]  # [on, off], or a Discrete [off]
     window = [_check(f"{path}[{q}]", v, rule) for q, (v, rule) in enumerate(zip(params, rules))]
     # Like every number in the case, a window must fit in a float.

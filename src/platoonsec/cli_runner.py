@@ -760,43 +760,56 @@ def _read_trace(trace_path: Path) -> tuple[list[list], list[list], list[list]]:
     each over the control steps in order.
 
     The trace must be as a live run writes it: the header ``TRACE_COLUMNS``,
-    then one well-formed row for each control step 0..K and vehicle 1..n in
-    turn, n being the vehicles of step 0.  Anything else is a ``ConfigError``
-    naming the first line out of place, or the last step if it is incomplete.
+    then one row for each control step 0..K and vehicle 1..n in turn, n being
+    the vehicles of step 0, each cell in the form ``run`` writes: ``headway``
+    any float (NaN where the speed is not positive), the ELM predictions
+    empty or finite, the flags 0 or 1 and every other number finite.
+    Anything else is a ``ConfigError`` naming the first line out of place, or
+    the last step if it is incomplete.
     """
     rows: list[tuple[float, float, bool]] = []  # in file order
     n = 0  # unknown until step 1 begins
+    isfinite = math.isfinite
     with _open_text(trace_path) as fh:
         reader = csv.reader(fh)
+
+        def error(text: str) -> ConfigError:  # built only for a bad line
+            return ConfigError(f"{trace_path} line {reader.line_num}{text}")
+
         try:
             header = next(reader, None)
             if header is None:
                 return [], [], []
             if header != list(TRACE_COLUMNS):
-                raise ConfigError(f"{trace_path} line {reader.line_num}: expected the header "
-                                  f"{','.join(TRACE_COLUMNS)}, got {_shown(','.join(header))}")
+                raise error(f": expected the header {','.join(TRACE_COLUMNS)}, "
+                            f"got {_shown(','.join(header))}")
             for row in reader:
-                where = f"{trace_path} line {reader.line_num}"
                 if len(row) != len(TRACE_COLUMNS):
-                    raise ConfigError(f"{where} does not have the header's {len(TRACE_COLUMNS)} fields")
-                k, vehicle, x, v, _, gap, _, flag, *_ = row
+                    raise error(f" does not have the header's {len(TRACE_COLUMNS)} fields")
+                k, vehicle, x, v, u, gap, headway, flag, pos_pred, vel_pred, pos_anom, vel_anom = row
                 try:
-                    k, vehicle, x, v, gap = int(k), int(vehicle), float(x), float(v), float(gap)
+                    k, vehicle, x, v, u, gap = int(k), int(vehicle), float(x), float(v), float(u), float(gap)
+                    float(headway)
+                    pos_pred, vel_pred = float(pos_pred or 0), float(vel_pred or 0)  # empty reads as 0
                 except ValueError as exc:
-                    raise ConfigError(f"{where}: {_shown(exc, str)}") from None
+                    raise error(f": {_shown(exc, str)}") from None
                 if not n and rows and (k, vehicle) == (1, 1):
                     n = len(rows)
                 step, i = divmod(len(rows), n) if n else (0, len(rows))
                 if (k, vehicle) != (step, i + 1):
-                    raise ConfigError(f"{where}: expected control step {step}, vehicle {i + 1}, "
-                                      f"got control step {_shown(k)}, vehicle {_shown(vehicle)}")
-                if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(gap)):
-                    raise ConfigError(f"{where}: x, v and gap_front must be finite")
+                    raise error(f": expected control step {step}, vehicle {i + 1}, "
+                                f"got control step {_shown(k)}, vehicle {_shown(vehicle)}")
+                if not (isfinite(x) and isfinite(v) and isfinite(gap)):
+                    raise error(": x, v and gap_front must be finite")
+                if not (isfinite(u) and isfinite(pos_pred) and isfinite(vel_pred)):
+                    raise error(": u must be finite, and elm_pos_pred and elm_vel_pred empty or finite")
                 if flag not in ("0", "1"):
-                    raise ConfigError(f"{where}: comparator_flag must be 0 or 1")
+                    raise error(": comparator_flag must be 0 or 1")
+                if pos_anom not in ("0", "1") or vel_anom not in ("0", "1"):
+                    raise error(": pos_anom and vel_anom must be 0 or 1")
                 rows.append((x, v, flag == "1"))
         except csv.Error as exc:  # such as a field over csv's size limit
-            raise ConfigError(f"{trace_path} line {reader.line_num}: {exc}") from None
+            raise error(f": {exc}") from None
     n = n or len(rows)
     if n and len(rows) % n:
         raise ConfigError(f"{trace_path}: control step {len(rows) // n} lacks vehicle {len(rows) % n + 1}")

@@ -190,11 +190,12 @@ def dual_update(
     never goes negative.
     """
     step, decay = config.dual_step, config.dual_decay
-    safety_gap, margin = config.safety_gap, config.dual_margin
+    # SimConfig.safety_gap's operations in its order (p*tau*v is (p*tau)*v).
+    L_veh, ptau, margin = config.L_veh, config.p * config.tau, config.dual_margin
     feasible = True
     for i, x in enumerate(px):
         gap = fx[i] - x
-        safety = safety_gap(pv[i]) + margin
+        safety = L_veh + ptau * pv[i] + margin
         feasible = feasible and gap >= safety
         violation = safety - gap
         multiplier = lam[i] + step * violation if violation > 0.0 else lam[i] * decay
@@ -247,27 +248,26 @@ def run_control_step(
     lam = [0.0] * n
     converged = False
 
-    # Without a channel forward is what corrupt gives with zero bias: a shift
-    # plus 0.0, which only changes a -0.0.  So fx[1:], fv[1:] are never -0.0,
-    # nor are z[1:], zp[1:] (a - b is -0.0 only if a is), and backward is a
-    # plain shift.
+    # spacing_error inline on the unpacked terms (the same bits), and the
+    # relative speed.  Without a channel, forward is what corrupt gives with
+    # zero bias: a shift plus 0.0, which only changes a -0.0; backward is a
+    # plain shift, so one pass writes both in place.
+    if channel is None:
+        fx[0], fv[0] = leader_x, leader_v
     for t in range(cfg.max_iterations):
         if channel is None:
-            fx = [leader_x, *(px[:-1] if all(px) else [x + 0.0 for x in px[:-1]])]
-            fv = [leader_v, *(pv[:-1] if all(pv) else [v + 0.0 for v in pv[:-1]])]
+            for i in range(1, n):
+                fx[i] = x = px[i - 1] + 0.0
+                fv[i] = v = pv[i - 1] + 0.0
+                rzx[i - 1] = x - px[i] - (L_veh + ptau * pv[i] + delta)
+                rzv[i - 1] = v - pv[i]
         else:
             forward = channel.corrupt(Direction.FORWARD, [leader_x, *px], [leader_v, *pv], t)
             for i, got in enumerate(forward):
                 if got is not None:
                     fx[i], fv[i] = got
-
-        # spacing_error inline on the unpacked terms (the same bits), and the
-        # relative speed.
-        z = [fx[i] - px[i] - (L_veh + ptau * pv[i] + delta) for i in range(n)]
-        zp = [fv[i] - pv[i] for i in range(n)]
-        if channel is None:
-            rzx[:-1], rzv[:-1] = z[1:], zp[1:]
-        else:
+            z = [fx[i] - px[i] - (L_veh + ptau * pv[i] + delta) for i in range(n)]
+            zp = [fv[i] - pv[i] for i in range(n)]
             backward = channel.corrupt(Direction.BACKWARD, [0.0, *z], [0.0, *zp], t)
             for i, got in enumerate(backward):
                 if got is not None:

@@ -63,6 +63,15 @@ class TestParseAttackCase:
                            match=r"^unknown attack case keys: \[1, <int too long to print>, 'x'\]$"):
             parse_attack_case({1: 1, "x": 2, 10**5000: 3}, 6, 300)
 
+    def test_a_window_parameter_past_the_digit_limit_hides_no_other(self):
+        # Each parameter is shown on its own, so the list keeps its length.
+        for freq, params, message in [
+            ("Cluster", [10**5000], r"Cluster takes \[on, off\], got \[<int too long to print>\]$"),
+            ("Continuous", [10**5000, 1], r"Continuous takes \[0\], got \[<int too long to print>, 1\]$"),
+        ]:
+            with pytest.raises(ConfigError, match=r"^iter_freqparavalue_list\[0\]\[0\]\[0\]: " + message):
+                parse_attack_case(one_slot_doc(freq, params, "Constant", [1.0]), 6, 300)
+
     def test_shape_mismatch_names_the_path(self):
         doc = running_example_doc()
         doc["iter_malichannel_list"][0] = [["x_ite", "v_ite"]]  # 1 period entry, 2 expected

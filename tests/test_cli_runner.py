@@ -627,6 +627,16 @@ class TestReplayBadTrace:
             (_edit_row(9, "vehicle_id", "0"),
              "line 10: expected control step 1, vehicle 3, got control step 1, vehicle 0"),
             (_edit_row(9, "comparator_flag", "2"), "line 10: comparator_flag must be 0 or 1"),
+            (_edit_row(9, "u", "bogus"), "line 10: could not convert string to float: 'bogus'"),
+            (_edit_row(9, "u", "inf"),
+             "line 10: u must be finite, and elm_pos_pred and elm_vel_pred empty or finite"),
+            (_edit_row(9, "headway", "bogus"), "line 10: could not convert string to float: 'bogus'"),
+            (_edit_row(9, "elm_vel_pred", "nan"),
+             "line 10: u must be finite, and elm_pos_pred and elm_vel_pred empty or finite"),
+            (_edit_row(239, "elm_pos_pred", "1e400"),
+             "line 240: u must be finite, and elm_pos_pred and elm_vel_pred empty or finite"),
+            (_edit_row(9, "pos_anom", "2"), "line 10: pos_anom and vel_anom must be 0 or 1"),
+            (_edit_row(9, "vel_anom", ""), "line 10: pos_anom and vel_anom must be 0 or 1"),
             (lambda lines: lines[:-1] + [lines[-1].rstrip("\n") + ",\n"],
              "line 241 does not have the header's 12 fields"),
             (lambda lines: lines[:5] + ["\n"] + _edit_row(5, "x", "abc")(lines)[5:],
@@ -644,7 +654,8 @@ class TestReplayBadTrace:
         ],
         ids=[
             "cut-mid-row", "missing-vehicle", "duplicated-rows", "missing-step", "extra-field",
-            "text-x", "float-step", "nan-v", "vehicle-0", "flag-2", "extra-empty-field",
+            "text-x", "float-step", "nan-v", "vehicle-0", "flag-2", "text-u", "inf-u", "text-headway",
+            "nan-vel-pred", "overflowing-pos-pred", "pos-anom-2", "empty-vel-anom", "extra-empty-field",
             "bad-row-after-a-blank-line", "oversized-field", "vehicle-10**12", "incomplete-last-step",
             "step-0-lacks-its-last-vehicle", "repeated-x-column",
         ],
@@ -662,6 +673,16 @@ class TestReplayBadTrace:
         _assert_replay_names(tmp_path, capsys, reversed_columns,
                              "line 1: expected the header control_step,vehicle_id,x,v,u,gap_front,headway,"
                              "comparator_flag,elm_pos_pred,elm_vel_pred,pos_anom,vel_anom, got 'vel_anom,")
+
+    def test_nan_headway_and_empty_predictions_are_read(self, tmp_path, live_trace_lines):
+        # A live run writes NaN headway at v <= 0 and empty predictions in
+        # the warmup; neither changes what a replay reads.
+        live, edited = tmp_path / "live.csv", tmp_path / "edited.csv"
+        live.write_text("".join(live_trace_lines))
+        lines = _edit_row(240, "elm_pos_pred", "")(_edit_row(1, "headway", "nan")(live_trace_lines))
+        edited.write_text("".join(lines))
+        assert ",nan," in lines[1] and ",," in lines[240] and ",," not in live_trace_lines[240]
+        assert cli_runner._read_trace(edited) == cli_runner._read_trace(live)
 
     def test_blank_lines_are_rejected(self, tmp_path, capsys, live_trace_lines):
         lines = live_trace_lines
@@ -1546,16 +1567,14 @@ class TestAnyDocument:
         assert main(argv) in (0, 1)
 
 
-# The trace columns a replay reads; text or nan in any other cell changes no
-# replay.
-_READ_COLUMNS = {TRACE_COLUMNS.index(name) for name in
-                 ("control_step", "vehicle_id", "x", "v", "gap_front", "comparator_flag")}
+# The one trace column where a live run may write nan.
+_HEADWAY = TRACE_COLUMNS.index("headway")
 
 
 def _mutated_trace(lines, rng):
     """One seeded mutation of a trace's lines: the mutated text, and whether
-    a replay must reject it.  Only text or nan in a cell that a replay does
-    not read may leave the trace readable."""
+    a replay must reject it.  Only nan in a data row's headway cell may
+    leave the trace readable."""
     rows = [line.rstrip("\n").split(",") for line in lines]
     data = range(1, len(rows))
     kind = rng.choice(["swap", "drop", "duplicate", "reverse-columns", "repeat-column", "drop-column",
@@ -1586,7 +1605,7 @@ def _mutated_trace(lines, rng):
         i, column = rng.randrange(len(rows)), rng.randrange(len(TRACE_COLUMNS))
         rows[i] = rows[i][:column] + [{"text": "bogus", "nan": "nan"}.get(
             kind, "1" * (csv.field_size_limit() + 1))] + rows[i][column + 1:]
-        must_fail = i == 0 or column in _READ_COLUMNS or kind == "oversized"
+        must_fail = i == 0 or column != _HEADWAY or kind != "nan"
     return "".join(",".join(row) + "\n" for row in rows), must_fail
 
 
@@ -1603,8 +1622,8 @@ def attacked_run(tmp_path_factory):
 class TestAnyTrace:
     def test_mutated_traces_name_their_line_or_replay_the_live_run(self, tmp_path, capsys, attacked_run):
         # Seeded mutations of a live trace, replayed through main: each exits
-        # 1 naming the line or the control step, or, if only a cell the
-        # replay does not read changed, exits 0 with the live run's events.
+        # 1 naming the line or the control step, or, if only a headway cell
+        # became nan, exits 0 with the live run's events.
         lines, live = attacked_run
         assert len(live.splitlines()) == 3
         rng = random.Random(29)

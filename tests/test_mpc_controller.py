@@ -655,7 +655,8 @@ class TestTransparentRounds:
     def test_corrupt_path_gives_equal_outcomes_on_random_states(self, config):
         # A vehicle at x = v = u = -0.0 broadcasts -0.0 in round 0, which
         # corrupt delivers as 0.0.  A one-round step returns what round 0
-        # delivered, and repr tells the two zeros apart.
+        # delivered, and repr tells the two zeros apart.  The spacing terms
+        # p, tau, L_veh and delta are drawn per step, away from the defaults.
         rng = random.Random(41)
 
         def state():
@@ -664,7 +665,9 @@ class TestTransparentRounds:
             return VehicleState(x=rng.uniform(-50, 200), v=rng.uniform(-5, 38), u=rng.uniform(-5, 3))
 
         for _ in range(30):
-            cfg = replace(config, v_min=-10.0, max_iterations=rng.choice([1, 2, 300]))
+            cfg = replace(config, v_min=-10.0, max_iterations=rng.choice([1, 2, 300]),
+                          p=rng.choice([0.0, rng.uniform(0.0, 10.0)]), tau=rng.uniform(0.02, 0.5),
+                          L_veh=rng.uniform(1.0, 10.0), delta=rng.choice([0.0, rng.uniform(0.0, 3.0)]))
             k = rng.randrange(100)
             channel = V2VChannel(bias=iter_attack_value_cal(cfg.n, 0, cfg.max_iterations, ()))
             platoon = PlatoonState(state(), tuple(state() for _ in range(cfg.n)), k)
