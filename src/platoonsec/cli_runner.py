@@ -24,6 +24,7 @@ import functools
 import math
 import os
 import pickle
+import re
 import signal
 import sys
 from contextlib import contextmanager
@@ -541,7 +542,11 @@ def _read_section(doc: Any, where: str, table: Mapping, noun: str) -> dict[str, 
     doc = _check(where, {} if doc is None else doc, _MAPPING)
     for key in doc:
         if key not in table:
-            raise ConfigError(f"{where}.{_shown(key, str)} is not a {noun}")
+            # A key whose text would not read back as one step of the path
+            # is shown as its repr in brackets: sim[''], sim['a.b'], sim[1.5].
+            plain = isinstance(key, int) or re.fullmatch(r"[^\s.\[\]:]+", str(key))
+            raise ConfigError(f"{where}{f'.{_shown(key, str)}' if plain else f'[{_shown(key)}]'} "
+                              f"is not a {noun}")
     values = {}
     for key, (default, rule) in table.items():
         value = _check(f"{where}.{key}", doc.get(key, default), rule)
@@ -763,9 +768,10 @@ def _read_trace(trace_path: Path) -> tuple[list[list], list[list], list[list]]:
     then one row for each control step 0..K and vehicle 1..n in turn, n being
     the vehicles of step 0, each cell in the form ``run`` writes: ``headway``
     any float (NaN where the speed is not positive), the ELM predictions
-    empty or finite, the flags 0 or 1 and every other number finite.
-    Anything else is a ``ConfigError`` naming the first line out of place, or
-    the last step if it is incomplete.
+    empty or finite, the flags 0 or 1 and every other number finite, with no
+    underscore, whitespace or character outside printable ASCII.  Anything
+    else is a ``ConfigError`` naming the first line out of place, or the last
+    step if it is incomplete.
     """
     rows: list[tuple[float, float, bool]] = []  # in file order
     n = 0  # unknown until step 1 begins
@@ -793,6 +799,12 @@ def _read_trace(trace_path: Path) -> tuple[list[list], list[list], list[list]]:
                     pos_pred, vel_pred = float(pos_pred or 0), float(vel_pred or 0)  # empty reads as 0
                 except ValueError as exc:
                     raise error(f": {_shown(exc, str)}") from None
+                # int and float also take underscores, whitespace and
+                # non-ASCII digits; only the space is printable ASCII whitespace.
+                cells = "".join(row)
+                if "_" in cells or " " in cells or not (cells.isascii() and cells.isprintable()):
+                    raise error(": a cell holds an underscore, whitespace or a character "
+                                "outside printable ASCII, which run never writes")
                 if not n and rows and (k, vehicle) == (1, 1):
                     n = len(rows)
                 step, i = divmod(len(rows), n) if n else (0, len(rows))

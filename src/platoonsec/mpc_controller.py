@@ -16,7 +16,9 @@ scalar u, so the full Newton step clipped to the admissible box is its exact
 minimiser over that box; no damping or line search is needed.  What no round
 changes is computed once per control step: ``newton_terms`` and
 ``follower_terms``.  A round computes only predictions, received values,
-backward spacing terms and gradients.
+backward spacing terms and gradients, in one body whether or not the step
+has a channel: ``V2VChannel.corrupt`` hands the round its bias rows and live
+links, and a step without a channel has zero rows and every link live.
 
 The sweep returns its largest change to any u; the primal phase stops once
 that is at most ``primal_tol``.  The dual phase, ``dual_update``, is then one
@@ -38,7 +40,7 @@ from typing import Optional, Sequence
 
 from .dynamics import predict
 from .platoon_model import PlatoonState, SimConfig, VehicleState
-from .v2v_channel import Direction, V2VChannel
+from .v2v_channel import V2VChannel
 
 
 class NumericalError(RuntimeError):
@@ -212,10 +214,11 @@ def run_control_step(
 ) -> ControlOutcome:
     """Execute the full double loop for one control step.
 
-    Every iteration round passes both directions through ``channel``, where
-    the attack bias is injected and drop rules jam (None, for a step where
-    nothing is in force, delivers what a zero-bias channel would), then
-    updates all followers in a synchronized Jacobi sweep.  The returned
+    Every iteration round takes its bias rows and live links from
+    ``channel.corrupt`` (None, for a step where nothing is in force, gives
+    zero bias on every link), writes what each follower receives forward and
+    then backward, and updates all followers in a synchronized Jacobi sweep.
+    A follower on a jammed link keeps its last received value.  The returned
     accelerations are for the next control step; the platoon's currently
     applied accelerations are untouched during the loop, and are its first
     candidates.  ``config.max_iterations`` must be at least 1, as the loader
@@ -238,8 +241,9 @@ def run_control_step(
     broadcast = [predict(f, ui, tau) for f, ui in zip(followers, u)]
     px, pv = [x for x, _ in broadcast], [v for _, v in broadcast]
 
-    # Last received values per follower (index 0 = fv1), kept on a drop; at
-    # first the benign expectation forward, 0.0 backward (last follower: None).
+    # Last received values per follower (index 0 = fv1), kept on a jammed
+    # link; at first the benign expectation forward, 0.0 backward (last
+    # follower: None).
     fx = [px[i] + cfg.nominal_gap(pv[i]) for i in range(n)]
     fv = list(pv)
     rzx: list[Optional[float]] = [0.0] * (n - 1) + [None]
@@ -248,30 +252,20 @@ def run_control_step(
     lam = [0.0] * n
     converged = False
 
-    # spacing_error inline on the unpacked terms (the same bits), and the
-    # relative speed.  Without a channel, forward is what corrupt gives with
-    # zero bias: a shift plus 0.0, which only changes a -0.0; backward is a
-    # plain shift, so one pass writes both in place.
-    if channel is None:
-        fx[0], fv[0] = leader_x, leader_v
+    # A step without a channel runs the round of a zero-bias channel with
+    # every link live.  The backward terms are spacing_error inline on the
+    # unpacked terms (the same bits) and the relative speed.
+    zeros, links = [0.0] * n, range(1, n)
+    clear = (zeros, zeros, zeros, zeros, True, links, links)
     for t in range(cfg.max_iterations):
-        if channel is None:
-            for i in range(1, n):
-                fx[i] = x = px[i - 1] + 0.0
-                fv[i] = v = pv[i - 1] + 0.0
-                rzx[i - 1] = x - px[i] - (L_veh + ptau * pv[i] + delta)
-                rzv[i - 1] = v - pv[i]
-        else:
-            forward = channel.corrupt(Direction.FORWARD, [leader_x, *px], [leader_v, *pv], t)
-            for i, got in enumerate(forward):
-                if got is not None:
-                    fx[i], fv[i] = got
-            z = [fx[i] - px[i] - (L_veh + ptau * pv[i] + delta) for i in range(n)]
-            zp = [fv[i] - pv[i] for i in range(n)]
-            backward = channel.corrupt(Direction.BACKWARD, [0.0, *z], [0.0, *zp], t)
-            for i, got in enumerate(backward):
-                if got is not None:
-                    rzx[i], rzv[i] = got
+        bx, bv, bzx, bzv, lead, forward, backward = clear if channel is None else channel.corrupt(t)
+        if lead:
+            fx[0], fv[0] = leader_x, leader_v
+        for i in forward:
+            fx[i], fv[i] = px[i - 1] + bx[i - 1], pv[i - 1] + bv[i - 1]
+        for i in backward:
+            rzx[i - 1] = fx[i] - px[i] - (L_veh + ptau * pv[i] + delta) + bzx[i]
+            rzv[i - 1] = fv[i] - pv[i] + bzv[i]
 
         if (primal_sweep(u, px, pv, fx, fv, rzx, rzv, lam, own, terms, k, t) <= primal_tol
                 and dual_update(lam, fx, px, pv, cfg)):

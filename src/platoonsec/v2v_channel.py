@@ -3,23 +3,24 @@
 During every iteration round of a control step, each vehicle (leader
 included) broadcasts its predicted position and velocity forward to its
 immediate follower, then every follower except the first sends its spacing
-terms backward to its predecessor.  The leader never receives backward
-traffic, and the leader-to-first-follower link is trusted: it is never
-biased, though a drop rule can still jam it.  ``senders(direction, n)`` is
-the one statement of who sends in each direction.
+terms backward to its predecessor.  Link i joins vehicle i to vehicle i+1
+(0 = the leader, followers 1..n).  The leader never receives backward
+traffic, and the leader link 0 is trusted: it is never biased, though a
+drop rule can still jam it.  ``senders(direction, n)`` is the one statement
+of who sends in each direction.
 
 A ``V2VChannel`` belongs to one control step and holds what is in force
 there: that step's bias matrices and the drop rules that cover it.
-``V2VChannel.corrupt`` delivers one whole direction of a round at a time;
-the exchange schedule and the hold-last-value bookkeeping belong to the
-control loop.
+``V2VChannel.corrupt(t)`` hands round t its bias rows and the links live in
+each direction; the control loop adds the bias as it writes what each
+follower receives, and a follower on a jammed link keeps its last value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -35,20 +36,14 @@ class ChannelId(str, Enum):
 
     @property
     def direction(self) -> "Direction":
-        """The direction of the messages that carry this channel."""
-        return Direction.BACKWARD if self in CARRIES[Direction.BACKWARD] else Direction.FORWARD
+        """The direction of the messages that carry this channel: x_ite and
+        v_ite forward, zx_ite and zv_ite backward."""
+        return Direction.FORWARD if self in (ChannelId.X_ITE, ChannelId.V_ITE) else Direction.BACKWARD
 
 
 class Direction(str, Enum):
     FORWARD = "forward"    # predecessor -> follower
     BACKWARD = "backward"  # follower -> predecessor
-
-
-# The two channels each direction's messages carry, as (a, b) payload pairs.
-CARRIES = {
-    Direction.FORWARD: (ChannelId.X_ITE, ChannelId.V_ITE),
-    Direction.BACKWARD: (ChannelId.ZX_ITE, ChannelId.ZV_ITE),
-}
 
 
 def senders(direction: Direction, n: int) -> range:
@@ -77,11 +72,10 @@ class DropRule:
         """Whether the rule's ``control_steps`` hold control step ``k``."""
         return self.control_steps is None or self.control_steps[0] <= k <= self.control_steps[1]
 
-    def matches(self, direction: Direction, t: int) -> bool:
-        """Whether the rule jams its sender in ``direction`` during iteration
-        round ``t`` of a control step it covers."""
-        return direction is self.direction and (
-            self.iterations is None or self.iterations[0] <= t <= self.iterations[1])
+    def fires(self, t: int) -> bool:
+        """Whether the rule jams its sender during iteration round ``t`` of a
+        control step it covers."""
+        return self.iterations is None or self.iterations[0] <= t <= self.iterations[1]
 
 
 @dataclass(frozen=True)
@@ -93,32 +87,29 @@ class V2VChannel:
     bias: Mapping[ChannelId, np.ndarray]
     drops: tuple[DropRule, ...] = ()
 
-    def corrupt(
-        self,
-        direction: Direction,
-        a: Sequence[float],
-        b: Sequence[float],
-        t: int,
-    ) -> list[Optional[tuple[float, float]]]:
-        """Deliver one direction of iteration round ``t``.
+    def corrupt(self, t: int) -> tuple:
+        """Round ``t``'s bias rows and live links: ``(bx, bv, bzx, bzv,
+        leader, forward, backward)``.
 
-        ``a`` and ``b`` are the senders' payloads on ``CARRIES[direction]``,
-        indexed by vehicle (0 = the leader, followers 1..n).  Entry i of the
-        result is what follower i+1 receives, from vehicle i forward (n
-        entries) or from vehicle i+2 backward (n-1 entries).  It is the
-        sender's pair plus its bias (bias column j corrupts follower j+1's
-        outgoing channels; the leader's pair passes untouched), or None where
-        a drop rule matches.
+        ``bx``, ``bv``, ``bzx`` and ``bzv`` are row ``t`` of the x_ite, v_ite,
+        zx_ite and zv_ite matrices as lists; entry j corrupts follower j+1's
+        outgoing message on that channel.  ``leader`` says whether the
+        leader's broadcast reaches fv1.  ``forward`` and ``backward`` hold the
+        live links among 1..n-1: link i carries follower i's broadcast to
+        follower i+1, and follower i+1's spacing terms back to follower i.  A
+        link is live unless a drop rule jams its sender in that direction in
+        round ``t``; only a step with drop rules builds lists of them.
         """
-        sent = senders(direction, len(a) - 1)
-        channel_a, channel_b = CARRIES[direction]
-        row_a = self.bias[channel_a][t].tolist()
-        row_b = self.bias[channel_b][t].tolist()
-        delivered: list[Optional[tuple[float, float]]] = [
-            (a[s], b[s]) if s == 0 else (a[s] + row_a[s - 1], b[s] + row_b[s - 1])
-            for s in sent
-        ]
-        for rule in self.drops:
-            if rule.sender in sent and rule.matches(direction, t):
-                delivered[sent.index(rule.sender)] = None
-        return delivered
+        bias = self.bias
+        bx = bias[ChannelId.X_ITE][t].tolist()
+        bv = bias[ChannelId.V_ITE][t].tolist()
+        bzx = bias[ChannelId.ZX_ITE][t].tolist()
+        bzv = bias[ChannelId.ZV_ITE][t].tolist()
+        links = range(1, len(bx))
+        if not self.drops:
+            return bx, bv, bzx, bzv, True, links, links
+        jammed = {(rule.direction, rule.sender) for rule in self.drops if rule.fires(t)}
+        forward, backward = Direction.FORWARD, Direction.BACKWARD
+        return (bx, bv, bzx, bzv, (forward, 0) not in jammed,
+                [i for i in links if (forward, i) not in jammed],
+                [i for i in links if (backward, i + 1) not in jammed])

@@ -651,13 +651,18 @@ class TestReplayBadTrace:
             (lambda lines: lines[:6] + lines[7:],
              "line 12: expected control step 2, vehicle 1, got control step 1, vehicle 6"),
             (_repeat_x_column, "line 1: expected the header control_step,vehicle_id,x,v,u,gap_front,"),
+            # int and float take these forms, which run never writes.
+            (_edit_row(1, "x", "1_23.0"), "line 2: a cell holds an underscore, whitespace or a character"),
+            (_edit_row(9, "control_step", " 1 "), "line 10: a cell holds an underscore, whitespace or"),
+            (_edit_row(9, "v", "\u0663\u0660.0"), "line 10: a cell holds an underscore, whitespace or"),
         ],
         ids=[
             "cut-mid-row", "missing-vehicle", "duplicated-rows", "missing-step", "extra-field",
             "text-x", "float-step", "nan-v", "vehicle-0", "flag-2", "text-u", "inf-u", "text-headway",
             "nan-vel-pred", "overflowing-pos-pred", "pos-anom-2", "empty-vel-anom", "extra-empty-field",
             "bad-row-after-a-blank-line", "oversized-field", "vehicle-10**12", "incomplete-last-step",
-            "step-0-lacks-its-last-vehicle", "repeated-x-column",
+            "step-0-lacks-its-last-vehicle", "repeated-x-column", "underscored-x", "spaced-step",
+            "arabic-indic-v",
         ],
     )
     def test_exit_code_names_line_or_step(self, tmp_path, capsys, live_trace_lines, corrupt, message):
@@ -1037,6 +1042,10 @@ class TestCli:
             ({"n": 0}, "sim.n must be an int >= 1, got 0"),
             ({"bogus": 1}, "sim.bogus is not a SimConfig field"),
             ({1: 2}, "sim.1 is not a SimConfig field"),
+            # A key that would not read as one step of the path is bracketed.
+            ({"": 2}, "sim[''] is not a SimConfig field"),
+            ({1.5: 2}, "sim[1.5] is not a SimConfig field"),
+            ({"a.b": 2}, "sim['a.b'] is not a SimConfig field"),
             (0, "sim must be a mapping, got 0"),
             ([6], "sim must be a mapping, got [6]"),
             ({"total_control_steps": 10**9},
@@ -1046,7 +1055,8 @@ class TestCli:
             "string-n", "bool-n", "float-iterations", "nan-tau", "nan-margin", "infinite-v-max",
             "string-length", "bool-step", "zero-step", "negative-step", "big-decay",
             "negative-decay", "huge-decay", "negative-p", "negative-delta", "zero-tau", "zero-n",
-            "unknown-key", "int-key", "zero-section", "list-section", "too-many-steps",
+            "unknown-key", "int-key", "empty-key", "float-key", "dotted-key", "zero-section", "list-section",
+            "too-many-steps",
         ],
     )
     def test_bad_sim_section_exit_code(self, tmp_path, capsys, sim, message):
@@ -1436,12 +1446,18 @@ def _documents(*top_level_keys):
 _INT_POOL = (-1, 0, 1, 3, 40, 2**63, 2**70, 10**400)
 _VALUE_POOL = (None, True, "bogus", -0.5, 0.1, 2.5, 1e308, math.nan, math.inf, [], {}, [0], [1, 2],
                [[0, 0.1]])
+# A renamed key takes one of these: a known key, which may belong to another
+# section, or an unknown one of any type YAML reads as a key.
+_KEY_POOL = ("speed", "sim", "direction", "iter_victim_list", "Sim", "", "bogus", 0, -1, 2**70, None, True,
+             1.5, "a.b", "x[0]")
 # What a message may start with in place of a path: keys in relation, and
 # keys or victims that the document does not name one by one.
 _CROSS_KEY_FORMS = ("need sim.a_min < sim.a_max", "need sim.v_min < sim.v_max",
                     "need sim.tau, sim.p, sim.Q_alpha and sim.Q_beta", "need a finite leader start",
                     "unknown scenario keys", "unknown attack case keys", "victim ")
-_MESSAGE_PATH = re.compile(r"[A-Za-z_]\w*(?:\.[^\s.\[\]:]+|\[\d+\])*(?=[\s:]|$)")
+# A step is a plain key after a dot, or a list index or a key's repr in brackets.
+_BRACKETED = r"\[(?:'[^']*'|\"[^\"]*\"|[^\]\s]*)\]"
+_MESSAGE_PATH = re.compile(rf"[A-Za-z_]\w*(?:\.[^\s.\[\]:]+|{_BRACKETED})*(?=[\s:]|$)")
 
 
 def _nodes(value, keys):
@@ -1454,19 +1470,20 @@ def _nodes(value, keys):
 
 def _mutated(doc, rng, profiles):
     """``doc`` after one to three seeded mutations: a node replaced from the
-    pools, a key removed, an unknown key added or, where ``profiles``, a
-    leader profile set whose last start may come from _INT_POOL."""
+    pools, a key removed, an unknown key added, a key of any mapping (the
+    document's own included) renamed from _KEY_POOL or, where ``profiles``,
+    a leader profile set whose last start may come from _INT_POOL."""
     doc = copy.deepcopy(doc)
     for _ in range(rng.randint(1, 3)):
-        kind = rng.choice(("replace", "replace", "remove", "add") + ("profile",) * profiles)
+        kind = rng.choice(("replace", "replace", "remove", "add", "rename") + ("profile",) * profiles)
         if kind == "profile":
             starts = sorted(rng.sample(range(60), rng.randint(0, 2)))
             starts += [rng.choice(_INT_POOL)] * rng.randint(0, 1)
             leader = doc.get("leader") if isinstance(doc.get("leader"), dict) else {}
             doc["leader"] = {**leader, "profile": [[start, rng.choice((-0.5, 0.0, 0.3))] for start in starts]}
             continue
-        section = rng.choice(sorted(doc))
-        keys, node = rng.choice(list(_nodes(doc[section], (section,))))
+        section = rng.choice(sorted(doc, key=str))
+        keys, node = rng.choice([((), doc)] * (kind == "rename") + list(_nodes(doc[section], (section,))))
         if kind == "replace":
             is_int = isinstance(node, int) and not isinstance(node, bool)
             pool = _INT_POOL if is_int else _VALUE_POOL + _INT_POOL
@@ -1475,6 +1492,8 @@ def _mutated(doc, rng, profiles):
             node["bogus"] = 1
         elif kind == "remove" and isinstance(node, dict) and node:
             del node[rng.choice(sorted(node, key=str))]
+        elif kind == "rename" and isinstance(node, dict) and node:
+            node[rng.choice(_KEY_POOL)] = node.pop(rng.choice(sorted(node, key=str)))
     return doc
 
 
@@ -1484,7 +1503,7 @@ def _names_a_path(message, doc, top_level_keys):
     leaves out, or a section left out, still resolves, since it reads as its
     default."""
     match = _MESSAGE_PATH.match(message)
-    first, *steps = re.findall(r"[^.\[\]]+|\[\d+\]", match.group()) if match else [None]
+    first, *steps = re.findall(rf"{_BRACKETED}|[^.\[\]]+", match.group()) if match else [None]
     if first not in top_level_keys:
         return False
     node = doc.get("attack") if first in ATTACK_LIST_KEYS else doc
@@ -1493,7 +1512,9 @@ def _names_a_path(message, doc, top_level_keys):
             node = {}
         if isinstance(node, dict) and not step.startswith("["):
             node = next((value for key, value in node.items() if str(key) == step), None)
-        elif isinstance(node, list) and step.startswith("[") and int(step[1:-1]) < len(node):
+        elif isinstance(node, dict) and step in (bracketed := {f"[{key!r}]": key for key in node}):
+            node = node[bracketed[step]]
+        elif isinstance(node, list) and step[1:-1].isdigit() and int(step[1:-1]) < len(node):
             node = node[int(step[1:-1])]
         else:
             return False
@@ -1524,7 +1545,7 @@ class TestAnyDocument:
             original = yaml.safe_load(source.read_text())
             for _ in range(12 if case else 40):
                 doc = _mutated(original, rng, profiles=not case)
-                path.write_text(yaml.safe_dump(doc))
+                path.write_text(yaml.safe_dump(doc, sort_keys=False))  # keys of mixed types
                 try:
                     if case:
                         generate_bias_files(path, 5, tmp_path / "bias")

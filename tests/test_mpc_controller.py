@@ -113,8 +113,9 @@ def first_round_relative_speeds(config, monkeypatch, v_bias: Optional[float] = 0
 
 
 def force_corrupt(monkeypatch) -> None:
-    """Send every round of a run through ``V2VChannel.corrupt``: a step
-    without a channel gets a zero-bias one."""
+    """Give every step of a run a channel, so that each round takes its bias
+    rows and live links from ``V2VChannel.corrupt``: a step without one gets
+    a zero-bias channel."""
 
     def through_corrupt(platoon, channel, config, *rest):
         if channel is None:
@@ -568,15 +569,12 @@ class TestRunControlStep:
         # against the final prediction.  A zx_ite attack on fv3 moves the
         # report follower 2 receives.
         reports = []
-        corrupt = V2VChannel.corrupt
 
-        def spy(self, direction, *args):
-            delivered = corrupt(self, direction, *args)
-            if direction is Direction.BACKWARD:
-                reports[:] = [got[0] for got in delivered]
-            return delivered
+        def spy(u, px, pv, fx, fv, rzx, *rest):
+            reports[:] = rzx[:-1]
+            return primal_sweep(u, px, pv, fx, fv, rzx, *rest)
 
-        monkeypatch.setattr(V2VChannel, "corrupt", spy)
+        monkeypatch.setattr(mpc_controller, "primal_sweep", spy)
         platoon = initial_platoon(config, 30.0)
         case = single_channel_case(
             config.n, victim=3, window=(0, 5), channel="zx_ite", bias_params=[3.0]
@@ -624,8 +622,9 @@ class TestRunControlStep:
 
 
 class TestTransparentRounds:
-    """A step without a channel skips ``corrupt`` and must give the bits a
-    zero-bias channel gives."""
+    """A step without a channel runs the one round body on zero bias rows
+    with every link live, without calling ``corrupt``, and must give the
+    bits a zero-bias channel gives."""
 
     @pytest.mark.parametrize("doc", [
         "tests/golden/drop_rules.yaml", "scenarios/single_target.yaml",
@@ -641,8 +640,8 @@ class TestTransparentRounds:
             assert path.read_bytes() == forced[key].read_bytes(), key
 
     def test_zero_bias_slot_writes_what_no_attack_writes(self, tmp_path):
-        # The slot covers steps 40..45, so they take the corrupt path; with
-        # no attack they have no channel.
+        # The slot covers steps 40..45, so they get a zero-bias channel;
+        # with no attack they have no channel.
         doc = yaml.safe_load((ROOT / "scenarios/single_target.yaml").read_text())
         doc["attack"]["iter_biasparavalue_list"] = [[[[0.0]]]]
         zero = run_scenario(scenario_from_dict(doc), tmp_path / "zero")
@@ -654,9 +653,10 @@ class TestTransparentRounds:
 
     def test_corrupt_path_gives_equal_outcomes_on_random_states(self, config):
         # A vehicle at x = v = u = -0.0 broadcasts -0.0 in round 0, which
-        # corrupt delivers as 0.0.  A one-round step returns what round 0
-        # delivered, and repr tells the two zeros apart.  The spacing terms
-        # p, tau, L_veh and delta are drawn per step, away from the defaults.
+        # its follower receives as 0.0, the zero bias added.  A one-round
+        # step returns what round 0 delivered, and repr tells the two zeros
+        # apart.  The spacing terms p, tau, L_veh and delta are drawn per
+        # step, away from the defaults.
         rng = random.Random(41)
 
         def state():
