@@ -18,8 +18,8 @@ from typing import Any, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .platoon_model import (
-    _COUNT, _FINITE, _INT, _LIST, _MAPPING, _NATURAL, ConfigError, _check, _check_interval, _check_keys,
-    _int_in, _one_of, _shown,
+    _COUNT, _FINITE, _INT, _LIST, _NATURAL, ConfigError, _check, _check_interval, _int_in, _one_of,
+    _read_section, _shown,
 )
 from .v2v_channel import ChannelId
 
@@ -38,6 +38,7 @@ ATTACK_LIST_KEYS = (
     "iter_biastype_list",
     "iter_biasparavalue_list",
 )
+_ATTACK_KEYS = dict.fromkeys(ATTACK_LIST_KEYS, ((), _LIST))
 
 
 class AttackSlot(NamedTuple):
@@ -132,11 +133,7 @@ def parse_attack_case(
     summed with the other slots of their victim and channel, are rejected
     with the offending path or victim.
     """
-    if doc is None:
-        return ()
-    _check("attack", doc, _MAPPING)
-    _check_keys(doc, ATTACK_LIST_KEYS, "attack case")
-    raw = {key: _check(key, doc.get(key, []), _LIST) for key in ATTACK_LIST_KEYS}
+    raw = _read_section(doc, "attack", _ATTACK_KEYS, "an attack-case key")
 
     victims = [_check(f"iter_victim_list[{i}]", v, _int_in(range(1, n + 1)))
                for i, v in enumerate(raw["iter_victim_list"])]

@@ -66,8 +66,8 @@ from .mpc_controller import (
     run_control_step,
 )
 from .platoon_model import (
-    _BOOL, _COUNT, _FINITE, _INT, _LIST, _MAPPING, _NATURAL, _PAIR, _POSITIVE, ConfigError, SimConfig,
-    _check, _check_interval, _check_keys, _int_in, _is_finite, _is_int, _one_of, _shown, initial_platoon,
+    _ANY, _BOOL, _COUNT, _FINITE, _INT, _LIST, _NATURAL, _PAIR, _POSITIVE, ConfigError, SimConfig, _check,
+    _check_interval, _int_in, _is_finite, _is_int, _one_of, _read_section, _shown, initial_platoon,
 )
 from .v2v_channel import ChannelId, Direction, DropRule, V2VChannel, senders
 
@@ -480,8 +480,11 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> dict[str, Path]:
 
 
 # The tables map a section's keys to (default, rule).  A default that fails
-# its rule makes the key required.  Each sim key is the SimConfig field of the
-# same name, in field order; a field that _SIM_RULES does not name is _FINITE.
+# its rule makes the key required, and _ANY leaves a key to its own reader.
+_SCENARIO_KEYS = dict.fromkeys(("sim", "leader", "attack", "drops", "detection", "seed", "output"),
+                               (None, _ANY))
+# Each sim key is the SimConfig field of the same name, in field order; a
+# field that _SIM_RULES does not name is _FINITE.
 _SIM_RULES = {
     **dict.fromkeys(("n", "max_iterations", "total_control_steps"), _COUNT),
     **dict.fromkeys(("tau", "L_veh", "Q_alpha", "Q_beta", "primal_tol", "dual_step"), _POSITIVE),
@@ -510,7 +513,7 @@ _DROP_KEYS = {
     "direction": (None, _one_of("forward", "backward")),
     "sender": (None, _INT),
     # None, the default, or an interval that _check_interval checks.
-    **dict.fromkeys(("control_steps", "iterations"), (None, (lambda v: True, "anything"))),
+    **dict.fromkeys(("control_steps", "iterations"), (None, _ANY)),
 }
 
 # Loading walks the leader over every control step, a fraction of a second per
@@ -532,26 +535,6 @@ def _check_cells(where: str, rows: int, cols: int, limit: int, noun: str) -> Non
     anything of that size is allocated; ``where`` names both sizes."""
     if rows * cols > limit:
         raise ConfigError(f"{where} must be at most {limit} {noun}, got {_shown(rows)} x {_shown(cols)}")
-
-
-def _read_section(doc: Any, where: str, table: Mapping, noun: str) -> dict[str, Any]:
-    """Every key of ``table`` from the optional section ``doc`` at ``where``,
-    defaults filled in.  A key outside the table is not a ``noun``.  An int
-    reads as a float where the key's default is a float, so ``3`` and ``3.0``
-    make the same run."""
-    doc = _check(where, {} if doc is None else doc, _MAPPING)
-    for key in doc:
-        if key not in table:
-            # A key whose text would not read back as one step of the path
-            # is shown as its repr in brackets: sim[''], sim['a.b'], sim[1.5].
-            plain = isinstance(key, int) or re.fullmatch(r"[^\s.\[\]:]+", str(key))
-            raise ConfigError(f"{where}{f'.{_shown(key, str)}' if plain else f'[{_shown(key)}]'} "
-                              f"is not a {noun}")
-    values = {}
-    for key, (default, rule) in table.items():
-        value = _check(f"{where}.{key}", doc.get(key, default), rule)
-        values[key] = float(value) if isinstance(default, float) else value
-    return values
 
 
 class _DocumentLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -604,7 +587,7 @@ def _detection_from_doc(doc: Mapping) -> DetectionConfig:
     document."""
     seed = _check("seed", doc.get("seed", 0), _NATURAL)
     section = doc.get("detection")
-    values = _read_section(section, "detection", _DETECTION_KEYS, "detection key")
+    values = _read_section(section, "detection", _DETECTION_KEYS, "a detection key")
     for rows, cols in (("hidden_count", "hidden_count"), ("norm_window", "lag"),
                        ("norm_window", "hidden_count")):
         _check_cells(f"detection.{rows} x detection.{cols}", values[rows], values[cols],
@@ -624,7 +607,7 @@ def _leader_from_doc(section: Any, sim: SimConfig) -> LeaderProfile:
     must stay in [v_min, v_max] over a run of at most MAX_CONTROL_STEPS."""
     steps = _check("sim.total_control_steps", sim.total_control_steps,
                    (lambda steps: steps <= MAX_CONTROL_STEPS, f"at most {MAX_CONTROL_STEPS}"))
-    leader = _read_section(section, "leader", _LEADER_KEYS, "leader key")
+    leader = _read_section(section, "leader", _LEADER_KEYS, "a leader key")
     bounds = f"[{sim.v_min}, {sim.v_max}]"
     v = _check("leader.speed", leader["speed"], (lambda v: sim.v_min <= v <= sim.v_max, f"in {bounds}"))
     if not math.isfinite(leader_x := sim.n * sim.nominal_gap(v)):  # where initial_platoon puts it
@@ -659,7 +642,7 @@ def _drops_from_doc(entries: Any, sim: SimConfig) -> tuple[DropRule, ...]:
     rules = []
     for i, entry in enumerate(_check("drops", () if entries is None else entries, _LIST)):
         where = f"drops[{i}]"
-        rule = _read_section(entry, where, _DROP_KEYS, "drop-rule key")
+        rule = _read_section(entry, where, _DROP_KEYS, "a drop-rule key")
         steps, iterations = (None if rule[key] is None else _check_interval(f"{where}.{key}", rule[key])
                              for key in ("control_steps", "iterations"))
         direction, sender = Direction(rule["direction"]), rule["sender"]
@@ -698,8 +681,8 @@ def _attack_from_doc(case: Any, sim: SimConfig) -> tuple[AttackSlot, ...]:
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     if not isinstance(doc, Mapping):
         raise ConfigError(f"scenario document must be a mapping, got {type(doc).__name__}")
-    _check_keys(doc, ("sim", "leader", "attack", "drops", "detection", "seed", "output"), "scenario")
-    sim = SimConfig(**_read_section(doc.get("sim"), "sim", _SIM_KEYS, "SimConfig field"))
+    sections = _read_section(doc, "", _SCENARIO_KEYS, "a scenario key")
+    sim = SimConfig(**_read_section(sections["sim"], "sim", _SIM_KEYS, "a SimConfig field"))
     for name, low, high in (("a", sim.a_min, sim.a_max), ("v", sim.v_min, sim.v_max)):
         if not low < high:
             raise ConfigError(f"need sim.{name}_min < sim.{name}_max, got [{low}, {high}]")
@@ -712,11 +695,11 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     detection = _detection_from_doc(doc)
     return Scenario(
         sim=sim,
-        leader=_leader_from_doc(doc.get("leader"), sim),
-        attack=_attack_from_doc(doc.get("attack"), sim),
+        leader=_leader_from_doc(sections["leader"], sim),
+        attack=_attack_from_doc(sections["attack"], sim),
         detection=detection,
-        drops=_drops_from_doc(doc.get("drops"), sim),
-        output=OutputFlags(**_read_section(doc.get("output"), "output", _OUTPUT_KEYS, "output key")),
+        drops=_drops_from_doc(sections["drops"], sim),
+        output=OutputFlags(**_read_section(sections["output"], "output", _OUTPUT_KEYS, "an output key")),
     )
 
 
@@ -733,16 +716,14 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
     (rows = iteration index, columns = followers).
 
     ``n`` and ``max_iterations`` come from the top level of the case file,
-    else from its ``sim`` section; the seven lists live under ``attack``.
-    Other keys are left alone, so a scenario file is a case file too."""
+    else from its ``sim`` section, which is read as a scenario's is; the
+    seven lists live under ``attack``.  Other top-level keys are left alone,
+    so a scenario file is a case file too."""
     doc = _load_doc(case_path, "case document")
     if misplaced := [key for key in ATTACK_LIST_KEYS if key in doc]:
         raise ConfigError(f"{misplaced[0]} must be under attack:, not at the top level")
-    sim = doc.get("sim")
-    sim = _check("sim", {} if sim is None else sim, _MAPPING)
-    in_sim = {key: _check(f"sim.{key}", sim.get(key, getattr(SimConfig, key)), _COUNT)
-              for key in ("n", "max_iterations")}
-    n, max_iterations = (_check(key, doc.get(key, value), _COUNT) for key, value in in_sim.items())
+    sim = _read_section(doc.get("sim"), "sim", _SIM_KEYS, "a SimConfig field")
+    n, max_iterations = (_check(key, doc.get(key, sim[key]), _COUNT) for key in ("n", "max_iterations"))
     _check_cells("n x max_iterations", n, max_iterations, MAX_BIAS_CELLS, "bias-matrix cells")
     slots = parse_attack_case(doc.get("attack"), n, max_iterations)
     bias = iter_attack_value_cal(n, k, max_iterations, slots)
@@ -760,18 +741,27 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
 # offline detection replay
 
 
+# A trace row with each cell in the form run writes: an int's str, a float's
+# repr (inf and nan as repr writes them), the flags 0 or 1, the predictions
+# empty in the warmup.  int and float also read forms such as +5, .5, 5.,
+# 1E5, 007, 1_0, Infinity, surrounding spaces and non-ASCII digits.
+_INT_CELL = r"(?:0|[1-9]\d*)"
+_FLOAT_CELL = r"(?:-?(?:(?:0|[1-9]\d*)\.\d+|[1-9](?:\.\d+)?e[+-]\d\d+|inf)|nan)"
+_TRACE_ROW = re.compile(
+    rf"{_INT_CELL},{_INT_CELL}(?:,{_FLOAT_CELL}){{5}},[01](?:,{_FLOAT_CELL}?){{2}},[01],[01]")
+
+
 def _read_trace(trace_path: Path) -> tuple[list[list], list[list], list[list]]:
     """The x, v and comparator-flag columns of each vehicle, in vehicle order,
     each over the control steps in order.
 
     The trace must be as a live run writes it: the header ``TRACE_COLUMNS``,
     then one row for each control step 0..K and vehicle 1..n in turn, n being
-    the vehicles of step 0, each cell in the form ``run`` writes: ``headway``
-    any float (NaN where the speed is not positive), the ELM predictions
-    empty or finite, the flags 0 or 1 and every other number finite, with no
-    underscore, whitespace or character outside printable ASCII.  Anything
-    else is a ``ConfigError`` naming the first line out of place, or the last
-    step if it is incomplete.
+    the vehicles of step 0, each cell in the form ``run`` writes
+    (``_TRACE_ROW``): ``headway`` any float (NaN where the speed is not
+    positive), the ELM predictions empty or finite, the flags 0 or 1 and
+    every other number finite.  Anything else is a ``ConfigError`` naming the
+    first line out of place, or the last step if it is incomplete.
     """
     rows: list[tuple[float, float, bool]] = []  # in file order
     n = 0  # unknown until step 1 begins
@@ -799,12 +789,6 @@ def _read_trace(trace_path: Path) -> tuple[list[list], list[list], list[list]]:
                     pos_pred, vel_pred = float(pos_pred or 0), float(vel_pred or 0)  # empty reads as 0
                 except ValueError as exc:
                     raise error(f": {_shown(exc, str)}") from None
-                # int and float also take underscores, whitespace and
-                # non-ASCII digits; only the space is printable ASCII whitespace.
-                cells = "".join(row)
-                if "_" in cells or " " in cells or not (cells.isascii() and cells.isprintable()):
-                    raise error(": a cell holds an underscore, whitespace or a character "
-                                "outside printable ASCII, which run never writes")
                 if not n and rows and (k, vehicle) == (1, 1):
                     n = len(rows)
                 step, i = divmod(len(rows), n) if n else (0, len(rows))
@@ -819,6 +803,8 @@ def _read_trace(trace_path: Path) -> tuple[list[list], list[list], list[list]]:
                     raise error(": comparator_flag must be 0 or 1")
                 if pos_anom not in ("0", "1") or vel_anom not in ("0", "1"):
                     raise error(": pos_anom and vel_anom must be 0 or 1")
+                if not _TRACE_ROW.fullmatch(",".join(row)):
+                    raise error(": a cell is not in the form run writes, an int's str or a float's repr")
                 rows.append((x, v, flag == "1"))
         except csv.Error as exc:  # such as a field over csv's size limit
             raise error(f": {exc}") from None

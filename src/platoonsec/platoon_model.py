@@ -3,16 +3,18 @@
 Every quantity used by the controller, plant, attack engine and detector has
 exactly one home here.  All types are immutable value objects and safe to
 share between threads.  ``SimConfig`` checks nothing itself: the loaders
-check every input against the rules below and fail with a ``ConfigError``
-that names the input's path.
+check every input against the rules below, reading each input mapping
+through ``_read_section``, and fail with a ``ConfigError`` that names the
+input's path.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 
 class ConfigError(ValueError):
@@ -40,6 +42,7 @@ _POSITIVE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
 _LIST = (lambda v: isinstance(v, (list, tuple)), "a list")
 _PAIR = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2, "a [start, end] pair")
 _MAPPING = (lambda v: isinstance(v, Mapping), "a mapping")
+_ANY = (lambda v: True, "anything")  # for a key that its reader checks apart
 
 
 def _one_of(*choices: Any) -> tuple:
@@ -53,23 +56,14 @@ def _int_in(span: range, context: str = "") -> tuple:
     return (lambda v: _is_int(v) and v in span, f"an int in {span.start}..{span.stop - 1}{context}")
 
 
-def _shown(value: Any, form=repr, width: float = 80) -> str:
-    """``form(value)`` as a message shows an input value: past ``width``
-    characters, its first 60 and its length, about 80 characters in all."""
+def _shown(value: Any, form=repr) -> str:
+    """``form(value)`` as a message shows an input value: past 80
+    characters, its first 60 and its length."""
     try:
         text = form(value)
     except ValueError:  # an int past str's digit limit, or a list holding one
         text = f"<{type(value).__name__} too long to print>"
-    return text if len(text) <= width else f"{text[:60]}... ({len(text)} characters)"
-
-
-def _check_keys(doc: Mapping, known: Iterable, what: str) -> None:
-    """A ConfigError listing the keys of ``doc`` outside ``known``, each shown
-    uncut on its own, so that one too long to print hides no other."""
-    if unknown := set(doc) - set(known):
-        keys = sorted(unknown, key=lambda key: _shown(key, str))
-        listed = ", ".join(_shown(key, width=math.inf) for key in keys)
-        raise ConfigError(f"unknown {what} keys: {_shown(f'[{listed}]', str)}")
+    return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def _check(where: str, value: Any, rule: tuple) -> Any:
@@ -78,6 +72,27 @@ def _check(where: str, value: Any, rule: tuple) -> Any:
     if not check(value):
         raise ConfigError(f"{where} must be {requirement}, got {_shown(value)}")
     return value
+
+
+def _read_section(doc: Any, where: str, table: Mapping, noun: str) -> dict[str, Any]:
+    """Every key of ``table`` from the optional mapping ``doc`` at ``where``
+    (empty for a document's top level), defaults filled in.  A key outside the
+    table is not ``noun``.  An int reads as a float where the key's default is
+    a float, so ``3`` and ``3.0`` make the same run."""
+    doc = _check(where, {} if doc is None else doc, _MAPPING)
+    step = f"{where}." if where else ""
+    for key in doc:
+        if key not in table:
+            # A key whose text would not read back as one step of the path
+            # is shown as its repr in brackets: sim[''], sim['a.b'], sim[1.5].
+            plain = isinstance(key, int) or re.fullmatch(r"[^\s.\[\]:]+", str(key))
+            raise ConfigError(f"{step}{_shown(key, str)} is not {noun}" if plain
+                              else f"{where}[{_shown(key)}] is not {noun}")
+    values = {}
+    for key, (default, rule) in table.items():
+        value = _check(f"{step}{key}", doc.get(key, default), rule)
+        values[key] = float(value) if isinstance(default, float) else value
+    return values
 
 
 def _check_interval(where: str, value: Any) -> tuple[int, int]:

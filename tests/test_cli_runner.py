@@ -239,16 +239,15 @@ class TestScenarioLoading:
             assert isinstance(getattr(detection, key), float)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown scenario keys"):
+        with pytest.raises(ConfigError, match="^bogus is not a scenario key$"):
             scenario_from_dict(scenario_doc(bogus={}))
 
     def test_an_unknown_key_past_the_digit_limit_is_a_config_error(self):
         # str() of such an int raises; YAML cannot write one, Python can.
-        # It hides none of the other unknown keys.
-        with pytest.raises(ConfigError, match=r"^unknown scenario keys: \[<int too long to print>\]$"):
+        # The first unknown key in the document's order is named.
+        with pytest.raises(ConfigError, match=r"^<int too long to print> is not a scenario key$"):
             scenario_from_dict({10**5000: 1})
-        with pytest.raises(ConfigError,
-                           match=r"^unknown scenario keys: \[1, <int too long to print>, 'x'\]$"):
+        with pytest.raises(ConfigError, match=r"^1 is not a scenario key$"):
             scenario_from_dict({1: 1, "x": 2, 10**5000: 3})
 
     @pytest.mark.parametrize("doc, message", [
@@ -609,6 +608,10 @@ def _edit_row(row, column, value):
     return edit
 
 
+# What a replay says of a cell that int or float reads but run never writes.
+_NOT_WRITTEN = "a cell is not in the form run writes, an int's str or a float's repr"
+
+
 class TestReplayBadTrace:
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -652,9 +655,17 @@ class TestReplayBadTrace:
              "line 12: expected control step 2, vehicle 1, got control step 1, vehicle 6"),
             (_repeat_x_column, "line 1: expected the header control_step,vehicle_id,x,v,u,gap_front,"),
             # int and float take these forms, which run never writes.
-            (_edit_row(1, "x", "1_23.0"), "line 2: a cell holds an underscore, whitespace or a character"),
-            (_edit_row(9, "control_step", " 1 "), "line 10: a cell holds an underscore, whitespace or"),
-            (_edit_row(9, "v", "\u0663\u0660.0"), "line 10: a cell holds an underscore, whitespace or"),
+            (_edit_row(1, "x", "1_23.0"), f"line 2: {_NOT_WRITTEN}"),
+            (_edit_row(9, "control_step", " 1 "), f"line 10: {_NOT_WRITTEN}"),
+            (_edit_row(9, "v", "\u0663\u0660.0"), f"line 10: {_NOT_WRITTEN}"),
+            (_edit_row(1, "x", "+123.0"), f"line 2: {_NOT_WRITTEN}"),
+            (_edit_row(1, "headway", "Infinity"), f"line 2: {_NOT_WRITTEN}"),
+            (_edit_row(1, "headway", "NaN"), f"line 2: {_NOT_WRITTEN}"),
+            (_edit_row(9, "u", ".5"), f"line 10: {_NOT_WRITTEN}"),
+            (_edit_row(9, "gap_front", "5."), f"line 10: {_NOT_WRITTEN}"),
+            (_edit_row(9, "v", "1E5"), f"line 10: {_NOT_WRITTEN}"),
+            (_edit_row(9, "x", "5"), f"line 10: {_NOT_WRITTEN}"),
+            (_edit_row(9, "vehicle_id", "003"), f"line 10: {_NOT_WRITTEN}"),
         ],
         ids=[
             "cut-mid-row", "missing-vehicle", "duplicated-rows", "missing-step", "extra-field",
@@ -662,7 +673,8 @@ class TestReplayBadTrace:
             "nan-vel-pred", "overflowing-pos-pred", "pos-anom-2", "empty-vel-anom", "extra-empty-field",
             "bad-row-after-a-blank-line", "oversized-field", "vehicle-10**12", "incomplete-last-step",
             "step-0-lacks-its-last-vehicle", "repeated-x-column", "underscored-x", "spaced-step",
-            "arabic-indic-v",
+            "arabic-indic-v", "plus-x", "infinity-headway", "capital-nan-headway", "bare-fraction-u",
+            "bare-point-gap", "capital-exponent-v", "int-x", "leading-zero-vehicle",
         ],
     )
     def test_exit_code_names_line_or_step(self, tmp_path, capsys, live_trace_lines, corrupt, message):
@@ -1018,7 +1030,7 @@ class TestCli:
         bad.write_text(yaml.safe_dump({1: 2, "x": 3}))
         assert main(self._argv("run", bad, tmp_path)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: unknown scenario keys: [1, 'x']")
+        assert err == "config error: 1 is not a scenario key\n"
 
     @pytest.mark.parametrize(
         "sim, message",
@@ -1094,6 +1106,9 @@ class TestCli:
             ({"max_iterations": "300"}, "max_iterations must be an int >= 1, got '300'"),
             ({"sim": {"max_iterations": 2.5}}, "sim.max_iterations must be an int >= 1, got 2.5"),
             ({"sim": 3}, "sim must be a mapping, got 3"),
+            # The sim section is read as a scenario's is.
+            ({"sim": {"bogus": 1}}, "sim.bogus is not a SimConfig field"),
+            ({"sim": {"tau": 0}}, "sim.tau must be a finite number > 0, got 0"),
             ([1, 2], "case document must be a mapping, got list"),
             ({"iter_victim_list": [1]},
              "iter_victim_list must be under attack:, not at the top level"),
@@ -1105,8 +1120,8 @@ class TestCli:
         ],
         ids=[
             "string-n", "zero-n", "bool-n", "float-sim-n", "string-iterations",
-            "float-sim-iterations", "int-sim", "list-document", "top-level-lists",
-            "overflowing-line",
+            "float-sim-iterations", "int-sim", "unknown-sim-key", "zero-sim-tau", "list-document",
+            "top-level-lists", "overflowing-line",
         ],
     )
     def test_bad_generate_bias_case_exit_code(self, tmp_path, capsys, case, message):
@@ -1199,13 +1214,13 @@ class TestCli:
          f"drops[0].control_steps: invalid interval [{_BIG}, 0]"),
         ({"detection": {"hidden_count": 10**400}}, f"detection.hidden_count x detection.hidden_count "
          f"must be at most 1000000 cells, got {_BIG} x {_BIG}"),
-        ({10**400: 1}, f"unknown scenario keys: [1{'0' * 58}... (403 characters)"),
+        ({10**400: 1}, f"{_BIG} is not a scenario key"),
         ({"attack": _one_channel_attack(1.0, freq_kind="Cluster", freq_params=(1, 10**400))},
          f"iter_freqparavalue_list[0][0][0][1] must be a finite number, got {_BIG}"),
         ({"attack": {**_one_channel_attack(1.0), "iter_victim_list": [10**400]}},
          f"iter_victim_list[0] must be an int in 1..6, got {_BIG}"),
         ({"attack": {**_one_channel_attack(1.0), "x" * 100: []}},
-         f"unknown attack case keys: ['{'x' * 58}... (104 characters)"),
+         f"attack.{'x' * 60}... (100 characters) is not an attack-case key"),
         ({"attack": _one_channel_attack(1.0, freq_params=[0] * 100)},
          f"iter_freqparavalue_list[0][0][0]: Continuous takes [0], got [{'0, ' * 19}0,... "
          "(300 characters)"),
@@ -1287,7 +1302,7 @@ class TestCli:
             (5, "attack must be a mapping, got 5"),
             ([], "attack must be a mapping, got []"),
             (True, "attack must be a mapping, got True"),
-            ({1: [], "x": []}, "unknown attack case keys: [1, 'x']"),
+            ({1: [], "x": []}, "attack.1 is not an attack-case key"),
             (_one_channel_attack("a"),
              "iter_biasparavalue_list[0][0][0][0] must be a finite number, got 'a'"),
             (_one_channel_attack(10**400),
@@ -1451,13 +1466,14 @@ _VALUE_POOL = (None, True, "bogus", -0.5, 0.1, 2.5, 1e308, math.nan, math.inf, [
 _KEY_POOL = ("speed", "sim", "direction", "iter_victim_list", "Sim", "", "bogus", 0, -1, 2**70, None, True,
              1.5, "a.b", "x[0]")
 # What a message may start with in place of a path: keys in relation, and
-# keys or victims that the document does not name one by one.
+# victims that the document does not name one by one.
 _CROSS_KEY_FORMS = ("need sim.a_min < sim.a_max", "need sim.v_min < sim.v_max",
                     "need sim.tau, sim.p, sim.Q_alpha and sim.Q_beta", "need a finite leader start",
-                    "unknown scenario keys", "unknown attack case keys", "victim ")
-# A step is a plain key after a dot, or a list index or a key's repr in brackets.
+                    "victim ")
+# A step is a plain key, after a dot past the first, or a list index or a
+# key's repr in brackets.
 _BRACKETED = r"\[(?:'[^']*'|\"[^\"]*\"|[^\]\s]*)\]"
-_MESSAGE_PATH = re.compile(rf"[A-Za-z_]\w*(?:\.[^\s.\[\]:]+|{_BRACKETED})*(?=[\s:]|$)")
+_MESSAGE_PATH = re.compile(rf"(?:[^\s.\[\]:]+|{_BRACKETED})(?:\.[^\s.\[\]:]+|{_BRACKETED})*(?=[\s:]|$)")
 
 
 def _nodes(value, keys):
@@ -1498,13 +1514,14 @@ def _mutated(doc, rng, profiles):
 
 
 def _names_a_path(message, doc, top_level_keys):
-    """Whether ``message`` starts with a path into ``doc``: a top-level key, or
-    an attack list, then keys and in-range indices.  A key that a mapping
-    leaves out, or a section left out, still resolves, since it reads as its
+    """Whether ``message`` starts with a path into ``doc``: one of
+    ``top_level_keys``, a key of ``doc`` itself (bracketed or not) or an
+    attack list, then keys and in-range indices.  A key that a mapping leaves
+    out, or a section left out, still resolves, since it reads as its
     default."""
     match = _MESSAGE_PATH.match(message)
     first, *steps = re.findall(rf"{_BRACKETED}|[^.\[\]]+", match.group()) if match else [None]
-    if first not in top_level_keys:
+    if first not in (*top_level_keys, *map(str, doc), *(f"[{key!r}]" for key in doc)):
         return False
     node = doc.get("attack") if first in ATTACK_LIST_KEYS else doc
     for step in (first, *steps):
@@ -1558,6 +1575,28 @@ class TestAnyDocument:
                 if not case:
                     argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out"), "--steps", "3"]
                     assert main(argv) in (0, 2), doc
+
+    def test_mutated_replay_configs_exit_0_or_name_their_path(self, tmp_path, capsys):
+        # Seeded mutations of every shipped scenario, its detection section
+        # written out at the defaults, each read as a replay config over a
+        # header-only trace.
+        rng = random.Random(32)
+        detection = {f.name: f.default for f in fields(DetectionConfig) if f.name != "seed"}
+        config, trace = tmp_path / "config.yaml", tmp_path / "trace.csv"
+        trace.write_text(",".join(TRACE_COLUMNS) + "\n")
+        argv = ["replay-detect", "--trace", str(trace), "--config", str(config),
+                "--out", str(tmp_path / "out")]
+        for source in sorted(SCENARIO_DIR.glob("*.yaml")):
+            original = {**yaml.safe_load(source.read_text()), "detection": detection}
+            for _ in range(40):
+                doc = _mutated(original, rng, profiles=False)
+                config.write_text(yaml.safe_dump(doc, sort_keys=False))
+                code = main(argv)
+                err = capsys.readouterr().err
+                if code == 0:
+                    continue
+                assert code == 1 and err.startswith("config error: "), (doc, err)
+                assert _names_a_path(err.removeprefix("config error: "), doc, SCENARIO_KEYS), err
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(doc=_documents(*SCENARIO_KEYS))

@@ -12,10 +12,19 @@ pins:
 - the count and sha256 of the constraint violations, which no artifact
   holds: one ``step,vehicle,kind,value,bound`` line each, floats by ``repr``.
 
-The controller columns and the impact files are pure-Python floats written
-with ``repr``, so their hashes are exact and portable.  ELM predictions go
-through BLAS, so the detection hash formats every predicted value with
-``.9g`` first; flags and event rows still have to match exactly.
+What the pins promise across hosts:
+
+- Portable, whatever BLAS and SIMD kernels the host picks: the controller
+  columns and the impact files, which are pure-Python floats written with
+  ``repr``, and the event keys and flags.
+- Following the host's BLAS and SIMD kernels: the ELM predictions, and so
+  ``anomalies.csv``'s ``predicted_value``.  numpy's SIMD ``exp`` and the
+  BLAS products round differently per kernel, by up to 1.8e-6 on the shipped
+  scenarios and 5.3e-6 on ``wide_48``.
+
+The detection hash formats every predicted value with ``.9g`` first; flags
+and event rows still have to match exactly.  So the detection pins hold on
+hosts whose kernels round as this one's do, and the other pins on any host.
 
 Each document is simulated once; every pin reads the same artifacts.
 A change that alters any of these values changes the program's behaviour.
