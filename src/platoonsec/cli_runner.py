@@ -130,6 +130,22 @@ class TraceRow(NamedTuple):
 
 TRACE_COLUMNS = TraceRow._fields
 
+# Each trace column's cell form, as run writes it, and what the form is.  A
+# finite float's repr is an int part and a fraction of 0 or ending in 1-9; from
+# 1e16 and below 1e-4, a digit 1-9, a fraction ending in 1-9 if any, and a
+# signed exponent of two digits or more.
+_REPR = r"-?(?:(?:0|[1-9]\d*)\.(?:0|\d*[1-9])|[1-9](?:\.\d*[1-9])?e[+-]\d\d+)"
+_TRACE_FORMS = dict(zip(TRACE_COLUMNS, (
+    *[(r"0|[1-9]\d*", "an int's str")] * 2,  # control_step, vehicle_id
+    *[(_REPR, "a finite float's repr")] * 4,  # x, v, u, gap_front
+    (rf"{_REPR}|-?inf|nan", "a float's repr"),  # headway
+    ("[01]", "0 or 1"),  # comparator_flag
+    *[(rf"(?:{_REPR})?", "empty or a finite float's repr")] * 2,  # elm_pos_pred, elm_vel_pred
+    *[("[01]", "0 or 1")] * 2,  # pos_anom, vel_anom
+)))
+# A line as open(newline="") reads it, each cell a group.
+_TRACE_ROW = re.compile(",".join(f"({form})" for form, _ in _TRACE_FORMS.values()) + r"\r?\n?")
+
 
 @dataclass
 class RunResult:
@@ -481,8 +497,10 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> dict[str, Path]:
 
 # The tables map a section's keys to (default, rule).  A default that fails
 # its rule makes the key required, and _ANY leaves a key to its own reader.
-_SCENARIO_KEYS = dict.fromkeys(("sim", "leader", "attack", "drops", "detection", "seed", "output"),
-                               (None, _ANY))
+_SCENARIO_KEYS = {**dict.fromkeys(("sim", "leader", "attack", "drops", "detection", "output"), (None, _ANY)),
+                  "seed": (0, _NATURAL)}
+# A case file's n and max_iterations default to its sim's.
+_CASE_KEYS = {**_SCENARIO_KEYS, **dict.fromkeys(("n", "max_iterations"), (None, _ANY))}
 # Each sim key is the SimConfig field of the same name, in field order; a
 # field that _SIM_RULES does not name is _FINITE.
 _SIM_RULES = {
@@ -500,7 +518,7 @@ _LEADER_KEYS = {
 _PHASE = (_PAIR[0], "a [start_step, acceleration] pair")
 _OUTPUT_KEYS = {f.name: (f.default, _BOOL) for f in fields(OutputFlags)}
 # Each detection key is the DetectionConfig field of the same name, in field
-# order, and is _FINITE unless _DETECTION_RULES names it; seed is read apart.
+# order, and is _FINITE unless _DETECTION_RULES names it; seed is top-level.
 _DETECTION_RULES = {
     "enabled": _BOOL,
     **dict.fromkeys(("comparator_threshold", "pos_threshold", "vel_threshold", "ridge"), _POSITIVE),
@@ -560,7 +578,7 @@ class _DocumentLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 def _open_text(path: Path) -> Iterator[TextIO]:
     """``path`` open for reading as UTF-8; a file that is not UTF-8 is a ConfigError."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:  # line ends as written, for csv
+        with open(path, encoding="utf-8", newline="") as fh:  # line ends as written, for _TRACE_ROW
             yield fh
     except UnicodeDecodeError:
         raise ConfigError(f"{path} is not UTF-8 text") from None
@@ -582,12 +600,10 @@ def _load_doc(path: Path, what: str) -> Mapping:
     return doc
 
 
-def _detection_from_doc(doc: Mapping) -> DetectionConfig:
+def _detection_from_doc(sections: Mapping) -> DetectionConfig:
     """The detection section and the seed of a scenario or replay config
-    document."""
-    seed = _check("seed", doc.get("seed", 0), _NATURAL)
-    section = doc.get("detection")
-    values = _read_section(section, "detection", _DETECTION_KEYS, "a detection key")
+    document, from its top level as read through ``_SCENARIO_KEYS``."""
+    values = _read_section(sections["detection"], "detection", _DETECTION_KEYS, "a detection key")
     for rows, cols in (("hidden_count", "hidden_count"), ("norm_window", "lag"),
                        ("norm_window", "hidden_count")):
         _check_cells(f"detection.{rows} x detection.{cols}", values[rows], values[cols],
@@ -598,7 +614,7 @@ def _detection_from_doc(doc: Mapping) -> DetectionConfig:
             f"detection.norm_window must be at least lag + 2 = {least}, "
             f"got {values['norm_window']}: a shorter window never holds two training pairs"
         )
-    return DetectionConfig(**values, seed=seed)
+    return DetectionConfig(**values, seed=sections["seed"])
 
 
 def _leader_from_doc(section: Any, sim: SimConfig) -> LeaderProfile:
@@ -692,7 +708,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
         raise ConfigError(f"need sim.tau, sim.p, sim.Q_alpha and sim.Q_beta that give finite "
                           f"Newton Hessians > 0: {exc}") from None
     _check_cells("sim.n x sim.max_iterations", sim.n, sim.max_iterations, MAX_BIAS_CELLS, "bias-matrix cells")
-    detection = _detection_from_doc(doc)
+    detection = _detection_from_doc(sections)
     return Scenario(
         sim=sim,
         leader=_leader_from_doc(sections["leader"], sim),
@@ -717,15 +733,17 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
 
     ``n`` and ``max_iterations`` come from the top level of the case file,
     else from its ``sim`` section, which is read as a scenario's is; the
-    seven lists live under ``attack``.  Other top-level keys are left alone,
-    so a scenario file is a case file too."""
+    seven lists live under ``attack``.  The top level may hold a scenario's
+    other keys, so a scenario file is a case file too, and nothing else."""
     doc = _load_doc(case_path, "case document")
     if misplaced := [key for key in ATTACK_LIST_KEYS if key in doc]:
         raise ConfigError(f"{misplaced[0]} must be under attack:, not at the top level")
-    sim = _read_section(doc.get("sim"), "sim", _SIM_KEYS, "a SimConfig field")
-    n, max_iterations = (_check(key, doc.get(key, sim[key]), _COUNT) for key in ("n", "max_iterations"))
+    case = _read_section(doc, "", _CASE_KEYS, "a case-file key")
+    sim = _read_section(case["sim"], "sim", _SIM_KEYS, "a SimConfig field")
+    n, max_iterations = (_check(key, sim[key] if case[key] is None else case[key], _COUNT)
+                         for key in ("n", "max_iterations"))
     _check_cells("n x max_iterations", n, max_iterations, MAX_BIAS_CELLS, "bias-matrix cells")
-    slots = parse_attack_case(doc.get("attack"), n, max_iterations)
+    slots = parse_attack_case(case["attack"], n, max_iterations)
     bias = iter_attack_value_cal(n, k, max_iterations, slots)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -741,76 +759,56 @@ def generate_bias_files(case_path: Path, k: int, out_dir: Path) -> dict[str, Pat
 # offline detection replay
 
 
-# A trace row with each cell in the form run writes: an int's str, a float's
-# repr (inf and nan as repr writes them), the flags 0 or 1, the predictions
-# empty in the warmup.  int and float also read forms such as +5, .5, 5.,
-# 1E5, 007, 1_0, Infinity, surrounding spaces and non-ASCII digits.
-_INT_CELL = r"(?:0|[1-9]\d*)"
-_FLOAT_CELL = r"(?:-?(?:(?:0|[1-9]\d*)\.\d+|[1-9](?:\.\d+)?e[+-]\d\d+|inf)|nan)"
-_TRACE_ROW = re.compile(
-    rf"{_INT_CELL},{_INT_CELL}(?:,{_FLOAT_CELL}){{5}},[01](?:,{_FLOAT_CELL}?){{2}},[01],[01]")
+def _trace_line_error(where: str, line: str) -> ConfigError:
+    """The error for a data line that ``_TRACE_ROW`` refuses, or that holds a
+    number past the float range: its first cell out of ``_TRACE_FORMS``."""
+    cells = line.rstrip("\r\n").split(",", len(TRACE_COLUMNS) - 1)  # the last cell keeps any more
+    for cell, (column, (form, requirement)) in zip(cells, _TRACE_FORMS.items()):
+        finite = "finite" in requirement and cell  # through float too: the form lets 1e+400 by
+        if not re.fullmatch(form, cell) or finite and not math.isfinite(float(cell)):
+            return ConfigError(f"{where}: {column} must be {requirement}, got {_shown(cell)}")
+    return ConfigError(f"{where}: {TRACE_COLUMNS[len(cells)]} is missing")
 
 
-def _read_trace(trace_path: Path) -> tuple[list[list], list[list], list[list]]:
+def _read_trace(path: Path) -> tuple[list[list], list[list], list[list]]:
     """The x, v and comparator-flag columns of each vehicle, in vehicle order,
     each over the control steps in order.
 
     The trace must be as a live run writes it: the header ``TRACE_COLUMNS``,
-    then one row for each control step 0..K and vehicle 1..n in turn, n being
-    the vehicles of step 0, each cell in the form ``run`` writes
-    (``_TRACE_ROW``): ``headway`` any float (NaN where the speed is not
-    positive), the ELM predictions empty or finite, the flags 0 or 1 and
-    every other number finite.  Anything else is a ``ConfigError`` naming the
-    first line out of place, or the last step if it is incomplete.
+    then one line for each control step 0..K and vehicle 1..n in turn, n
+    being the vehicles of step 0, each cell in its column's form
+    (``_TRACE_FORMS``), which one pattern checks over the whole line.  The
+    finite columns go through ``float`` too: ``1e+400`` has the form.  The
+    pattern still takes digits that are not a float's shortest, such as
+    ``0.30000000000000004441``; ``repr(float(cell)) == cell`` on every cell
+    would make the read about twice as slow.  Anything else is a ``ConfigError``
+    naming the first line out of place and its first bad column, or the last
+    step if it is incomplete.
     """
     rows: list[tuple[float, float, bool]] = []  # in file order
     n = 0  # unknown until step 1 begins
-    isfinite = math.isfinite
-    with _open_text(trace_path) as fh:
-        reader = csv.reader(fh)
-
-        def error(text: str) -> ConfigError:  # built only for a bad line
-            return ConfigError(f"{trace_path} line {reader.line_num}{text}")
-
-        try:
-            header = next(reader, None)
-            if header is None:
-                return [], [], []
-            if header != list(TRACE_COLUMNS):
-                raise error(f": expected the header {','.join(TRACE_COLUMNS)}, "
-                            f"got {_shown(','.join(header))}")
-            for row in reader:
-                if len(row) != len(TRACE_COLUMNS):
-                    raise error(f" does not have the header's {len(TRACE_COLUMNS)} fields")
-                k, vehicle, x, v, u, gap, headway, flag, pos_pred, vel_pred, pos_anom, vel_anom = row
-                try:
-                    k, vehicle, x, v, u, gap = int(k), int(vehicle), float(x), float(v), float(u), float(gap)
-                    float(headway)
-                    pos_pred, vel_pred = float(pos_pred or 0), float(vel_pred or 0)  # empty reads as 0
-                except ValueError as exc:
-                    raise error(f": {_shown(exc, str)}") from None
-                if not n and rows and (k, vehicle) == (1, 1):
-                    n = len(rows)
-                step, i = divmod(len(rows), n) if n else (0, len(rows))
-                if (k, vehicle) != (step, i + 1):
-                    raise error(f": expected control step {step}, vehicle {i + 1}, "
-                                f"got control step {_shown(k)}, vehicle {_shown(vehicle)}")
-                if not (isfinite(x) and isfinite(v) and isfinite(gap)):
-                    raise error(": x, v and gap_front must be finite")
-                if not (isfinite(u) and isfinite(pos_pred) and isfinite(vel_pred)):
-                    raise error(": u must be finite, and elm_pos_pred and elm_vel_pred empty or finite")
-                if flag not in ("0", "1"):
-                    raise error(": comparator_flag must be 0 or 1")
-                if pos_anom not in ("0", "1") or vel_anom not in ("0", "1"):
-                    raise error(": pos_anom and vel_anom must be 0 or 1")
-                if not _TRACE_ROW.fullmatch(",".join(row)):
-                    raise error(": a cell is not in the form run writes, an int's str or a float's repr")
-                rows.append((x, v, flag == "1"))
-        except csv.Error as exc:  # such as a field over csv's size limit
-            raise error(f": {exc}") from None
+    isfinite, match, header = math.isfinite, _TRACE_ROW.fullmatch, ",".join(TRACE_COLUMNS)
+    with _open_text(path) as fh:
+        if (first := next(fh, header).rstrip("\r\n")) != header:  # an empty file reads as a bare header
+            raise ConfigError(f"{path} line 1: expected the header {header}, got {_shown(first)}")
+        for number, line in enumerate(fh, 2):
+            if cells := match(line):
+                k, vehicle, x, v, u, gap, _, flag, pos_pred, vel_pred, _, _ = cells.groups()
+                x, v = float(x), float(v)
+            if cells is None or not (isfinite(x) and isfinite(v) and isfinite(float(u)) and isfinite(float(gap))
+                                   and isfinite(float(pos_pred or 0)) and isfinite(float(vel_pred or 0))):
+                raise _trace_line_error(f"{path} line {number}", line)
+            # The pattern makes equal text mean equal ints, so no cell goes through int.
+            if not n and rows and (k, vehicle) == ("1", "1"):
+                n = len(rows)
+            step, i = divmod(len(rows), n) if n else (0, len(rows))
+            if (k, vehicle) != (str(step), str(i + 1)):
+                raise ConfigError(f"{path} line {number}: expected control step {step}, vehicle {i + 1}, "
+                                  f"got control step {_shown(k, str)}, vehicle {_shown(vehicle, str)}")
+            rows.append((x, v, flag == "1"))
     n = n or len(rows)
     if n and len(rows) % n:
-        raise ConfigError(f"{trace_path}: control step {len(rows) // n} lacks vehicle {len(rows) % n + 1}")
+        raise ConfigError(f"{path}: control step {len(rows) // n} lacks vehicle {len(rows) % n + 1}")
     return tuple([[row[c] for row in rows[i::n]] for i in range(n)] for c in range(3))
 
 
@@ -843,7 +841,8 @@ def _cmd_generate_bias(args) -> dict[str, Path]:
 
 
 def _cmd_replay_detect(args) -> dict[str, Path]:
-    detection = _detection_from_doc(_load_doc(Path(args.config), "config document"))
+    config = _load_doc(Path(args.config), "config document")
+    detection = _detection_from_doc(_read_section(config, "", _SCENARIO_KEYS, "a scenario key"))
     events = replay_detection(Path(args.trace), detection)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

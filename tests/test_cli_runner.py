@@ -55,6 +55,8 @@ from platoonsec.platoon_model import ConfigError, SimConfig
 from conftest import make_scenario, running_example_doc, single_channel_case
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# The control step at which each golden case's matrices were written.
+GOLDEN_K = yaml.safe_load((GOLDEN_DIR / "golden_k.yaml").read_text())
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
 
@@ -78,10 +80,10 @@ REPEATED_KEYS = {
 }
 
 
-# Every YAML document in the repository.
-YAML_DOCUMENTS = sorted(SCENARIO_DIR.glob("*.yaml")) + [GOLDEN_DIR / "drop_rules.yaml"] + sorted(
-    GOLDEN_DIR.glob("case_*/case.yaml")
-)
+# The shipped scenarios and the drop-rule golden document; then every YAML
+# document in the repository that a command reads.
+SCENARIO_DOCUMENTS = sorted(SCENARIO_DIR.glob("*.yaml")) + [GOLDEN_DIR / "drop_rules.yaml"]
+YAML_DOCUMENTS = SCENARIO_DOCUMENTS + sorted(GOLDEN_DIR.glob("case_*/case.yaml"))
 
 
 def _document_loader(base):
@@ -466,6 +468,12 @@ class TestCellFormats:
         header = TRACE_COLUMNS if write is write_trace_csv else ANOMALY_CSV_COLUMNS
         assert path.read_bytes() == f"{','.join(header)}\r\n{line}\r\n".encode()
 
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    def test_a_finite_float_is_written_in_the_form_replay_reads(self, value):
+        for text in (str(value), str(np.float64(value))):
+            assert re.fullmatch(cli_runner._REPR, text), text
+
 
 class TestGenerateBias:
     def _case_file(self, tmp_path):
@@ -504,9 +512,7 @@ class TestGenerateBias:
     )
     def test_golden_files(self, case_dir, tmp_path):
         folder = GOLDEN_DIR / case_dir
-        with open(folder / "case.yaml") as fh:
-            doc = yaml.safe_load(fh)
-        out = generate_bias_files(folder / "case.yaml", doc["golden_k"], tmp_path)
+        out = generate_bias_files(folder / "case.yaml", GOLDEN_K[case_dir], tmp_path)
         for name in ("x_ite", "v_ite", "zx_ite", "zv_ite"):
             expected = (folder / f"{name}_bias.csv").read_bytes()
             assert out[name].read_bytes() == expected, f"{case_dir}/{name}"
@@ -608,44 +614,53 @@ def _edit_row(row, column, value):
     return edit
 
 
-# What a replay says of a cell that int or float reads but run never writes.
-_NOT_WRITTEN = "a cell is not in the form run writes, an int's str or a float's repr"
+def _quote_row(row):
+    """Each cell of line ``row`` in double quotes, which csv would strip."""
+    def edit(lines):
+        quoted = ",".join(f'"{cell}"' for cell in lines[row].rstrip("\n").split(","))
+        return lines[:row] + [quoted + "\n"] + lines[row + 1 :]
+
+    return edit
+
+
+def _must_be(column, cell):
+    """What a replay says of a cell out of its column's form."""
+    return f"{column} must be {cli_runner._TRACE_FORMS[column][1]}, got {cell!r}"
 
 
 class TestReplayBadTrace:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (_cut_mid_row, "line 241 does not have the header's 12 fields"),
+            (_cut_mid_row, f"line 241: {_must_be('gap_front', '20.')}"),
+            (lambda lines: lines[:9] + [lines[9].rsplit(",", 1)[0] + "\n"] + lines[10:],
+             "line 10: vel_anom is missing"),
             (_drop_vehicle_1_of_step_5,
              "line 32: expected control step 5, vehicle 1, got control step 5, vehicle 2"),
             (_duplicate_step_0,
              "line 242: expected control step 40, vehicle 1, got control step 0, vehicle 1"),
             (_drop_step_7, "line 44: expected control step 7, vehicle 1, got control step 8, vehicle 1"),
             (lambda lines: lines[:3] + [lines[3].rstrip("\n") + ",1\n"] + lines[4:],
-             "line 4 does not have the header's 12 fields"),
-            (_edit_row(9, "x", "abc"), "line 10: could not convert string to float"),
-            (_edit_row(9, "control_step", "1.5"), "line 10: invalid literal for int()"),
-            (_edit_row(9, "v", "nan"), "line 10: x, v and gap_front must be finite"),
+             f"line 4: {_must_be('vel_anom', '0,1')}"),
+            (_edit_row(9, "x", "abc"), f"line 10: {_must_be('x', 'abc')}"),
+            (_edit_row(9, "control_step", "1.5"), f"line 10: {_must_be('control_step', '1.5')}"),
+            (_edit_row(9, "v", "nan"), f"line 10: {_must_be('v', 'nan')}"),
             (_edit_row(9, "vehicle_id", "0"),
              "line 10: expected control step 1, vehicle 3, got control step 1, vehicle 0"),
-            (_edit_row(9, "comparator_flag", "2"), "line 10: comparator_flag must be 0 or 1"),
-            (_edit_row(9, "u", "bogus"), "line 10: could not convert string to float: 'bogus'"),
-            (_edit_row(9, "u", "inf"),
-             "line 10: u must be finite, and elm_pos_pred and elm_vel_pred empty or finite"),
-            (_edit_row(9, "headway", "bogus"), "line 10: could not convert string to float: 'bogus'"),
-            (_edit_row(9, "elm_vel_pred", "nan"),
-             "line 10: u must be finite, and elm_pos_pred and elm_vel_pred empty or finite"),
-            (_edit_row(239, "elm_pos_pred", "1e400"),
-             "line 240: u must be finite, and elm_pos_pred and elm_vel_pred empty or finite"),
-            (_edit_row(9, "pos_anom", "2"), "line 10: pos_anom and vel_anom must be 0 or 1"),
-            (_edit_row(9, "vel_anom", ""), "line 10: pos_anom and vel_anom must be 0 or 1"),
+            (_edit_row(9, "comparator_flag", "2"), f"line 10: {_must_be('comparator_flag', '2')}"),
+            (_edit_row(9, "u", "bogus"), f"line 10: {_must_be('u', 'bogus')}"),
+            (_edit_row(9, "u", "inf"), "line 10: u must be a finite float's repr, got 'inf'"),
+            (_edit_row(9, "headway", "bogus"), f"line 10: {_must_be('headway', 'bogus')}"),
+            (_edit_row(9, "elm_vel_pred", "nan"), f"line 10: {_must_be('elm_vel_pred', 'nan')}"),
+            (_edit_row(239, "elm_pos_pred", "1e400"), f"line 240: {_must_be('elm_pos_pred', '1e400')}"),
+            (_edit_row(9, "pos_anom", "2"), f"line 10: {_must_be('pos_anom', '2')}"),
+            (_edit_row(9, "vel_anom", ""), f"line 10: {_must_be('vel_anom', '')}"),
             (lambda lines: lines[:-1] + [lines[-1].rstrip("\n") + ",\n"],
-             "line 241 does not have the header's 12 fields"),
+             f"line 241: {_must_be('vel_anom', '0,')}"),
             (lambda lines: lines[:5] + ["\n"] + _edit_row(5, "x", "abc")(lines)[5:],
-             "line 6 does not have the header's 12 fields"),
+             f"line 6: {_must_be('control_step', '')}"),
             (_edit_row(9, "x", "1" * (csv.field_size_limit() + 1)),
-             "line 10: field larger than field limit (131072)"),
+             f"line 10: x must be a finite float's repr, got '{'1' * 59}... (131075 characters)"),
             (_edit_row(1, "vehicle_id", str(10**12)),
              "line 2: expected control step 0, vehicle 1, got control step 0, vehicle 1000000000000"),
             # Only an incomplete last step is found after the last line.
@@ -655,26 +670,37 @@ class TestReplayBadTrace:
              "line 12: expected control step 2, vehicle 1, got control step 1, vehicle 6"),
             (_repeat_x_column, "line 1: expected the header control_step,vehicle_id,x,v,u,gap_front,"),
             # int and float take these forms, which run never writes.
-            (_edit_row(1, "x", "1_23.0"), f"line 2: {_NOT_WRITTEN}"),
-            (_edit_row(9, "control_step", " 1 "), f"line 10: {_NOT_WRITTEN}"),
-            (_edit_row(9, "v", "\u0663\u0660.0"), f"line 10: {_NOT_WRITTEN}"),
-            (_edit_row(1, "x", "+123.0"), f"line 2: {_NOT_WRITTEN}"),
-            (_edit_row(1, "headway", "Infinity"), f"line 2: {_NOT_WRITTEN}"),
-            (_edit_row(1, "headway", "NaN"), f"line 2: {_NOT_WRITTEN}"),
-            (_edit_row(9, "u", ".5"), f"line 10: {_NOT_WRITTEN}"),
-            (_edit_row(9, "gap_front", "5."), f"line 10: {_NOT_WRITTEN}"),
-            (_edit_row(9, "v", "1E5"), f"line 10: {_NOT_WRITTEN}"),
-            (_edit_row(9, "x", "5"), f"line 10: {_NOT_WRITTEN}"),
-            (_edit_row(9, "vehicle_id", "003"), f"line 10: {_NOT_WRITTEN}"),
+            (_edit_row(1, "x", "1_23.0"), f"line 2: {_must_be('x', '1_23.0')}"),
+            (_edit_row(9, "control_step", " 1 "), f"line 10: {_must_be('control_step', ' 1 ')}"),
+            (_edit_row(9, "v", "\u0663\u0660.0"), "line 10: " + _must_be("v", "\u0663\u0660.0")),
+            (_edit_row(1, "x", "+123.0"), f"line 2: {_must_be('x', '+123.0')}"),
+            (_edit_row(1, "headway", "Infinity"), f"line 2: {_must_be('headway', 'Infinity')}"),
+            (_edit_row(1, "headway", "NaN"), f"line 2: {_must_be('headway', 'NaN')}"),
+            (_edit_row(9, "u", ".5"), f"line 10: {_must_be('u', '.5')}"),
+            (_edit_row(9, "gap_front", "5."), f"line 10: {_must_be('gap_front', '5.')}"),
+            (_edit_row(9, "v", "1E5"), f"line 10: {_must_be('v', '1E5')}"),
+            (_edit_row(9, "x", "5"), f"line 10: {_must_be('x', '5')}"),
+            (_edit_row(9, "vehicle_id", "003"), f"line 10: {_must_be('vehicle_id', '003')}"),
+            # csv would unquote these cells; repr never writes a trailing zero
+            # but in .0; the form holds an overflowing exponent, float does not.
+            (_quote_row(1), "line 2: " + _must_be("control_step", '"0"')),
+            (_edit_row(1, "x", "123.00"), f"line 2: {_must_be('x', '123.00')}"),
+            (_edit_row(9, "headway", "1.0e+16"), f"line 10: {_must_be('headway', '1.0e+16')}"),
+            (_edit_row(9, "u", "1e+400"), f"line 10: {_must_be('u', '1e+400')}"),
+            # Past Python's 4,300-digit int limit: the step is compared as text.
+            (_edit_row(9, "control_step", "9" * 5000),
+             f"line 10: expected control step 1, vehicle 3, got control step {'9' * 60}... "
+             "(5000 characters), vehicle 3"),
         ],
         ids=[
-            "cut-mid-row", "missing-vehicle", "duplicated-rows", "missing-step", "extra-field",
+            "cut-mid-row", "short-row", "missing-vehicle", "duplicated-rows", "missing-step", "extra-field",
             "text-x", "float-step", "nan-v", "vehicle-0", "flag-2", "text-u", "inf-u", "text-headway",
             "nan-vel-pred", "overflowing-pos-pred", "pos-anom-2", "empty-vel-anom", "extra-empty-field",
             "bad-row-after-a-blank-line", "oversized-field", "vehicle-10**12", "incomplete-last-step",
             "step-0-lacks-its-last-vehicle", "repeated-x-column", "underscored-x", "spaced-step",
             "arabic-indic-v", "plus-x", "infinity-headway", "capital-nan-headway", "bare-fraction-u",
-            "bare-point-gap", "capital-exponent-v", "int-x", "leading-zero-vehicle",
+            "bare-point-gap", "capital-exponent-v", "int-x", "leading-zero-vehicle", "quoted-row",
+            "trailing-zero-x", "trailing-zero-mantissa-headway", "overflowing-u", "5000-digit-step",
         ],
     )
     def test_exit_code_names_line_or_step(self, tmp_path, capsys, live_trace_lines, corrupt, message):
@@ -701,12 +727,24 @@ class TestReplayBadTrace:
         assert ",nan," in lines[1] and ",," in lines[240] and ",," not in live_trace_lines[240]
         assert cli_runner._read_trace(edited) == cli_runner._read_trace(live)
 
+    def test_line_ends_read_alike(self, tmp_path, live_trace_lines):
+        # run ends each line with CRLF; LF ends, and a last line without its
+        # end, read to the same columns.
+        lf = "".join(live_trace_lines)
+        columns = []
+        texts = {"crlf": lf.replace("\n", "\r\n"), "lf": lf, "unended": lf.removesuffix("\n")}
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(text.encode())
+            columns.append(cli_runner._read_trace(path))
+        assert lf.count("\n") == 241 and "\r" not in lf
+        assert columns[0] == columns[1] == columns[2] and len(columns[0][0]) == 6
+
     def test_blank_lines_are_rejected(self, tmp_path, capsys, live_trace_lines):
         lines = live_trace_lines
         blank = lines[:1] + ["\n"] + lines[1:100] + ["\r\n", "\n"] + lines[100:] + ["\n"]
-        _assert_replay_names(tmp_path, capsys, blank, "line 2 does not have the header's 12 fields")
-        _assert_replay_names(tmp_path, capsys, lines + ["\n"],
-                             "line 242 does not have the header's 12 fields")
+        _assert_replay_names(tmp_path, capsys, blank, f"line 2: {_must_be('control_step', '')}")
+        _assert_replay_names(tmp_path, capsys, lines + ["\n"], f"line 242: {_must_be('control_step', '')}")
 
 
 def _assert_replay_names(tmp_path, capsys, lines, message):
@@ -914,6 +952,18 @@ class TestCli:
         assert err.startswith("config error: seed must be an int >= 0")
         assert "Traceback" not in err
 
+    def test_misspelt_replay_config_section_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("seed: 1\ndetecton: {enabled: false}\n")
+        assert main(self._argv("replay-detect", bad, tmp_path)) == 1
+        assert capsys.readouterr().err == "config error: detecton is not a scenario key\n"
+
+    @pytest.mark.parametrize("doc", SCENARIO_DOCUMENTS, ids=lambda doc: doc.name)
+    def test_every_scenario_is_a_replay_config(self, tmp_path, capsys, doc):
+        assert main(self._argv("replay-detect", doc, tmp_path)) == 0
+        anomalies = (tmp_path / "out" / "anomalies.csv").read_text()
+        assert anomalies.splitlines() == [",".join(ANOMALY_CSV_COLUMNS)]
+
     def test_negative_seed_override_exit_code(self, tmp_path, capsys):
         scenario_path = tmp_path / "scenario.yaml"
         scenario_path.write_text(yaml.safe_dump(scenario_doc()))
@@ -1112,6 +1162,7 @@ class TestCli:
             ([1, 2], "case document must be a mapping, got list"),
             ({"iter_victim_list": [1]},
              "iter_victim_list must be under attack:, not at the top level"),
+            ({"n": 6, "atack": {"iter_victim_list": [1]}}, "atack is not a case-file key"),
             # 1e305 * 299 is finite, 1e305 * 2999 is not: the case's own
             # max_iterations bounds the waveform.
             ({"max_iterations": 3000, "attack": _one_channel_attack(1e305, 0, bias_kind="Linear")},
@@ -1121,7 +1172,7 @@ class TestCli:
         ids=[
             "string-n", "zero-n", "bool-n", "float-sim-n", "string-iterations",
             "float-sim-iterations", "int-sim", "unknown-sim-key", "zero-sim-tau", "list-document",
-            "top-level-lists", "overflowing-line",
+            "top-level-lists", "misspelt-attack", "overflowing-line",
         ],
     )
     def test_bad_generate_bias_case_exit_code(self, tmp_path, capsys, case, message):
@@ -1251,9 +1302,9 @@ class TestCli:
         argv = ["replay-detect", "--trace", str(trace), "--config", str(config),
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert capsys.readouterr().err == (f"config error: {trace} line 2: could not convert string to "
-                                           f"float: '{'x' * 24}... (1037 characters)\n")
-        trace.write_text(",".join(TRACE_COLUMNS) + "\n0," + "9" * 1000 + ",1,1,0,1,1,0,,,0,0\n")
+        assert capsys.readouterr().err == (f"config error: {trace} line 2: x must be a finite float's repr, "
+                                           f"got '{'x' * 59}... (1002 characters)\n")
+        trace.write_text(",".join(TRACE_COLUMNS) + "\n0," + "9" * 1000 + ",1.0,1.0,0.0,1.0,1.0,0,,,0,0\n")
         assert main(argv) == 1
         assert capsys.readouterr().err == (f"config error: {trace} line 2: expected control step 0, "
                                            f"vehicle 1, got control step 0, vehicle {'9' * 60}... "
